@@ -1,11 +1,11 @@
 //! Flattened physical plans: the DAG lowered into a dense `Vec<PhysOp>`
 //! in topological order, with integer *slot* operands.
 //!
-//! The evaluator's old shape — per-evaluation `topo_order` walks plus an
-//! `OpId → Arc<Table>` hash memo — pays a hash lookup per operand access
-//! and re-derives the schedule on every execution. Lowering once at
-//! prepare time turns both into array indexing: `PhysOp::args` are
-//! indices into a result-slot vector that is allocated per execution.
+//! This is the only plan form the engine executes. Lowering once at
+//! prepare time fixes the schedule and turns operand access into array
+//! indexing: [`PhysOp::args`] are indices into a result-slot vector
+//! allocated per execution — no per-run `topo_order` walk, no `OpId`
+//! hash lookups, and a shared subplan is one slot.
 //!
 //! Lowering also performs **chain fusion**: maximal linear runs of the
 //! unary row-shape-preserving operators (`fun`, `σ`, `attach`, `π`) whose
@@ -42,27 +42,6 @@ pub enum FuseStep {
     Project { cols: Vec<(Col, Col)> },
 }
 
-impl FuseStep {
-    /// Short rendering for `--explain`.
-    pub fn describe(&self) -> String {
-        match self {
-            FuseStep::Fun { new, kind, args } => {
-                let a: Vec<String> = args.iter().map(|c| c.name()).collect();
-                format!("fun {new}:{kind:?}({})", a.join(","))
-            }
-            FuseStep::Select { col } => format!("σ {col}"),
-            FuseStep::Attach { col, .. } => format!("attach {col}"),
-            FuseStep::Project { cols } => {
-                let c: Vec<String> = cols
-                    .iter()
-                    .map(|(n, s)| if n == s { n.name() } else { format!("{n}:{s}") })
-                    .collect();
-                format!("π {}", c.join(","))
-            }
-        }
-    }
-}
-
 /// One slot of a flattened plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysOp {
@@ -80,6 +59,15 @@ pub enum PhysOp {
 }
 
 impl PhysOp {
+    /// Result slots this slot reads, in operand order (with
+    /// multiplicity: an operator using one child twice lists it twice).
+    pub fn args(&self) -> &[u32] {
+        match self {
+            PhysOp::Op { args, .. } => args,
+            PhysOp::Fused { input, .. } => std::slice::from_ref(input),
+        }
+    }
+
     /// DAG id of the operator whose result this slot holds.
     pub fn out_id(&self) -> OpId {
         match self {
@@ -112,62 +100,6 @@ impl PhysPlan {
     /// True for a plan with no slots (never produced by [`lower`]).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Slot index of each logical operator that owns a slot (the tail of
-    /// a fused chain owns the chain's slot; interior members own none).
-    pub fn slot_of(&self) -> HashMap<OpId, u32> {
-        self.ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| (op.out_id(), i as u32))
-            .collect()
-    }
-
-    /// Render the flattened program for `--explain`: one line per slot,
-    /// fused chains spelled out step by step.
-    pub fn render(&self, dag: &Dag) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            match op {
-                PhysOp::Op { id, args } => {
-                    let a: Vec<String> = args.iter().map(|s| format!("s{s}")).collect();
-                    let _ = writeln!(
-                        out,
-                        "s{i}: {} {}{}",
-                        dag.op(*id).kind_name(),
-                        id,
-                        if a.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" ({})", a.join(", "))
-                        }
-                    );
-                }
-                PhysOp::Fused {
-                    input,
-                    steps,
-                    members,
-                } => {
-                    let body: Vec<String> = steps.iter().map(FuseStep::describe).collect();
-                    let _ = writeln!(
-                        out,
-                        "s{i}: fused[{} ops] {{ {} }} (s{input})",
-                        members.len(),
-                        body.join(" → ")
-                    );
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "{} slots, {} fused chains covering {} operators",
-            self.ops.len(),
-            self.fused_chains,
-            self.fused_ops
-        );
-        out
     }
 }
 
@@ -306,11 +238,7 @@ mod tests {
         assert_eq!(plan.len(), 3);
         assert_eq!(plan.root as usize, plan.len() - 1);
         for (i, op) in plan.ops.iter().enumerate() {
-            let args = match op {
-                PhysOp::Op { args, .. } => args.clone(),
-                PhysOp::Fused { input, .. } => vec![*input],
-            };
-            assert!(args.iter().all(|&a| (a as usize) < i), "slot {i} args");
+            assert!(op.args().iter().all(|&a| (a as usize) < i), "slot {i} args");
         }
     }
 
@@ -392,29 +320,5 @@ mod tests {
         assert_eq!(plan.ops[1].out_id(), f);
         // As a root, a single fusable op stays a plain slot.
         assert!(matches!(plan.ops[1], PhysOp::Op { .. }));
-    }
-
-    #[test]
-    fn render_shows_fused_chains() {
-        let mut dag = Dag::new();
-        let l = lit(&mut dag, vec![Col::ITEM1, Col::ITEM2]);
-        let f = dag.add(Op::Fun {
-            input: l,
-            new: Col::RES,
-            kind: FunKind::Lt,
-            args: vec![Col::ITEM1, Col::ITEM2],
-        });
-        let s = dag.add(Op::Select {
-            input: f,
-            col: Col::RES,
-        });
-        let root = dag.add(Op::Distinct { input: s });
-        let plan = lower(&dag, root, true);
-        let text = plan.render(&dag);
-        assert!(text.contains("fused[2 ops]"), "{text}");
-        assert!(
-            text.contains("1 fused chains covering 2 operators"),
-            "{text}"
-        );
     }
 }

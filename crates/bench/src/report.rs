@@ -1,24 +1,4 @@
-//! Shared JSON report writer for the bench binaries.
-//!
-//! `par-bench` and `qps-bench` emit their `BENCH_*.json` artifacts
-//! through the same codec the daemon's wire protocol uses
-//! ([`exrquy_xqd::json`]), so the reports are valid JSON by
-//! construction — no hand-rolled string assembly to drift.
-
-use exrquy_xqd::json::Value;
-
-/// Wrap an `f64` for a report, flattening NaN/inf to null (JSON has no
-/// spelling for them).
-pub fn num(f: f64) -> Value {
-    Value::Float(f)
-}
-
-/// Write `report` to `path` with a trailing newline.
-pub fn write(path: &str, report: &Value) {
-    let mut text = report.render();
-    text.push('\n');
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-}
+//! Latency statistics shared with the `perfbench/` benchmark.
 
 /// Interpolated percentile over an **ascending-sorted** slice of
 /// latencies. `p` in [0, 100]; empty input yields 0.
@@ -48,13 +28,5 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert_eq!(percentile(&v, 50.0), 2.5);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn reports_render_as_valid_json() {
-        let report =
-            exrquy_xqd::json::obj(vec![("bench", Value::Str("x".into())), ("p50", num(1.25))]);
-        let text = report.render();
-        assert_eq!(exrquy_xqd::json::parse(&text).unwrap(), report);
     }
 }

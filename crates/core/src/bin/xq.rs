@@ -13,18 +13,19 @@
 //!   --query-file <path>  read the query from a file instead of the argument
 //!   --baseline           order-aware compiler (no order indifference)
 //!   --unordered          force ordering mode unordered + full analysis
-//!   --explain            print the plan (logical DAG + the flattened
-//!                        physical program with its fused chains), run the
-//!                        query once, and print one coherent table of
-//!                        per-operator estimated vs. actual cardinalities
-//!                        plus fusion and plan-cache statistics
+//!   --explain            print the logical DAG, run the query once, and
+//!                        print the physical program as one table: per
+//!                        slot, the operator (or fused chain), estimated
+//!                        vs. actual cardinality and wall time, then the
+//!                        fusion, cost and plan-cache counters
 //!   --no-cost            disable statistics-driven cost-based planning
 //!                        (join reordering, selection ordering); the
 //!                        rule-only planner runs instead
 //!   --sql                print the SQL:1999 translation instead of executing
-//!   --scalar             force the scalar operator-at-a-time engine path
-//!                        (no selection vectors, no fused kernels); results
-//!                        are byte-identical to the vectorized default
+//!   --scalar             run the reference arm: the unfused plan with the
+//!                        row-at-a-time kernel bodies (no selection
+//!                        vectors, no fused chains); results are
+//!                        byte-identical to the vectorized default
 //!   --time               print compile/execute wall-clock to stderr
 //!   --profile            print the per-phase execution profile to stderr
 //!   --threads <n>        intra-query worker threads (default 1 = serial;
@@ -255,11 +256,9 @@ fn main() {
 
     if explain {
         print!("{}", plan.plan_text());
-        println!("-- physical program --");
-        print!("{}", plan.phys_text());
-        // One execution feeds the "actual" column and the fusion
-        // counters; if it fails (budget trip, armed failpoint…) the
-        // table still prints with estimates only.
+        // One execution feeds the actual-rows and ms columns and the
+        // fusion counters; if it fails (budget trip, armed failpoint…)
+        // the table still prints with estimates only.
         let run = exrquy::RunOptions {
             deadline,
             ..Default::default()
@@ -275,23 +274,8 @@ fn main() {
                 None
             }
         };
-        println!("-- cardinalities (estimated vs actual) --");
-        print!("{}", plan.cardinality_table(profile));
-        if let Some(p) = profile {
-            println!(
-                "fusion: {} phys slot(s), {} fused chain(s) absorbing {} op(s), {} batch(es)",
-                p.vec.phys_slots, p.vec.fused_chains, p.vec.fused_ops, p.vec.batches
-            );
-        }
-        let cs = session.cache_stats();
-        println!(
-            "plan cache: {} hit(s), {} miss(es), {} uncacheable, {} evicted ({:.0}% hit rate)",
-            cs.hits,
-            cs.misses,
-            cs.uncacheable,
-            cs.evictions,
-            cs.hit_rate() * 100.0
-        );
+        println!("-- physical program (estimated vs actual) --");
+        print!("{}", plan.explain_table(profile, &session.cache_stats()));
         return;
     }
     if sql {

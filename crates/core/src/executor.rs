@@ -300,7 +300,8 @@ impl Executor {
         let (root, cost_report) =
             exrquy_opt::cost_optimize(&mut dag, root, &opts.opt, &cost_ctx).map_err(Error::Opt)?;
         let stats_final = PlanStats::of(&dag, root);
-        // Lower once: executions run the flattened program directly.
+        // Lower once: executions run the flattened program directly. The
+        // scalar reference arm is the unfused lowering.
         let phys = exrquy_algebra::lower(&dag, root, opts.vectorized);
         Ok(Prepared {
             dag,

@@ -101,12 +101,13 @@ pub struct QueryOptions {
     /// Worker threads for intra-query parallel execution (`1` = serial).
     /// Serial and parallel runs produce byte-identical serializations.
     pub threads: usize,
-    /// Run the vectorized engine core: the plan is lowered to a flattened
-    /// slot program at prepare time (with select→fun→project chains fused
-    /// into single-pass kernels) and executed over selection vectors.
-    /// When `false`, the scalar operator-at-a-time reference path runs
-    /// instead. Both produce byte-identical serializations — the
-    /// vectorization differential asserts exactly that.
+    /// Run the vectorized arm: the plan is lowered at prepare time with
+    /// select→fun→project chains fused into single-pass kernels and
+    /// executed over selection vectors. When `false`, the scalar
+    /// reference arm runs instead — the unfused lowering with
+    /// row-at-a-time kernel bodies, through the same driver. Both produce
+    /// byte-identical serializations — the vectorization differential
+    /// asserts exactly that.
     pub vectorized: bool,
 }
 
@@ -190,9 +191,9 @@ impl QueryOptions {
         self
     }
 
-    /// Toggle the vectorized engine core (`false` forces the scalar
-    /// reference path; used by the vectorization differential and as the
-    /// `vec-bench` baseline).
+    /// Toggle the vectorized arm (`false` prepares the unfused plan and
+    /// runs the row-at-a-time reference kernels; used by the
+    /// vectorization differential and the benchmark's oracle).
     pub fn with_vectorized(mut self, vectorized: bool) -> Self {
         self.vectorized = vectorized;
         self
@@ -209,7 +210,8 @@ pub struct Prepared {
     /// chains are present exactly when the plan was prepared with
     /// [`QueryOptions::vectorized`].
     pub phys: exrquy_algebra::PhysPlan,
-    /// Whether executions of this plan run the vectorized engine core.
+    /// Whether executions of this plan run the vectorized kernel bodies
+    /// (otherwise the scalar reference bodies, over the unfused `phys`).
     pub(crate) vectorized: bool,
     /// Plan statistics before optimization.
     pub stats_initial: PlanStats,
@@ -260,29 +262,47 @@ impl Prepared {
         exrquy_algebra::dot::to_dot(&self.dag, self.root, title)
     }
 
-    /// Text rendering of the flattened physical program — one line per
-    /// slot, fused chains spelled out step by step (shown by
-    /// `xq --explain`).
-    pub fn phys_text(&self) -> String {
-        self.phys.render(&self.dag)
-    }
-
-    /// The coherent `--explain` cardinality table: one row per operator
-    /// of the final plan (topological order, children before parents)
-    /// with the cost model's estimated cardinality next to the actual
-    /// row count observed by `profile` (when a run's profile is
-    /// supplied). Operators absorbed into fused vectorized chains
-    /// record no actual count and show `-`; so do estimates when the
-    /// cost model could not type an operator.
-    pub fn cardinality_table(&self, profile: Option<&Profile>) -> String {
+    /// The `--explain` table: one row per slot of the physical program
+    /// (execution order) — the operator with its operand slots, or a
+    /// fused chain's members (chain order; `plan_text` spells each
+    /// `@id` out) — with the cost model's estimated cardinality next to
+    /// the row count and wall time `profile` observed (when a run's
+    /// profile is supplied), followed by the fusion, `cost:` and
+    /// plan-cache footer lines. A fused chain reports its tail: the
+    /// table the slot publishes. Estimates show `-` when the cost model
+    /// could not type an operator.
+    pub fn explain_table(&self, profile: Option<&Profile>, cache: &CacheStats) -> String {
+        use exrquy_algebra::PhysOp;
         use std::fmt::Write;
+        let labels: Vec<String> = self
+            .phys
+            .ops
+            .iter()
+            .map(|op| {
+                let mut label = match op {
+                    PhysOp::Op { id, .. } => format!("{} {id}", self.dag.op(*id).kind_name()),
+                    PhysOp::Fused { members, .. } => {
+                        let ids: Vec<String> = members.iter().map(OpId::to_string).collect();
+                        format!("fused {}", ids.join("→"))
+                    }
+                };
+                if !op.args().is_empty() {
+                    let args: Vec<String> = op.args().iter().map(|a| format!("s{a}")).collect();
+                    let _ = write!(label, " ({})", args.join(", "));
+                }
+                label
+            })
+            .collect();
+        let width = labels.iter().map(|l| l.chars().count()).max().unwrap_or(0);
+        let width = width.max("operator".len());
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "{:>6}  {:<12}  {:>12}  {:>10}  {:>8}",
-            "op", "operator", "estimated", "actual", "err"
+            "{:>5}  {:<width$}  {:>12}  {:>10}  {:>8}  {:>9}",
+            "slot", "operator", "estimated", "actual", "err", "ms"
         );
-        for id in self.dag.topo_order(self.root) {
+        for (i, (op, label)) in self.phys.ops.iter().zip(&labels).enumerate() {
+            let id = op.out_id();
             let est = self.cost_report.estimates.get(&id).copied();
             let actual = profile.and_then(|p| p.op_rows(id));
             let est_s = est.map_or_else(|| "-".to_string(), |e| format!("{e:.1}"));
@@ -303,14 +323,21 @@ impl Prepared {
                 }
                 _ => "-".to_string(),
             };
+            let ms_s = match (profile, actual) {
+                (Some(p), Some(_)) => format!("{:.3}", p.op_time(id).as_secs_f64() * 1e3),
+                _ => "-".to_string(),
+            };
             let _ = writeln!(
                 s,
-                "{:>6}  {:<12}  {:>12}  {:>10}  {:>8}",
-                format!("#{}", id.0),
-                self.dag.op(id).kind_name(),
-                est_s,
-                act_s,
-                err_s
+                "{:>5}  {label:<width$}  {est_s:>12}  {act_s:>10}  {err_s:>8}  {ms_s:>9}",
+                format!("s{i}")
+            );
+        }
+        if let Some(p) = profile {
+            let _ = writeln!(
+                s,
+                "fusion: {} phys slot(s), {} fused chain(s) absorbing {} op(s), {} batch(es)",
+                p.vec.phys_slots, p.vec.fused_chains, p.vec.fused_ops, p.vec.batches
             );
         }
         let _ = writeln!(
@@ -322,8 +349,17 @@ impl Prepared {
             self.cost_report.select_chains
         );
         for fired in &self.cost_report.trace {
-            let _ = writeln!(s, "  {} at op #{}", fired.rule, fired.before.0);
+            let _ = writeln!(s, "  {} at op {}", fired.rule, fired.before);
         }
+        let _ = writeln!(
+            s,
+            "plan cache: {} hit(s), {} miss(es), {} uncacheable, {} evicted ({:.0}% hit rate)",
+            cache.hits,
+            cache.misses,
+            cache.uncacheable,
+            cache.evictions,
+            cache.hit_rate() * 100.0
+        );
         s
     }
 

@@ -48,6 +48,54 @@ fn explain_prints_a_plan() {
     let plan = String::from_utf8_lossy(&out.stdout);
     assert!(plan.contains("serialize"), "{plan}");
     assert!(plan.contains("⬡"), "{plan}");
+    // One table for the physical program: a row per slot carrying the
+    // estimate, the run's actual row count and its wall time …
+    assert_eq!(plan.matches("-- physical program").count(), 1, "{plan}");
+    let header = plan
+        .lines()
+        .find(|l| l.trim_start().starts_with("slot"))
+        .unwrap_or_else(|| panic!("no slot table header in {plan}"));
+    for column in ["operator", "estimated", "actual", "err", "ms"] {
+        assert!(header.contains(column), "{header}");
+    }
+    let root = plan
+        .lines()
+        .find(|l| l.contains("serialize @") && l.trim_start().starts_with('s'))
+        .unwrap_or_else(|| panic!("no root slot row in {plan}"));
+    // … slot, operator, operand slot, estimated, actual (one count
+    // item), err, ms.
+    let cells: Vec<&str> = root.split_whitespace().collect();
+    assert_eq!(cells.len(), 8, "{root}");
+    assert_eq!(cells[5], "1", "{root}");
+    assert!(cells[7].parse::<f64>().is_ok(), "{root}");
+    // … and the counters as footer lines, each exactly once.
+    for footer in ["fusion: ", "cost: ", "plan cache: "] {
+        assert_eq!(plan.matches(footer).count(), 1, "{footer} in {plan}");
+    }
+}
+
+#[test]
+fn explain_shows_fused_chains_unless_scalar() {
+    let doc = write_doc("cli2b.xml", "<r><x>1</x><x>2</x></r>");
+    let explain = |extra: &[&str]| {
+        let out = xq()
+            .arg("--doc")
+            .arg(format!("d.xml={}", doc.display()))
+            .arg("--explain")
+            .args(extra)
+            .arg(r#"for $x in doc("d.xml")//x where $x > 1 return $x"#)
+            .output()
+            .expect("xq runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let vectorized = explain(&[]);
+    assert!(vectorized.contains("  fused @"), "{vectorized}");
+    assert!(!vectorized.contains(" 0 fused chain(s)"), "{vectorized}");
+    // The reference arm runs the unfused program: no chain rows.
+    let scalar = explain(&["--scalar"]);
+    assert!(!scalar.contains("  fused @"), "{scalar}");
+    assert!(scalar.contains(" 0 fused chain(s)"), "{scalar}");
 }
 
 #[test]

@@ -1,0 +1,289 @@
+//! Node-construction kernels — the writers. They append fragments to the
+//! execution's arena overlay and therefore run on the owning thread only.
+
+use crate::column::Column;
+use crate::eval::{int_view, EvalError};
+use crate::item::Item;
+use crate::table::Table;
+use exrquy_algebra::Col;
+use exrquy_diag::ErrorCode;
+use exrquy_xml::tree::NodeKind;
+use exrquy_xml::{FragArena, NameId, NodeId, NodeRead, TreeBuilder};
+use std::collections::HashMap;
+
+/// `content` rows grouped by `iter` and sorted by `pos` within each
+/// group: one global stable sort over (iter, pos) with groups read back
+/// as contiguous slices — no hash map, no per-group vector.
+struct ContentGroups {
+    /// (iter, pos, ord, item), sorted by (iter, pos); ties keep row
+    /// order (matching the per-group stable sort this replaces). `ord`
+    /// is the content-part tag (0 when the plan carries none).
+    rows: Vec<(i64, i64, i64, Item)>,
+}
+
+impl ContentGroups {
+    fn build(content: &Table) -> Result<Self, EvalError> {
+        let n = content.nrows();
+        let iters = content.col(Col::ITER);
+        let poss = content.col(Col::POS);
+        let items = content.col(Col::ITEM);
+        let ords = if content.schema().contains(&Col::ORD) {
+            Some(content.col(Col::ORD))
+        } else {
+            None
+        };
+        let mut rows: Vec<(i64, i64, i64, Item)> = Vec::with_capacity(n);
+        // Batch extraction: pull the three integer columns out as
+        // slices and dispatch on the item column's representation once,
+        // instead of re-branching per row and per column. Non-integer
+        // iter/pos/ord columns keep the per-row path (and its exact
+        // type-error reporting).
+        let (iv, pv) = (int_view(&iters), int_view(&poss));
+        let ov = match &ords {
+            Some(c) => int_view(c).map(Some),
+            None => Some(None),
+        };
+        if let (Some(iv), Some(pv), Some(ov)) = (iv, pv, ov) {
+            let ord = |r: usize| ov.as_ref().map_or(0, |o| o[r]);
+            match (&**items.data(), items.sel()) {
+                (Column::Item(v), None) => {
+                    rows.extend((0..n).map(|r| (iv[r], pv[r], ord(r), v[r].clone())));
+                }
+                (Column::Item(v), Some(s)) => {
+                    rows.extend((0..n).map(|r| (iv[r], pv[r], ord(r), v[s[r] as usize].clone())));
+                }
+                _ => rows.extend((0..n).map(|r| (iv[r], pv[r], ord(r), items.get(r)))),
+            }
+        } else {
+            for r in 0..n {
+                let ord = match &ords {
+                    Some(c) => c.get_int(r)?,
+                    None => 0,
+                };
+                rows.push((iters.get_int(r)?, poss.get_int(r)?, ord, items.get(r)));
+            }
+        }
+        if !rows.is_sorted_by_key(|&(it, p, _, _)| (it, p)) {
+            rows.sort_by_key(|&(it, p, _, _)| (it, p));
+        }
+        Ok(ContentGroups { rows })
+    }
+
+    /// The content slice of one iteration (empty when it has none).
+    fn get(&self, iter: i64) -> &[(i64, i64, i64, Item)] {
+        let lo = self.rows.partition_point(|r| r.0 < iter);
+        let hi = lo + self.rows[lo..].partition_point(|r| r.0 == iter);
+        &self.rows[lo..hi]
+    }
+}
+
+pub(crate) fn eval_element(
+    arena: &mut FragArena,
+    names: &Table,
+    content: &Table,
+) -> Result<Table, EvalError> {
+    let by_iter = ContentGroups::build(content)?;
+    // One new fragment holds all elements constructed by this operator
+    // invocation, as sibling roots, in iter order.
+    let name_iters = names.col(Col::ITER);
+    let name_items = names.col(Col::ITEM);
+    let mut order: Vec<(i64, usize)> = Vec::with_capacity(names.nrows());
+    for r in 0..names.nrows() {
+        order.push((name_iters.get_int(r)?, r));
+    }
+    order.sort_unstable();
+    let mut b = TreeBuilder::new();
+    // The output size is known up front: one element per name row plus
+    // every content node's subtree (atomics over-count slightly — they
+    // merge into shared text nodes — which only pads the reservation).
+    let est: usize = order.len()
+        + by_iter
+            .rows
+            .iter()
+            .map(|(_, _, _, it)| match it {
+                Item::Node(n) => arena.doc_of(*n).size(n.pre) as usize + 1,
+                _ => 1,
+            })
+            .sum::<usize>();
+    b.reserve(est);
+    let mut roots: Vec<(i64, u32)> = Vec::with_capacity(order.len());
+    // Constructor names are overwhelmingly one literal string attached
+    // to every row (the same `Arc<str>` clone), so remember the last
+    // (allocation, id) pair and skip the intern hash on a pointer hit.
+    let mut last_name: Option<(*const u8, NameId)> = None;
+    for &(it, r) in &order {
+        let name_item = name_items.get(r);
+        let name_id = match &name_item {
+            Item::Str(s) => match last_name {
+                Some((p, id)) if std::ptr::eq(p, s.as_ptr()) => id,
+                _ => {
+                    let id = arena.intern(s);
+                    last_name = Some((s.as_ptr(), id));
+                    id
+                }
+            },
+            other => arena.intern(&other.to_xq_string()),
+        };
+        let root = b.open_element(name_id);
+        let items = by_iter.get(it);
+        if !items.is_empty() {
+            build_content(arena, &mut b, items)?;
+        }
+        b.close();
+        roots.push((it, root));
+    }
+    let frag = arena.add(b.finish());
+    Ok(Table::new(vec![
+        (
+            Col::ITER,
+            Column::Int(roots.iter().map(|&(it, _)| it).collect()),
+        ),
+        (
+            Col::ITEM,
+            Column::Item(
+                roots
+                    .iter()
+                    .map(|&(_, pre)| Item::Node(NodeId::new(frag, pre)))
+                    .collect(),
+            ),
+        ),
+    ]))
+}
+
+/// Realize a constructor content sequence: leading attribute nodes
+/// become attributes, adjacent atomics merge into one text node joined
+/// with spaces, nodes are deep-copied (order interaction 2©: sequence
+/// order establishes document order).
+fn build_content(
+    arena: &FragArena,
+    b: &mut TreeBuilder,
+    items: &[(i64, i64, i64, Item)],
+) -> Result<(), EvalError> {
+    let mut pending_text: Option<String> = None;
+    let mut pending_ord: i64 = 0;
+    let mut content_started = false;
+    for (_, _, ord, item) in items {
+        match item {
+            Item::Node(n) => {
+                let doc = arena.doc_of(*n);
+                if doc.kind(n.pre) == NodeKind::Attribute {
+                    if content_started || pending_text.is_some() {
+                        return Err(EvalError::new(
+                            ErrorCode::XQTY0024,
+                            "attribute node follows element content (XQTY0024)",
+                        ));
+                    }
+                    b.attribute(doc.name(n.pre), doc.text(n.pre).unwrap_or(""));
+                } else {
+                    if let Some(t) = pending_text.take() {
+                        b.text(&t);
+                    }
+                    let doc = arena.doc_of(*n);
+                    b.copy_subtree(doc, n.pre);
+                    content_started = true;
+                }
+            }
+            atomic => {
+                // Atomics merge into one text node; the space separator
+                // only applies between atomics of the SAME enclosed
+                // expression (content part).
+                let s = atomic.to_xq_string();
+                match pending_text.as_mut() {
+                    Some(t) => {
+                        if *ord == pending_ord {
+                            t.push(' ');
+                        }
+                        t.push_str(&s);
+                    }
+                    None => pending_text = Some(s),
+                }
+                pending_ord = *ord;
+            }
+        }
+    }
+    if let Some(t) = pending_text {
+        b.text(&t);
+    }
+    Ok(())
+}
+
+pub(crate) fn eval_attr(
+    arena: &mut FragArena,
+    names: &Table,
+    values: &Table,
+) -> Result<Table, EvalError> {
+    // values: iter|item (one string per iteration).
+    let val_iters = values.col(Col::ITER);
+    let val_items = values.col(Col::ITEM);
+    let mut val_by_iter: HashMap<i64, String> = HashMap::new();
+    for r in 0..values.nrows() {
+        let it = val_iters.get_int(r)?;
+        let v = val_items.get(r).to_xq_string();
+        val_by_iter.insert(it, v);
+    }
+    let name_iters = names.col(Col::ITER);
+    let name_items = names.col(Col::ITEM);
+    let mut order: Vec<(i64, usize)> = Vec::with_capacity(names.nrows());
+    for r in 0..names.nrows() {
+        order.push((name_iters.get_int(r)?, r));
+    }
+    order.sort_unstable();
+    let mut doc = exrquy_xml::Document::new();
+    let mut rows: Vec<(i64, u32)> = Vec::new();
+    for &(it, r) in &order {
+        let name_str = name_items.get(r).to_xq_string();
+        let name_id = arena.intern(&name_str);
+        let value = val_by_iter.get(&it).cloned().unwrap_or_default();
+        let pre = doc.push_orphan_attribute(name_id, &value);
+        rows.push((it, pre));
+    }
+    let frag = arena.add(doc);
+    Ok(Table::new(vec![
+        (
+            Col::ITER,
+            Column::Int(rows.iter().map(|&(it, _)| it).collect()),
+        ),
+        (
+            Col::ITEM,
+            Column::Item(
+                rows.iter()
+                    .map(|&(_, pre)| Item::Node(NodeId::new(frag, pre)))
+                    .collect(),
+            ),
+        ),
+    ]))
+}
+
+pub(crate) fn eval_textnode(arena: &mut FragArena, content: &Table) -> Result<Table, EvalError> {
+    let c_iters = content.col(Col::ITER);
+    let c_items = content.col(Col::ITEM);
+    let mut order: Vec<(i64, usize)> = Vec::with_capacity(content.nrows());
+    for r in 0..content.nrows() {
+        order.push((c_iters.get_int(r)?, r));
+    }
+    order.sort_unstable();
+    let mut b = TreeBuilder::new();
+    let mut rows: Vec<(i64, u32)> = Vec::new();
+    for &(it, r) in &order {
+        let s = c_items.get(r).to_xq_string();
+        // Empty strings construct no text node (the XDM has none).
+        if let Some(pre) = b.text(&s) {
+            rows.push((it, pre));
+        }
+    }
+    let frag = arena.add(b.finish());
+    Ok(Table::new(vec![
+        (
+            Col::ITER,
+            Column::Int(rows.iter().map(|&(it, _)| it).collect()),
+        ),
+        (
+            Col::ITEM,
+            Column::Item(
+                rows.iter()
+                    .map(|&(_, pre)| Item::Node(NodeId::new(frag, pre)))
+                    .collect(),
+            ),
+        ),
+    ]))
+}

@@ -1,5 +1,8 @@
-//! Columnar in-memory execution engine for the algebra DAG — the stand-in
-//! for the paper's MonetDB back-end.
+//! Columnar in-memory execution engine — the stand-in for the paper's
+//! MonetDB back-end. It is handed one plan form, the flattened
+//! [`exrquy_algebra::PhysPlan`], and runs it with one driver
+//! ([`Engine::eval_plan`]): serially in slot order, or on the
+//! work-stealing scheduler when more than one thread is configured.
 //!
 //! Design goals mirror what makes the paper's cost model tick:
 //!
@@ -16,17 +19,26 @@
 //!   ([`Profile`]), which is exactly the granularity of the paper's
 //!   Table 2 breakdown.
 //!
-//! Evaluation is memoized over the shared DAG: an operator reachable via
-//! ten paths is evaluated once (§3's sharing).
+//! An operator reachable via ten paths is one plan slot and is evaluated
+//! once per execution (§3's sharing).
+//!
+//! `EngineOptions::scalar` selects the reference arm — the unfused
+//! lowering with row-at-a-time kernel bodies — over the same driver; the
+//! differential suites compare the default vectorized arm against it.
 
+mod aggr;
 pub mod bits;
 pub mod column;
+mod construct;
 pub mod eval;
 pub mod funs;
 pub mod item;
+mod join;
 mod kernels;
 mod par;
 pub mod profile;
+mod sort;
+mod step;
 pub mod table;
 mod vec;
 

@@ -1,31 +1,31 @@
-//! Work-stealing intra-query scheduler.
+//! Work-stealing intra-query scheduler over a flattened [`PhysPlan`].
 //!
-//! The scheduler runs over a *node graph* — either the shared DAG
-//! (scalar path) or a flattened [`PhysPlan`] whose slots may be fused
-//! chains (vectorized path, via [`eval_parallel_phys`]). Both shapes go
-//! through the same worker loops and the same kernels, so serial and
-//! parallel runs of either path produce bit-identical tables (the
-//! differential suites assert this).
+//! [`run`] is what [`Engine::eval_plan`] calls instead of its serial
+//! loop when `threads > 1`. It reads the plan directly — `plan.ops[i]`,
+//! its [`args`](exrquy_algebra::PhysOp::args) and the shared slot
+//! vector — and executes every slot through the same
+//! [`run_slot`](crate::eval::run_slot) as the serial loop, so serial and
+//! parallel runs produce bit-identical tables (the differential suites
+//! assert this).
 //!
-//! Independent pure nodes evaluate concurrently; every node-constructing
-//! ("writer") operator is pinned to the main thread, in exactly the
-//! serial topological sequence — the single-writer rule. Fragment ids
-//! and interned name ids are handed out in the same order as a serial
-//! run.
+//! Independent pure slots evaluate concurrently; every node-constructing
+//! ("writer") slot is pinned to the main thread, in exactly the serial
+//! slot sequence — the single-writer rule. Fragment ids and interned
+//! name ids are handed out in the same order as a serial run.
 //!
 //! Shape of the loop: alternate
 //!
-//! 1. a **parallel region** draining every ready pure node through
-//!    per-worker deques with work stealing (a finished node releases its
+//! 1. a **parallel region** draining every ready pure slot through
+//!    per-worker deques with work stealing (a finished slot releases its
 //!    parents; newly ready pure parents go onto the finishing worker's
 //!    own deque), and
 //! 2. a **writer phase** executing ready writers on the main thread with
 //!    `&mut FragArena`.
 //!
-//! Termination: after a region drains, the topologically earliest
-//! unfinished node has all children finished; the region would have
-//! consumed it if it were pure, so it is the next writer in sequence (or
-//! the root is done). The loop therefore always progresses.
+//! Termination: after a region drains, the earliest unfinished slot has
+//! all operands finished; the region would have consumed it if it were
+//! pure, so it is the next writer in sequence (or the root is done). The
+//! loop therefore always progresses.
 //!
 //! Budget charging, cancellation polls, and failpoint polls go through
 //! the shared atomic [`BudgetMeter`] — those are the yield points.
@@ -33,19 +33,15 @@
 //! (the counters are global), but the error paths taken are the same.
 
 use crate::eval::{
-    eval_attr, eval_element, eval_pure, eval_textnode, poll_failpoints, Engine, EngineOptions,
-    EvalError,
+    is_writer, run_slot, ArenaAccess, Engine, EngineOptions, EvalError, Slot, SlotCx,
 };
 use crate::profile::{Profile, SchedStats};
-use crate::table::Table;
-use crate::vec::exec_fused;
-use exrquy_algebra::{Dag, FuseStep, Op, OpId, PhysOp, PhysPlan};
+use exrquy_algebra::PhysPlan;
 use exrquy_diag::BudgetMeter;
 use exrquy_xml::FragArena;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// Shared atomic scheduler counters of one execution, snapshotted into
 /// [`SchedStats`] when the run completes.
@@ -85,168 +81,26 @@ const _: () = {
     assert_send::<Profile>();
 };
 
-/// What a scheduled node executes.
-enum NodeKind<'p> {
-    /// A pure logical operator (kernels run via [`eval_pure`]).
-    Pure(OpId),
-    /// An arena-mutating constructor, pinned to the main thread.
-    Writer(OpId),
-    /// A fused chain over the node's single child.
-    Fused(&'p [FuseStep]),
-}
-
-/// A schedulable plan: nodes in topological order with node-index
-/// operand edges (operand order and multiplicity preserved — kernels
-/// resolve children by ordinal).
-struct NodeGraph<'p> {
-    nodes: Vec<NodeKind<'p>>,
-    children: Vec<Vec<u32>>,
-    /// DAG id publishing each node's table (chain tail for fused nodes);
-    /// the key for memo-cache seeding, profiling, and failpoints.
-    out_ids: Vec<OpId>,
-    root: usize,
-}
-
-impl NodeGraph<'_> {
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-fn graph_from_dag(dag: &Dag, root: OpId) -> NodeGraph<'static> {
-    let order = dag.topo_order(root);
-    let mut idx_of: HashMap<OpId, u32> = HashMap::with_capacity(order.len());
-    let mut g = NodeGraph {
-        nodes: Vec::with_capacity(order.len()),
-        children: Vec::with_capacity(order.len()),
-        out_ids: Vec::with_capacity(order.len()),
-        root: 0,
-    };
-    for &id in &order {
-        idx_of.insert(id, g.nodes.len() as u32);
-        let op = dag.op(id);
-        g.children
-            .push(op.children().iter().map(|c| idx_of[c]).collect());
-        g.nodes.push(if is_writer_op(op) {
-            NodeKind::Writer(id)
-        } else {
-            NodeKind::Pure(id)
-        });
-        g.out_ids.push(id);
-    }
-    g.root = idx_of[&root] as usize;
-    g
-}
-
-fn graph_from_phys<'p>(dag: &Dag, plan: &'p PhysPlan) -> NodeGraph<'p> {
-    let mut g = NodeGraph {
-        nodes: Vec::with_capacity(plan.len()),
-        children: Vec::with_capacity(plan.len()),
-        out_ids: Vec::with_capacity(plan.len()),
-        root: plan.root as usize,
-    };
-    for op in &plan.ops {
-        match op {
-            PhysOp::Op { id, args } => {
-                g.children.push(args.clone());
-                g.nodes.push(if is_writer_op(dag.op(*id)) {
-                    NodeKind::Writer(*id)
-                } else {
-                    NodeKind::Pure(*id)
-                });
-            }
-            PhysOp::Fused { input, steps, .. } => {
-                g.children.push(vec![*input]);
-                g.nodes.push(NodeKind::Fused(steps));
-            }
-        }
-        g.out_ids.push(op.out_id());
-    }
-    g
-}
-
-/// Shared scheduler state, borrowed by every worker of a region.
-struct Cx<'a, 'p> {
-    dag: &'a Dag,
-    graph: &'a NodeGraph<'p>,
-    arena: &'a FragArena,
-    opts: &'a EngineOptions,
-    meter: &'a BudgetMeter,
-    /// One result slot per graph node.
-    results: &'a [OnceLock<Arc<Table>>],
-    /// Outstanding-children count per node (with multiplicity: a node
-    /// using one child twice waits for it twice).
-    waiting: &'a [AtomicUsize],
+/// Dependency state of one execution, one entry per plan slot.
+struct Deps {
+    /// Node-constructing slots: run by the main thread only.
+    writer: Vec<bool>,
+    /// Outstanding-operand count (with multiplicity: a slot reading one
+    /// operand twice waits for it twice).
+    waiting: Vec<AtomicUsize>,
     /// Reverse edges, with multiplicity.
-    parents: &'a [Vec<u32>],
-    threads: usize,
-    counters: &'a SchedCounters,
+    parents: Vec<Vec<u32>>,
 }
 
-impl Cx<'_, '_> {
-    fn result(&self, ni: u32) -> Arc<Table> {
-        self.results[ni as usize]
-            .get()
-            .expect("child evaluated before parent (topological invariant)")
-            .clone()
-    }
-
-    /// Evaluate one pure node, publish its table, and return the parents
-    /// it made ready (pure parents only — writers are picked up by the
-    /// main loop's sequence pointer).
-    fn step(&self, ni: u32, prof: &mut Profile) -> Result<Vec<u32>, EvalError> {
-        self.meter.poll()?;
-        let out = self.graph.out_ids[ni as usize];
-        let ch = &self.graph.children[ni as usize];
-        let table = match &self.graph.nodes[ni as usize] {
-            NodeKind::Pure(id) => {
-                poll_failpoints(&self.opts.failpoints, self.dag, *id, self.meter.ops_seen())?;
-                let started = Instant::now();
-                let table = eval_pure(
-                    self.dag,
-                    *id,
-                    &|k| self.result(ch[k]),
-                    self.arena,
-                    self.opts,
-                    self.meter,
-                )?;
-                prof.record(self.dag, *id, started.elapsed());
-                prof.record_rows(*id, table.nrows());
-                table
-            }
-            NodeKind::Fused(steps) => {
-                let started = Instant::now();
-                let input = self.result(ch[0]);
-                let mut batches = 0u64;
-                let table = exec_fused(
-                    &input,
-                    steps,
-                    self.arena,
-                    self.opts,
-                    self.meter,
-                    &mut batches,
-                )?;
-                prof.vec.batches += batches;
-                prof.record(self.dag, out, started.elapsed());
-                prof.record_rows(out, table.nrows());
-                table
-            }
-            NodeKind::Writer(_) => unreachable!("writers run on the owning thread"),
-        };
-        self.meter.charge_rows(table.nrows())?;
-        let _ = self.results[ni as usize].set(Arc::new(table));
-        self.meter.record_op();
-        Ok(self.release_parents(ni))
-    }
-
-    /// Decrement each parent's outstanding count; a parent hitting zero
-    /// is ready. Pure ready parents are returned; ready writers surface
-    /// through the main loop's `waiting` check instead.
-    fn release_parents(&self, ni: u32) -> Vec<u32> {
+impl Deps {
+    /// Slot `i` finished: decrement each parent's outstanding count; a
+    /// parent hitting zero is ready. Pure ready parents are returned;
+    /// ready writers surface through the main loop's sequence pointer.
+    fn release(&self, i: usize) -> Vec<u32> {
         let mut ready = Vec::new();
-        for &p in &self.parents[ni as usize] {
+        for &p in &self.parents[i] {
             if self.waiting[p as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                && !matches!(self.graph.nodes[p as usize], NodeKind::Writer(_))
+                && !self.writer[p as usize]
             {
                 ready.push(p);
             }
@@ -255,34 +109,50 @@ impl Cx<'_, '_> {
     }
 }
 
+/// Shared scheduler state, borrowed by every worker of a region.
+struct Cx<'a> {
+    slot: SlotCx<'a>,
+    plan: &'a PhysPlan,
+    arena: &'a FragArena,
+    slots: &'a [Slot],
+    deps: &'a Deps,
+    counters: &'a SchedCounters,
+}
+
+impl Cx<'_> {
+    /// Run one pure slot and return the pure parents it made ready.
+    fn step(&self, i: u32, prof: &mut Profile) -> Result<Vec<u32>, EvalError> {
+        let i = i as usize;
+        let arena = ArenaAccess::Shared(self.arena);
+        run_slot(&self.slot, arena, self.plan, i, self.slots, prof)?;
+        Ok(self.deps.release(i))
+    }
+}
+
 /// Drain `seeds` and everything they transitively make ready, in
 /// parallel. Linear stretches run inline on the calling thread; a scoped
-/// worker pool is only spun up once two or more nodes are ready at the
+/// worker pool is only spun up once two or more slots are ready at the
 /// same time.
-fn run_region(
-    cx: &Cx<'_, '_>,
-    mut seeds: Vec<u32>,
-    profile: &mut Profile,
-) -> Result<(), EvalError> {
+fn run_region(cx: &Cx<'_>, mut seeds: Vec<u32>, profile: &mut Profile) -> Result<(), EvalError> {
     while seeds.len() == 1 {
-        let ni = seeds.pop().expect("len checked");
+        let i = seeds.pop().expect("len checked");
         cx.counters.inline_ops.fetch_add(1, Ordering::Relaxed);
-        seeds.extend(cx.step(ni, profile)?);
+        seeds.extend(cx.step(i, profile)?);
     }
     if seeds.is_empty() {
         return Ok(());
     }
     cx.counters.regions.fetch_add(1, Ordering::Relaxed);
     cx.counters.note_queue_depth(seeds.len());
-    let w = cx.threads.min(seeds.len());
+    let w = cx.slot.opts.threads.min(seeds.len());
     let deques: Vec<Mutex<VecDeque<u32>>> = (0..w).map(|_| Mutex::new(VecDeque::new())).collect();
-    // `tasks` counts published-but-unfinished nodes; workers spin until
+    // `tasks` counts published-but-unfinished slots; workers spin until
     // it reaches zero. Children are published (and counted) before their
     // releaser is retired, so the count only hits zero when the region
     // is truly drained.
     let tasks = AtomicUsize::new(seeds.len());
-    for (i, ni) in seeds.into_iter().enumerate() {
-        deques[i % w].lock().expect("deque lock").push_back(ni);
+    for (k, i) in seeds.into_iter().enumerate() {
+        deques[k % w].lock().expect("deque lock").push_back(i);
     }
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<EvalError>> = Mutex::new(None);
@@ -312,7 +182,7 @@ fn run_region(
 }
 
 fn worker_loop(
-    cx: &Cx<'_, '_>,
+    cx: &Cx<'_>,
     wi: usize,
     deques: &[Mutex<VecDeque<u32>>],
     tasks: &AtomicUsize,
@@ -338,12 +208,12 @@ fn worker_loop(
                 }
             }
         }
-        let Some(ni) = next else {
+        let Some(i) = next else {
             std::thread::yield_now();
             continue;
         };
         cx.counters.par_ops.fetch_add(1, Ordering::Relaxed);
-        match cx.step(ni, prof) {
+        match cx.step(i, prof) {
             Ok(ready) => {
                 if !ready.is_empty() {
                     let outstanding = tasks.fetch_add(ready.len(), Ordering::Release) + ready.len();
@@ -365,120 +235,46 @@ fn worker_loop(
     }
 }
 
-/// Evaluate one writer node on the main thread; `ch` are its operand
-/// node indices in [`Op::children`] order.
-fn eval_writer(
-    engine: &mut Engine<'_, '_>,
-    id: OpId,
-    ch: &[u32],
-    results: &[OnceLock<Arc<Table>>],
-) -> Result<Table, EvalError> {
-    let get = |k: usize| -> Arc<Table> {
-        results[ch[k] as usize]
-            .get()
-            .expect("writer input evaluated")
-            .clone()
-    };
-    match engine.dag.op(id).clone() {
-        Op::Element { .. } => {
-            let (nt, ct) = (get(0), get(1));
-            eval_element(engine.arena, &nt, &ct)
-        }
-        Op::Attr { .. } => {
-            let (nt, vt) = (get(0), get(1));
-            eval_attr(engine.arena, &nt, &vt)
-        }
-        Op::TextNode { .. } => {
-            let ct = get(0);
-            eval_textnode(engine.arena, &ct)
-        }
-        other => unreachable!("`{}` is not a writer operator", other.kind_name()),
-    }
-}
-
-fn is_writer_op(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. }
-    )
-}
-
-/// Parallel evaluation of the DAG rooted at `root` (entered from
-/// [`Engine::eval`] on the scalar path when `threads > 1`).
-pub(crate) fn eval_parallel(
-    engine: &mut Engine<'_, '_>,
-    root: OpId,
-) -> Result<Arc<Table>, EvalError> {
-    let graph = graph_from_dag(engine.dag, root);
-    eval_parallel_graph(engine, &graph)
-}
-
-/// Parallel evaluation of a flattened plan (entered from the vectorized
-/// executor when `threads > 1`); fused chains are scheduled as single
-/// nodes, so both paths share the kernel bodies.
-pub(crate) fn eval_parallel_phys(
+/// Fill every slot of `plan` (the `threads > 1` arm of
+/// [`Engine::eval_plan`]); fused chains are scheduled as single slots.
+pub(crate) fn run(
     engine: &mut Engine<'_, '_>,
     plan: &PhysPlan,
-) -> Result<Arc<Table>, EvalError> {
-    let graph = graph_from_phys(engine.dag, plan);
-    eval_parallel_graph(engine, &graph)
-}
-
-fn eval_parallel_graph(
-    engine: &mut Engine<'_, '_>,
-    graph: &NodeGraph<'_>,
-) -> Result<Arc<Table>, EvalError> {
-    let dag = engine.dag;
-    let n = graph.len();
-    let results: Vec<OnceLock<Arc<Table>>> = (0..n).map(|_| OnceLock::new()).collect();
-    // Seed from the memo cache (repeated `eval` calls on one engine).
-    for (i, out) in graph.out_ids.iter().enumerate() {
-        if let Some(t) = engine.cache.get(out) {
-            let _ = results[i].set(t.clone());
+    slots: &[Slot],
+) -> Result<(), EvalError> {
+    let n = plan.len();
+    let mut deps = Deps {
+        writer: Vec::with_capacity(n),
+        waiting: Vec::with_capacity(n),
+        parents: vec![Vec::new(); n],
+    };
+    for (i, phys) in plan.ops.iter().enumerate() {
+        deps.writer.push(is_writer(engine.dag, phys));
+        deps.waiting.push(AtomicUsize::new(phys.args().len()));
+        for &c in phys.args() {
+            deps.parents[c as usize].push(i as u32);
         }
     }
-    let mut waiting: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..n {
-        if results[i].get().is_some() {
-            continue;
-        }
-        let mut outstanding = 0;
-        for &c in &graph.children[i] {
-            if results[c as usize].get().is_some() {
-                continue;
-            }
-            outstanding += 1;
-            parents[c as usize].push(i as u32);
-        }
-        waiting[i] = AtomicUsize::new(outstanding);
-    }
-    let writer_seq: Vec<usize> = (0..n)
-        .filter(|&i| matches!(graph.nodes[i], NodeKind::Writer(_)) && results[i].get().is_none())
-        .collect();
+    let writer_seq: Vec<usize> = (0..n).filter(|&i| deps.writer[i]).collect();
     let mut seeds: Vec<u32> = (0..n)
-        .filter(|&i| {
-            results[i].get().is_none()
-                && !matches!(graph.nodes[i], NodeKind::Writer(_))
-                && waiting[i].load(Ordering::Relaxed) == 0
-        })
+        .filter(|&i| !deps.writer[i] && plan.ops[i].args().is_empty())
         .map(|i| i as u32)
         .collect();
-    let threads = engine.opts.threads;
     let counters = SchedCounters::default();
+    let root = &slots[plan.root as usize];
     let mut next_writer = 0;
-    while results[graph.root].get().is_none() {
+    while root.get().is_none() {
         if !seeds.is_empty() {
             let cx = Cx {
-                dag,
-                graph,
+                slot: SlotCx {
+                    dag: engine.dag,
+                    opts: &engine.opts,
+                    meter: &engine.meter,
+                },
+                plan,
                 arena: &*engine.arena,
-                opts: &engine.opts,
-                meter: &engine.meter,
-                results: &results,
-                waiting: &waiting,
-                parents: &parents,
-                threads,
+                slots,
+                deps: &deps,
                 counters: &counters,
             };
             run_region(&cx, std::mem::take(&mut seeds), &mut engine.profile)?;
@@ -486,57 +282,30 @@ fn eval_parallel_graph(
         let mut progressed = false;
         while next_writer < writer_seq.len() {
             let i = writer_seq[next_writer];
-            if waiting[i].load(Ordering::Acquire) != 0 {
+            if deps.waiting[i].load(Ordering::Acquire) != 0 {
                 break;
             }
             next_writer += 1;
             progressed = true;
-            let NodeKind::Writer(id) = graph.nodes[i] else {
-                unreachable!("writer sequence holds writers only")
-            };
-            engine.meter.poll()?;
-            engine.poll_failpoints(id)?;
-            let started = Instant::now();
-            let table = eval_writer(engine, id, &graph.children[i], &results)?;
-            engine.profile.record(dag, id, started.elapsed());
-            let nrows = table.nrows();
-            engine.profile.record_rows(id, nrows);
-            let _ = results[i].set(Arc::new(table));
-            engine.charge_op_output(nrows)?;
-            engine.meter.record_op();
-            for &p in &parents[i] {
-                if waiting[p as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                    && !matches!(graph.nodes[p as usize], NodeKind::Writer(_))
-                {
-                    seeds.push(p);
-                }
-            }
+            engine.run_slot(plan, i, slots)?;
+            seeds.extend(deps.release(i));
         }
-        if results[graph.root].get().is_some() {
-            break;
-        }
-        if seeds.is_empty() && !progressed {
-            unreachable!("scheduler stalled: no ready node but the root is incomplete");
+        if seeds.is_empty() && !progressed && root.get().is_none() {
+            unreachable!("scheduler stalled: no ready slot but the root is incomplete");
         }
     }
     engine.profile.sched.merge(&counters.snapshot());
-    // Fill the memo cache so later `eval` calls (e.g. a second root over
-    // the same engine) reuse this run's results.
-    for (i, out) in graph.out_ids.iter().enumerate() {
-        if let Some(t) = results[i].get() {
-            engine.cache.entry(*out).or_insert_with(|| t.clone());
-        }
-    }
-    Ok(results[graph.root].get().expect("root evaluated").clone())
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::EngineOptions;
     use crate::item::Item;
-    use exrquy_algebra::{AValue, Col, FunKind};
+    use crate::table::Table;
+    use exrquy_algebra::{AValue, Col, Dag, FunKind, Op, OpId};
     use exrquy_xml::Catalog;
+    use std::sync::Arc;
 
     fn opts(threads: usize) -> EngineOptions {
         EngineOptions {
@@ -615,8 +384,9 @@ mod tests {
     #[test]
     fn parallel_runs_fused_chains_identically() {
         // fun → σ → fun over a wide literal: fuses into one chain, which
-        // the scheduler must execute as a single node with the same
-        // result as the serial vectorized run and the scalar run.
+        // the scheduler must execute as a single slot with the same
+        // result as the serial vectorized run and the scalar reference
+        // arm — itself run serially and through the same scheduler.
         let mut dag = Dag::new();
         let rows: Vec<Vec<i64>> = (0..20_000).map(|i| vec![i % 11, i]).collect();
         let base = lit(&mut dag, vec![Col::ITER, Col::ITEM], rows);
@@ -651,7 +421,7 @@ mod tests {
             (*e.eval(root).unwrap()).clone()
         };
         let scalar = run(1, true);
-        for t in [run(1, false), run(4, false)] {
+        for t in [run(4, true), run(1, false), run(4, false)] {
             assert_eq!(scalar.schema(), t.schema());
             assert_eq!(scalar.nrows(), t.nrows());
             // Value-wise comparison: the vectorized path may pick denser
@@ -670,6 +440,19 @@ mod tests {
         e.eval(root).unwrap();
         assert_eq!(e.profile.vec.fused_chains, 1, "{:?}", e.profile.vec);
         assert_eq!(e.profile.vec.fused_ops, 3, "{:?}", e.profile.vec);
+        // The scalar arm went through the scheduler too, one operator
+        // per slot: five slots, none fused.
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let scalar_opts = EngineOptions {
+            threads: 4,
+            scalar: true,
+            ..EngineOptions::default()
+        };
+        let mut e = Engine::new(&dag, &mut arena, scalar_opts);
+        e.eval(root).unwrap();
+        assert_eq!(e.profile.vec.fused_chains, 0, "{:?}", e.profile.vec);
+        let s = e.profile.sched;
+        assert_eq!(s.par_ops + s.inline_ops, 5, "{s:?}");
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 /// Work-stealing scheduler counters of one execution. All zero under
 /// serial execution; under parallel execution they make queue pressure
-/// and steal traffic visible, so scheduler regressions show up in
-/// `BENCH_par.json` rather than only in wall-clock noise.
+/// and steal traffic visible, so scheduler regressions show up as
+/// counts rather than only in wall-clock noise.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
     /// Parallel regions that spun up a worker pool.
@@ -40,10 +40,9 @@ impl SchedStats {
     }
 }
 
-/// Vectorized-executor counters of one execution. All zero on the
-/// scalar path; on the flattened-plan path they record how much of the
-/// plan ran through fused single-pass kernels, so `--explain` and
-/// `BENCH_vec.json` can report fusion coverage alongside wall time.
+/// Plan-shape counters of one execution: how many slots ran and how
+/// much of the plan went through fused single-pass chains (none on the
+/// scalar arm or with failpoints armed), reported by `--explain`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct VecStats {
     /// Slots in the flattened physical plan.
@@ -79,7 +78,7 @@ pub struct Profile {
     total: Duration,
     /// Scheduler counters (parallel executions only; zero when serial).
     pub sched: SchedStats,
-    /// Vectorized-executor counters (zero on the scalar path).
+    /// Plan-shape counters (slots run, fused chains, batches).
     pub vec: VecStats,
 }
 

@@ -1,9 +1,8 @@
-//! The vectorized executor: runs a flattened [`PhysPlan`] slot by slot.
+//! Fused-chain execution: the register program behind a
+//! [`PhysOp::Fused`](exrquy_algebra::PhysOp::Fused) slot.
 //!
-//! Operand access is array indexing into a per-execution slot vector —
-//! no per-evaluation `topo_order` walk, no `OpId` hash lookups on the
-//! hot path. Fused chains (`fun`/`σ`/`attach`/`π` runs collapsed by
-//! [`exrquy_algebra::lower`]) execute as a register program over the
+//! A fused chain (a `fun`/`σ`/`attach`/`π` run collapsed by
+//! [`exrquy_algebra::lower`]) executes as a register program over the
 //! input batch: base columns stay shared behind selection vectors,
 //! function results live in per-row registers, and only the chain's
 //! final table is ever materialized.
@@ -11,111 +10,20 @@
 //! Execution is **step-at-a-time** inside a chain (each step scans the
 //! whole live batch before the next starts), not row-at-a-time: that
 //! keeps the operator order and the ascending row order within each
-//! operator identical to the scalar engine, so when several rows or
+//! operator identical to the unfused schedule, so when several rows or
 //! steps could fail, the *same* error surfaces. Budget accounting is
 //! kept in lockstep too — every interior step charges its output rows
 //! and counts as one operator, exactly as it would un-fused.
 
 use crate::column::Column;
-use crate::eval::{
-    avalue_item, eval_attr, eval_element, eval_pure, eval_textnode, Engine, EngineOptions,
-    EvalError,
-};
+use crate::eval::{avalue_item, EngineOptions, EvalError};
 use crate::item::Item;
 use crate::kernels::{fun_batch, select_batch, Operand};
 use crate::table::{ColView, SelRef, SelVec, Table};
-use exrquy_algebra::{Col, FuseStep, Op, PhysOp, PhysPlan};
+use exrquy_algebra::{Col, FuseStep};
 use exrquy_diag::BudgetMeter;
 use exrquy_xml::FragArena;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Evaluate a flattened plan, memoizing per logical operator in the
-/// engine's cache (a re-execution over a warm cache resolves every slot
-/// without running anything).
-pub(crate) fn eval_phys(engine: &mut Engine, plan: &PhysPlan) -> Result<Arc<Table>, EvalError> {
-    engine.profile.vec.phys_slots += plan.len() as u64;
-    engine.profile.vec.fused_chains += plan.fused_chains as u64;
-    engine.profile.vec.fused_ops += plan.fused_ops as u64;
-    if engine.opts.threads > 1 {
-        return crate::par::eval_parallel_phys(engine, plan);
-    }
-    let mut slots: Vec<Option<Arc<Table>>> = vec![None; plan.len()];
-    for (i, phys) in plan.ops.iter().enumerate() {
-        let out_id = phys.out_id();
-        if let Some(t) = engine.cache.get(&out_id) {
-            slots[i] = Some(t.clone());
-            continue;
-        }
-        engine.meter.poll()?;
-        let started = Instant::now();
-        let table = exec_slot(engine, phys, &slots)?;
-        engine.profile.record(engine.dag, out_id, started.elapsed());
-        engine.profile.record_rows(out_id, table.nrows());
-        engine.charge_op_output(table.nrows())?;
-        let t = Arc::new(table);
-        engine.cache.insert(out_id, t.clone());
-        slots[i] = Some(t);
-        engine.meter.record_op();
-    }
-    Ok(slots[plan.root as usize]
-        .clone()
-        .expect("root slot evaluated"))
-}
-
-/// Run one slot against already-filled operand slots.
-fn exec_slot(
-    engine: &mut Engine,
-    phys: &PhysOp,
-    slots: &[Option<Arc<Table>>],
-) -> Result<Table, EvalError> {
-    let slot = |s: u32| {
-        slots[s as usize]
-            .clone()
-            .expect("operand slot precedes its consumer")
-    };
-    match phys {
-        PhysOp::Fused { input, steps, .. } => {
-            let t = slot(*input);
-            let mut batches = 0u64;
-            let out = exec_fused(
-                &t,
-                steps,
-                engine.arena,
-                &engine.opts,
-                &engine.meter,
-                &mut batches,
-            );
-            engine.profile.vec.batches += batches;
-            out
-        }
-        PhysOp::Op { id, args } => match engine.dag.op(*id) {
-            // Writers mutate the arena; same single-writer rule as the
-            // serial engine (in a parallel region they are pinned to the
-            // owning thread).
-            Op::Element { .. } => {
-                let (nt, ct) = (slot(args[0]), slot(args[1]));
-                eval_element(engine.arena, &nt, &ct)
-            }
-            Op::Attr { .. } => {
-                let (nt, vt) = (slot(args[0]), slot(args[1]));
-                eval_attr(engine.arena, &nt, &vt)
-            }
-            Op::TextNode { .. } => {
-                let ct = slot(args[0]);
-                eval_textnode(engine.arena, &ct)
-            }
-            _ => eval_pure(
-                engine.dag,
-                *id,
-                &|k| slot(args[k]),
-                engine.arena,
-                &engine.opts,
-                &engine.meter,
-            ),
-        },
-    }
-}
 
 /// Where a visible column's values come from mid-chain.
 #[derive(Clone)]

@@ -10,7 +10,9 @@
 //! 3. malformed, oversized, and mid-request-disconnect traffic never
 //!    takes the server down or wedges other clients;
 //! 4. with failpoints armed, faults surface as typed errors and the
-//!    drain at the end still completes.
+//!    drain at the end still completes;
+//! 5. hot reloads racing the traffic are all answered and change no
+//!    response byte.
 //!
 //! The soak is deterministic (fixed xorshift seeds per client), so a
 //! failure reproduces.
@@ -22,6 +24,7 @@ use exrquy_xqd::{spawn, ServerConfig, ServerHandle};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const DOC: &str = "<a><b><c>1</c><d>2</d></b><c>3</c><e><c>4</c></e></a>";
@@ -100,6 +103,16 @@ fn query_line(id: i64, q: &str, deadline_ms: Option<i64>) -> String {
         req.push(("deadline_ms", Value::Int(ms)));
     }
     obj(req).render()
+}
+
+fn load_line(id: i64, url: &str, xml: &str) -> String {
+    obj(vec![
+        ("id", Value::Int(id)),
+        ("op", Value::Str("load".into())),
+        ("url", Value::Str(url.to_string())),
+        ("xml", Value::Str(xml.to_string())),
+    ])
+    .render()
 }
 
 /// One soak client: a deterministic stream of valid queries, protocol
@@ -199,19 +212,42 @@ fn chaos_soak_mixed_load_never_wedges() {
 
     let clients = 4;
     let iterations = 60;
-    let results: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let answers = &answers;
-        (0..clients)
+    // A reloader hot-swaps the identical document for the whole soak:
+    // every load gets a typed response, and the clients' byte-identity
+    // checks hold across the catalog swaps.
+    let stop_reloader = AtomicBool::new(false);
+    let (results, reloads) = std::thread::scope(|scope| {
+        let (answers, stop) = (&answers, &stop_reloader);
+        let reloader = scope.spawn(move || {
+            let mut conn = Conn::open(addr);
+            let mut reloads = 0u64;
+            while !stop.load(Ordering::SeqCst) {
+                conn.send(&load_line(reloads as i64, "t.xml", DOC));
+                let r = conn.recv();
+                if r.get("ok") == Some(&Value::Bool(true)) {
+                    reloads += 1;
+                } else {
+                    let code = r.get("code").and_then(Value::as_str);
+                    assert_eq!(code, Some("EXRQ0006"), "hot reload failed: {r:?}");
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            reloads
+        });
+        let results: Vec<(u64, u64)> = (0..clients)
             .map(|c| {
                 scope.spawn(move || soak_client(addr, 0x9E3779B9 + c as u64, iterations, answers))
             })
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("soak client panicked"))
-            .collect()
+            .collect();
+        stop.store(true, Ordering::SeqCst);
+        (results, reloader.join().expect("reloader panicked"))
     });
     let ok: u64 = results.iter().map(|(o, _)| o).sum();
     assert!(ok > 0, "soak never completed a single query");
+    assert!(reloads > 0, "soak never completed a hot reload");
 
     // One oversized line on a fresh connection: rejected, bounded.
     let mut big = Conn::open(addr);
@@ -228,6 +264,10 @@ fn chaos_soak_mixed_load_never_wedges() {
         "server counted fewer completions than clients saw"
     );
     assert_eq!(stats.active_connections, 0, "connection leak after soak");
+    assert_eq!(
+        stats.loads, reloads,
+        "server and reloader disagree on loads"
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! fault surfaces as its typed error with no residual session damage.
 
 use exrquy::diag::{ErrorClass, ErrorCode, Failpoints};
-use exrquy::{QueryOptions, Session};
+use exrquy::{QueryOptions, RunOptions, Session};
 use exrquy_verify::{default_cases, run_fault_matrix, FaultCase};
 
 fn session_with_doc() -> Session {
@@ -86,6 +86,41 @@ fn injected_cancellation_is_a_cancellation_error() {
         .query_with(r#"doc("d.xml")//x"#, &QueryOptions::order_indifferent())
         .expect("rerun");
     assert_eq!(out.items.len(), 2);
+}
+
+#[test]
+fn run_failpoints_on_a_cached_fused_plan_trip_like_prepare_time_ones() {
+    // A failpoint armed per run on a plan-cache *hit* of a fused plan
+    // must fail with the same rendered line — code, operator id,
+    // boundary number — as the same failpoint armed at prepare time on
+    // a fresh executor: both run the one-operator-per-slot schedule.
+    let q = r#"for $x in doc("d.xml")//x where $x > 1 return <a>{$x}</a>"#;
+    let opts = QueryOptions::order_indifferent();
+    for spec in [
+        "budget-trip:fun",
+        "budget-trip:project",
+        "budget-trip:step",
+        "budget-trip:elem",
+        "cancel-after:0",
+        "cancel-after:9",
+    ] {
+        let at_prepare = session_with_doc()
+            .query_with(q, &opts_with(spec))
+            .expect_err(spec);
+        let s = session_with_doc();
+        let cold = s.prepare(q, &opts).expect("prepare");
+        assert!(cold.phys.fused_chains > 0, "the cached plan must be fused");
+        let hit = s.prepare(q, &opts).expect("prepare again");
+        assert_eq!(s.cache_stats().hits, 1);
+        let run = RunOptions {
+            failpoints: Some(Failpoints::parse(spec).expect("spec")),
+            ..RunOptions::default()
+        };
+        let per_run = s.execute_with(&hit, &run).expect_err(spec);
+        assert_eq!(per_run.render_line(), at_prepare.render_line(), "{spec}");
+        // Disarmed, the same cached plan still answers.
+        assert_eq!(s.execute(&hit).expect("rerun").items.len(), 1);
+    }
 }
 
 #[test]
