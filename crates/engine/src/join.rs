@@ -1,7 +1,21 @@
 //! Join-family kernels: cross, equi-join, theta-join and difference,
 //! plus the hashing machinery they (and the grouping kernels) share.
+//!
+//! An equi-join emits its matches as one pair stream — left rows in
+//! order, each with its right matches ascending — through one
+//! [`PairSink`], whichever kernel finds them:
+//!
+//! * integer keys sorted on both sides (`#`-numbered and `iter` columns)
+//!   merge linearly, with no index;
+//! * other integer keys probe an [`IntJoinIndex`]: a dense domain — the
+//!   unsorted rank column `%` produces — is addressed directly by
+//!   `key − lo`, a sparse one hashes key → group;
+//! * item keys (the value joins) hash borrowed keys into the same
+//!   [`Csr`] layout;
+//! * the `vec == false` reference arm keeps the per-row map of `Vec`s.
 
 use crate::column::Column;
+use crate::dense::{dense_range, Csr};
 use crate::eval::{int_view, row_cap_exceeded, EvalError, POLL_STRIDE};
 use crate::funs;
 use crate::item::{GroupKey, Item};
@@ -37,7 +51,9 @@ impl std::hash::Hasher for FastHasher {
     }
 }
 
-pub(crate) type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
+type FastState = std::hash::BuildHasherDefault<FastHasher>;
+
+pub(crate) type FastMap<K, V> = HashMap<K, V, FastState>;
 
 /// Borrowed join key with [`Item::group_key`] equality semantics
 /// (numbers collapse to their f64 bits) but no per-row allocation or
@@ -98,6 +114,127 @@ fn for_each_key<'a>(c: &'a ColView, mut f: impl FnMut(usize, RefKey<'a>)) {
     }
 }
 
+/// Matched (left, right) row pairs under construction — the one place a
+/// join enforces the row cap and polls the meter. Skewed keys make the
+/// match count quadratic in the worst case, so the budget is checked at
+/// each push, and every [`POLL_STRIDE`] pairs a cancellation or deadline
+/// interrupts the expansion.
+struct PairSink<'m> {
+    lidx: Vec<u32>,
+    ridx: Vec<u32>,
+    cap: usize,
+    meter: &'m BudgetMeter,
+}
+
+impl<'m> PairSink<'m> {
+    fn new(meter: &'m BudgetMeter) -> Self {
+        PairSink {
+            lidx: Vec::new(),
+            ridx: Vec::new(),
+            cap: meter.op_row_cap(),
+            meter,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, i: u32, j: u32) -> Result<(), EvalError> {
+        if self.lidx.len() >= self.cap {
+            return Err(row_cap_exceeded(self.cap));
+        }
+        self.lidx.push(i);
+        self.ridx.push(j);
+        if self.lidx.len().is_multiple_of(POLL_STRIDE) {
+            self.meter.poll()?;
+        }
+        Ok(())
+    }
+
+    /// Left row `i` paired with each of `matches`, in the order given.
+    #[inline]
+    fn push_matches(&mut self, i: usize, matches: &[u32]) -> Result<(), EvalError> {
+        for &j in matches {
+            self.push(i as u32, j)?;
+        }
+        Ok(())
+    }
+}
+
+/// Join index over keys hashed to group ids (numbered as first met),
+/// the groups' rows laid out as a [`Csr`].
+struct HashedIndex<K, S> {
+    ids: HashMap<K, u32, S>,
+    csr: Csr,
+}
+
+impl<K: std::hash::Hash + Eq, S: std::hash::BuildHasher + Default> HashedIndex<K, S> {
+    /// `feed` hands over the build side's keys, one per row in row order.
+    fn build(nrows: usize, feed: impl FnOnce(&mut dyn FnMut(K))) -> Self {
+        let mut ids: HashMap<K, u32, S> = HashMap::default();
+        let mut gids: Vec<u32> = Vec::with_capacity(nrows);
+        feed(&mut |k| {
+            let next = ids.len() as u32;
+            gids.push(*ids.entry(k).or_insert(next));
+        });
+        let csr = Csr::build(ids.len(), 0..gids.len() as u32, |j| {
+            gids[j as usize] as usize
+        });
+        HashedIndex { ids, csr }
+    }
+
+    /// Build rows whose key equals `key`, ascending.
+    #[inline]
+    fn matches(&self, key: &K) -> &[u32] {
+        self.ids
+            .get(key)
+            .map_or(&[], |&g| self.csr.group(g as usize))
+    }
+}
+
+/// Join index over the build side's integer keys. Loop-lifted plans join
+/// on `%`/`#`/`iter`/`pos` columns, whose values are dense by
+/// construction: those are addressed directly by `key − lo`. A sparse
+/// domain hashes into the same layout (with the standard library's
+/// keyed hasher: sparse integers are values out of the documents).
+enum IntJoinIndex {
+    Direct { lo: i64, span: u64, csr: Csr },
+    Hashed(HashedIndex<i64, std::hash::RandomState>),
+}
+
+impl IntJoinIndex {
+    fn build(keys: &[i64]) -> IntJoinIndex {
+        match dense_range(keys) {
+            Some((lo, span)) => IntJoinIndex::Direct {
+                lo,
+                span,
+                csr: Csr::build(span as usize + 1, 0..keys.len() as u32, |j| {
+                    keys[j as usize].wrapping_sub(lo) as usize
+                }),
+            },
+            None => IntJoinIndex::Hashed(HashedIndex::build(keys.len(), |push| {
+                keys.iter().for_each(|&k| push(k))
+            })),
+        }
+    }
+
+    /// Build rows whose key equals `key`, ascending; keys outside the
+    /// build side's range simply miss.
+    #[inline]
+    fn matches(&self, key: i64) -> &[u32] {
+        match self {
+            IntJoinIndex::Direct { lo, span, csr } => {
+                // `key < lo` wraps to a value far above any span.
+                let off = key.wrapping_sub(*lo) as u64;
+                if off <= *span {
+                    csr.group(off as usize)
+                } else {
+                    &[]
+                }
+            }
+            IntJoinIndex::Hashed(index) => index.matches(&key),
+        }
+    }
+}
+
 /// Hash-join row-pair builder over borrowed keys — the batch-path
 /// replacement for the per-row `group_key` probe loop. Pair order (left
 /// rows in order, each with its right matches in right-row order), the
@@ -106,45 +243,68 @@ fn for_each_key<'a>(c: &'a ColView, mut f: impl FnMut(usize, RefKey<'a>)) {
 fn hash_join_pairs<'a>(
     lc: &'a ColView,
     rc: &'a ColView,
-    cap: usize,
-    meter: &BudgetMeter,
-    lidx: &mut Vec<u32>,
-    ridx: &mut Vec<u32>,
+    out: &mut PairSink,
 ) -> Result<(), EvalError> {
-    let mut index: FastMap<RefKey<'a>, Vec<u32>> = FastMap::default();
-    for_each_key(rc, |j, k| index.entry(k).or_default().push(j as u32));
-    let mut err: Option<EvalError> = None;
+    let index: HashedIndex<RefKey<'a>, FastState> =
+        HashedIndex::build(rc.len(), |push| for_each_key(rc, |_, k| push(k)));
+    let mut res = Ok(());
     for_each_key(lc, |i, k| {
-        if err.is_some() {
-            return;
-        }
-        if let Some(matches) = index.get(&k) {
-            for &j in matches {
-                if lidx.len() >= cap {
-                    err = Some(row_cap_exceeded(cap));
-                    return;
-                }
-                lidx.push(i as u32);
-                ridx.push(j);
-                if lidx.len().is_multiple_of(POLL_STRIDE) {
-                    if let Err(e) = meter.poll() {
-                        err = Some(e.into());
-                        return;
-                    }
-                }
-            }
+        if res.is_ok() {
+            res = out.push_matches(i, index.matches(&k));
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    res
 }
 
-/// Non-decreasing? One linear scan — cheap next to building a hash
-/// index, and the gate for the merge-join batch kernel.
-fn is_sorted_run(v: &[i64]) -> bool {
-    v.windows(2).all(|w| w[0] <= w[1])
+/// Reference equi-join over per-row owned keys: the `vec == false`
+/// body the batch kernels are differentially tested against.
+fn reference_join<K: std::hash::Hash + Eq>(
+    lkeys: impl Iterator<Item = K>,
+    rkeys: impl Iterator<Item = K>,
+    out: &mut PairSink,
+) -> Result<(), EvalError> {
+    let mut index: HashMap<K, Vec<u32>> = HashMap::new();
+    for (j, k) in rkeys.enumerate() {
+        index.entry(k).or_default().push(j as u32);
+    }
+    for (i, k) in lkeys.enumerate() {
+        if let Some(matches) = index.get(&k) {
+            out.push_matches(i, matches)?;
+        }
+    }
+    Ok(())
+}
+
+/// The [`reference_join`] keys of a view: one owned `GroupKey` per row.
+fn group_keys(c: &ColView) -> impl Iterator<Item = GroupKey> + '_ {
+    (0..c.len()).map(|r| c.get(r).group_key())
+}
+
+/// Linear merge of two non-decreasing key runs.
+fn merge_join_pairs(lv: &[i64], rv: &[i64], out: &mut PairSink) -> Result<(), EvalError> {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < lv.len() && j < rv.len() {
+        let v = lv[i];
+        if v < rv[j] {
+            i += 1;
+        } else if v > rv[j] {
+            j += 1;
+        } else {
+            // Equal-key group: [j, je) on the right.
+            let mut je = j + 1;
+            while je < rv.len() && rv[je] == v {
+                je += 1;
+            }
+            while i < lv.len() && lv[i] == v {
+                for j2 in j..je {
+                    out.push(i as u32, j2 as u32)?;
+                }
+                i += 1;
+            }
+            j = je;
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn eval_cross(l: &Table, r: &Table, cap: usize, vec: bool) -> Result<Table, EvalError> {
@@ -206,96 +366,31 @@ pub(crate) fn eval_equijoin(
     meter: &BudgetMeter,
     vec: bool,
 ) -> Result<Table, EvalError> {
-    let cap = meter.op_row_cap();
     let lc = l.col(lcol);
     let rc = r.col(rcol);
-    // Fast path: both integer columns. Skewed keys make the match count
-    // quadratic in the worst case, so the budget is checked at each push.
-    let (mut lidx, mut ridx): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let mut out = PairSink::new(meter);
+    // Every kernel below emits the same pair stream — left rows in
+    // order, each with its right matches ascending — so they are
+    // output- and error-interchangeable.
     match (int_view(&lc), int_view(&rc)) {
-        // Batch kernel: loop-lifted plans join on `iter` columns, which
-        // arrive sorted on both sides — a linear merge needs no hash
-        // table (and none of its per-distinct-key allocations). The pair
-        // stream it emits is exactly the hash join's (left rows in
-        // order, matching right rows in order within each), so the two
-        // kernels are output- and error-interchangeable.
-        (Some(lv), Some(rv)) if vec && is_sorted_run(&lv) && is_sorted_run(&rv) => {
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < lv.len() && j < rv.len() {
-                let v = lv[i];
-                if v < rv[j] {
-                    i += 1;
-                } else if v > rv[j] {
-                    j += 1;
-                } else {
-                    // Equal-key group: [j, je) on the right.
-                    let mut je = j + 1;
-                    while je < rv.len() && rv[je] == v {
-                        je += 1;
-                    }
-                    while i < lv.len() && lv[i] == v {
-                        for j2 in j..je {
-                            if lidx.len() >= cap {
-                                return Err(row_cap_exceeded(cap));
-                            }
-                            lidx.push(i as u32);
-                            ridx.push(j2 as u32);
-                            if lidx.len().is_multiple_of(POLL_STRIDE) {
-                                meter.poll()?;
-                            }
-                        }
-                        i += 1;
-                    }
-                    j = je;
-                }
+        // `#`-numbered and `iter` columns arrive sorted on both sides: a
+        // linear merge needs no index at all (and the two sortedness
+        // scans are cheap next to building one).
+        (Some(lv), Some(rv)) if vec && lv.is_sorted() && rv.is_sorted() => {
+            merge_join_pairs(&lv, &rv, &mut out)?
+        }
+        // `%` output is a dense but unsorted rank column.
+        (Some(lv), Some(rv)) if vec => {
+            let index = IntJoinIndex::build(&rv);
+            for (i, &k) in lv.iter().enumerate() {
+                out.push_matches(i, index.matches(k))?;
             }
         }
-        (Some(lv), Some(rv)) => {
-            let mut index: HashMap<i64, Vec<u32>> = HashMap::new();
-            for (j, &v) in rv.iter().enumerate() {
-                index.entry(v).or_default().push(j as u32);
-            }
-            for (i, &v) in lv.iter().enumerate() {
-                if let Some(matches) = index.get(&v) {
-                    for &j in matches {
-                        if lidx.len() >= cap {
-                            return Err(row_cap_exceeded(cap));
-                        }
-                        lidx.push(i as u32);
-                        ridx.push(j);
-                        if lidx.len().is_multiple_of(POLL_STRIDE) {
-                            meter.poll()?;
-                        }
-                    }
-                }
-            }
-        }
-        _ if vec => hash_join_pairs(&lc, &rc, cap, meter, &mut lidx, &mut ridx)?,
-        _ => {
-            let mut index: HashMap<GroupKey, Vec<u32>> = HashMap::new();
-            for j in 0..r.nrows() {
-                index
-                    .entry(rc.get(j).group_key())
-                    .or_default()
-                    .push(j as u32);
-            }
-            for i in 0..l.nrows() {
-                if let Some(matches) = index.get(&lc.get(i).group_key()) {
-                    for &j in matches {
-                        if lidx.len() >= cap {
-                            return Err(row_cap_exceeded(cap));
-                        }
-                        lidx.push(i as u32);
-                        ridx.push(j);
-                        if lidx.len().is_multiple_of(POLL_STRIDE) {
-                            meter.poll()?;
-                        }
-                    }
-                }
-            }
-        }
+        (Some(lv), Some(rv)) => reference_join(lv.iter().copied(), rv.iter().copied(), &mut out)?,
+        _ if vec => hash_join_pairs(&lc, &rc, &mut out)?,
+        _ => reference_join(group_keys(&lc), group_keys(&rc), &mut out)?,
     }
-    Ok(join_output(l, r, lidx, ridx, vec))
+    Ok(join_output(l, r, out.lidx, out.ridx, vec))
 }
 
 pub(crate) fn eval_thetajoin(
@@ -308,38 +403,13 @@ pub(crate) fn eval_thetajoin(
     // Invariant: the compiler only emits ThetaJoin with a non-empty
     // predicate list (an empty one would be a Cross in disguise).
     assert!(!pred.is_empty(), "theta join needs at least one predicate");
-    let cap = meter.op_row_cap();
     let (p0l, k0, p0r) = pred[0];
     let lc = l.col(p0l);
     let rc = r.col(p0r);
-    let (mut lidx, mut ridx): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let mut out = PairSink::new(meter);
     match k0 {
-        FunKind::Eq if vec => {
-            hash_join_pairs(&lc, &rc, cap, meter, &mut lidx, &mut ridx)?;
-        }
-        FunKind::Eq => {
-            let mut index: HashMap<GroupKey, Vec<u32>> = HashMap::new();
-            for j in 0..r.nrows() {
-                index
-                    .entry(rc.get(j).group_key())
-                    .or_default()
-                    .push(j as u32);
-            }
-            for i in 0..l.nrows() {
-                if let Some(matches) = index.get(&lc.get(i).group_key()) {
-                    for &j in matches {
-                        if lidx.len() >= cap {
-                            return Err(row_cap_exceeded(cap));
-                        }
-                        lidx.push(i as u32);
-                        ridx.push(j);
-                        if lidx.len().is_multiple_of(POLL_STRIDE) {
-                            meter.poll()?;
-                        }
-                    }
-                }
-            }
-        }
+        FunKind::Eq if vec => hash_join_pairs(&lc, &rc, &mut out)?,
+        FunKind::Eq => reference_join(group_keys(&lc), group_keys(&rc), &mut out)?,
         FunKind::Lt | FunKind::Le | FunKind::Gt | FunKind::Ge => {
             // Band join: sort the right side numerically, emit a range per
             // left row. Non-numeric values never match.
@@ -366,15 +436,13 @@ pub(crate) fn eval_thetajoin(
                     FunKind::Ge => 0..keys.partition_point(|&v| v <= x),
                     _ => unreachable!(),
                 };
-                if lidx.len() + range.len() > cap {
-                    return Err(row_cap_exceeded(cap));
+                // A left row's whole range is refused before any of it
+                // is emitted.
+                if out.lidx.len() + range.len() > out.cap {
+                    return Err(row_cap_exceeded(out.cap));
                 }
                 for k in range {
-                    lidx.push(i as u32);
-                    ridx.push(rvals[k].1);
-                    if lidx.len().is_multiple_of(POLL_STRIDE) {
-                        meter.poll()?;
-                    }
+                    out.push(i as u32, rvals[k].1)?;
                 }
             }
         }
@@ -388,11 +456,12 @@ pub(crate) fn eval_thetajoin(
                         meter.poll()?;
                     }
                     if funs::compare_with(FunKind::Ne, &lc.get(i), &rc.get(j)) {
-                        if lidx.len() >= cap {
-                            return Err(row_cap_exceeded(cap));
+                        // Polled per scanned pair above, not per emitted one.
+                        if out.lidx.len() >= out.cap {
+                            return Err(row_cap_exceeded(out.cap));
                         }
-                        lidx.push(i as u32);
-                        ridx.push(j as u32);
+                        out.lidx.push(i as u32);
+                        out.ridx.push(j as u32);
                     }
                 }
             }
@@ -404,6 +473,9 @@ pub(crate) fn eval_thetajoin(
             ))
         }
     }
+    let PairSink {
+        mut lidx, mut ridx, ..
+    } = out;
     // Residual predicates filter the candidate pairs.
     if pred.len() > 1 {
         let rest: Vec<_> = pred[1..]
@@ -445,5 +517,184 @@ pub(crate) fn eval_difference(l: &Table, r: &Table, on: &[(Col, Col)], vec: bool
     } else {
         let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
         l.gather(&idx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The batch equi-join arms against the `vec == false` reference
+    //! body: identical `(lidx, ridx)` sequences, identical errors.
+
+    use super::*;
+    use exrquy_diag::{CancellationToken, ExecutionBudget};
+    use exrquy_xml::rng::SmallRng;
+
+    fn meter(max_rows: Option<usize>, cancelled: bool) -> BudgetMeter {
+        let budget = ExecutionBudget {
+            max_rows_per_op: max_rows,
+            ..ExecutionBudget::default()
+        };
+        let token = CancellationToken::new();
+        if cancelled {
+            token.cancel();
+        }
+        BudgetMeter::new(budget, Some(token))
+    }
+
+    type Pairs = Result<(Vec<i64>, Vec<i64>), (ErrorCode, String)>;
+
+    /// The join's pair stream, read back through a row-id column on
+    /// each side.
+    fn pairs(lk: &[i64], rk: &[i64], vec: bool, meter: &BudgetMeter) -> Pairs {
+        let ids = |n: usize| Column::Int((0..n as i64).collect());
+        let l = Table::new(vec![
+            (Col::ITER, Column::Int(lk.to_vec())),
+            (Col::POS, ids(lk.len())),
+        ]);
+        let r = Table::new(vec![
+            (Col::ITER1, Column::Int(rk.to_vec())),
+            (Col::POS1, ids(rk.len())),
+        ]);
+        match eval_equijoin(&l, &r, Col::ITER, Col::ITER1, meter, vec) {
+            Ok(t) => Ok((
+                t.col(Col::POS).to_int_vec().unwrap(),
+                t.col(Col::POS1).to_int_vec().unwrap(),
+            )),
+            Err(e) => Err((e.code, e.message)),
+        }
+    }
+
+    fn assert_arms_agree(lk: &[i64], rk: &[i64]) -> usize {
+        let m = meter(None, false);
+        let batch = pairs(lk, rk, true, &m);
+        assert_eq!(batch, pairs(lk, rk, false, &m), "l={lk:?} r={rk:?}");
+        batch.unwrap().0.len()
+    }
+
+    fn shuffled(rng: &mut SmallRng, mut v: Vec<i64>) -> Vec<i64> {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..i + 1));
+        }
+        v
+    }
+
+    fn is_direct(keys: &[i64]) -> bool {
+        matches!(IntJoinIndex::build(keys), IntJoinIndex::Direct { .. })
+    }
+
+    #[test]
+    fn dense_permutations_join_by_direct_address() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let l = shuffled(&mut rng, (1..=1000).collect());
+        let r = shuffled(&mut rng, (1..=1000).collect());
+        assert!(is_direct(&r));
+        assert_eq!(assert_arms_agree(&l, &r), 1000);
+    }
+
+    #[test]
+    fn duplicates_gaps_and_negative_lo() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        for lo in [-500i64, 0, 7] {
+            // Even offsets only (gaps), each about three times (duplicates).
+            let keys = |rng: &mut SmallRng, n: usize| -> Vec<i64> {
+                (0..n).map(|_| lo + 2 * rng.gen_range(0i64..100)).collect()
+            };
+            let (l, r) = (keys(&mut rng, 300), keys(&mut rng, 300));
+            assert!(is_direct(&r));
+            assert!(assert_arms_agree(&l, &r) > 300);
+        }
+    }
+
+    #[test]
+    fn single_row_and_empty_sides() {
+        assert_eq!(assert_arms_agree(&[5], &[5]), 1);
+        assert_eq!(assert_arms_agree(&[5], &[6]), 0);
+        assert_eq!(assert_arms_agree(&[], &[3, 1, 2]), 0);
+        assert_eq!(assert_arms_agree(&[3, 1, 2], &[]), 0);
+        assert_eq!(assert_arms_agree(&[], &[]), 0);
+    }
+
+    #[test]
+    fn sparse_keys_take_the_hashed_fallback() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let keys = |rng: &mut SmallRng| -> Vec<i64> {
+            (0..400)
+                .map(|_| rng.gen_range(0i64..150) * 1_000_003)
+                .collect()
+        };
+        let (l, r) = (keys(&mut rng), keys(&mut rng));
+        assert!(!is_direct(&r));
+        assert!(assert_arms_agree(&l, &r) > 400);
+    }
+
+    #[test]
+    fn extreme_keys_neither_overflow_nor_allocate_their_span() {
+        let r = [i64::MAX, 0, i64::MIN, 0, i64::MAX];
+        assert!(!is_direct(&r));
+        assert_eq!(
+            assert_arms_agree(&[i64::MIN, 1, i64::MAX, 0, -1], &r),
+            1 + 2 + 2
+        );
+        // A dense run at either end of the domain is still dense.
+        let top: Vec<i64> = (0..100).map(|i| i64::MAX - (i * 7) % 100).collect();
+        let bottom: Vec<i64> = (0..100).map(|i| i64::MIN + (i * 7) % 100).collect();
+        assert!(is_direct(&top) && is_direct(&bottom));
+        assert_eq!(assert_arms_agree(&bottom, &top), 0);
+        assert_eq!(assert_arms_agree(&top, &top), 100);
+    }
+
+    #[test]
+    fn probe_keys_outside_the_build_range_miss() {
+        let r = [12, 10, 11, 10];
+        assert!(is_direct(&r));
+        let l = [9, 13, 10, i64::MIN, i64::MAX, 12, -10, 10 + (1 << 40)];
+        assert_eq!(assert_arms_agree(&l, &r), 3);
+    }
+
+    #[test]
+    fn row_cap_trips_at_the_same_pair() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        let l: Vec<i64> = (0..60).map(|_| rng.gen_range(0i64..6)).collect();
+        let r: Vec<i64> = (0..60).map(|_| rng.gen_range(0i64..6)).collect();
+        let total = assert_arms_agree(&l, &r);
+        for cap in [0, 1, total / 2, total - 1, total, total + 1] {
+            let m = meter(Some(cap), false);
+            let batch = pairs(&l, &r, true, &m);
+            assert_eq!(batch, pairs(&l, &r, false, &m), "cap {cap}");
+            match batch {
+                Ok((li, _)) => assert!(li.len() == total && cap >= total),
+                Err((code, _)) => assert!(code == ErrorCode::EXRQ0001 && cap < total),
+            }
+        }
+    }
+
+    #[test]
+    fn cancellation_trips_at_the_same_poll() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let m = meter(None, true);
+        // One pair short of the first poll: the cancelled token is never
+        // looked at.
+        let n = POLL_STRIDE as i64 - 1;
+        let (l, r) = (
+            shuffled(&mut rng, (0..n).collect()),
+            shuffled(&mut rng, (0..n).collect()),
+        );
+        let batch = pairs(&l, &r, true, &m);
+        assert_eq!(batch.as_ref().map(|p| p.0.len()), Ok(POLL_STRIDE - 1));
+        assert_eq!(batch, pairs(&l, &r, false, &m));
+        // One more pair reaches it, on both arms; a row cap one below
+        // the stride wins over it, on both arms.
+        let (l, r) = (
+            shuffled(&mut rng, (0..=n).collect()),
+            shuffled(&mut rng, (0..=n).collect()),
+        );
+        for (m, code) in [
+            (&m, ErrorCode::EXRQ0002),
+            (&meter(Some(POLL_STRIDE - 1), true), ErrorCode::EXRQ0001),
+        ] {
+            let batch = pairs(&l, &r, true, m);
+            assert_eq!(batch.as_ref().map_err(|e| e.0), Err(code));
+            assert_eq!(batch, pairs(&l, &r, false, m));
+        }
     }
 }

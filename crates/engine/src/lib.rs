@@ -30,6 +30,7 @@ mod aggr;
 pub mod bits;
 pub mod column;
 mod construct;
+mod dense;
 pub mod eval;
 pub mod funs;
 pub mod item;

@@ -2,12 +2,122 @@
 //! distinct.
 
 use crate::column::Column;
+use crate::dense::{dense_range, Csr};
 use crate::eval::{int_view, kernel_threads, run_morsels, EvalError};
 use crate::item::GroupKey;
 use crate::join::FastHasher;
 use crate::table::{ColView, Table};
 use exrquy_algebra::Col;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+
+/// One sort criterion over a table's rows. Integer columns are viewed as
+/// a slice once, so neither the comparator nor the counting passes box
+/// an `Item` or chase a selection vector per row — `%` is the operator
+/// whose cost the whole paper is about: what it charges must be the
+/// price of the order, not of the bookkeeping.
+enum Key<'a> {
+    Int(Cow<'a, [i64]>, bool),
+    Item(&'a ColView, bool),
+}
+
+impl<'a> Key<'a> {
+    fn of(view: &'a ColView, desc: bool) -> Key<'a> {
+        match int_view(view) {
+            Some(v) => Key::Int(v, desc),
+            None => Key::Item(view, desc),
+        }
+    }
+
+    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        let (o, desc) = match self {
+            Key::Int(v, desc) => (v[a].cmp(&v[b]), *desc),
+            Key::Item(c, desc) => (c.get(a).sort_cmp(&c.get(b)), *desc),
+        };
+        if desc {
+            o.reverse()
+        } else {
+            o
+        }
+    }
+
+    /// This key as counting-sort buckets, if it is a dense `Int` column.
+    fn dense(&self) -> Option<DenseKey<'_>> {
+        let Key::Int(v, desc) = self else {
+            return None;
+        };
+        let (lo, span) = dense_range(v)?;
+        Some(DenseKey {
+            v,
+            lo,
+            span: span as usize,
+            desc: *desc,
+        })
+    }
+}
+
+/// A dense integer key: `span + 1` buckets, mirrored when descending.
+struct DenseKey<'a> {
+    v: &'a [i64],
+    lo: i64,
+    span: usize,
+    desc: bool,
+}
+
+impl DenseKey<'_> {
+    #[inline]
+    fn bucket(&self, row: u32) -> usize {
+        let off = self.v[row as usize].wrapping_sub(self.lo) as usize;
+        if self.desc {
+            self.span - off
+        } else {
+            off
+        }
+    }
+}
+
+/// Below this many rows the comparison sort's insertion-sort regime
+/// beats allocating a histogram per key.
+const COUNTING_MIN_ROWS: usize = 64;
+
+/// The stable permutation of `0..n` that orders rows by `keys`, most
+/// significant first — the one sorter behind `%` and the rank-restoring
+/// sort. Rows with equal key tuples keep their input order.
+///
+/// The vectorized arm probes for sortedness first: rows usually arrive
+/// in key order already (the iter→seq reorder over staircase output,
+/// which is produced in document order), and a stable sort of sorted
+/// input is the identity. Otherwise, when every key is a dense `Int`
+/// column — any `%`/`#`/`iter`/`pos` column is — it runs stable LSD
+/// counting passes, least significant key first: O(keys · n), no
+/// comparisons. `Item` keys and sparse integers take the comparison
+/// sort, as does the whole reference arm.
+fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> Vec<u32> {
+    let cmp = |a: usize, b: usize| {
+        keys.iter()
+            .map(|k| k.cmp_rows(a, b))
+            .find(|&o| o != Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
+    };
+    if vec {
+        if (1..n).all(|r| cmp(r - 1, r) != Ordering::Greater) {
+            return (0..n as u32).collect();
+        }
+        if n >= COUNTING_MIN_ROWS {
+            if let Some(dense) = keys.iter().map(Key::dense).collect::<Option<Vec<_>>>() {
+                let mut perm: Vec<u32> = (0..n as u32).collect();
+                // A single-valued key orders nothing.
+                for k in dense.iter().rev().filter(|k| k.span > 0) {
+                    let pass = Csr::build(k.span + 1, perm.iter().copied(), |row| k.bucket(row));
+                    perm = pass.into_rows();
+                }
+                return perm;
+            }
+        }
+    }
+    stable_sorted_indices(n, threads, &cmp)
+}
 
 pub(crate) fn eval_rownum(
     t: &Table,
@@ -25,145 +135,88 @@ pub(crate) fn eval_rownum(
             None => (1..=n as i64).collect(),
             Some(p) => {
                 let pc = t.col(p);
-                let mut counters: HashMap<GroupKey, i64> = HashMap::new();
-                (0..n)
-                    .map(|r| {
-                        let c = counters.entry(pc.get(r).group_key()).or_insert(0);
-                        *c += 1;
-                        *c
-                    })
-                    .collect()
+                let next = |c: &mut i64| {
+                    *c += 1;
+                    *c
+                };
+                // Vectorized: a dense integer partition column (`iter`)
+                // indexes its counter directly, by exact value as `%`
+                // with order keys compares it (`GroupKey` folds integers
+                // through f64, which differs only beyond ±2^53).
+                let ints = int_view(&pc).filter(|_| vec);
+                match ints.as_deref().and_then(|v| Some((v, dense_range(v)?))) {
+                    Some((v, (lo, span))) => {
+                        let mut counters = vec![0i64; span as usize + 1];
+                        v.iter()
+                            .map(|k| next(&mut counters[k.wrapping_sub(lo) as usize]))
+                            .collect()
+                    }
+                    None => {
+                        let mut counters: HashMap<GroupKey, i64> = HashMap::new();
+                        (0..n)
+                            .map(|r| next(counters.entry(pc.get(r).group_key()).or_insert(0)))
+                            .collect()
+                    }
+                }
             }
         };
         return t.with_column(new, Column::Int(nums));
     }
-    // Sort keys: materialize integer columns once so the comparator
-    // avoids per-comparison Item boxing (and selection-vector
-    // indirection) — `%` is the hot operator whose cost the whole paper
-    // is about, keep its constant factors honest.
-    enum Key {
-        Int(Vec<i64>, bool),
-        Item(ColView, bool),
-    }
-    impl Key {
-        fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
-            match self {
-                Key::Int(v, desc) => {
-                    let o = v[a].cmp(&v[b]);
-                    if *desc {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                }
-                Key::Item(c, desc) => {
-                    let o = c.get(a).sort_cmp(&c.get(b));
-                    if *desc {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                }
-            }
-        }
-        fn eq_rows(&self, a: usize, b: usize) -> bool {
-            self.cmp_rows(a, b) == std::cmp::Ordering::Equal
-        }
-    }
-    fn key_for(view: ColView, desc: bool) -> Key {
-        match int_view(&view) {
-            Some(v) => Key::Int(v.into_owned(), desc),
-            None => Key::Item(view, desc),
-        }
-    }
-    let mut keys: Vec<Key> = Vec::with_capacity(order.len() + 1);
-    if let Some(p) = part {
-        keys.push(key_for(t.col(p), false));
-    }
-    for k in order {
-        keys.push(key_for(t.col(k.col), k.desc));
-    }
-    let cmp = |a: usize, b: usize| {
-        for k in &keys {
-            let c = k.cmp_rows(a, b);
-            if c != std::cmp::Ordering::Equal {
-                return c;
-            }
-        }
-        std::cmp::Ordering::Equal
-    };
-    let has_part = part.is_some();
-    // Vectorized: a sortedness probe over the materialized keys skips
-    // the sort when rows already arrive in key order (the common
-    // iter→seq reorder over staircase output, which is produced in
-    // document order). A stable sort of sorted input is the identity
-    // permutation, so numbering sequentially is bit-identical.
-    if vec && (1..n).all(|r| cmp(r - 1, r) != std::cmp::Ordering::Greater) {
-        let mut nums = vec![0i64; n];
-        let mut rank = 0i64;
-        for (r, num) in nums.iter_mut().enumerate() {
-            let new_group = match (has_part, r) {
-                (_, 0) => true,
-                (true, _) => !keys[0].eq_rows(r, r - 1),
-                (false, _) => false,
-            };
-            rank = if new_group { 1 } else { rank + 1 };
-            *num = rank;
-        }
-        return t.with_column(new, Column::Int(nums));
-    }
-    let idx = stable_sorted_indices(n, threads, &cmp);
+    // The partition column is the most significant sort key.
+    let views: Vec<(ColView, bool)> = part
+        .map(|p| (t.col(p), false))
+        .into_iter()
+        .chain(order.iter().map(|k| (t.col(k.col), k.desc)))
+        .collect();
+    let keys: Vec<Key> = views.iter().map(|(v, desc)| Key::of(v, *desc)).collect();
+    let idx = sorted_perm(n, &keys, threads, vec);
     // Dense 1,2,3,… numbering per partition, written back to row order.
     let mut nums = vec![0i64; n];
     let mut rank = 0i64;
     for (k, &row) in idx.iter().enumerate() {
-        let new_group = match (has_part, k) {
-            (_, 0) => true,
-            (true, _) => !keys[0].eq_rows(row, idx[k - 1]),
-            (false, _) => false,
-        };
-        rank = if new_group { 1 } else { rank + 1 };
-        nums[row] = rank;
+        let same_group = k > 0
+            && (part.is_none()
+                || keys[0].cmp_rows(row as usize, idx[k - 1] as usize) == Ordering::Equal);
+        rank = if same_group { rank + 1 } else { 1 };
+        nums[row as usize] = rank;
     }
     t.with_column(new, Column::Int(nums))
 }
 
-/// Index sort reproducing the serial `sort_by` (stable) bit-for-bit:
-/// morsel chunks are stable-sorted in parallel, then folded left-to-right
-/// through a left-preference merge. Equal keys keep the lower original
-/// index — exactly the stability guarantee of the serial sort — because
-/// chunks cover ascending index ranges and the merge prefers the left run
-/// on ties.
-fn stable_sorted_indices<C>(n: usize, threads: usize, cmp: &C) -> Vec<usize>
+/// Comparison index sort reproducing the serial `sort_by` (stable)
+/// bit-for-bit: morsel chunks are stable-sorted in parallel, then folded
+/// left-to-right through a left-preference merge. Equal keys keep the
+/// lower original index — exactly the stability guarantee of the serial
+/// sort — because chunks cover ascending index ranges and the merge
+/// prefers the left run on ties.
+fn stable_sorted_indices<C>(n: usize, threads: usize, cmp: &C) -> Vec<u32>
 where
-    C: Fn(usize, usize) -> std::cmp::Ordering + Sync,
+    C: Fn(usize, usize) -> Ordering + Sync,
 {
+    let sorted = |range: std::ops::Range<usize>| {
+        let mut idx: Vec<u32> = (range.start as u32..range.end as u32).collect();
+        idx.sort_by(|&a, &b| cmp(a as usize, b as usize));
+        idx
+    };
     let eff = kernel_threads(n, threads);
     if eff <= 1 {
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|&a, &b| cmp(a, b));
-        return idx;
+        return sorted(0..n);
     }
-    let chunks = run_morsels(n, eff, move |range| {
-        let mut idx: Vec<usize> = range.collect();
-        idx.sort_by(|&a, &b| cmp(a, b));
-        Ok(idx)
-    })
-    .expect("infallible index sort");
-    chunks
+    run_morsels(n, eff, |range| Ok(sorted(range)))
+        .expect("infallible index sort")
         .into_iter()
         .reduce(|a, b| stable_merge(&a, &b, cmp))
         .unwrap_or_default()
 }
 
-fn stable_merge<C>(a: &[usize], b: &[usize], cmp: &C) -> Vec<usize>
+fn stable_merge<C>(a: &[u32], b: &[u32], cmp: &C) -> Vec<u32>
 where
-    C: Fn(usize, usize) -> std::cmp::Ordering,
+    C: Fn(usize, usize) -> Ordering,
 {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        if cmp(a[i], b[j]) != std::cmp::Ordering::Greater {
+        if cmp(a[i] as usize, b[j] as usize) != Ordering::Greater {
             out.push(a[i]);
             i += 1;
         } else {
@@ -180,24 +233,15 @@ where
 /// order-restoring compensation the cost-based join enumerator grafts
 /// over a reordered join cluster. The rank columns are assigned before
 /// any reordering, so sorting by them reproduces the canonical row
-/// order byte-for-byte regardless of the join order actually executed.
+/// order byte-for-byte regardless of the join order actually executed;
+/// stability keeps duplicate ranks in input order, which the regraft
+/// invariant relies on.
 pub(crate) fn eval_sort(t: &Table, keys: &[Col], vec: bool) -> Result<Table, EvalError> {
-    let key_cols: Vec<Vec<i64>> = keys
+    let keys: Vec<Key> = keys
         .iter()
-        .map(|&k| t.col(k).to_int_vec())
-        .collect::<Result<_, _>>()?;
-    let mut idx: Vec<u32> = (0..t.nrows() as u32).collect();
-    // `sort_by` is stable: rows with equal key tuples keep their input
-    // order, which the regraft invariant relies on for duplicate ranks.
-    idx.sort_by(|&a, &b| {
-        for kc in &key_cols {
-            match kc[a as usize].cmp(&kc[b as usize]) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+        .map(|&k| Ok(Key::Int(Cow::Owned(t.col(k).to_int_vec()?), false)))
+        .collect::<Result<_, EvalError>>()?;
+    let idx = sorted_perm(t.nrows(), &keys, 1, vec);
     Ok(if vec {
         t.select_rows(idx)
     } else {
@@ -259,5 +303,184 @@ pub(crate) fn eval_distinct(t: &Table, vec: bool) -> Table {
     } else {
         let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
         t.gather(&idx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The counting-sort `%` and the shared sorter against the
+    //! `vec == false` comparison-sort body.
+
+    use super::*;
+    use crate::item::Item;
+    use exrquy_algebra::SortKey;
+    use exrquy_xml::rng::SmallRng;
+
+    const KEYS: [Col; 3] = [Col::ITER, Col::POS, Col::ITEM];
+
+    fn table(cols: &[Vec<i64>]) -> Table {
+        Table::new(
+            KEYS.iter()
+                .zip(cols)
+                .map(|(&c, v)| (c, Column::Int(v.clone())))
+                .collect(),
+        )
+    }
+
+    fn rownum(
+        t: &Table,
+        order: &[SortKey],
+        part: Option<Col>,
+        threads: usize,
+        vec: bool,
+    ) -> Vec<i64> {
+        eval_rownum(t, Col::RES, order, part, threads, vec)
+            .col(Col::RES)
+            .to_int_vec()
+            .unwrap()
+    }
+
+    /// `%` agrees across both arms and both thread counts.
+    fn assert_arms_agree(t: &Table, order: &[SortKey], part: Option<Col>) -> Vec<i64> {
+        let reference = rownum(t, order, part, 1, false);
+        for (threads, vec) in [(4, false), (1, true), (4, true)] {
+            assert_eq!(
+                rownum(t, order, part, threads, vec),
+                reference,
+                "threads {threads}, vec {vec}"
+            );
+        }
+        reference
+    }
+
+    fn counts(t: &Table, order: &[SortKey]) -> bool {
+        order
+            .iter()
+            .all(|k| Key::of(&t.col(k.col), k.desc).dense().is_some())
+    }
+
+    fn desc(col: Col) -> SortKey {
+        SortKey { col, desc: true }
+    }
+
+    /// Duplicate-heavy dense columns, unsorted.
+    fn random_cols(rng: &mut SmallRng, n: usize) -> Vec<Vec<i64>> {
+        [7i64, 40, 300]
+            .iter()
+            .map(|&domain| (0..n).map(|_| rng.gen_range(-3..domain)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn multi_key_mixed_direction_with_and_without_partition() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        // Below, at and above the small-n cutoff, and above the morsel
+        // threshold where `threads` matters to the comparison sort.
+        for n in [
+            1,
+            2,
+            10,
+            COUNTING_MIN_ROWS - 1,
+            COUNTING_MIN_ROWS,
+            65,
+            700,
+            6000,
+        ] {
+            let t = table(&random_cols(&mut rng, n));
+            let order = [desc(Col::POS), SortKey::asc(Col::ITEM), desc(Col::ITER)];
+            assert!(n < COUNTING_MIN_ROWS || counts(&t, &order));
+            for part in [None, Some(Col::ITER)] {
+                for order in [&order[..], &order[..2], &order[1..2]] {
+                    let nums = assert_arms_agree(&t, order, part);
+                    assert_eq!(nums.len(), n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_keys_number_in_input_order() {
+        let n = 500;
+        let t = table(&[vec![3; n], vec![-1; n], (0..n as i64).rev().collect()]);
+        let order = [desc(Col::ITER), SortKey::asc(Col::POS)];
+        let nums = assert_arms_agree(&t, &order, None);
+        assert_eq!(nums, (1..=n as i64).collect::<Vec<_>>());
+        // Ties on the leading keys are broken by the last key alone.
+        let order = [order[0], order[1], SortKey::asc(Col::ITEM)];
+        let nums = assert_arms_agree(&t, &order, None);
+        assert_eq!(nums, (1..=n as i64).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sparse_and_item_keys_fall_back_to_the_comparison_sort() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let n = 5000;
+        let mut cols = random_cols(&mut rng, n);
+        cols[1] = cols[1].iter().map(|&v| v * 1_000_003).collect();
+        cols[2][0] = i64::MIN;
+        cols[2][1] = i64::MAX;
+        let t = table(&cols);
+        let order = [SortKey::asc(Col::POS), desc(Col::ITEM)];
+        assert!(!counts(&t, &order[..1]) && !counts(&t, &order[1..]));
+        assert_arms_agree(&t, &order, Some(Col::ITER));
+
+        let strs: Vec<Item> = (0..n)
+            .map(|_| Item::str(&rng.gen_range(0i64..50).to_string()))
+            .collect();
+        let t = t.with_column(Col::BIND, Column::Item(strs));
+        let order = [desc(Col::BIND), SortKey::asc(Col::ITER)];
+        assert!(!counts(&t, &order));
+        assert_arms_agree(&t, &order, None);
+    }
+
+    #[test]
+    fn keys_behind_a_selection_vector() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let t = table(&random_cols(&mut rng, 900));
+        let picked = t.select_rows((0..900u32).rev().filter(|r| r % 3 != 0).collect());
+        let order = [SortKey::asc(Col::ITEM), desc(Col::POS)];
+        assert!(counts(&picked, &order));
+        assert_arms_agree(&picked, &order, Some(Col::ITER));
+    }
+
+    #[test]
+    fn unordered_rownum_counts_per_partition() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let mut cols = random_cols(&mut rng, 300);
+        for lo in [0, -40, 1_000_003] {
+            cols[0] = (0..300).map(|_| lo + rng.gen_range(0i64..9)).collect();
+            let nums = assert_arms_agree(&table(&cols), &[], Some(Col::ITER));
+            assert_eq!(nums.iter().filter(|&&k| k == 1).count(), 9);
+        }
+        // Sparse partition keys keep the hashed counters.
+        cols[0] = (0..300).map(|_| rng.gen_range(0i64..9) << 40).collect();
+        assert_arms_agree(&table(&cols), &[], Some(Col::ITER));
+    }
+
+    #[test]
+    fn rank_restoring_sort_is_stable_on_both_arms() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        for n in [0, 1, 40, 3000] {
+            let t = table(&random_cols(&mut rng, n));
+            let rows = |vec: bool| -> Vec<Vec<i64>> {
+                let s = eval_sort(&t, &[Col::ITER, Col::POS], vec).unwrap();
+                KEYS.iter()
+                    .map(|&c| s.col(c).to_int_vec().unwrap())
+                    .collect()
+            };
+            let sorted = rows(true);
+            assert_eq!(sorted, rows(false));
+            // Stable: equal (iter, pos) pairs keep their input order,
+            // which a sort on all three columns plus the row id shows.
+            let mut expect: Vec<(i64, i64, usize)> = (0..n)
+                .map(|r| (t.int(Col::ITER, r), t.int(Col::POS, r), r))
+                .collect();
+            expect.sort();
+            let items: Vec<i64> = expect
+                .iter()
+                .map(|&(_, _, r)| t.int(Col::ITEM, r))
+                .collect();
+            assert_eq!(sorted[2], items);
+        }
     }
 }

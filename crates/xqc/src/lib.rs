@@ -339,10 +339,11 @@ impl Client {
             Ok(c) => c,
             Err(m) => return Once::Gone(m),
         };
+        // One frame, one write (see `ConnWriter::send` in xqd).
+        let frame = format!("{line}\n");
         if let Err(e) = conn
             .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| conn.writer.write_all(b"\n"))
+            .write_all(frame.as_bytes())
             .and_then(|()| conn.writer.flush())
         {
             return Once::Gone(format!("write failed: {e}"));
@@ -381,6 +382,9 @@ impl Client {
             stream
                 .set_read_timeout(Some(self.cfg.read_timeout))
                 .map_err(|e| format!("set timeout: {e}"))?;
+            stream
+                .set_nodelay(true)
+                .map_err(|e| format!("set nodelay: {e}"))?;
             let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
             if self.ever_connected {
                 self.stats.reconnects += 1;

@@ -322,20 +322,17 @@ impl ConnWriter {
     /// Best-effort write; a dead client is not an error worth handling
     /// beyond dropping the bytes.
     fn send(&self, line: &str) {
+        // One frame, one write: a line and its terminator sent as two
+        // segments would leave the second waiting out the peer's
+        // delayed ACK.
+        let frame = format!("{line}\n");
         let mut guard = lock_recover(&self.stream);
-        match &self.chaos {
-            None => {
-                let _ = guard.write_all(line.as_bytes());
-                let _ = guard.write_all(b"\n");
-                let _ = guard.flush();
-            }
-            Some(chaos) => {
-                let mut frame = Vec::with_capacity(line.len() + 1);
-                frame.extend_from_slice(line.as_bytes());
-                frame.push(b'\n');
-                let _ = chaos.write_frame(&mut guard, &frame);
-            }
-        }
+        let _ = match &self.chaos {
+            None => guard
+                .write_all(frame.as_bytes())
+                .and_then(|()| guard.flush()),
+            Some(chaos) => chaos.write_frame(&mut guard, frame.as_bytes()),
+        };
     }
 }
 
@@ -740,6 +737,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream, client: u64) {
     // when the peer holds the connection open silently.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_nodelay(true);
     let chaos = ChaosState::arm(&shared.cfg.failpoints);
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(ConnWriter {
@@ -848,6 +846,7 @@ fn dispatch(
         }
         Op::Stats => {
             let s = shared.snapshot();
+            let nodelay = lock_recover(&writer.stream).nodelay().unwrap_or(false);
             let cache = shared
                 .exec
                 .read()
@@ -889,6 +888,7 @@ fn dispatch(
                         "conn_lifetime_ms",
                         Value::Int(conn.opened.elapsed().as_millis() as i64),
                     ),
+                    ("conn_nodelay", Value::Bool(nodelay)),
                     ("plan_cache_hits", Value::Int(cache.hits as i64)),
                     ("plan_cache_misses", Value::Int(cache.misses as i64)),
                 ],

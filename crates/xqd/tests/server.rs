@@ -91,6 +91,33 @@ fn query_ping_stats_roundtrip() {
     assert_eq!(stats.proto_errors, 0);
 }
 
+/// A request or response line written as two segments (text, then the
+/// newline) on a socket with Nagle on waits out the peer's delayed ACK:
+/// ≈ 88 ms a round trip with under 2 ms of work in it.
+#[test]
+fn sequential_requests_do_not_stall_on_delayed_acks() {
+    let handle = small_server(default_cfg());
+    let mut c = Client::connect(&handle);
+    c.writer.set_nodelay(true).unwrap();
+    let started = std::time::Instant::now();
+    for id in 0..20 {
+        let mut frame =
+            format!(r#"{{"id":{id},"op":"query","query":"fn:count(doc(\"t.xml\")//c)"}}"#);
+        frame.push('\n');
+        c.writer.write_all(frame.as_bytes()).unwrap();
+        let r = c.recv();
+        assert_eq!(r.get("result").and_then(Value::as_str), Some("2"));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(800),
+        "20 round trips took {elapsed:?}"
+    );
+    let r = c.roundtrip(r#"{"id":"s","op":"stats"}"#);
+    assert_eq!(r.get("conn_nodelay"), Some(&Value::Bool(true)));
+    handle.shutdown();
+}
+
 #[test]
 fn server_result_matches_serial_execution_byte_for_byte() {
     let handle = small_server(default_cfg());
