@@ -16,8 +16,8 @@
 //!    maximal cluster of equi-/theta-joins and cross products (with the
 //!    interleaved projections the FLWOR compiler emits) is detached from
 //!    the order-maintenance spine, its join order re-enumerated against the
-//!    cardinality model (exact DP over bitmasks up to 8 relations, greedy
-//!    pairwise merging beyond), and the winning tree grafted back behind an
+//!    cardinality model (exact DP over bitmasks up to 8 relations; larger
+//!    clusters keep their canonical order), and the winning tree grafted back behind an
 //!    order-restoring compensation: every leaf is numbered with a fresh `#`
 //!    rank column, the rebuilt cluster is sorted lexicographically by those
 //!    ranks in the *original* left-to-right leaf order, and a final
@@ -253,10 +253,8 @@ fn step_estimate(input: f64, axis: Axis, test: &NodeTest, ctx: &CostContext) -> 
 // Join graph isolation
 // ---------------------------------------------------------------------
 
-/// Reordering is capped at this many cluster leaves (bitmask width minus
-/// headroom); larger clusters keep their canonical order.
-const MAX_LEAVES: usize = 24;
-/// Exact DP up to this many leaves, greedy pairwise merging beyond.
+/// Exact DP up to this many cluster leaves; larger clusters keep their
+/// canonical order.
 const DP_LEAVES: usize = 8;
 /// A rebuilt order must beat the canonical cost by this factor — the
 /// compensation sort is not free, so near-ties keep the canonical tree.
@@ -326,8 +324,6 @@ struct Cluster {
     supports: Vec<u64>,
     /// Dissolved interior operators (joins and projections).
     interiors: Vec<OpId>,
-    /// More than 64 leaves: masks overflowed, skip this cluster.
-    overflow: bool,
 }
 
 /// A join (or cross) the cluster walk may dissolve. Theta joins whose
@@ -358,8 +354,8 @@ fn dissolvable(dag: &Dag, id: OpId, consumers: &HashMap<OpId, u32>) -> bool {
     }
 }
 
-/// Bit for leaf `i` (saturating: clusters past 64 leaves are skipped via
-/// the overflow flag, so a clamped bit never drives a rebuild).
+/// Bit for leaf `i` (saturating: clusters past [`DP_LEAVES`] leaves are
+/// never rebuilt, so a clamped bit never drives a rebuild).
 fn leaf_bit(i: usize) -> u64 {
     1u64 << (i.min(63))
 }
@@ -371,7 +367,6 @@ struct Flattener<'a> {
     bundles: Vec<Bundle>,
     supports: Vec<u64>,
     interiors: Vec<OpId>,
-    overflow: bool,
 }
 
 type ColMap = HashMap<Col, (usize, Col)>;
@@ -456,9 +451,6 @@ impl Flattener<'_> {
 
     fn leaf(&mut self, id: OpId) -> ColMap {
         let idx = self.leaves.len();
-        if idx >= 64 {
-            self.overflow = true;
-        }
         self.leaves.push(id);
         self.dag.schema(id).iter().map(|&c| (c, (idx, c))).collect()
     }
@@ -610,48 +602,6 @@ fn enumerate_dp(n: usize, bundles: &[Bundle], model: &CardModel) -> Option<(f64,
     dp[full as usize].take()
 }
 
-/// Greedy pairwise merging for clusters too large for the exact DP:
-/// repeatedly fuse the valid component pair with the smallest estimated
-/// result, preferring bundle-connected pairs over cross products. Bails
-/// out (`None` → keep canonical) if no valid pair remains.
-fn enumerate_greedy(n: usize, bundles: &[Bundle], model: &CardModel) -> Option<(f64, Tree)> {
-    /// Best fusion candidate: (connected, cost, i, j, bundle idx + mirror).
-    type Best = (bool, f64, usize, usize, Option<(usize, bool)>);
-    let mut comps: Vec<(u64, f64, Tree)> = (0..n).map(|i| (1 << i, 0.0, Tree::Leaf(i))).collect();
-    while comps.len() > 1 {
-        let mut best: Option<Best> = None;
-        for i in 0..comps.len() {
-            for j in (i + 1)..comps.len() {
-                let (mi, mj) = (comps[i].0, comps[j].0);
-                let Some(bundle) = forced_bundle(bundles, mi, mj) else {
-                    continue;
-                };
-                let key = (bundle.is_none(), model.card(mi | mj));
-                if best
-                    .as_ref()
-                    .is_none_or(|(cross, card, ..)| key < (*cross, *card))
-                {
-                    best = Some((key.0, key.1, i, j, bundle));
-                }
-            }
-        }
-        let (_, card, i, j, bundle) = best?;
-        let (mj, cj, tj) = comps.swap_remove(j);
-        let (mi, ci, ti) = std::mem::replace(&mut comps[i], (0, 0.0, Tree::Leaf(0)));
-        comps[i] = (
-            mi | mj,
-            ci + cj + card,
-            Tree::Join {
-                l: Box::new(ti),
-                r: Box::new(tj),
-                bundle,
-            },
-        );
-    }
-    let (_, cost, tree) = comps.pop()?;
-    Some((cost, tree))
-}
-
 /// Post-order leaf sets of `tree`'s internal joins plus its leaf order —
 /// a tree reproduces the canonical shape exactly when its leaves read
 /// `0..n` left to right *and* its internal sets match the canonical
@@ -699,7 +649,6 @@ fn reorder_joins(
             bundles: Vec::new(),
             supports: Vec::new(),
             interiors: Vec::new(),
-            overflow: false,
         };
         let cm = fl.flatten(id, true);
         let cluster = Cluster {
@@ -716,23 +665,19 @@ fn reorder_joins(
             bundles: fl.bundles,
             supports: fl.supports,
             interiors: fl.interiors,
-            overflow: fl.overflow,
         };
         processed.insert(id);
         processed.extend(cluster.interiors.iter().copied());
         report.clusters += 1;
         let n = cluster.leaves.len();
-        if !(3..=MAX_LEAVES).contains(&n) || cluster.overflow {
+        if !(3..=DP_LEAVES).contains(&n) {
             continue;
         }
         let model = CardModel::new(&cluster, &est, &keys);
         let canonical: f64 = cluster.supports.iter().map(|&s| model.card(s)).sum();
-        let found = if n <= DP_LEAVES {
-            enumerate_dp(n, &cluster.bundles, &model)
-        } else {
-            enumerate_greedy(n, &cluster.bundles, &model)
+        let Some((cost, tree)) = enumerate_dp(n, &cluster.bundles, &model) else {
+            continue;
         };
-        let Some((cost, tree)) = found else { continue };
         let (mut order, mut internals) = (Vec::new(), Vec::new());
         tree_shape(&tree, &mut order, &mut internals);
         let identity = order.iter().copied().eq(0..n) && internals == cluster.supports;
@@ -1644,6 +1589,39 @@ mod tests {
         .unwrap();
         assert_eq!(new_root, root);
         assert_eq!(report.reordered, 0);
+    }
+
+    #[test]
+    fn clusters_past_the_dp_bound_keep_their_canonical_order() {
+        // A left-deep equi-join chain, big relations first and a
+        // two-row relation last: with DP_LEAVES leaves the enumerator
+        // joins through the tiny side first; one leaf more and the
+        // cluster is examined but left exactly as written.
+        for (leaves, reordered) in [(DP_LEAVES, 1), (DP_LEAVES + 1, 0)] {
+            let mut dag = Dag::new();
+            let big: Vec<i64> = (0..30).collect();
+            let mut root = lit(&mut dag, Col(40), &big);
+            for k in 1..leaves {
+                let vals: &[i64] = if k + 1 == leaves { &[0, 1] } else { &big };
+                let r = lit(&mut dag, Col(40 + k as u32), vals);
+                root = dag.add(Op::EquiJoin {
+                    l: root,
+                    r,
+                    lcol: Col(39 + k as u32),
+                    rcol: Col(40 + k as u32),
+                });
+            }
+            let (new_root, report) = cost_optimize(
+                &mut dag,
+                root,
+                &OptOptions::default(),
+                &CostContext::default(),
+            )
+            .unwrap();
+            assert_eq!(report.clusters, 1);
+            assert_eq!(report.reordered, reordered, "{leaves} leaves: {report:?}");
+            assert_eq!(new_root == root, reordered == 0);
+        }
     }
 
     #[test]

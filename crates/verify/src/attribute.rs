@@ -6,8 +6,9 @@
 //! individually, so attribution is a search over the rules the optimized
 //! arm's trace actually fired:
 //!
-//! 1. Re-prepare the query to read [`OptReport::trace`]
-//!    (exrquy::opt::OptReport::trace); collect the distinct fired rules.
+//! 1. Re-prepare the query to read the rewrite trace
+//!    ([`OptReport::trace`](exrquy::opt::OptReport::trace)) and the cost
+//!    pass's; collect the distinct fired rules ([`fired_rules`]).
 //! 2. Disable *all* of them. Still diverging? Then no rewrite is to blame
 //!    — the fault is engine- or oracle-side ([`Attribution::EngineSide`];
 //!    this is what a planted `oracle-perturb` failpoint reports).
@@ -16,15 +17,18 @@
 //!    [`Attribution::Rule`]. When no single rule suffices (rules conspire),
 //!    the minimal set found is reported as [`Attribution::Rules`].
 //!
-//! A probe "vanishes" only when the oracle fully *passes*; probes that
+//! The search itself ([`attribute`]) takes "does disabling this set cure
+//! it?" as a closure, so the configuration lattice reuses it with its own
+//! notion of divergence. For the oracle, a probe "vanishes" only when
+//! the oracle fully *passes*; probes that
 //! fail with non-verification errors count as not-vanished, so attribution
 //! can never mistake a crash for a cure. Attribution probes vary
 //! `OptOptions::disabled_rules`, which feeds the plan-cache fingerprint —
 //! no probe can poison or reuse another configuration's cached plan.
 
-use crate::fuzz::{load_corpus, oracle_outcome, OracleOutcome};
+use crate::fuzz::{load_corpus, oracle_outcome, Corpus, OracleOutcome};
 use exrquy::opt::RuleSet;
-use exrquy::{QueryOptions, Session};
+use exrquy::{Prepared, QueryOptions, Session};
 use std::fmt;
 
 /// Who is responsible for an oracle divergence.
@@ -52,48 +56,35 @@ impl fmt::Display for Attribution {
     }
 }
 
-/// Does the oracle *pass* on `query` once `disabled` is added to the
-/// disabled-rule set? Non-verification errors are not a pass.
-fn vanishes(doc: &str, query: &str, opts: &QueryOptions, disabled: RuleSet) -> bool {
-    let mut probe = opts.clone();
-    probe.opt.disabled_rules = probe.opt.disabled_rules.union(disabled);
-    matches!(oracle_outcome(doc, query, &probe), OracleOutcome::Agreed)
-}
-
-/// Attribute a divergence of `query` over `doc` under `opts` to a named
-/// rewrite rule (or to the engine side).
-pub fn attribute_divergence(doc: &str, query: &str, opts: &QueryOptions) -> Attribution {
-    match oracle_outcome(doc, query, opts) {
-        OracleOutcome::Diverged(_) => {}
-        _ => return Attribution::NotReproduced,
-    }
-    // The candidate set: rules the *optimized* arm actually fired, in
-    // trace order (deduplicated). `opts` is exactly that arm's options.
-    let fired = fired_rules(doc, query, opts);
+/// Name the rewrite responsible for a reproduced divergence: `fired`
+/// are the candidate rules (first-fired order), `cured(set)` answers
+/// "does the divergence vanish with `set` disabled?". Shared by the
+/// oracle fuzzer below and the configuration lattice, which differ only
+/// in what "diverges" means.
+pub fn attribute(fired: Vec<&'static str>, mut cured: impl FnMut(RuleSet) -> bool) -> Attribution {
     if fired.is_empty() {
         return Attribution::EngineSide;
     }
-    let all = RuleSet::from_names(fired.iter().copied()).unwrap_or_else(|e| panic!("{e}"));
-    if !vanishes(doc, query, opts, all) {
+    let ruleset = |names: &[&'static str]| {
+        RuleSet::from_names(names.iter().copied()).unwrap_or_else(|e| panic!("{e}"))
+    };
+    if !cured(ruleset(&fired)) {
         return Attribution::EngineSide;
     }
     // Bisect: keep the half whose disabling alone still cures it.
-    let mut set: Vec<&'static str> = fired;
+    let mut set = fired;
     while set.len() > 1 {
         let (a, b) = set.split_at(set.len() / 2);
         let (a, b) = (a.to_vec(), b.to_vec());
-        let ruleset = |names: &[&'static str]| {
-            RuleSet::from_names(names.iter().copied()).expect("trace rules are known")
-        };
-        if vanishes(doc, query, opts, ruleset(&a)) {
+        if cured(ruleset(&a)) {
             set = a;
-        } else if vanishes(doc, query, opts, ruleset(&b)) {
+        } else if cured(ruleset(&b)) {
             set = b;
         } else {
             // The halves conspire. Fall back to a linear single-rule scan
             // before reporting an interaction.
             for &r in &set {
-                if vanishes(doc, query, opts, ruleset(&[r])) {
+                if cured(ruleset(&[r])) {
                     return Attribution::Rule(r.to_string());
                 }
             }
@@ -103,22 +94,39 @@ pub fn attribute_divergence(doc: &str, query: &str, opts: &QueryOptions) -> Attr
     Attribution::Rule(set[0].to_string())
 }
 
-/// Distinct rules the optimized arm's trace fired, in first-fired order.
-fn fired_rules(doc: &str, query: &str, opts: &QueryOptions) -> Vec<&'static str> {
-    let mut session = Session::new();
-    if load_corpus(&mut session, doc).is_err() {
-        return Vec::new();
-    }
-    let Ok(plan) = session.prepare(query, opts) else {
-        return Vec::new();
-    };
+/// Distinct rules a prepared plan's rewrite and cost traces fired, in
+/// first-fired order.
+pub fn fired_rules(plan: &Prepared) -> Vec<&'static str> {
     let mut seen = Vec::new();
-    for app in &plan.opt_report.trace {
+    for app in plan.opt_report.trace.iter().chain(&plan.cost_report.trace) {
         if !seen.contains(&app.rule) {
             seen.push(app.rule);
         }
     }
     seen
+}
+
+/// Attribute an oracle divergence of `query` over `corpus` under `opts`
+/// to a named rewrite rule (or to the engine side).
+pub fn attribute_divergence(corpus: &Corpus, query: &str, opts: &QueryOptions) -> Attribution {
+    match oracle_outcome(corpus, query, opts) {
+        OracleOutcome::Diverged(_) => {}
+        _ => return Attribution::NotReproduced,
+    }
+    // The candidate set: rules the *optimized* arm actually fired.
+    // `opts` is exactly that arm's options.
+    let mut session = Session::new();
+    let fired = load_corpus(&mut session, corpus)
+        .and_then(|()| session.prepare(query, opts))
+        .map(|plan| fired_rules(&plan))
+        .unwrap_or_default();
+    // A probe "vanishes" only when the oracle fully passes;
+    // non-verification errors are not a pass.
+    attribute(fired, |disabled| {
+        let mut probe = opts.clone();
+        probe.opt.disabled_rules = probe.opt.disabled_rules.union(disabled);
+        matches!(oracle_outcome(corpus, query, &probe), OracleOutcome::Agreed)
+    })
 }
 
 #[cfg(test)]
@@ -127,7 +135,9 @@ mod tests {
     use crate::fuzz::FuzzProfile;
     use exrquy::diag::Failpoints;
 
-    const DOC: &str = r#"<r><a id="3"/><a id="1"/><a id="2"/></r>"#;
+    fn doc() -> Corpus {
+        Corpus::single(r#"<r><a id="3"/><a id="1"/><a id="2"/></r>"#)
+    }
     const ORDERED_QUERY: &str = r#"for $x in doc("f.xml")//a order by $x/attribute::id descending return fn:string($x/attribute::id)"#;
 
     #[test]
@@ -140,11 +150,11 @@ mod tests {
             .options()
             .with_failpoints(Failpoints::parse("rule-perturb:weaken-criteria").unwrap());
         assert!(
-            crate::fuzz::oracle_diverges(DOC, ORDERED_QUERY, &opts),
+            crate::fuzz::oracle_diverges(&doc(), ORDERED_QUERY, &opts),
             "planted perturbation must diverge"
         );
         assert_eq!(
-            attribute_divergence(DOC, ORDERED_QUERY, &opts),
+            attribute_divergence(&doc(), ORDERED_QUERY, &opts),
             Attribution::Rule("weaken-criteria".to_string())
         );
     }
@@ -155,7 +165,7 @@ mod tests {
             .options()
             .with_failpoints(Failpoints::parse("oracle-perturb:optimized").unwrap());
         assert_eq!(
-            attribute_divergence(DOC, r#"doc("f.xml")//a"#, &opts),
+            attribute_divergence(&doc(), r#"doc("f.xml")//a"#, &opts),
             Attribution::EngineSide
         );
     }
@@ -173,7 +183,7 @@ mod tests {
             let mut opts = FuzzProfile::Ordered.options();
             opts.opt.disabled_rules = RuleSet::from_names([rule]).unwrap();
             assert!(
-                matches!(oracle_outcome(DOC, query, &opts), OracleOutcome::Agreed),
+                matches!(oracle_outcome(&doc(), query, &opts), OracleOutcome::Agreed),
                 "oracle not clean with `{rule}` disabled"
             );
         }
@@ -183,7 +193,7 @@ mod tests {
     fn healthy_query_does_not_reproduce() {
         let opts = FuzzProfile::Unordered.options();
         assert_eq!(
-            attribute_divergence(DOC, r#"doc("f.xml")//a"#, &opts),
+            attribute_divergence(&doc(), r#"doc("f.xml")//a"#, &opts),
             Attribution::NotReproduced
         );
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! fuzz-verify [--seed N]... [--iters N] [--profile ordered|unordered|both]
 //!             [--inject SPEC] [--expect-divergence] [--max-shrink-probes N]
-//!             [--serve] [--threads N] [--chaos]
+//!             [--lattice]
 //! ```
 //!
 //! Deterministic: the same seed produces the same document and query
@@ -13,28 +13,23 @@
 //! otherwise, printing each divergence's minimized query and culprit
 //! rule.
 //!
-//! `--serve` switches to serve-path differential mode: the same query
-//! stream is submitted over a socket to an in-process `xqd` daemon and
-//! the responses are compared byte-for-byte against direct execution
-//! (see [`exrquy_verify::serve`]). `--threads` sets the daemon's
-//! intra-query parallelism in that mode; `--chaos` additionally arms
-//! the daemon's deterministic network failpoints and drives the socket
-//! arm through the retrying `xqc` client — the comparison must stay
-//! byte-for-byte through torn writes, trickled frames, and mid-frame
-//! disconnects.
+//! `--lattice` switches from the oracle to the configuration lattice
+//! (see [`exrquy_verify::lattice`]): the fuzz corpora of every seed —
+//! `--iters` single-document cells and as many multi-document cells with
+//! their authored joins, under both profiles — run under the reference
+//! point and every row of the covering table (cost pass, vectorization,
+//! worker threads, shard count, step algorithm, served and chaos
+//! transport), and every row must serialize byte-identically.
 
 use exrquy_verify::fuzz::{run_fuzz, FuzzConfig, FuzzProfile};
-use exrquy_verify::serve::{run_serve_diff, ServeDiffConfig};
-use exrquy_verify::Attribution;
+use exrquy_verify::{run_lattice, Attribution, Lattice};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut seeds: Vec<u64> = Vec::new();
     let mut cfg = FuzzConfig::default();
     let mut expect_divergence = false;
-    let mut serve = false;
-    let mut chaos = false;
-    let mut threads = 0_usize;
+    let mut lattice = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let parse_next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -69,18 +64,12 @@ fn main() -> ExitCode {
                 Err(_) => die("--max-shrink-probes: not a number"),
             },
             "--expect-divergence" => expect_divergence = true,
-            "--serve" => serve = true,
-            "--chaos" => chaos = true,
-            "--threads" => match parse_next(&mut args, "--threads").parse() {
-                Ok(n) => threads = n,
-                Err(_) => die("--threads: not a number"),
-            },
+            "--lattice" => lattice = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: fuzz-verify [--seed N]... [--iters N] \
                      [--profile ordered|unordered|both] [--inject SPEC] \
-                     [--expect-divergence] [--max-shrink-probes N] \
-                     [--serve] [--threads N] [--chaos]"
+                     [--expect-divergence] [--max-shrink-probes N] [--lattice]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -90,25 +79,21 @@ fn main() -> ExitCode {
     if seeds.is_empty() {
         seeds.push(cfg.seed);
     }
-    if chaos && !serve {
-        die("--chaos requires --serve");
-    }
 
-    if serve {
-        if expect_divergence || !cfg.failpoints.is_empty() {
-            die("--serve does not combine with --inject/--expect-divergence");
+    if lattice {
+        if expect_divergence || !cfg.failpoints.is_empty() || cfg.profiles.len() != 2 {
+            die("--lattice does not combine with --inject/--expect-divergence/--profile");
         }
         let mut ok = true;
         for seed in seeds {
-            let report = run_serve_diff(&ServeDiffConfig {
+            let report = run_lattice(&Lattice {
                 seed,
-                iters: cfg.iters,
-                profiles: cfg.profiles.clone(),
-                threads,
-                chaos,
+                fuzz_iters: cfg.iters,
+                queries: Vec::new(),
+                ..Lattice::default()
             });
             eprintln!("{report}");
-            ok &= report.clean();
+            ok &= report.passed();
         }
         return if ok {
             ExitCode::SUCCESS

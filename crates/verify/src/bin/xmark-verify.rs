@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! xmark-verify [--seed N]... [--scale F] [--query N]... [--threads N]
-//!              [--exec-threads N]
+//!              [--lattice]
 //! ```
 //!
 //! Exits 0 when every (seed, query) cell passes the three-way oracle and
@@ -10,15 +10,16 @@
 //! fixed seed matrix. With `--threads N`, additionally runs the
 //! multi-threaded differential: N threads re-execute the query set
 //! through one shared executor and must be bag-equal to a serial pass.
-//! With `--exec-threads N`, additionally runs the *intra-query*
-//! determinism differential: every query executed with N worker threads
-//! must serialize byte-identically to the serial run, cross-checked
-//! under both the staircase-join and name-stream step algorithms.
+//! With `--lattice`, additionally runs the XMark corpora of the
+//! configuration lattice (see [`exrquy_verify::lattice`]): the queries
+//! over the whole document and the shard matrix over the split corpus,
+//! under the reference point and every row of the covering table — cost
+//! pass, vectorization, worker threads, shard count, step algorithm,
+//! served and chaos transport — each serializing byte-identically.
 
-use exrquy::engine::StepAlgo;
 use exrquy_verify::{
-    run_concurrent_differential, run_parallel_differential, run_xmark_suite, ConcurrencyConfig,
-    ParallelConfig, SuiteConfig,
+    run_concurrent_differential, run_lattice, run_xmark_suite, ConcurrencyConfig, Lattice,
+    SuiteConfig,
 };
 use std::process::ExitCode;
 
@@ -27,7 +28,7 @@ fn main() -> ExitCode {
     let mut seeds: Vec<u64> = Vec::new();
     let mut queries: Vec<usize> = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut exec_threads: Option<usize> = None;
+    let mut lattice = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let parse_next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -51,14 +52,11 @@ fn main() -> ExitCode {
                 Ok(t) if t >= 1 => threads = Some(t),
                 _ => die("--threads: expected a positive number"),
             },
-            "--exec-threads" => match parse_next(&mut args, "--exec-threads").parse() {
-                Ok(t) if t >= 2 => exec_threads = Some(t),
-                _ => die("--exec-threads: expected a thread count of at least 2"),
-            },
+            "--lattice" => lattice = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: xmark-verify [--seed N]... [--scale F] [--query N]... \
-                     [--threads N] [--exec-threads N]"
+                     [--threads N] [--lattice]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -87,18 +85,16 @@ fn main() -> ExitCode {
         ok &= creport.passed();
     }
 
-    if let Some(exec_threads) = exec_threads {
-        let pcfg = ParallelConfig {
+    if lattice {
+        let lreport = run_lattice(&Lattice {
             scale: cfg.scale,
             seed: cfg.seeds.first().copied().unwrap_or(42),
-            threads: vec![exec_threads],
+            fuzz_iters: 0,
             queries: cfg.queries.clone(),
-            step_algos: vec![StepAlgo::Staircase, StepAlgo::NameStream],
-            ..ParallelConfig::default()
-        };
-        let preport = run_parallel_differential(&pcfg);
-        eprintln!("{preport}");
-        ok &= preport.passed();
+            ..Lattice::default()
+        });
+        eprintln!("{lreport}");
+        ok &= lreport.passed();
     }
 
     if ok {

@@ -40,17 +40,8 @@ use std::fmt;
 /// The URL every generated query reads its document from.
 pub const FUZZ_DOC_URL: &str = "f.xml";
 
-/// Record separator between documents of a multi-document corpus blob.
-const DOC_SEP: char = '\u{1E}';
-/// Separator between a record's name and its body within a corpus blob.
-const URL_SEP: char = '\u{1F}';
-/// Reserved record name carrying the corpus shard count.
-const SHARDS_KEY: &str = "#shards";
-
 /// A fuzz corpus: the documents a generated query may read, plus the
-/// shard count its catalog is partitioned into. Encoded into a single
-/// `String` (see [`encode_corpus`]) so [`Divergence::doc`] and every
-/// shrink/attribution signature stay one-string.
+/// shard count its catalog is partitioned into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Corpus {
     /// `(url, xml)` in load (= collection) order.
@@ -58,49 +49,25 @@ pub struct Corpus {
     pub shards: usize,
 }
 
-/// Encode a corpus into one blob: `\x1E`-separated records of
-/// `name\x1F body`, led by a `#shards` record. The separators are
-/// control characters no generated document contains.
-pub fn encode_corpus(corpus: &Corpus) -> String {
-    let mut out = format!("{SHARDS_KEY}{URL_SEP}{}", corpus.shards);
-    for (url, xml) in &corpus.docs {
-        out.push(DOC_SEP);
-        out.push_str(url);
-        out.push(URL_SEP);
-        out.push_str(xml);
+impl Corpus {
+    /// The document URLs, in load order.
+    pub fn urls(&self) -> Vec<String> {
+        self.docs.iter().map(|(u, _)| u.clone()).collect()
     }
-    out
-}
 
-/// Decode a corpus blob. A blob without separators is the legacy
-/// single-document form: that exact string under [`FUZZ_DOC_URL`],
-/// 1 shard — so every pre-multi-document seed and regression case
-/// reproduces byte-for-byte.
-pub fn decode_corpus(blob: &str) -> Corpus {
-    if !blob.contains(URL_SEP) {
-        return Corpus {
-            docs: vec![(FUZZ_DOC_URL.to_string(), blob.to_string())],
+    /// The single-document corpus: `xml` under [`FUZZ_DOC_URL`], 1 shard.
+    pub fn single(xml: impl Into<String>) -> Corpus {
+        Corpus {
+            docs: vec![(FUZZ_DOC_URL.to_string(), xml.into())],
             shards: 1,
-        };
-    }
-    let mut docs = Vec::new();
-    let mut shards = 1;
-    for record in blob.split(DOC_SEP) {
-        let (name, body) = record.split_once(URL_SEP).unwrap_or((record, ""));
-        if name == SHARDS_KEY {
-            shards = body.parse().unwrap_or(1);
-        } else {
-            docs.push((name.to_string(), body.to_string()));
         }
     }
-    Corpus { docs, shards }
 }
 
-/// Load a corpus blob into `session` (all documents, then the shard
-/// layout). Shared by the oracle and the attribution replayer so every
-/// probe sees the same catalog the fuzzer generated.
-pub(crate) fn load_corpus(session: &mut Session, blob: &str) -> Result<(), Error> {
-    let corpus = decode_corpus(blob);
+/// Load a corpus into `session` (all documents, then the shard layout).
+/// Shared by the oracle and the attribution replayer so every probe sees
+/// the same catalog the fuzzer generated.
+pub(crate) fn load_corpus(session: &mut Session, corpus: &Corpus) -> Result<(), Error> {
     for (url, xml) in &corpus.docs {
         session.load_document(url, xml)?;
     }
@@ -111,7 +78,7 @@ pub(crate) fn load_corpus(session: &mut Session, blob: &str) -> Result<(), Error
 }
 
 /// Element-name pool for generated documents and node tests.
-const NAMES: &[&str] = &["a", "b", "c", "d"];
+pub(crate) const NAMES: &[&str] = &["a", "b", "c", "d"];
 
 /// Which compiler configuration (and hence which result equivalence) a
 /// generated query is verified under.
@@ -192,9 +159,8 @@ impl Default for FuzzConfig {
 pub struct Divergence {
     pub iteration: usize,
     pub profile: FuzzProfile,
-    /// The generated document — or [`encode_corpus`] blob — the query
-    /// ran over ([`decode_corpus`] tells the two apart).
-    pub doc: String,
+    /// The generated corpus the query ran over.
+    pub corpus: Corpus,
     /// The query as generated.
     pub query: String,
     /// The minimized still-diverging query.
@@ -258,8 +224,11 @@ impl fmt::Display for FuzzReport {
 
 /// Does the oracle diverge (EXRQ0004) on `query` over `doc`? Non-verify
 /// errors (parse, compile, budget, …) are *not* divergences.
-pub(crate) fn oracle_diverges(doc: &str, query: &str, opts: &QueryOptions) -> bool {
-    matches!(oracle_outcome(doc, query, opts), OracleOutcome::Diverged(_))
+pub(crate) fn oracle_diverges(corpus: &Corpus, query: &str, opts: &QueryOptions) -> bool {
+    matches!(
+        oracle_outcome(corpus, query, opts),
+        OracleOutcome::Diverged(_)
+    )
 }
 
 pub(crate) enum OracleOutcome {
@@ -268,11 +237,10 @@ pub(crate) enum OracleOutcome {
     Errored,
 }
 
-/// Run the three-way oracle on one (corpus, query) cell. `doc` is
-/// either a bare document or an [`encode_corpus`] blob.
-pub(crate) fn oracle_outcome(doc: &str, query: &str, opts: &QueryOptions) -> OracleOutcome {
+/// Run the three-way oracle on one (corpus, query) cell.
+pub(crate) fn oracle_outcome(corpus: &Corpus, query: &str, opts: &QueryOptions) -> OracleOutcome {
     let mut session = Session::new();
-    if load_corpus(&mut session, doc).is_err() {
+    if load_corpus(&mut session, corpus).is_err() {
         return OracleOutcome::Errored;
     }
     match session.verify(query, opts) {
@@ -299,34 +267,34 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             // a random shard layout (the shard-parallel differential
             // arm); the gate is positional, not an RNG draw, so the
             // other two thirds reproduce historical seeds exactly.
-            let (doc, expr) = if i % 3 == 2 {
+            let (corpus, expr) = if i % 3 == 2 {
                 let corpus = gen_corpus(&mut rng);
-                let urls: Vec<String> = corpus.docs.iter().map(|(u, _)| u.clone()).collect();
-                let expr = gen_query_corpus(&mut rng, profile, &urls);
-                (encode_corpus(&corpus), expr)
+                let expr = gen_query_corpus(&mut rng, profile, &corpus.urls());
+                (corpus, expr)
             } else {
                 let doc = gen_doc(&mut rng);
-                let expr = gen_query(&mut rng, profile);
-                (doc, expr)
+                (Corpus::single(doc), gen_query(&mut rng, profile))
             };
             let query = pretty(&expr);
             let opts = profile.options().with_failpoints(cfg.failpoints.clone());
-            match oracle_outcome(&doc, &query, &opts) {
+            match oracle_outcome(&corpus, &query, &opts) {
                 OracleOutcome::Agreed => report.passed += 1,
                 OracleOutcome::Errored => report.skipped += 1,
                 OracleOutcome::Diverged(_) => {
-                    let out = shrink(&doc, &expr, &opts, cfg.max_shrink_probes);
-                    let message = match oracle_outcome(&doc, &out.text, &opts) {
+                    let out = shrink(&expr, cfg.max_shrink_probes, |text| {
+                        oracle_diverges(&corpus, text, &opts)
+                    });
+                    let message = match oracle_outcome(&corpus, &out.text, &opts) {
                         OracleOutcome::Diverged(m) => m,
                         // Unreachable: the shrinker only accepts diverging
                         // candidates; keep a plain marker if it ever isn't.
                         _ => "divergence no longer reproduces".to_string(),
                     };
-                    let attribution = attribute_divergence(&doc, &out.text, &opts);
+                    let attribution = attribute_divergence(&corpus, &out.text, &opts);
                     report.divergences.push(Divergence {
                         iteration: i,
                         profile,
-                        doc,
+                        corpus,
                         original_weight: weight(&expr),
                         query,
                         minimized: out.text,
@@ -1012,11 +980,10 @@ mod tests {
     }
 
     #[test]
-    fn corpus_blobs_round_trip_and_legacy_docs_decode() {
+    fn corpus_ids_are_unique_across_documents() {
         let mut rng = cell_rng(11, 2, FuzzProfile::Ordered);
         let corpus = gen_corpus(&mut rng);
         assert!((2..=4).contains(&corpus.docs.len()));
-        assert_eq!(corpus, decode_corpus(&encode_corpus(&corpus)));
         // Disjoint id ranges across the corpus: collect every id.
         let mut ids: Vec<i64> = Vec::new();
         for (_, xml) in &corpus.docs {
@@ -1028,13 +995,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n, "corpus ids must be unique across documents");
-        // A blob with no separators is the legacy single-document form.
-        let legacy = decode_corpus("<r><a id=\"1\"/></r>");
-        assert_eq!(legacy.shards, 1);
-        assert_eq!(
-            legacy.docs,
-            vec![(FUZZ_DOC_URL.to_string(), "<r><a id=\"1\"/></r>".to_string())]
-        );
     }
 
     #[test]
@@ -1074,8 +1034,7 @@ mod tests {
         for i in (2..cfg.iters).step_by(3) {
             for profile in [FuzzProfile::Ordered, FuzzProfile::Unordered] {
                 let mut rng = cell_rng(cfg.seed, i, profile);
-                let corpus = gen_corpus(&mut rng);
-                let urls: Vec<String> = corpus.docs.iter().map(|(u, _)| u.clone()).collect();
+                let urls = gen_corpus(&mut rng).urls();
                 let q = pretty(&gen_query_corpus(&mut rng, profile, &urls));
                 if q.contains("collection") || urls[1..].iter().any(|u| q.contains(u.as_str())) {
                     saw_corpus_read = true;

@@ -20,33 +20,33 @@
 //!   `Arc<Catalog>`, same plan cache) and every result must be bag-equal
 //!   to a serial reference pass, with the catalog untouched and the plan
 //!   cache showing cross-thread hits.
-//! * [`parallel`] — the serial/parallel determinism differential: every
-//!   query run with `threads = N` must serialize *byte-identically* to
-//!   the serial run (exact sequence equality, deliberately stricter than
-//!   the bag equivalence the unordered mode would grant), over both the
-//!   XMark queries and a fuzz-generated corpus.
-//! * [`sharded`] — the sharded-vs-unsharded differential: the same
-//!   corpus (XMark split by subtree, plus fuzz-generated multi-document
-//!   corpora) partitioned into 1, 2, and 8 shards must serialize
-//!   *byte-identically* per engine path (vectorized and scalar), so
-//!   shard count never leaks into output in any form.
-//! * [`costed`] — the costed-vs-uncosted differential: every plan the
-//!   cost-based join enumerator picks must serialize *byte-identically*
-//!   to the rule-only (`--no-cost`) plan, over XMark Q1–Q20, the shard
-//!   matrix, and a fuzz stream of multi-document join queries — with
-//!   `stats-perturb` arms proving corrupted estimates may change the
-//!   plan but never the output.
+//! * [`lattice`] — the configuration lattice: one byte-identity
+//!   differential for every execution axis. A `Config { cost,
+//!   vectorized, threads, shards, step_algo, transport, failpoints }`
+//!   names a point; every cell (XMark whole and split by subtree, fuzz
+//!   single- and multi-document streams with authored joins, under its
+//!   compiler profile) runs at the reference point (uncosted, scalar,
+//!   serial, 1 shard, staircase, direct) and under every row of a
+//!   sixteen-row pairwise covering table, and each row must render the
+//!   same items in the same order or fail with the same error code.
+//!   Served rows go through an in-process `xqd`, chaos rows through the
+//!   retrying `xqc` client over a fault-injected transport. A red cell
+//!   is minimised, its culprit axis named, and a compile-side culprit
+//!   attributed to a rule; witness counters keep a green run from being
+//!   a vacuous one.
 //! * [`fuzz`] — the self-minimizing differential fuzzer (CLI:
 //!   `fuzz-verify`): a grammar-driven generator draws random documents
 //!   and queries per seeded cell and pushes each through the oracle,
 //!   under both the ordered (sequence-equivalence) and unordered
 //!   (bag-equivalence) profiles.
 //! * [`shrink`] — on a divergence, a structural AST minimizer reduces
-//!   the query to a local minimum that still diverges, probing each
-//!   candidate through a pretty-print→re-parse round so the reported
-//!   text is exactly the query that fails.
+//!   the query to a local minimum that still diverges (the caller's
+//!   probe says what "diverges" means: the oracle, or a lattice row
+//!   against its reference), probing each candidate through a
+//!   pretty-print→re-parse round so the reported text is exactly the
+//!   query that fails.
 //! * [`attribute`] — per-rule attribution: re-run the minimized query
-//!   with rewrite rules from the optimized arm's trace disabled
+//!   with rules from the plan's rewrite and cost traces disabled
 //!   (bisection with single-rule fallback) to name the culprit rewrite,
 //!   or report the fault engine-side.
 //!
@@ -56,32 +56,22 @@
 
 pub mod attribute;
 pub mod concurrency;
-pub mod costed;
 pub mod fuzz;
 pub mod harness;
-pub mod parallel;
-pub mod serve;
-pub mod sharded;
+pub mod lattice;
 pub mod shrink;
 pub mod suite;
-pub mod vectorized;
 
 pub use attribute::{attribute_divergence, Attribution};
 pub use concurrency::{run_concurrent_differential, ConcurrencyConfig, ConcurrencyReport};
-pub use costed::{join_queries, run_costed_differential, CostedConfig, CostedReport};
 pub use fuzz::{
-    decode_corpus, encode_corpus, gen_corpus, gen_doc, gen_query, gen_query_corpus, run_fuzz,
-    Corpus, Divergence, FuzzConfig, FuzzProfile, FuzzReport,
+    gen_corpus, gen_doc, gen_query, gen_query_corpus, run_fuzz, Corpus, Divergence, FuzzConfig,
+    FuzzProfile, FuzzReport,
 };
 pub use harness::{
     coverage_corpus, default_cases, failpoint_coverage, run_fault_matrix, CoverageReport,
     FaultCase, FaultOutcome, FaultReport, KindExemplar,
 };
-pub use parallel::{run_parallel_differential, ParallelConfig, ParallelReport};
-pub use serve::{run_serve_diff, ServeDiffConfig, ServeReport};
-pub use sharded::{
-    run_sharded_differential, split_xmark, ShardedConfig, ShardedReport, XMARK_SHARD_QUERIES,
-};
+pub use lattice::{run_lattice, Config, Lattice, Report};
 pub use shrink::{shrink, weight, ShrinkOutcome};
 pub use suite::{run_xmark_suite, QueryOutcome, SuiteConfig, SuiteReport};
-pub use vectorized::{run_vectorized_differential, VectorizedConfig, VectorizedReport};

@@ -5,8 +5,9 @@
 //! simplifications — hoist a child over its parent, drop a FLWOR clause,
 //! prune a sequence arm, delete a predicate or `order by` key, replace a
 //! whole subtree with `()` — and keeping the first candidate whose
-//! pretty-printed text *re-parses* and still diverges under the same
-//! options. Candidates that break scoping (e.g. dropping the `for` that
+//! pretty-printed text *re-parses* and still diverges (the caller's
+//! `probe` says so — the three-way oracle for the fuzzer, a
+//! row-versus-reference comparison for the lattice). Candidates that break scoping (e.g. dropping the `for` that
 //! binds `$v`) are filtered out for free: every oracle arm fails with the
 //! same compile error, which is not a divergence, so the candidate is
 //! rejected.
@@ -18,9 +19,7 @@
 //! the way down to `()` — weight 1 — which is the documented bound the
 //! acceptance tests pin.
 
-use crate::fuzz::oracle_diverges;
 use exrquy::frontend::{parse_module, pretty, Clause, Expr};
-use exrquy::QueryOptions;
 
 /// Outcome of a shrink run.
 #[derive(Debug, Clone)]
@@ -69,10 +68,14 @@ pub fn weight(e: &Expr) -> usize {
     w
 }
 
-/// Minimize `expr` (which diverges over `doc` under `opts`) to a smaller
-/// still-diverging query. Greedy first-improvement loop to a fixpoint,
-/// spending at most `max_probes` oracle runs.
-pub fn shrink(doc: &str, expr: &Expr, opts: &QueryOptions, max_probes: usize) -> ShrinkOutcome {
+/// Minimize `expr` (for whose text `probe` answers "still diverges") to
+/// a smaller still-diverging query. Greedy first-improvement loop to a
+/// fixpoint, spending at most `max_probes` probe calls.
+pub fn shrink(
+    expr: &Expr,
+    max_probes: usize,
+    mut probe: impl FnMut(&str) -> bool,
+) -> ShrinkOutcome {
     let mut current = expr.clone();
     let mut current_weight = weight(&current);
     let mut probes = 0;
@@ -96,7 +99,7 @@ pub fn shrink(doc: &str, expr: &Expr, opts: &QueryOptions, max_probes: usize) ->
                 continue;
             };
             probes += 1;
-            if oracle_diverges(doc, &text, opts) {
+            if probe(&text) {
                 current = module.body;
                 current_weight = weight(&current);
                 continue 'outer;
@@ -277,7 +280,7 @@ fn local_variants(e: &Expr) -> Vec<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::{FuzzProfile, FUZZ_DOC_URL};
+    use crate::fuzz::{oracle_diverges, Corpus, FuzzProfile};
     use exrquy::diag::Failpoints;
 
     const DOC: &str = r#"<r><a id="3"/><a id="1"/><a id="2"/></r>"#;
@@ -315,11 +318,11 @@ mod tests {
         let e = parse(
             r#"for $x in doc("f.xml")//a order by $x/attribute::id return fn:string($x/attribute::id)"#,
         );
-        assert!(oracle_diverges(DOC, &pretty(&e), &opts));
-        let out = shrink(DOC, &e, &opts, 300);
+        let corpus = Corpus::single(DOC);
+        assert!(oracle_diverges(&corpus, &pretty(&e), &opts));
+        let out = shrink(&e, 300, |text| oracle_diverges(&corpus, text, &opts));
         assert_eq!(out.text, "()", "minimized to `{}`", out.text);
         assert_eq!(out.weight, 1);
         assert!(out.probes > 0);
-        let _ = FUZZ_DOC_URL;
     }
 }

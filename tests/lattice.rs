@@ -1,23 +1,22 @@
-//! Tier-1 serial/parallel determinism: intra-query parallel execution
-//! must be invisible in the output.
+//! Tier-1 configuration lattice: every execution axis must be invisible
+//! in the output.
 //!
-//! Every query run with worker threads must serialize *byte-identically*
-//! to the serial run — exact sequence equality of rendered items,
-//! deliberately stricter than the bag equivalence the unordered mode
-//! would grant — because morsel kernels concatenate partial results in
-//! morsel order and node construction executes in the exact serial
-//! topological sequence on the owning thread.
+//! The default lattice runs a handful of cells of every corpus (XMark
+//! whole and split, both fuzz streams) under the reference point and
+//! every row of the covering table — cost pass, vectorization, worker
+//! threads, shard count, step algorithm, served transport — and each row
+//! must serialize *byte-identically* to the reference. The full-breadth
+//! run with the count floors is `crates/verify/tests/lattice.rs`.
 
 use exrquy::{QueryOptions, ResultItem, Session};
-use exrquy_verify::{run_parallel_differential, ParallelConfig};
+use exrquy_verify::{run_lattice, Lattice};
 
-/// The full default corpus: all 20 XMark queries at 2 and 4 worker
-/// threads, plus 25 fuzz-generated cells per profile.
 #[test]
-fn xmark_and_fuzz_corpora_serialize_identically_across_thread_counts() {
-    let report = run_parallel_differential(&ParallelConfig::default());
+fn default_lattice_serializes_identically_under_every_row() {
+    let report = run_lattice(&Lattice::default());
     assert!(report.passed(), "{report}");
-    assert!(report.cells > 0);
+    assert!(report.cells > 0 && report.witnesses["served_cells"] > 0);
+    println!("{report}");
 }
 
 /// Node construction inside a parallel run: fragment ids and interned
