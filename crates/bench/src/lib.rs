@@ -33,6 +33,19 @@ pub fn xmark_session(scale: f64) -> (Session, usize) {
     (s, bytes)
 }
 
+/// The order-indifferent configuration with the two join-elimination
+/// rules switched off: what order indifference *alone* buys. Those rules
+/// are order-agnostic but run only in the optimizing arm, so the paper's
+/// ordered-vs-unordered figures are reported both ways (EXPERIMENTS.md).
+pub fn order_effect_only() -> QueryOptions {
+    let mut opts = QueryOptions::order_indifferent();
+    opts.opt = opts
+        .opt
+        .without_rule("join-elim-key-domain")
+        .without_rule("join-self-key");
+    opts
+}
+
 /// Wall-clock one prepared-query execution.
 pub fn time_query(
     session: &mut Session,

@@ -69,11 +69,19 @@ impl ContentGroups {
         Ok(ContentGroups { rows })
     }
 
-    /// The content slice of one iteration (empty when it has none).
-    fn get(&self, iter: i64) -> &[(i64, i64, i64, Item)] {
-        let lo = self.rows.partition_point(|r| r.0 < iter);
-        let hi = lo + self.rows[lo..].partition_point(|r| r.0 == iter);
-        &self.rows[lo..hi]
+    /// The content slice of one iteration (empty when it has none), for
+    /// callers that ask in ascending `iter` order: `cursor` (start at 0)
+    /// only ever moves forward, so a whole constructor is one merge pass
+    /// over `rows` instead of two binary searches per element. It rests
+    /// on the group's first row, so a repeated `iter` reads it again.
+    fn next(&self, cursor: &mut usize, iter: i64) -> &[(i64, i64, i64, Item)] {
+        let rows = &self.rows;
+        while *cursor < rows.len() && rows[*cursor].0 < iter {
+            *cursor += 1;
+        }
+        let lo = *cursor;
+        let len = rows[lo..].iter().take_while(|r| r.0 == iter).count();
+        &rows[lo..lo + len]
     }
 }
 
@@ -111,6 +119,7 @@ pub(crate) fn eval_element(
     // to every row (the same `Arc<str>` clone), so remember the last
     // (allocation, id) pair and skip the intern hash on a pointer hit.
     let mut last_name: Option<(*const u8, NameId)> = None;
+    let mut cursor = 0;
     for &(it, r) in &order {
         let name_item = name_items.get(r);
         let name_id = match &name_item {
@@ -125,7 +134,7 @@ pub(crate) fn eval_element(
             other => arena.intern(&other.to_xq_string()),
         };
         let root = b.open_element(name_id);
-        let items = by_iter.get(it);
+        let items = by_iter.next(&mut cursor, it);
         if !items.is_empty() {
             build_content(arena, &mut b, items)?;
         }
@@ -173,12 +182,11 @@ fn build_content(
                             "attribute node follows element content (XQTY0024)",
                         ));
                     }
-                    b.attribute(doc.name(n.pre), doc.text(n.pre).unwrap_or(""));
+                    b.copy_subtree(doc, n.pre);
                 } else {
                     if let Some(t) = pending_text.take() {
                         b.text(&t);
                     }
-                    let doc = arena.doc_of(*n);
                     b.copy_subtree(doc, n.pre);
                     content_started = true;
                 }

@@ -1,7 +1,7 @@
 //! Top-down inference of strictly required input columns (§4.1, Fig. 8).
 
 use exrquy_algebra::{Col, Dag, Op, OpId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// For every operator reachable from `root`, the set of its *output*
 /// columns that some consumer strictly requires. The root requires
@@ -14,10 +14,18 @@ use std::collections::{BTreeSet, HashMap};
 /// off, the rebuilt projection keeps every column, so every source stays
 /// demanded — otherwise a column-dependency bypass upstream could delete
 /// the producer of a column the surviving projection still references.
+///
+/// `one_to_one` names the equi-joins that pair every left row with
+/// exactly one right row. When the consumers of such a join want nothing
+/// of its right side but the join column, the rewriter replaces it by its
+/// left input (`join-elim-key-domain`), so the join columns are demanded
+/// only if a consumer reads them — which lets a whole chain of map joins
+/// fall in one round instead of one per round.
 pub fn required_columns(
     dag: &Dag,
     root: OpId,
     prune_projections: bool,
+    one_to_one: &HashSet<OpId>,
 ) -> HashMap<OpId, BTreeSet<Col>> {
     let order = dag.topo_order(root);
     let mut req: HashMap<OpId, BTreeSet<Col>> = HashMap::new();
@@ -120,8 +128,15 @@ pub fn required_columns(
                 let ls: BTreeSet<Col> = dag.schema(*l).iter().copied().collect();
                 let rs: BTreeSet<Col> = dag.schema(*r).iter().copied().collect();
                 let mut ln: BTreeSet<Col> = my_req.intersection(&ls).copied().collect();
-                ln.insert(*lcol);
                 let mut rn: BTreeSet<Col> = my_req.intersection(&rs).copied().collect();
+                // A join that is going away demands `lcol` only to copy
+                // it into a wanted `rcol` (or so that `l` is not asked
+                // for nothing at all).
+                let elided =
+                    one_to_one.contains(&id) && only_join_col_required(dag, *r, *rcol, &my_req);
+                if !elided || my_req.contains(rcol) || ln.is_empty() {
+                    ln.insert(*lcol);
+                }
                 rn.insert(*rcol);
                 push(*l, ln);
                 push(*r, rn);
@@ -184,6 +199,12 @@ pub fn required_columns(
     req
 }
 
+/// Do the consumers (`req`) of a join want no column of its right input
+/// `r` other than the join column `rcol`?
+pub(crate) fn only_join_col_required(dag: &Dag, r: OpId, rcol: Col, req: &BTreeSet<Col>) -> bool {
+    dag.schema(r).iter().all(|c| *c == rcol || !req.contains(c))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +227,7 @@ mod tests {
             new: Col::POS,
         });
         let root = dag.add(Op::Serialize { input: h });
-        let req = required_columns(&dag, root, true);
+        let req = required_columns(&dag, root, true, &HashSet::new());
         assert!(!req[&l].contains(&Col::POS), "{:?}", req[&l]);
         assert!(req[&l].contains(&Col::ITEM));
     }
@@ -229,7 +250,7 @@ mod tests {
             input: rn,
             cols: vec![(Col::ITEM, Col::ITEM)],
         });
-        let req = required_columns(&dag, drop_pos, true);
+        let req = required_columns(&dag, drop_pos, true, &HashSet::new());
         // Root here is the projection; seed {pos, item} intersected away.
         assert!(!req[&rn].contains(&Col::POS));
     }
@@ -246,7 +267,7 @@ mod tests {
             col: Col::RES,
         });
         let root = dag.add(Op::Serialize { input: s });
-        let req = required_columns(&dag, root, true);
+        let req = required_columns(&dag, root, true, &HashSet::new());
         assert!(req[&l].contains(&Col::RES));
         assert!(req[&l].contains(&Col::POS));
         assert!(req[&l].contains(&Col::ITEM));
@@ -265,7 +286,7 @@ mod tests {
             value: AValue::Int(1),
         });
         let root = dag.add(Op::Serialize { input: a });
-        let req = required_columns(&dag, root, true);
+        let req = required_columns(&dag, root, true, &HashSet::new());
         assert_eq!(req[&l], [Col::ITEM].into_iter().collect::<BTreeSet<_>>());
     }
 }

@@ -2,12 +2,12 @@
 //! and step merging to a fixpoint.
 
 use crate::order::{rownum_is_presorted, sort_orders, OrderMap};
-use crate::props::{keys, properties, ColProp, KeyMap, PropMap};
-use crate::required::required_columns;
+use crate::props::{domains, keys, origin, properties, ColProp, KeyMap, PropMap};
+use crate::required::{only_join_col_required, required_columns};
 use crate::rules::RuleSet;
 use exrquy_algebra::{AValue, Col, Dag, Op, OpId, PlanStats};
 use exrquy_xml::{Axis, NodeTest};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Which rewrites to run. The defaults correspond to the paper's modified
 /// compiler; switching individual passes off gives the ablation
@@ -15,7 +15,8 @@ use std::collections::{BTreeSet, HashMap};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptOptions {
     /// §4.1 column dependency analysis: bypass dead `%`/`#`/attach/fun,
-    /// prune projections.
+    /// prune projections, and remove `⋈` whose unrequired side is a key
+    /// covering the other side's domain (loop-lifting's map joins).
     pub column_dependency: bool,
     /// §7 property-based weakening: drop constant/arbitrary sort criteria,
     /// turn criterion-free `%` into `#`.
@@ -163,13 +164,15 @@ pub fn try_optimize(
 
 /// [`try_optimize`] with an optional *rule perturbation*: when `perturb`
 /// names a rule, that rule is applied in a deliberately unsound variant
-/// (currently supported for `weaken-criteria`, which then drops *every*
-/// sort criterion instead of only the provably irrelevant ones). This is
-/// the optimizer's arm of the `rule-perturb` failpoint — a planted,
-/// deterministic optimizer bug that the differential oracle must catch
-/// and the attribution pass must pin on the named rule. A perturbed rule
-/// still honors [`OptOptions::disabled_rules`], which is exactly what
-/// lets attribution make the planted divergence vanish.
+/// (supported for `weaken-criteria`, which then drops *every* sort
+/// criterion instead of only the provably irrelevant ones, and for
+/// `join-elim-key-domain`, which then accepts a key side that covers only
+/// a *subset* of its origin). This is the optimizer's arm of the
+/// `rule-perturb` failpoint — a planted, deterministic optimizer bug that
+/// the differential oracle must catch and the attribution pass must pin
+/// on the named rule. A perturbed rule still honors
+/// [`OptOptions::disabled_rules`], which is exactly what lets attribution
+/// make the planted divergence vanish.
 pub fn try_optimize_with(
     dag: &mut Dag,
     root: OpId,
@@ -214,6 +217,9 @@ struct Ctx<'a> {
     props: PropMap,
     orders: OrderMap,
     key_cols: KeyMap,
+    /// Joins that pair every left row with exactly one right row (see
+    /// [`one_to_one_joins`]).
+    one_to_one: HashSet<OpId>,
     opts: OptOptions,
     perturb: Option<&'a str>,
     round: usize,
@@ -271,11 +277,30 @@ fn one_round(
     round: usize,
     trace: &mut Vec<RuleApplication>,
 ) -> Result<OpId, OptError> {
+    let on = |rule: &str| !opts.disabled_rules.contains(rule);
+    let join_elim = opts.column_dependency && on("join-elim-key-domain");
+    let join_self = opts.column_dependency && on("join-self-key");
+    let key_cols = if opts.weaken_rownum || join_elim || join_self {
+        keys(dag, root)
+    } else {
+        KeyMap::new()
+    };
+    let one_to_one = if join_elim {
+        one_to_one_joins(
+            dag,
+            root,
+            &key_cols,
+            perturb == Some("join-elim-key-domain"),
+        )
+    } else {
+        HashSet::new()
+    };
     let mut ctx = Ctx {
         req: required_columns(
             dag,
             root,
-            opts.column_dependency && !opts.disabled_rules.contains("project-prune"),
+            opts.column_dependency && on("project-prune"),
+            &one_to_one,
         ),
         props: properties(dag, root),
         orders: if opts.physical_order {
@@ -283,11 +308,8 @@ fn one_round(
         } else {
             OrderMap::new()
         },
-        key_cols: if opts.weaken_rownum {
-            keys(dag, root)
-        } else {
-            KeyMap::new()
-        },
+        key_cols,
+        one_to_one,
         opts: *opts,
         perturb,
         round,
@@ -298,7 +320,7 @@ fn one_round(
     for old_id in order {
         let old_op = dag.op(old_id).clone();
         let new_children: Vec<OpId> = old_op.children().iter().map(|c| memo[c]).collect();
-        let new_id = rewrite_op(dag, &mut ctx, old_id, &old_op, &new_children)?;
+        let new_id = rewrite_op(dag, &mut ctx, &memo, old_id, &old_op, &new_children)?;
         memo.insert(old_id, new_id);
     }
     Ok(memo[&root])
@@ -349,9 +371,112 @@ fn push_below_shard_union(
     Ok(Some(id))
 }
 
+/// Rule `join-self-key`: `π_a(X) ⋈ π_b(X)` where both join columns
+/// rename one key `k` of `X` pairs every row of `X` with itself and
+/// nothing else, so the join is `π_{a ∪ b}(X)` — same rows, in `X`'s
+/// physical order (the join emits left rows in order).
+fn join_self_key(
+    dag: &mut Dag,
+    ctx: &mut Ctx<'_>,
+    memo: &HashMap<OpId, OpId>,
+    old_id: OpId,
+    (l, r, lcol, rcol): (OpId, OpId, Col, Col),
+    my_req: &BTreeSet<Col>,
+) -> Result<Option<OpId>, OptError> {
+    if !ctx.on("join-self-key") {
+        return Ok(None);
+    }
+    let (Op::Project { input: x, cols: a }, Op::Project { input: xr, cols: b }) =
+        (dag.op(l), dag.op(r))
+    else {
+        return Ok(None);
+    };
+    let source = |cols: &[(Col, Col)], c: Col| cols.iter().find(|(n, _)| *n == c).map(|(_, s)| *s);
+    let (Some(k), Some(kr)) = (source(a, lcol), source(b, rcol)) else {
+        return Ok(None);
+    };
+    if x != xr || k != kr || !ctx.key_cols.get(x).is_some_and(|ks| ks.contains(&k)) {
+        return Ok(None);
+    }
+    let mut cols: Vec<(Col, Col)> = a
+        .iter()
+        .chain(b)
+        .copied()
+        .filter(|(n, _)| my_req.contains(n))
+        .collect();
+    if cols.is_empty() {
+        cols.push((lcol, k));
+    }
+    let input = memo[x];
+    let id = intern(
+        dag,
+        ctx,
+        "join-self-key",
+        old_id,
+        Op::Project { input, cols },
+    )?;
+    ctx.fire("join-self-key", old_id, id);
+    Ok(Some(id))
+}
+
+/// The equi-joins `l ⋈ r` on `lcol = rcol` in which every left row has
+/// exactly one partner: `rcol` is a key of `r`, and its values are
+/// *exactly* the origin that `lcol`'s values are drawn from. With
+/// `skip_exact` (the planted `rule-perturb:join-elim-key-domain` bug) a
+/// key side that lost rows since its origin is accepted too — left rows
+/// whose partner was filtered away then survive the vanished join.
+fn one_to_one_joins(dag: &Dag, root: OpId, key_cols: &KeyMap, skip_exact: bool) -> HashSet<OpId> {
+    let dom = domains(dag, root);
+    // A join neither of whose sides carries a claim has no entry itself.
+    dom.keys()
+        .copied()
+        .filter(|&id| {
+            let &Op::EquiJoin { l, r, lcol, rcol } = dag.op(id) else {
+                return false;
+            };
+            let (Some(lo), Some(ro)) = (origin(&dom, l, lcol), origin(&dom, r, rcol)) else {
+                return false;
+            };
+            key_cols.get(&r).is_some_and(|ks| ks.contains(&rcol))
+                && lo.same_source(ro)
+                && (ro.exact || skip_exact)
+        })
+        .collect()
+}
+
+/// Rule `join-elim-key-domain`: a one-to-one join whose consumers want
+/// nothing of `r` but (possibly) `rcol` is `l` itself, with `rcol` a copy
+/// of `lcol` — same rows, same physical order. Left-preserving only:
+/// dropping the left side would emit `r`'s order, which a `#` downstream
+/// could observe. [`required_columns`] applies the same test, so that
+/// `lcol` is not demanded of `l` on behalf of a join that is going away.
+fn join_elim_key_domain(
+    dag: &mut Dag,
+    ctx: &mut Ctx<'_>,
+    old_id: OpId,
+    (new_l, r, lcol, rcol): (OpId, OpId, Col, Col),
+    my_req: &BTreeSet<Col>,
+) -> Result<Option<OpId>, OptError> {
+    const RULE: &str = "join-elim-key-domain";
+    if !ctx.one_to_one.contains(&old_id) || !only_join_col_required(dag, r, rcol, my_req) {
+        return Ok(None);
+    }
+    let id = if my_req.contains(&rcol) {
+        let mut cols: Vec<(Col, Col)> = dag.schema(new_l).iter().map(|&c| (c, c)).collect();
+        cols.push((rcol, lcol));
+        let op = Op::Project { input: new_l, cols };
+        intern(dag, ctx, RULE, old_id, op)?
+    } else {
+        new_l
+    };
+    ctx.fire(RULE, old_id, id);
+    Ok(Some(id))
+}
+
 fn rewrite_op(
     dag: &mut Dag,
     ctx: &mut Ctx<'_>,
+    memo: &HashMap<OpId, OpId>,
     old_id: OpId,
     old_op: &Op,
     ch: &[OpId],
@@ -835,6 +960,17 @@ fn rewrite_op(
                 old_id,
                 Op::ShardUnion { parts: ch.to_vec() },
             )
+        }
+        // ---- map joins against a key-only copy of the loop relation
+        &Op::EquiJoin { l, r, lcol, rcol } if opts.column_dependency => {
+            if let Some(id) = join_self_key(dag, ctx, memo, old_id, (l, r, lcol, rcol), &my_req)? {
+                return Ok(id);
+            }
+            let join = (ch[0], r, lcol, rcol);
+            if let Some(id) = join_elim_key_domain(dag, ctx, old_id, join, &my_req)? {
+                return Ok(id);
+            }
+            intern(dag, ctx, "rebuild", old_id, old_op.with_children(ch))
         }
         // ---- default: rebuild with rewritten children
         other => intern(dag, ctx, "rebuild", old_id, other.with_children(ch)),
@@ -1377,5 +1513,298 @@ mod tests {
         let (fixed_root, _) =
             try_optimize_with(&mut dag, root, &opts, Some("weaken-criteria")).unwrap();
         assert_eq!(PlanStats::of(&dag, fixed_root).rownums(), 1);
+    }
+
+    fn project(dag: &mut Dag, input: OpId, cols: &[(Col, Col)]) -> OpId {
+        dag.add(Op::Project {
+            input,
+            cols: cols.to_vec(),
+        })
+    }
+
+    fn equi(dag: &mut Dag, l: OpId, r: OpId, lcol: Col, rcol: Col) -> OpId {
+        dag.add(Op::EquiJoin { l, r, lcol, rcol })
+    }
+
+    fn count_ops(dag: &Dag, root: OpId, pred: impl Fn(&Op) -> bool) -> usize {
+        dag.reachable(root)
+            .into_iter()
+            .filter(|id| pred(dag.op(*id)))
+            .count()
+    }
+
+    fn is_join(op: &Op) -> bool {
+        matches!(op, Op::EquiJoin { .. })
+    }
+
+    /// `serialize(π pos:iter,item (q))` — demands `iter` and `item` of `q`.
+    fn demand_iter_item(dag: &mut Dag, q: OpId) -> OpId {
+        let top = project(dag, q, &[(Col::POS, Col::ITER), (Col::ITEM, Col::ITEM)]);
+        dag.add(Op::Serialize { input: top })
+    }
+
+    /// The Q11 map-join chain between `⋈θ` and `Count‖iter`, as
+    /// loop-lifting emits it: two joins carry the θ pairs back to the
+    /// outer and inner loop keys, a `#` renumbers them, three more joins
+    /// map the new numbering to itself, to its `outer|inner` map and back
+    /// to the outer loop. All of it re-derives the `iter` column the θ
+    /// pairs already had.
+    #[test]
+    fn q11_map_join_chain_disappears() {
+        let mut dag = Dag::new();
+        let persons = lit(&mut dag, vec![Col::ITEM]);
+        let outer = dag.add(Op::RowId {
+            input: persons,
+            new: Col::BIND,
+        });
+        let outer_key = project(&mut dag, outer, &[(Col::ITER1, Col::BIND)]);
+        let ctx = project(
+            &mut dag,
+            outer,
+            &[(Col::ITER, Col::BIND), (Col::ITEM, Col::ITEM)],
+        );
+        let ctx = equi(&mut dag, ctx, outer_key, Col::ITER, Col::ITER1);
+        let ctx = project(
+            &mut dag,
+            ctx,
+            &[(Col::ITER, Col::ITER), (Col::ITEM, Col::ITEM)],
+        );
+        let income = dag.add(Op::Step {
+            input: ctx,
+            axis: Axis::Child,
+            test: NodeTest::Element,
+        });
+        let left = project(
+            &mut dag,
+            income,
+            &[(Col::ITER, Col::ITER), (Col::ITEM1, Col::ITEM)],
+        );
+        let auctions = lit(&mut dag, vec![Col::ITEM2]);
+        let inner = dag.add(Op::RowId {
+            input: auctions,
+            new: Col::BIND,
+        });
+        let inner_key = project(&mut dag, inner, &[(Col::ITER1, Col::BIND)]);
+        let right = project(
+            &mut dag,
+            inner,
+            &[(Col::BIND, Col::BIND), (Col::ITEM2, Col::ITEM2)],
+        );
+        let theta = dag.add(Op::ThetaJoin {
+            l: left,
+            r: right,
+            pred: vec![(Col::ITEM1, exrquy_algebra::FunKind::Gt, Col::ITEM2)],
+        });
+        let pairs = [(Col::ITER, Col::ITER), (Col::BIND, Col::BIND)];
+        let q = project(&mut dag, theta, &pairs);
+        let q = equi(&mut dag, q, outer_key, Col::ITER, Col::ITER1);
+        let q = project(&mut dag, q, &pairs);
+        let q = equi(&mut dag, q, inner_key, Col::BIND, Col::ITER1);
+        let numbered = dag.add(Op::RowId {
+            input: q,
+            new: Col::POS1,
+        });
+        let a = project(&mut dag, numbered, &[(Col::ITER, Col::POS1)]);
+        let b = project(&mut dag, numbered, &[(Col::ITER1, Col::POS1)]);
+        let q = equi(&mut dag, a, b, Col::ITER, Col::ITER1);
+        let q = project(&mut dag, q, &[(Col::ITER1, Col::ITER)]);
+        let map = project(
+            &mut dag,
+            numbered,
+            &[(Col::OUTER, Col::ITER), (Col::INNER, Col::POS1)],
+        );
+        let q = equi(&mut dag, q, map, Col::ITER1, Col::INNER);
+        let q = project(&mut dag, q, &[(Col::ITER, Col::OUTER)]);
+        let q = equi(&mut dag, q, outer_key, Col::ITER, Col::ITER1);
+        let q = project(&mut dag, q, &[(Col::ITER, Col::ITER)]);
+        let count = dag.add(Op::Aggr {
+            input: q,
+            kind: exrquy_algebra::AggrKind::Count,
+            new: Col::ITEM,
+            arg: None,
+            part: Some(Col::ITER),
+        });
+        let root = demand_iter_item(&mut dag, count);
+        assert_eq!(count_ops(&dag, root, is_join), 6);
+
+        let (new_root, report) = try_optimize(&mut dag, root, &OptOptions::default()).unwrap();
+        assert_eq!(count_ops(&dag, new_root, is_join), 0, "{:?}", report.trace);
+        assert!(
+            report.fired("join-elim-key-domain") >= 3,
+            "{:?}",
+            report.trace
+        );
+        assert!(report.fired("join-self-key") >= 1, "{:?}", report.trace);
+        // The pair renumbering went with its consumers, the inner loop's
+        // `bind` with the join that read it; `iter` still comes from the
+        // outer loop's `#`.
+        let rowids = |op: &Op| matches!(op, Op::RowId { .. });
+        assert_eq!(count_ops(&dag, new_root, rowids), 1, "{:?}", report.trace);
+        // Count‖iter now reads π iter (⋈θ) directly.
+        let Some(Op::Aggr { input, .. }) = dag
+            .reachable(new_root)
+            .into_iter()
+            .map(|id| dag.op(id))
+            .find(|op| matches!(op, Op::Aggr { .. }))
+        else {
+            panic!("count survives");
+        };
+        let Op::Project { input, cols } = dag.op(*input) else {
+            panic!("π iter");
+        };
+        assert_eq!(cols, &[(Col::ITER, Col::ITER)]);
+        assert!(matches!(dag.op(*input), Op::ThetaJoin { .. }));
+
+        // Each rule is individually disableable through the `RuleSet`.
+        for rule in ["join-elim-key-domain", "join-self-key"] {
+            let opts = OptOptions::default().without_rule(rule);
+            let (r, report) = try_optimize(&mut dag, root, &opts).unwrap();
+            assert_eq!(report.fired(rule), 0);
+            assert!(
+                count_ops(&dag, r, is_join) > 0,
+                "{rule} off: {:?}",
+                report.trace
+            );
+        }
+    }
+
+    /// One map join `l ⋈ iter=iter1 r` under a consumer of `iter`/`item`;
+    /// the callers vary what makes it (not) an identity.
+    fn assert_join_survives(dag: &mut Dag, l: OpId, r: OpId, extra: &[(Col, Col)]) {
+        let j = equi(dag, l, r, Col::ITER, Col::ITER1);
+        let mut cols = vec![(Col::POS, Col::ITER), (Col::ITEM, Col::ITEM)];
+        cols.extend_from_slice(extra);
+        let top = project(dag, j, &cols);
+        let root = dag.add(Op::Distinct { input: top });
+        let (new_root, report) = try_optimize(dag, root, &OptOptions::default()).unwrap();
+        assert_eq!(
+            report.fired("join-elim-key-domain"),
+            0,
+            "{:?}",
+            report.trace
+        );
+        assert_eq!(report.fired("join-self-key"), 0, "{:?}", report.trace);
+        assert_eq!(count_ops(dag, new_root, is_join), 1);
+    }
+
+    /// `# bind` over `[item, res]`, its `iter|item` view and its key-only
+    /// view.
+    fn loop_views(dag: &mut Dag) -> (OpId, OpId, OpId) {
+        let src = lit(dag, vec![Col::ITEM, Col::RES]);
+        let h = dag.add(Op::RowId {
+            input: src,
+            new: Col::BIND,
+        });
+        let view = project(dag, h, &[(Col::ITER, Col::BIND), (Col::ITEM, Col::ITEM)]);
+        let key = project(dag, h, &[(Col::ITER1, Col::BIND)]);
+        (h, view, key)
+    }
+
+    #[test]
+    fn join_against_a_filtered_key_survives() {
+        // A σ between the origin and the key side: a strict subset, so
+        // some left rows lose their partner.
+        let mut dag = Dag::new();
+        let (h, view, _) = loop_views(&mut dag);
+        let sel = dag.add(Op::Select {
+            input: h,
+            col: Col::RES,
+        });
+        let key = project(&mut dag, sel, &[(Col::ITER1, Col::BIND)]);
+        assert_join_survives(&mut dag, view, key, &[]);
+    }
+
+    #[test]
+    fn join_whose_key_side_carries_a_required_column_survives() {
+        // `r` contributes `item2` to the consumer — and it is not a
+        // projection of the same operator as `l`, so neither rule applies.
+        let mut dag = Dag::new();
+        let (h, view, _) = loop_views(&mut dag);
+        let step = dag.add(Op::Step {
+            input: view,
+            axis: Axis::Child,
+            test: NodeTest::Element,
+        });
+        let r = project(
+            &mut dag,
+            h,
+            &[(Col::ITER1, Col::BIND), (Col::ITEM2, Col::RES)],
+        );
+        assert_join_survives(&mut dag, step, r, &[(Col::ITEM2, Col::ITEM2)]);
+    }
+
+    #[test]
+    fn join_against_a_partitioned_rownum_survives() {
+        // `%…‖res` restarts per group: its numbers are not a key.
+        let mut dag = Dag::new();
+        let src = lit(&mut dag, vec![Col::ITEM, Col::RES]);
+        let rn = dag.add(Op::RowNum {
+            input: src,
+            new: Col::BIND,
+            order: vec![SortKey::asc(Col::ITEM)],
+            part: Some(Col::RES),
+        });
+        let view = project(
+            &mut dag,
+            rn,
+            &[(Col::ITER, Col::BIND), (Col::ITEM, Col::ITEM)],
+        );
+        let key = project(&mut dag, rn, &[(Col::ITER1, Col::BIND)]);
+        assert_join_survives(&mut dag, view, key, &[]);
+    }
+
+    #[test]
+    fn join_under_a_union_of_two_origins_survives() {
+        let mut dag = Dag::new();
+        let (_, view, key) = loop_views(&mut dag);
+        let other = dag.add(Op::Lit {
+            cols: vec![Col::ITER, Col::ITEM],
+            rows: vec![vec![AValue::Int(7), AValue::Int(8)]],
+        });
+        let l = dag.add(Op::Union { l: view, r: other });
+        assert_join_survives(&mut dag, l, key, &[]);
+    }
+
+    #[test]
+    fn join_between_two_different_numberings_survives() {
+        // Both columns are `#` keys over the same rows — physically the
+        // same numbers, but nothing the analysis may assume.
+        let mut dag = Dag::new();
+        let (h, view, _) = loop_views(&mut dag);
+        let Op::RowId { input: src, .. } = *dag.op(h) else {
+            unreachable!()
+        };
+        let h2 = dag.add(Op::RowId {
+            input: src,
+            new: Col::POS1,
+        });
+        let key = project(&mut dag, h2, &[(Col::ITER1, Col::POS1)]);
+        assert_join_survives(&mut dag, view, key, &[]);
+    }
+
+    /// `rule-perturb:join-elim-key-domain` accepts a key side that lost
+    /// rows since its origin; disabling the rule restores soundness.
+    #[test]
+    fn perturbed_join_elim_accepts_a_filtered_key() {
+        fn plan(dag: &mut Dag) -> OpId {
+            let (h, view, _) = loop_views(dag);
+            let sel = dag.add(Op::Select {
+                input: h,
+                col: Col::RES,
+            });
+            let key = project(dag, sel, &[(Col::ITER1, Col::BIND)]);
+            let j = equi(dag, view, key, Col::ITER, Col::ITER1);
+            demand_iter_item(dag, j)
+        }
+        const RULE: &str = "join-elim-key-domain";
+        let mut dag = Dag::new();
+        let root = plan(&mut dag);
+        let (bad, report) =
+            try_optimize_with(&mut dag, root, &OptOptions::default(), Some(RULE)).unwrap();
+        assert_eq!(count_ops(&dag, bad, is_join), 0);
+        assert_eq!(report.fired(RULE), 1, "{:?}", report.trace);
+        let opts = OptOptions::default().without_rule(RULE);
+        let (fixed, _) = try_optimize_with(&mut dag, root, &opts, Some(RULE)).unwrap();
+        assert_eq!(count_ops(&dag, fixed, is_join), 1);
     }
 }

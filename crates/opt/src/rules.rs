@@ -42,6 +42,8 @@ pub const RULE_NAMES: &[&str] = &[
     "shard-push-step",
     "shard-push-cross",
     "shard-union-singleton",
+    "join-elim-key-domain",
+    "join-self-key",
     "cost-join-reorder",
     "cost-select-order",
 ];

@@ -4,8 +4,9 @@
 //! * a planted oracle corruption (`oracle-perturb`) is detected on every
 //!   cell, shrunk to the documented bound (weight ≤ 2, i.e. `()`), and
 //!   reported engine-side;
-//! * a planted optimizer bug (`rule-perturb:weaken-criteria`) is *found*
-//!   by the random hunt, minimized, and attributed to exactly that rule.
+//! * a planted optimizer bug (`rule-perturb:weaken-criteria`,
+//!   `rule-perturb:join-elim-key-domain`) is *found* by the random hunt,
+//!   minimized, and attributed to exactly that rule.
 
 use exrquy::diag::Failpoints;
 use exrquy_verify::fuzz::{run_fuzz, FuzzConfig, FuzzProfile};
@@ -59,18 +60,10 @@ fn planted_oracle_perturbation_detected_shrunk_and_attributed() {
     }
 }
 
-#[test]
-fn planted_rule_perturbation_is_hunted_and_named() {
-    // `rule-perturb:weaken-criteria` makes the §7 weakening drop *real*
-    // sort criteria. Under the ordered profile (sequence equivalence) the
-    // random hunt must catch it; seed 1 does within 30 iterations.
-    let cfg = FuzzConfig {
-        seed: 1,
-        iters: 30,
-        profiles: vec![FuzzProfile::Ordered],
-        failpoints: Failpoints::parse("rule-perturb:weaken-criteria").unwrap(),
-        ..FuzzConfig::default()
-    };
+/// A planted optimizer bug must be caught by the random hunt, minimized,
+/// and attributed to exactly `rule`; a healthy rule set on the very same
+/// stream stays green.
+fn hunt_planted_rule(rule: &str, cfg: FuzzConfig) {
     let report = run_fuzz(&cfg);
     assert!(
         !report.divergences.is_empty(),
@@ -83,14 +76,47 @@ fn planted_rule_perturbation_is_hunted_and_named() {
         );
         assert_eq!(
             d.attribution,
-            Attribution::Rule("weaken-criteria".to_string()),
+            Attribution::Rule(rule.to_string()),
             "misattributed: {report}"
         );
     }
-    // A healthy rule set on the very same stream stays green.
     let clean = run_fuzz(&FuzzConfig {
         failpoints: Failpoints::none(),
         ..cfg
     });
     assert!(clean.clean(), "{clean}");
+}
+
+#[test]
+fn planted_rule_perturbation_is_hunted_and_named() {
+    // `rule-perturb:weaken-criteria` makes the §7 weakening drop *real*
+    // sort criteria. Under the ordered profile (sequence equivalence) the
+    // random hunt must catch it; seed 1 does within 30 iterations.
+    hunt_planted_rule(
+        "weaken-criteria",
+        FuzzConfig {
+            seed: 1,
+            iters: 30,
+            profiles: vec![FuzzProfile::Ordered],
+            failpoints: Failpoints::parse("rule-perturb:weaken-criteria").unwrap(),
+            ..FuzzConfig::default()
+        },
+    );
+}
+
+#[test]
+fn planted_join_elimination_is_hunted_and_named() {
+    // `rule-perturb:join-elim-key-domain` removes map joins against a
+    // *filtered* loop key: the rows a path predicate dropped come back,
+    // under either profile. Seed 3 (the CI self-check's) draws three such
+    // predicates within 10 iterations, each shrunk to `…[()]`.
+    hunt_planted_rule(
+        "join-elim-key-domain",
+        FuzzConfig {
+            seed: 3,
+            iters: 10,
+            failpoints: Failpoints::parse("rule-perturb:join-elim-key-domain").unwrap(),
+            ..FuzzConfig::default()
+        },
+    );
 }

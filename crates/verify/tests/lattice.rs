@@ -43,28 +43,24 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     floor("chaos_retries", 1);
 }
 
-#[test]
-fn planted_rewrite_fault_goes_red_is_minimised_and_names_its_axis() {
-    // `rule-perturb:weaken-criteria` makes the §7 weakening drop *real*
-    // sort criteria. Armed on one row only, the row must part from the
-    // reference; seed 1 draws ordered cells that show it within three
-    // iterations.
+/// Arm `rule-perturb:<rule>` on one row only: the row must part from the
+/// reference on a cell whose label ends in `cell`, every divergence must
+/// be minimised, blamed on the `failpoints` axis and attributed to `rule`
+/// — and the same stream without the fault must stay green.
+fn planted_rewrite_fault(failpoints: &'static str, rule: &str, seed: u64, cell: &str) {
     let planted = Config {
-        failpoints: "rule-perturb:weaken-criteria",
+        failpoints,
         ..TABLE[1]
     };
     let report = run_lattice(&Lattice {
-        seed: 1,
+        seed,
         fuzz_iters: 3,
         queries: Vec::new(),
         rows: vec![planted],
         ..Lattice::default()
     });
     assert!(
-        report
-            .divergences
-            .iter()
-            .any(|d| d.cell.ends_with("[ordered]")),
+        report.divergences.iter().any(|d| d.cell.ends_with(cell)),
         "the lattice missed the planted fault: {report}"
     );
     for d in &report.divergences {
@@ -73,19 +69,46 @@ fn planted_rewrite_fault_goes_red_is_minimised_and_names_its_axis() {
         assert_eq!(d.axis, Some("failpoints"), "{report}");
         assert_eq!(
             d.attribution,
-            Some(Attribution::Rule("weaken-criteria".to_string())),
+            Some(Attribution::Rule(rule.to_string())),
             "{report}"
         );
     }
-    // The same stream without the fault stays green.
     let clean = run_lattice(&Lattice {
-        seed: 1,
+        seed,
         fuzz_iters: 3,
         queries: Vec::new(),
         rows: vec![TABLE[1]],
         ..Lattice::default()
     });
     assert!(clean.passed(), "{clean}");
+}
+
+#[test]
+fn planted_weakening_fault_goes_red_is_minimised_and_names_its_axis() {
+    // `rule-perturb:weaken-criteria` makes the §7 weakening drop *real*
+    // sort criteria; seed 1 draws ordered cells that show it within three
+    // iterations.
+    planted_rewrite_fault(
+        "rule-perturb:weaken-criteria",
+        "weaken-criteria",
+        1,
+        "[ordered]",
+    );
+}
+
+#[test]
+fn planted_join_elimination_fault_goes_red_is_minimised_and_names_its_axis() {
+    // `rule-perturb:join-elim-key-domain` removes map joins against a
+    // *filtered* loop key, so rows a predicate dropped come back. Any
+    // path predicate shows it, under either profile. Seeds 1–3 were
+    // re-hunted for this rule at three iterations: seed 1 draws such
+    // cells, seeds 2 and 3 do not.
+    planted_rewrite_fault(
+        "rule-perturb:join-elim-key-domain",
+        "join-elim-key-domain",
+        1,
+        "]",
+    );
 }
 
 #[test]

@@ -9,6 +9,7 @@
 
 use crate::name::NameId;
 use crate::tree::{Document, NodeKind, NO_PARENT, NO_TEXT};
+use std::sync::Arc;
 
 /// Streaming builder for one [`Document`] fragment.
 #[derive(Debug, Default)]
@@ -80,13 +81,7 @@ impl TreeBuilder {
     /// content has already started (attributes precede children in the
     /// encoding).
     pub fn attribute(&mut self, name: NameId, value: &str) -> u32 {
-        assert!(!self.open.is_empty(), "attribute() outside an open element");
-        assert!(
-            !*self.content_started.last().unwrap(),
-            "attribute() after element content started"
-        );
-        let text = self.doc.push_text_data(value.into());
-        self.push(NodeKind::Attribute, name, text)
+        self.leaf(NodeKind::Attribute, name, value.into())
     }
 
     /// Append a text node. Empty strings produce no node (the XQuery data
@@ -95,25 +90,33 @@ impl TreeBuilder {
         if content.is_empty() {
             return None;
         }
-        let text = self.doc.push_text_data(content.into());
-        let pre = self.push(NodeKind::Text, NameId::NONE, text);
-        self.mark_content();
-        Some(pre)
+        Some(self.leaf(NodeKind::Text, NameId::NONE, content.into()))
     }
 
     /// Append a comment node.
     pub fn comment(&mut self, content: &str) -> u32 {
-        let text = self.doc.push_text_data(content.into());
-        let pre = self.push(NodeKind::Comment, NameId::NONE, text);
-        self.mark_content();
-        pre
+        self.leaf(NodeKind::Comment, NameId::NONE, content.into())
     }
 
     /// Append a processing-instruction node.
     pub fn processing_instruction(&mut self, target: NameId, content: &str) -> u32 {
-        let text = self.doc.push_text_data(content.into());
-        let pre = self.push(NodeKind::ProcessingInstruction, target, text);
-        self.mark_content();
+        self.leaf(NodeKind::ProcessingInstruction, target, content.into())
+    }
+
+    /// Append a childless node holding (a reference to) `content`.
+    fn leaf(&mut self, kind: NodeKind, name: NameId, content: Arc<str>) -> u32 {
+        if kind == NodeKind::Attribute {
+            assert!(!self.open.is_empty(), "attribute() outside an open element");
+            assert!(
+                !*self.content_started.last().unwrap(),
+                "attribute() after element content started"
+            );
+        }
+        let text = self.doc.push_text_data(content);
+        let pre = self.push(kind, name, text);
+        if kind != NodeKind::Attribute {
+            self.mark_content();
+        }
         pre
     }
 
@@ -172,43 +175,15 @@ impl TreeBuilder {
             }
             return;
         }
-        let end = src_pre + src.size(src_pre);
-        // Replay the preorder sequence, closing copied elements whose
-        // pre/size window has been exhausted.
-        let mut open_ends: Vec<u32> = Vec::new();
-        let mut pre = src_pre;
-        while pre <= end {
-            while let Some(&e) = open_ends.last() {
-                if pre > e {
-                    self.close();
-                    open_ends.pop();
-                } else {
-                    break;
-                }
-            }
-            match src.kind(pre) {
-                NodeKind::Element => {
-                    self.open_element(src.name(pre));
-                    open_ends.push(pre + src.size(pre));
-                }
-                NodeKind::Document => unreachable!("document nodes are never nested"),
-                NodeKind::Attribute => {
-                    self.attribute(src.name(pre), src.text(pre).unwrap_or(""));
-                }
-                NodeKind::Text => {
-                    self.text(src.text(pre).unwrap_or(""));
-                }
-                NodeKind::Comment => {
-                    self.comment(src.text(pre).unwrap_or(""));
-                }
-                NodeKind::ProcessingInstruction => {
-                    self.processing_instruction(src.name(pre), src.text(pre).unwrap_or(""));
-                }
-            }
-            pre += 1;
-        }
-        while open_ends.pop().is_some() {
-            self.close();
+        // What remains is a leaf (text, comment, PI or attribute): it
+        // shares the source's string — a refcount bump, no allocation.
+        let kind = src.kind(src_pre);
+        let content: Arc<str> = match src.texts[src_pre as usize] {
+            NO_TEXT => "".into(),
+            t => src.text_data[t as usize].clone(),
+        };
+        if kind != NodeKind::Text || !content.is_empty() {
+            self.leaf(kind, src.name(src_pre), content);
         }
     }
 

@@ -184,3 +184,41 @@ fn unordered_plans_have_fewer_costly_rownums() {
         );
     }
 }
+
+/// Q11/Q12: loop-lifting's map joins between the value join and the
+/// count are identities over `#` keys — `Count‖iter` must read the `⋈θ`
+/// pairs through projections only, with no `⋈` and no `#` in between.
+#[test]
+fn q11_q12_count_reads_the_theta_join_directly() {
+    use exrquy::algebra::{AggrKind, Op};
+    let s = session();
+    for n in [11, 12] {
+        let plan = s
+            .prepare(query(n), &QueryOptions::order_indifferent())
+            .unwrap();
+        let dag = &plan.dag;
+        let mut counts = 0;
+        for id in dag.reachable(plan.root) {
+            let Op::Aggr {
+                input,
+                kind: AggrKind::Count,
+                ..
+            } = dag.op(id)
+            else {
+                continue;
+            };
+            counts += 1;
+            let mut at = *input;
+            while !matches!(dag.op(at), Op::ThetaJoin { .. }) {
+                let op = dag.op(at);
+                assert!(
+                    matches!(op, Op::Project { .. }),
+                    "Q{n}: `{}` between Count and ⋈θ",
+                    op.kind_name()
+                );
+                at = op.children()[0];
+            }
+        }
+        assert_eq!(counts, 1, "Q{n} has one fn:count");
+    }
+}
