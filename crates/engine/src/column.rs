@@ -1,11 +1,21 @@
 //! Columns: typed value vectors, `Arc`-shared between tables (and, under
 //! intra-query parallel execution, between worker threads).
 //!
-//! Three physical representations cover the plans' needs: dense `i64`
+//! Four physical representations cover the plans' needs: dense `i64`
 //! columns (`iter`, `pos`, `bind`, row ids — the hot sort/join keys),
 //! dense bit-packed boolean columns ([`BitVec`] — predicate results,
-//! which used to box one [`Item::Bool`] per row), and generic [`Item`]
-//! columns for everything else.
+//! which used to box one [`Item::Bool`] per row), dense [`NodeId`]
+//! columns (what `⬡`, `doc`, `collection` and the constructors emit:
+//! 8 bytes a row, `Copy`, ordered by document order), and generic
+//! [`Item`] columns (24 bytes a row) for everything else.
+//!
+//! A node column is to the order-bearing kernels the integer column it
+//! is: [`node_key`] packs an id into an `i64` that sorts as the id does,
+//! so `%`, `δ`, `\` and `⋈` run their integer paths over it. Everything
+//! else reads it through [`Column::get`] as [`Item::Node`]. The scalar
+//! reference arm never produces the representation (it keeps nodes boxed
+//! in `Item` columns), which is what lets the vectorization differential
+//! check it.
 //!
 //! Integer access goes through a typed error ([`ColumnError`], surfaced
 //! as `EXRQ0010`): an `iter`/`pos`-class column holding a non-integer is
@@ -14,6 +24,7 @@
 
 use crate::bits::BitVec;
 use crate::item::Item;
+use exrquy_xml::NodeId;
 use std::sync::Arc;
 
 /// Violation of an engine value-layer invariant (a plan bug, never user
@@ -31,11 +42,29 @@ impl std::fmt::Display for ColumnError {
 impl std::error::Error for ColumnError {}
 
 /// A column of values.
+///
+/// Equality is *representational*: two columns are equal when they hold
+/// the same values in the same representation. In particular a
+/// [`Node`](Column::Node) column never equals an [`Item`](Column::Item)
+/// column, even one boxing the same nodes — just as `Int` never equals
+/// an `Item` column of integers. Compare through [`get`](Column::get)
+/// for value equality across representations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     Int(Vec<i64>),
     Bool(BitVec),
+    Node(Vec<NodeId>),
     Item(Vec<Item>),
+}
+
+/// `node` as an integer that orders (and hashes, and compares equal)
+/// exactly as the id does: `frag << 32 | pre`, biased so that the whole
+/// `u32` fragment range stays in `i64` order. Pre ranks of one fragment
+/// come out as dense integers, which is what the counting-sort `%` and
+/// the direct-address join look for.
+#[inline]
+pub(crate) fn node_key(node: NodeId) -> i64 {
+    ((u64::from(node.frag) << 32 | u64::from(node.pre)) ^ (1 << 63)) as i64
 }
 
 impl Column {
@@ -44,7 +73,19 @@ impl Column {
         match self {
             Column::Int(v) => v.len(),
             Column::Bool(v) => v.len(),
+            Column::Node(v) => v.len(),
             Column::Item(v) => v.len(),
+        }
+    }
+
+    /// A column of node references: dense for the vectorized arm, boxed
+    /// one [`Item::Node`] per row for the scalar reference arm (which
+    /// keeps the layout every kernel is differentially checked against).
+    pub fn from_nodes(nodes: Vec<NodeId>, vec: bool) -> Column {
+        if vec {
+            Column::Node(nodes)
+        } else {
+            Column::Item(nodes.into_iter().map(Item::Node).collect())
         }
     }
 
@@ -58,6 +99,7 @@ impl Column {
         match self {
             Column::Int(v) => Item::Int(v[i]),
             Column::Bool(v) => Item::Bool(v.get(i)),
+            Column::Node(v) => Item::Node(v[i]),
             Column::Item(v) => v[i].clone(),
         }
     }
@@ -71,6 +113,10 @@ impl Column {
             Column::Bool(_) => Err(ColumnError(
                 "expected integer column value, found boolean".into(),
             )),
+            Column::Node(v) => Err(ColumnError(format!(
+                "expected integer column value, found node {}",
+                v[i]
+            ))),
             Column::Item(v) => match &v[i] {
                 Item::Int(n) => Ok(*n),
                 other => Err(ColumnError(format!(
@@ -87,6 +133,9 @@ impl Column {
             Column::Bool(_) => Err(ColumnError(
                 "expected integer column, found boolean column".into(),
             )),
+            Column::Node(_) => Err(ColumnError(
+                "expected integer column, found node column".into(),
+            )),
             Column::Item(v) => v
                 .iter()
                 .map(|it| match it {
@@ -101,10 +150,18 @@ impl Column {
 
     /// Gather `self[idx[i]]` into a new column.
     pub fn gather(&self, idx: &[usize]) -> Column {
+        self.gather_by(idx.iter().copied())
+    }
+
+    /// Gather the rows `idx` yields, in that order — the body of
+    /// [`gather`](Self::gather), also fed straight from a selection
+    /// vector (no widened copy of the indices).
+    pub(crate) fn gather_by(&self, idx: impl ExactSizeIterator<Item = usize>) -> Column {
         match self {
-            Column::Int(v) => Column::Int(idx.iter().map(|&i| v[i]).collect()),
-            Column::Bool(v) => Column::Bool(BitVec::from_iter_exact(idx.iter().map(|&i| v.get(i)))),
-            Column::Item(v) => Column::Item(idx.iter().map(|&i| v[i].clone()).collect()),
+            Column::Int(v) => Column::Int(idx.map(|i| v[i]).collect()),
+            Column::Bool(v) => Column::Bool(BitVec::from_iter_exact(idx.map(|i| v.get(i)))),
+            Column::Node(v) => Column::Node(idx.map(|i| v[i]).collect()),
+            Column::Item(v) => Column::Item(idx.map(|i| v[i].clone()).collect()),
         }
     }
 
@@ -132,6 +189,7 @@ impl Column {
                 }
                 Column::Bool(v)
             }
+            (Column::Node(a), Column::Node(b)) => Column::Node([a.as_slice(), b].concat()),
             (Column::Item(a), Column::Item(b)) => {
                 let mut v = Vec::with_capacity(a.len() + b.len());
                 v.extend_from_slice(a);
@@ -160,6 +218,7 @@ impl Column {
             return parts.first().map_or(Column::Int(Vec::new()), |c| match c {
                 Column::Int(_) => Column::Int(Vec::new()),
                 Column::Bool(_) => Column::Bool(BitVec::new()),
+                Column::Node(_) => Column::Node(Vec::new()),
                 Column::Item(_) => Column::Item(Vec::new()),
             });
         };
@@ -185,6 +244,15 @@ impl Column {
                         }
                     }
                     Column::Bool(v)
+                }
+                Column::Node(_) => {
+                    let mut v = Vec::with_capacity(total);
+                    for c in parts {
+                        if let Column::Node(p) = c {
+                            v.extend_from_slice(p);
+                        }
+                    }
+                    Column::Node(v)
                 }
                 Column::Item(_) => {
                     let mut v = Vec::with_capacity(total);
@@ -212,6 +280,7 @@ fn extend_items(out: &mut Vec<Item>, c: &Column) {
     match c {
         Column::Int(v) => out.extend(v.iter().map(|&n| Item::Int(n))),
         Column::Bool(v) => out.extend((0..v.len()).map(|i| Item::Bool(v.get(i)))),
+        Column::Node(v) => out.extend(v.iter().map(|&n| Item::Node(n))),
         Column::Item(v) => out.extend_from_slice(v),
     }
 }
@@ -407,5 +476,48 @@ mod tests {
         assert!(matches!(c, Column::Bool(_)));
         assert_eq!(c.get(1), Item::Bool(false));
         assert!(matches!(ColumnBuilder::new().finish(), Column::Item(v) if v.is_empty()));
+    }
+
+    #[test]
+    fn node_columns_stay_dense_and_box_only_when_mixed() {
+        let n = |pre| NodeId::new(1, pre);
+        let a = Column::Node(vec![n(4), n(2), n(9)]);
+        assert_eq!(a.get(1), Item::Node(n(2)));
+        assert_eq!(a.gather(&[2, 2, 0]), Column::Node(vec![n(9), n(9), n(4)]));
+        let b = Column::Node(vec![n(1)]);
+        assert_eq!(a.append(&b), Column::Node(vec![n(4), n(2), n(9), n(1)]));
+        assert_eq!(
+            Column::append_all(&[&b, &Column::Item(vec![]), &a]),
+            Column::Node(vec![n(1), n(4), n(2), n(9)])
+        );
+        // A ∪̇ with atomics degrades to boxed items, values intact.
+        let mixed = b.append(&Column::Int(vec![7]));
+        assert_eq!(mixed, Column::Item(vec![Item::Node(n(1)), Item::Int(7)]));
+        assert!(a.get_int(0).is_err() && a.to_int_vec().is_err());
+        // The two node forms hold equal values but are not equal columns.
+        let boxed = Column::from_nodes(vec![n(1)], false);
+        assert_eq!(boxed, Column::Item(vec![Item::Node(n(1))]));
+        assert_eq!(Column::from_nodes(vec![n(1)], true), b);
+        assert_ne!(boxed, b);
+        assert_eq!(boxed.get(0), b.get(0));
+    }
+
+    #[test]
+    fn node_keys_order_as_node_ids() {
+        let ids = [
+            NodeId::new(0, 0),
+            NodeId::new(0, u32::MAX),
+            NodeId::new(1, 0),
+            NodeId::new(i32::MAX as u32, 5),
+            NodeId::new(i32::MAX as u32 + 1, 0),
+            NodeId::new(u32::MAX, u32::MAX),
+        ];
+        for a in ids {
+            for b in ids {
+                assert_eq!(node_key(a).cmp(&node_key(b)), a.cmp(&b), "{a} vs {b}");
+            }
+        }
+        // Pre ranks of one fragment are consecutive integers.
+        assert_eq!(node_key(NodeId::new(3, 8)) - node_key(NodeId::new(3, 5)), 3);
     }
 }

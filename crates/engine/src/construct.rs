@@ -9,7 +9,7 @@ use exrquy_algebra::Col;
 use exrquy_diag::ErrorCode;
 use exrquy_xml::tree::NodeKind;
 use exrquy_xml::{FragArena, NameId, NodeId, NodeRead, TreeBuilder};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// `content` rows grouped by `iter` and sorted by `pos` within each
 /// group: one global stable sort over (iter, pos) with groups read back
@@ -85,21 +85,75 @@ impl ContentGroups {
     }
 }
 
+/// Interns constructor names. They are overwhelmingly one literal
+/// string attached to every row (the same `Arc<str>` clone), so the last
+/// (allocation, id) pair is remembered and a pointer hit skips the
+/// intern hash.
+#[derive(Default)]
+struct NameCache(Option<(*const u8, NameId)>);
+
+impl NameCache {
+    fn intern(&mut self, arena: &mut FragArena, name: &Item) -> NameId {
+        match name {
+            Item::Str(s) => match self.0 {
+                Some((p, id)) if std::ptr::eq(p, s.as_ptr()) => id,
+                _ => {
+                    let id = arena.intern(s);
+                    self.0 = Some((s.as_ptr(), id));
+                    id
+                }
+            },
+            other => arena.intern(&other.to_xq_string()),
+        }
+    }
+}
+
+/// Rows of `t` as `(iter, row)` in ascending order — the order every
+/// constructor emits its nodes in.
+fn rows_by_iter(t: &Table) -> Result<Vec<(i64, usize)>, EvalError> {
+    let iters = t.col(Col::ITER);
+    let mut order = Vec::with_capacity(t.nrows());
+    for r in 0..t.nrows() {
+        order.push((iters.get_int(r)?, r));
+    }
+    if !order.is_sorted() {
+        order.sort_unstable();
+    }
+    Ok(order)
+}
+
+/// A constructor's result: one `(iter, node)` row per constructed root
+/// of fragment `frag`.
+fn roots_table(frag: u32, roots: &[(i64, u32)], vec: bool) -> Table {
+    Table::new(vec![
+        (
+            Col::ITER,
+            Column::Int(roots.iter().map(|&(it, _)| it).collect()),
+        ),
+        (
+            Col::ITEM,
+            Column::from_nodes(
+                roots
+                    .iter()
+                    .map(|&(_, pre)| NodeId::new(frag, pre))
+                    .collect(),
+                vec,
+            ),
+        ),
+    ])
+}
+
 pub(crate) fn eval_element(
     arena: &mut FragArena,
     names: &Table,
     content: &Table,
+    vec: bool,
 ) -> Result<Table, EvalError> {
     let by_iter = ContentGroups::build(content)?;
     // One new fragment holds all elements constructed by this operator
     // invocation, as sibling roots, in iter order.
-    let name_iters = names.col(Col::ITER);
     let name_items = names.col(Col::ITEM);
-    let mut order: Vec<(i64, usize)> = Vec::with_capacity(names.nrows());
-    for r in 0..names.nrows() {
-        order.push((name_iters.get_int(r)?, r));
-    }
-    order.sort_unstable();
+    let order = rows_by_iter(names)?;
     let mut b = TreeBuilder::new();
     // The output size is known up front: one element per name row plus
     // every content node's subtree (atomics over-count slightly — they
@@ -115,24 +169,10 @@ pub(crate) fn eval_element(
             .sum::<usize>();
     b.reserve(est);
     let mut roots: Vec<(i64, u32)> = Vec::with_capacity(order.len());
-    // Constructor names are overwhelmingly one literal string attached
-    // to every row (the same `Arc<str>` clone), so remember the last
-    // (allocation, id) pair and skip the intern hash on a pointer hit.
-    let mut last_name: Option<(*const u8, NameId)> = None;
+    let mut name_ids = NameCache::default();
     let mut cursor = 0;
     for &(it, r) in &order {
-        let name_item = name_items.get(r);
-        let name_id = match &name_item {
-            Item::Str(s) => match last_name {
-                Some((p, id)) if std::ptr::eq(p, s.as_ptr()) => id,
-                _ => {
-                    let id = arena.intern(s);
-                    last_name = Some((s.as_ptr(), id));
-                    id
-                }
-            },
-            other => arena.intern(&other.to_xq_string()),
-        };
+        let name_id = name_ids.intern(arena, &name_items.get(r));
         let root = b.open_element(name_id);
         let items = by_iter.next(&mut cursor, it);
         if !items.is_empty() {
@@ -142,21 +182,7 @@ pub(crate) fn eval_element(
         roots.push((it, root));
     }
     let frag = arena.add(b.finish());
-    Ok(Table::new(vec![
-        (
-            Col::ITER,
-            Column::Int(roots.iter().map(|&(it, _)| it).collect()),
-        ),
-        (
-            Col::ITEM,
-            Column::Item(
-                roots
-                    .iter()
-                    .map(|&(_, pre)| Item::Node(NodeId::new(frag, pre)))
-                    .collect(),
-            ),
-        ),
-    ]))
+    Ok(roots_table(frag, &roots, vec))
 }
 
 /// Realize a constructor content sequence: leading attribute nodes
@@ -219,60 +245,50 @@ pub(crate) fn eval_attr(
     arena: &mut FragArena,
     names: &Table,
     values: &Table,
+    vec: bool,
 ) -> Result<Table, EvalError> {
-    // values: iter|item (one string per iteration).
-    let val_iters = values.col(Col::ITER);
+    // values: iter|item (one string per iteration; should an iteration
+    // carry several, the last row wins). Both inputs are walked in iter
+    // order, so one forward cursor pairs them up — no map, and a string
+    // value is shared with the new attribute, not copied.
     let val_items = values.col(Col::ITEM);
-    let mut val_by_iter: HashMap<i64, String> = HashMap::new();
-    for r in 0..values.nrows() {
-        let it = val_iters.get_int(r)?;
-        let v = val_items.get(r).to_xq_string();
-        val_by_iter.insert(it, v);
-    }
-    let name_iters = names.col(Col::ITER);
+    let vals = rows_by_iter(values)?;
     let name_items = names.col(Col::ITEM);
-    let mut order: Vec<(i64, usize)> = Vec::with_capacity(names.nrows());
-    for r in 0..names.nrows() {
-        order.push((name_iters.get_int(r)?, r));
-    }
-    order.sort_unstable();
+    let order = rows_by_iter(names)?;
     let mut doc = exrquy_xml::Document::new();
-    let mut rows: Vec<(i64, u32)> = Vec::new();
+    doc.reserve(order.len());
+    let mut rows: Vec<(i64, u32)> = Vec::with_capacity(order.len());
+    let mut name_ids = NameCache::default();
+    let mut cursor = 0;
     for &(it, r) in &order {
-        let name_str = name_items.get(r).to_xq_string();
-        let name_id = arena.intern(&name_str);
-        let value = val_by_iter.get(&it).cloned().unwrap_or_default();
-        let pre = doc.push_orphan_attribute(name_id, &value);
-        rows.push((it, pre));
+        let name_id = name_ids.intern(arena, &name_items.get(r));
+        while cursor < vals.len() && vals[cursor].0 < it {
+            cursor += 1;
+        }
+        // The cursor rests on the iteration's first value row, so a
+        // repeated `iter` among the names reads the same value again.
+        let value: Arc<str> = match vals[cursor..].iter().take_while(|v| v.0 == it).last() {
+            Some(&(_, vr)) => match val_items.get(vr) {
+                Item::Str(s) => s,
+                other => other.to_xq_string().into(),
+            },
+            None => "".into(),
+        };
+        rows.push((it, doc.push_orphan_attribute(name_id, value)));
     }
     let frag = arena.add(doc);
-    Ok(Table::new(vec![
-        (
-            Col::ITER,
-            Column::Int(rows.iter().map(|&(it, _)| it).collect()),
-        ),
-        (
-            Col::ITEM,
-            Column::Item(
-                rows.iter()
-                    .map(|&(_, pre)| Item::Node(NodeId::new(frag, pre)))
-                    .collect(),
-            ),
-        ),
-    ]))
+    Ok(roots_table(frag, &rows, vec))
 }
 
-pub(crate) fn eval_textnode(arena: &mut FragArena, content: &Table) -> Result<Table, EvalError> {
-    let c_iters = content.col(Col::ITER);
+pub(crate) fn eval_textnode(
+    arena: &mut FragArena,
+    content: &Table,
+    vec: bool,
+) -> Result<Table, EvalError> {
     let c_items = content.col(Col::ITEM);
-    let mut order: Vec<(i64, usize)> = Vec::with_capacity(content.nrows());
-    for r in 0..content.nrows() {
-        order.push((c_iters.get_int(r)?, r));
-    }
-    order.sort_unstable();
     let mut b = TreeBuilder::new();
     let mut rows: Vec<(i64, u32)> = Vec::new();
-    for &(it, r) in &order {
+    for (it, r) in rows_by_iter(content)? {
         let s = c_items.get(r).to_xq_string();
         // Empty strings construct no text node (the XDM has none).
         if let Some(pre) = b.text(&s) {
@@ -280,18 +296,77 @@ pub(crate) fn eval_textnode(arena: &mut FragArena, content: &Table) -> Result<Ta
         }
     }
     let frag = arena.add(b.finish());
-    Ok(Table::new(vec![
-        (
-            Col::ITER,
-            Column::Int(rows.iter().map(|&(it, _)| it).collect()),
-        ),
-        (
-            Col::ITEM,
-            Column::Item(
-                rows.iter()
-                    .map(|&(_, pre)| Item::Node(NodeId::new(frag, pre)))
-                    .collect(),
-            ),
-        ),
-    ]))
+    Ok(roots_table(frag, &rows, vec))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exrquy_xml::Catalog;
+
+    fn table(iters: &[i64], items: Vec<Item>) -> Table {
+        Table::new(vec![
+            (Col::ITER, Column::Int(iters.to_vec())),
+            (Col::ITEM, Column::Item(items)),
+        ])
+    }
+
+    /// Names and values pair up by `iter` whatever order either arrives
+    /// in: an iteration without a value gets the empty string, one with
+    /// several keeps the last row's, a repeated name iteration reads its
+    /// value again.
+    #[test]
+    fn attr_pairs_names_and_values_by_iter() {
+        let id: Arc<str> = Arc::from("id");
+        let name = |s: &Arc<str>| Item::Str(Arc::clone(s));
+        let names = table(
+            &[5, 2, 9, 2, 7],
+            vec![
+                name(&id),
+                name(&id),
+                Item::str("other"),
+                name(&id),
+                Item::Int(4),
+            ],
+        );
+        let values = table(
+            &[9, 2, 5, 2, 1],
+            vec![
+                Item::str("nine"),
+                Item::str("first"),
+                Item::Dbl(2.5),
+                Item::str("last"),
+                Item::str("unused"),
+            ],
+        );
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        for vec in [true, false] {
+            let out = eval_attr(&mut arena, &names, &values, vec).unwrap();
+            let rendered: Vec<(i64, String)> = (0..out.nrows())
+                .map(|r| {
+                    let Item::Node(n) = out.item(Col::ITEM, r) else {
+                        panic!("attribute constructor yields nodes")
+                    };
+                    let doc = arena.doc_of(n);
+                    let name = arena.resolve_name(doc.name(n.pre)).to_owned();
+                    let value = doc.text(n.pre).unwrap();
+                    (out.int(Col::ITER, r), format!("{name}={value}"))
+                })
+                .collect();
+            let want = [
+                (2, "id=last"),
+                (2, "id=last"),
+                (5, "id=2.5"),
+                (7, "4="),
+                (9, "other=nine"),
+            ];
+            assert_eq!(
+                rendered,
+                want.map(|(it, s)| (it, s.to_owned())),
+                "vec {vec}"
+            );
+            let dense = matches!(&**out.col(Col::ITEM).data(), Column::Node(_));
+            assert_eq!(dense, vec);
+        }
+    }
 }

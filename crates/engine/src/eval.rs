@@ -93,11 +93,15 @@ impl From<ColumnError> for EvalError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StepAlgo {
     /// Staircase join \[Grust et al., VLDB 2003\] — the MonetDB/XQuery
-    /// choice and our default.
+    /// choice and our default. The scalar reference arm runs exactly
+    /// that; the vectorized arm runs the size-driven kernel
+    /// ([`exrquy_xml::axis::step_name_stream_into`]), which takes a
+    /// per-name stream where the node test has one and the staircase
+    /// scan elsewhere.
     #[default]
     Staircase,
     /// Per-name node streams (TwigStack-style tag-name access, paper §1)
-    /// for named tests; staircase elsewhere.
+    /// for named tests, on both arms; staircase elsewhere.
     NameStream,
     /// The quadratic reference implementation (differential testing).
     Naive,
@@ -333,6 +337,7 @@ pub(crate) fn run_slot(
     };
     cx.meter.poll()?;
     poll_failpoints(&cx.opts.failpoints, cx.dag, out, cx.meter.ops_seen())?;
+    let vec = !cx.opts.scalar;
     let started = Instant::now();
     let table = match phys {
         PhysOp::Fused { input, steps, .. } => {
@@ -341,12 +346,14 @@ pub(crate) fn run_slot(
         }
         PhysOp::Op { id, args } => match (cx.dag.op(*id), &mut arena) {
             (Op::Element { .. }, ArenaAccess::Owner(a, _)) => {
-                eval_element(a, &slot(args[0]), &slot(args[1]))?
+                eval_element(a, &slot(args[0]), &slot(args[1]), vec)?
             }
             (Op::Attr { .. }, ArenaAccess::Owner(a, _)) => {
-                eval_attr(a, &slot(args[0]), &slot(args[1]))?
+                eval_attr(a, &slot(args[0]), &slot(args[1]), vec)?
             }
-            (Op::TextNode { .. }, ArenaAccess::Owner(a, _)) => eval_textnode(a, &slot(args[0]))?,
+            (Op::TextNode { .. }, ArenaAccess::Owner(a, _)) => {
+                eval_textnode(a, &slot(args[0]), vec)?
+            }
             // Pure operators only read the arena (a writer that reaches
             // a region worker is a scheduler bug `eval_pure` reports).
             (op, _) => eval_pure(op, &|k| slot(args[k]), arena.read(), cx.opts, cx.meter)?,
@@ -397,7 +404,7 @@ pub(crate) fn eval_pure(
             })?;
             Ok(Table::new(vec![(
                 Col::ITEM,
-                Column::Item(vec![Item::Node(node)]),
+                Column::from_nodes(vec![node], vec),
             )]))
         }
         Op::Project { cols, .. } => {
@@ -446,28 +453,7 @@ pub(crate) fn eval_pure(
         }
         Op::Step { axis, test, .. } => {
             let t = input(0);
-            // The vectorized engine upgrades the default staircase scan
-            // to per-name node streams (TwigStack-style tag access,
-            // paper §1) for named *element* steps: descendant windows
-            // become two binary searches over a columnar pre-rank
-            // stream, and child steps probe the stream adaptively
-            // (falling back to the direct children walk when the name
-            // is frequent below the context node). Attribute steps keep
-            // the direct scan — their candidate windows are already
-            // contiguous. Same sorted, duplicate-free output either
-            // way (the step-algorithm differential holds across all
-            // three implementations); an explicit `step_algo` choice
-            // is honored unchanged.
-            use exrquy_xml::{Axis, NodeTest};
-            let named_elem = matches!(
-                axis,
-                Axis::Descendant | Axis::DescendantOrSelf | Axis::Child
-            ) && matches!(test, NodeTest::Name(_));
-            let algo = match opts.step_algo {
-                StepAlgo::Staircase if vec && named_elem => StepAlgo::NameStream,
-                other => other,
-            };
-            eval_step(arena, &t, *axis, *test, algo, threads)
+            eval_step(arena, &t, *axis, *test, opts.step_algo, threads, vec)
         }
         Op::Cross { .. } => {
             let (lt, rt) = (input(0), input(1));
@@ -525,11 +511,11 @@ pub(crate) fn eval_pure(
                     ));
                 }
                 pos.push(frag as i64 + 1);
-                items.push(Item::Node(NodeId::new(frag, 0)));
+                items.push(NodeId::new(frag, 0));
             }
             Ok(Table::new(vec![
                 (Col::POS, Column::Int(pos)),
-                (Col::ITEM, Column::Item(items)),
+                (Col::ITEM, Column::from_nodes(items, vec)),
             ]))
         }
         Op::ShardUnion { parts } => {
@@ -790,6 +776,36 @@ pub(crate) fn int_view<'a>(c: &'a ColView) -> Option<std::borrow::Cow<'a, [i64]>
             s.iter().map(|&i| v[i as usize]).collect(),
         )),
         _ => None,
+    }
+}
+
+/// Which integers a [`key_view`] holds: keys of different classes never
+/// compare equal (the integer 5 is not the node with key 5), so a join
+/// takes its integer path only over two views of one class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyClass {
+    Int,
+    Node,
+}
+
+/// A view as exact integer sort/join keys: the values of an `Int`
+/// column ([`int_view`]) or a `Node` column's ids packed by
+/// [`node_key`](crate::column::node_key) — which order, hash and compare
+/// equal exactly as the ids do, so the sortedness probe, the counting
+/// sort and the integer join index apply to node columns unchanged.
+/// `None` for the boxed and boolean representations.
+pub(crate) fn key_view<'a>(c: &'a ColView) -> Option<(KeyClass, std::borrow::Cow<'a, [i64]>)> {
+    use crate::column::node_key;
+    match (&**c.data(), c.sel()) {
+        (Column::Node(v), None) => Some((
+            KeyClass::Node,
+            std::borrow::Cow::Owned(v.iter().map(|&n| node_key(n)).collect()),
+        )),
+        (Column::Node(v), Some(s)) => Some((
+            KeyClass::Node,
+            std::borrow::Cow::Owned(s.iter().map(|&i| node_key(v[i as usize])).collect()),
+        )),
+        _ => int_view(c).map(|v| (KeyClass::Int, v)),
     }
 }
 

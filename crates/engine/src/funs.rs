@@ -94,10 +94,11 @@ fn both_int(a: &Item, b: &Item) -> Option<(i64, i64)> {
     }
 }
 
-/// Atomize: nodes become their (untyped) string value, atomics pass.
+/// Atomize: nodes become their (untyped) string value — the document's
+/// own string wherever one text node holds it — atomics pass.
 pub fn atomize_item<R: NodeRead + ?Sized>(nodes: &R, i: &Item) -> Item {
     match i {
-        Item::Node(n) => Item::str(&atomize::node_string_value(nodes, *n)),
+        Item::Node(n) => Item::Str(atomize::shared_string_value(nodes.doc_of(*n), n.pre)),
         other => other.clone(),
     }
 }

@@ -6,7 +6,9 @@
 //! [`PairSink`], whichever kernel finds them:
 //!
 //! * integer keys sorted on both sides (`#`-numbered and `iter` columns)
-//!   merge linearly, with no index;
+//!   merge linearly, with no index — and a node column joined to a node
+//!   column is a pair of integer columns ([`key_view`]) to this kernel
+//!   and the next;
 //! * other integer keys probe an [`IntJoinIndex`]: a dense domain — the
 //!   unsorted rank column `%` produces — is addressed directly by
 //!   `key − lo`, a sparse one hashes key → group;
@@ -16,13 +18,14 @@
 
 use crate::column::Column;
 use crate::dense::{dense_range, Csr};
-use crate::eval::{int_view, row_cap_exceeded, EvalError, POLL_STRIDE};
+use crate::eval::{key_view, row_cap_exceeded, EvalError, POLL_STRIDE};
 use crate::funs;
 use crate::item::{GroupKey, Item};
 use crate::table::{ColView, Table};
 use exrquy_algebra::{Col, FunKind};
 use exrquy_diag::{BudgetMeter, ErrorCode};
 use exrquy_xml::NodeId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Multiply-rotate hasher for the batch join kernels: they hash short
@@ -99,6 +102,16 @@ fn for_each_key<'a>(c: &'a ColView, mut f: impl FnMut(usize, RefKey<'a>)) {
         (Column::Int(v), Some(s)) => {
             for (r, &p) in s.iter().enumerate() {
                 f(r, RefKey::Num((v[p as usize] as f64).to_bits()));
+            }
+        }
+        (Column::Node(v), None) => {
+            for (r, &n) in v.iter().enumerate() {
+                f(r, RefKey::Node(n));
+            }
+        }
+        (Column::Node(v), Some(s)) => {
+            for (r, &p) in s.iter().enumerate() {
+                f(r, RefKey::Node(v[p as usize]));
             }
         }
         (Column::Bool(v), None) => {
@@ -280,6 +293,15 @@ fn group_keys(c: &ColView) -> impl Iterator<Item = GroupKey> + '_ {
     (0..c.len()).map(|r| c.get(r).group_key())
 }
 
+/// Both views as integer keys ([`key_view`]) when they are of one class:
+/// an integer never equals a node, whatever their keys.
+fn int_keys<'a>(l: &'a ColView, r: &'a ColView) -> Option<[Cow<'a, [i64]>; 2]> {
+    match (key_view(l), key_view(r)) {
+        (Some((lk, lv)), Some((rk, rv))) if lk == rk => Some([lv, rv]),
+        _ => None,
+    }
+}
+
 /// Linear merge of two non-decreasing key runs.
 fn merge_join_pairs(lv: &[i64], rv: &[i64], out: &mut PairSink) -> Result<(), EvalError> {
     let (mut i, mut j) = (0usize, 0usize);
@@ -372,21 +394,21 @@ pub(crate) fn eval_equijoin(
     // Every kernel below emits the same pair stream — left rows in
     // order, each with its right matches ascending — so they are
     // output- and error-interchangeable.
-    match (int_view(&lc), int_view(&rc)) {
+    match int_keys(&lc, &rc) {
         // `#`-numbered and `iter` columns arrive sorted on both sides: a
         // linear merge needs no index at all (and the two sortedness
         // scans are cheap next to building one).
-        (Some(lv), Some(rv)) if vec && lv.is_sorted() && rv.is_sorted() => {
+        Some([lv, rv]) if vec && lv.is_sorted() && rv.is_sorted() => {
             merge_join_pairs(&lv, &rv, &mut out)?
         }
         // `%` output is a dense but unsorted rank column.
-        (Some(lv), Some(rv)) if vec => {
+        Some([lv, rv]) if vec => {
             let index = IntJoinIndex::build(&rv);
             for (i, &k) in lv.iter().enumerate() {
                 out.push_matches(i, index.matches(k))?;
             }
         }
-        (Some(lv), Some(rv)) => reference_join(lv.iter().copied(), rv.iter().copied(), &mut out)?,
+        Some([lv, rv]) => reference_join(lv.iter().copied(), rv.iter().copied(), &mut out)?,
         _ if vec => hash_join_pairs(&lc, &rc, &mut out)?,
         _ => reference_join(group_keys(&lc), group_keys(&rc), &mut out)?,
     }
@@ -500,6 +522,19 @@ pub(crate) fn eval_thetajoin(
 }
 
 pub(crate) fn eval_difference(l: &Table, r: &Table, on: &[(Col, Col)], vec: bool) -> Table {
+    // Vectorized: one integer or node key column a side (`\ iter=iter1`,
+    // the empty-sequence complement of every loop-lifted aggregate)
+    // probes an integer set — no key vector per row. Integers compare
+    // exactly here, where the reference body below folds them through
+    // `GroupKey::Num` (f64): the arms can differ only beyond ±2^53, the
+    // caveat `%‖part` over a dense `Int` partition already carries.
+    if let ([(lc, rc)], true) = (on, vec) {
+        if let Some([lv, rv]) = int_keys(&l.col(*lc), &r.col(*rc)) {
+            let keys: std::collections::HashSet<i64, FastState> = rv.iter().copied().collect();
+            let keep = (0..lv.len() as u32).filter(|&i| !keys.contains(&lv[i as usize]));
+            return l.select_rows(keep.collect());
+        }
+    }
     let rcols: Vec<_> = on.iter().map(|&(_, rc)| r.col(rc)).collect();
     let keys: std::collections::HashSet<Vec<GroupKey>> = (0..r.nrows())
         .map(|j| rcols.iter().map(|c| c.get(j).group_key()).collect())
@@ -695,6 +730,61 @@ mod tests {
             let batch = pairs(&l, &r, true, m);
             assert_eq!(batch.as_ref().map_err(|e| e.0), Err(code));
             assert_eq!(batch, pairs(&l, &r, false, m));
+        }
+    }
+
+    /// ⋈ and `\` over dense node columns against the boxed form: the
+    /// same pairs and rows, and a node never matches an integer.
+    #[test]
+    fn node_columns_join_and_subtract_as_their_boxed_form() {
+        use exrquy_xml::NodeId;
+        let mut rng = SmallRng::seed_from_u64(6);
+        let m = meter(None, false);
+        let nodes = |rng: &mut SmallRng, n: usize| -> Vec<NodeId> {
+            (0..n)
+                .map(|_| NodeId::new(rng.gen_range(0u32..3), rng.gen_range(0u32..50)))
+                .collect()
+        };
+        let side = |key: Col, id: Col, nodes: &[NodeId], vec: bool| {
+            Table::new(vec![
+                (key, Column::from_nodes(nodes.to_vec(), vec)),
+                (id, Column::Int((0..nodes.len() as i64).collect())),
+            ])
+        };
+        let ids = |t: &Table, c: Col| t.col(c).to_int_vec().unwrap();
+        // Unsorted (direct-address index) and sorted (merge) key runs.
+        for sorted in [false, true] {
+            let (mut ln, mut rn) = (nodes(&mut rng, 300), nodes(&mut rng, 200));
+            if sorted {
+                ln.sort_unstable();
+                rn.sort_unstable();
+            }
+            let table = |vec: bool| {
+                (
+                    side(Col::ITEM, Col::POS, &ln, vec),
+                    side(Col::ITEM1, Col::POS1, &rn, vec),
+                )
+            };
+            let ((lb, rb), (lp, rp)) = (table(false), table(true));
+            let want = eval_equijoin(&lb, &rb, Col::ITEM, Col::ITEM1, &m, false).unwrap();
+            assert!(want.nrows() > 300);
+            for (l, r) in [(&lp, &rp), (&lp, &rb), (&lb, &rp)] {
+                let got = eval_equijoin(l, r, Col::ITEM, Col::ITEM1, &m, true).unwrap();
+                assert_eq!(ids(&got, Col::POS), ids(&want, Col::POS));
+                assert_eq!(ids(&got, Col::POS1), ids(&want, Col::POS1));
+            }
+            let on = [(Col::ITEM, Col::ITEM1)];
+            let want = ids(&eval_difference(&lb, &rb, &on, false), Col::POS);
+            assert!(!want.is_empty() && want.len() < 300);
+            for (l, r) in [(&lp, &rp), (&lp, &rb), (&lb, &rp)] {
+                assert_eq!(ids(&eval_difference(l, r, &on, true), Col::POS), want);
+            }
+            // Integers whose values are the nodes' packed keys: no match.
+            let keys = key_view(&rp.col(Col::ITEM1)).unwrap().1.into_owned();
+            let ints = Table::new(vec![(Col::ITEM1, Column::Int(keys))]);
+            let joined = eval_equijoin(&lp, &ints, Col::ITEM, Col::ITEM1, &m, true).unwrap();
+            assert_eq!(joined.nrows(), 0);
+            assert_eq!(eval_difference(&lp, &ints, &on, true).nrows(), 300);
         }
     }
 }

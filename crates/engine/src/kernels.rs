@@ -18,7 +18,7 @@ use crate::item::Item;
 use crate::table::ColView;
 use exrquy_algebra::FunKind;
 use exrquy_diag::ErrorCode;
-use exrquy_xml::FragArena;
+use exrquy_xml::{FragArena, NodeId};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -52,6 +52,7 @@ impl Map<'_> {
 pub(crate) enum Operand<'a> {
     Int(&'a [i64], Map<'a>),
     Bits(&'a BitVec, Map<'a>),
+    Nodes(&'a [NodeId], Map<'a>),
     Items(&'a [Item], Map<'a>),
     Const(&'a Item),
 }
@@ -79,6 +80,7 @@ impl<'a> Operand<'a> {
         match c {
             Column::Int(v) => Operand::Int(v, map),
             Column::Bool(v) => Operand::Bits(v, map),
+            Column::Node(v) => Operand::Nodes(v, map),
             Column::Item(v) => Operand::Items(v, map),
         }
     }
@@ -89,6 +91,7 @@ impl<'a> Operand<'a> {
         match self {
             Operand::Int(v, m) => Item::Int(v[m.at(p)]),
             Operand::Bits(v, m) => Item::Bool(v.get(m.at(p))),
+            Operand::Nodes(v, m) => Item::Node(v[m.at(p)]),
             Operand::Items(v, m) => v[m.at(p)].clone(),
             Operand::Const(it) => (*it).clone(),
         }

@@ -3,7 +3,7 @@
 
 use crate::column::Column;
 use crate::dense::{dense_range, Csr};
-use crate::eval::{int_view, kernel_threads, run_morsels, EvalError};
+use crate::eval::{int_view, kernel_threads, key_view, run_morsels, EvalError};
 use crate::item::GroupKey;
 use crate::join::FastHasher;
 use crate::table::{ColView, Table};
@@ -13,10 +13,11 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// One sort criterion over a table's rows. Integer columns are viewed as
-/// a slice once, so neither the comparator nor the counting passes box
-/// an `Item` or chase a selection vector per row — `%` is the operator
-/// whose cost the whole paper is about: what it charges must be the
-/// price of the order, not of the bookkeeping.
+/// a slice once — and node columns as the packed integers that order as
+/// their ids do ([`key_view`]) — so neither the comparator nor the
+/// counting passes box an `Item` or chase a selection vector per row —
+/// `%` is the operator whose cost the whole paper is about: what it
+/// charges must be the price of the order, not of the bookkeeping.
 enum Key<'a> {
     Int(Cow<'a, [i64]>, bool),
     Item(&'a ColView, bool),
@@ -24,8 +25,8 @@ enum Key<'a> {
 
 impl<'a> Key<'a> {
     fn of(view: &'a ColView, desc: bool) -> Key<'a> {
-        match int_view(view) {
-            Some(v) => Key::Int(v, desc),
+        match key_view(view) {
+            Some((_, v)) => Key::Int(v, desc),
             None => Key::Item(view, desc),
         }
     }
@@ -39,6 +40,14 @@ impl<'a> Key<'a> {
             o.reverse()
         } else {
             o
+        }
+    }
+
+    /// The raw values and direction of an integer key.
+    fn ints(&self) -> Option<(&[i64], bool)> {
+        match self {
+            Key::Int(v, desc) => Some((v, *desc)),
+            Key::Item(..) => None,
         }
     }
 
@@ -88,11 +97,12 @@ const COUNTING_MIN_ROWS: usize = 64;
 /// The vectorized arm probes for sortedness first: rows usually arrive
 /// in key order already (the iter→seq reorder over staircase output,
 /// which is produced in document order), and a stable sort of sorted
-/// input is the identity. Otherwise, when every key is a dense `Int`
-/// column — any `%`/`#`/`iter`/`pos` column is — it runs stable LSD
-/// counting passes, least significant key first: O(keys · n), no
-/// comparisons. `Item` keys and sparse integers take the comparison
-/// sort, as does the whole reference arm.
+/// input is the identity. Otherwise, when every key is a dense integer
+/// column — any `%`/`#`/`iter`/`pos` column is, and so are the nodes of
+/// one fragment — it runs stable LSD counting passes, least significant
+/// key first: O(keys · n), no comparisons. `Item` keys and sparse
+/// integers take the comparison sort, as does the whole reference arm
+/// (whose node columns are boxed, hence `Item` keys).
 fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> Vec<u32> {
     let cmp = |a: usize, b: usize| {
         keys.iter()
@@ -101,7 +111,18 @@ fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> Vec<u32> {
             .unwrap_or(Ordering::Equal)
     };
     if vec {
-        if (1..n).all(|r| cmp(r - 1, r) != Ordering::Greater) {
+        // The probe runs on every `%`; over all-integer keys (the rule)
+        // it compares the slices directly, not through `Key` per value.
+        let presorted = match keys.iter().map(Key::ints).collect::<Option<Vec<_>>>() {
+            Some(ints) => (1..n).all(|r| {
+                ints.iter()
+                    .map(|&(v, desc)| (v[r - 1].cmp(&v[r]), desc))
+                    .find(|&(o, _)| o != Ordering::Equal)
+                    .is_none_or(|(o, desc)| (o == Ordering::Less) != desc)
+            }),
+            None => (1..n).all(|r| cmp(r - 1, r) != Ordering::Greater),
+        };
+        if presorted {
             return (0..n as u32).collect();
         }
         if n >= COUNTING_MIN_ROWS {
@@ -252,13 +273,13 @@ pub(crate) fn eval_sort(t: &Table, keys: &[Col], vec: bool) -> Result<Table, Eva
 
 pub(crate) fn eval_distinct(t: &Table, vec: bool) -> Table {
     let mut idx: Vec<u32> = Vec::new();
-    // Vectorized: a single dense integer column (distinct over
+    // Vectorized: a single integer or node column (distinct over
     // loop-lifted `iter` values, typically ascending) run-dedups when
     // sorted and falls back to an integer set otherwise — no per-row
     // key vector either way. First-occurrence order is what the generic
     // scan produces too, so the reference arm stays byte-identical.
     if let ([(_, c)], true) = (t.columns(), vec) {
-        if let Some(v) = int_view(c) {
+        if let Some((_, v)) = key_view(c) {
             if v.is_sorted() {
                 for r in 0..v.len() {
                     if r == 0 || v[r] != v[r - 1] {
@@ -481,6 +502,62 @@ mod tests {
                 .map(|&(_, _, r)| t.int(Col::ITEM, r))
                 .collect();
             assert_eq!(sorted[2], items);
+        }
+    }
+
+    /// `%` and δ over a dense node column against the boxed form the
+    /// reference arm ranks: same numbers, whichever sorter the keys take.
+    #[test]
+    fn node_columns_rank_and_dedup_as_their_boxed_form() {
+        use exrquy_xml::NodeId;
+        let mut rng = SmallRng::seed_from_u64(16);
+        let n = 700;
+        let ascending: Vec<NodeId> = (0..n).map(|p| NodeId::new(2, 3 * p)).collect();
+        let mut shuffled = ascending.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..i + 1));
+        }
+        // Duplicates, and fragments on both sides of the i64 sign bit.
+        let fragments: Vec<NodeId> = (0..n)
+            .map(|_| {
+                let frag = [0, 1, 7, u32::MAX][rng.gen_range(0usize..4)];
+                NodeId::new(frag, rng.gen_range(0u32..40))
+            })
+            .collect();
+        let iters: Vec<i64> = (0..n).map(|_| rng.gen_range(1i64..6)).collect();
+        for (nodes, dense) in [(ascending, true), (shuffled, true), (fragments, false)] {
+            let table = |vec: bool| {
+                Table::new(vec![
+                    (Col::ITER, Column::Int(iters.clone())),
+                    (Col::ITEM, Column::from_nodes(nodes.clone(), vec)),
+                ])
+            };
+            let (boxed, packed) = (table(false), table(true));
+            let behind_sel =
+                |t: &Table| t.select_rows((0..n).rev().filter(|r| r % 4 != 1).collect());
+            for order in [[SortKey::asc(Col::ITEM)], [desc(Col::ITEM)]] {
+                assert_eq!(counts(&packed, &order), dense);
+                assert!(!counts(&boxed, &order));
+                for part in [None, Some(Col::ITER)] {
+                    let want = rownum(&boxed, &order, part, 1, false);
+                    assert_eq!(rownum(&packed, &order, part, 1, true), want);
+                    assert_eq!(rownum(&packed, &order, part, 4, true), want);
+                    let want = rownum(&behind_sel(&boxed), &order, part, 1, false);
+                    assert_eq!(rownum(&behind_sel(&packed), &order, part, 1, true), want);
+                }
+            }
+            let item_only =
+                |t: &Table| Table::from_views(vec![(Col::ITEM, t.col(Col::ITEM))], n as usize);
+            let kept =
+                |t: Table| -> Vec<Item> { (0..t.nrows()).map(|r| t.item(Col::ITEM, r)).collect() };
+            assert_eq!(
+                kept(eval_distinct(&item_only(&packed), true)),
+                kept(eval_distinct(&item_only(&boxed), false))
+            );
+            assert_eq!(
+                kept(eval_distinct(&packed, true)),
+                kept(eval_distinct(&boxed, false))
+            );
         }
     }
 }

@@ -1,120 +1,358 @@
-//! The step kernel: `⬡` over (iter, node) context pairs, one staircase
-//! join (or name-stream probe) per (iter, fragment) group.
+//! The step operator: `⬡` over (iter, node) context pairs, one kernel
+//! call per (iter, fragment) group.
+//!
+//! The context is read as two slices — the `iter` integers and the node
+//! ids, borrowed straight out of an `Int` and a `Node` column when they
+//! arrive dense — and is usually already sorted and duplicate-free (a
+//! step's input is a step's output), which one pass confirms without
+//! copying either. Each group's pre ranks go through one reused buffer
+//! into an append-style kernel of [`exrquy_xml::axis`]; there is no
+//! allocation per group, which is what a loop-lifted step — thousands of
+//! one-node groups — is made of.
+//!
+//! Which kernel: the vectorized arm runs
+//! [`axis::step_name_stream_into`], which decides per call whether a name
+//! stream applies and, for `child::name`, from which side to probe it
+//! (from the context size and the stream slice length, see there) and
+//! scans staircase-style otherwise. The scalar reference arm
+//! runs the plain staircase join [`axis::step_into`] and boxes its
+//! output, so the differential suites check the stream paths, both probe
+//! directions and the node-column layout against it. An explicit
+//! [`StepAlgo::NameStream`] or [`StepAlgo::Naive`] is honoured on both
+//! arms — which makes `Staircase` and `NameStream` the same kernel on the
+//! vectorized arm; the two differ on the scalar arm only.
 
 use crate::column::Column;
 use crate::eval::{int_view, kernel_threads, run_morsels, EvalError, StepAlgo};
 use crate::item::Item;
-use crate::table::Table;
+use crate::table::{ColView, Table};
 use exrquy_algebra::Col;
 use exrquy_diag::ErrorCode;
-use exrquy_xml::{axis, FragArena, NodeId, NodeRead};
+use exrquy_xml::{axis, Axis, FragArena, NodeId, NodeRead, NodeTest};
+use std::borrow::Cow;
+
+/// The node ids of a view, borrowed when it is a dense `Node` column.
+/// The first non-node value in row order is a type error (XPTY0004). The
+/// whole column is checked before `eval_step` looks at `iter`, so a
+/// malformed table with both an atomic item and a non-integer iter
+/// reports XPTY0004 wherever the bad iter sits.
+fn node_view(c: &ColView) -> Result<Cow<'_, [NodeId]>, EvalError> {
+    let node = |it: &Item| match it {
+        Item::Node(n) => Ok(*n),
+        other => Err(EvalError::new(
+            ErrorCode::XPTY0004,
+            format!("path step applied to atomic value {other}"),
+        )),
+    };
+    Ok(match (&**c.data(), c.sel()) {
+        (Column::Node(v), None) => Cow::Borrowed(v.as_slice()),
+        (Column::Node(v), Some(s)) => s.iter().map(|&p| v[p as usize]).collect(),
+        (Column::Item(v), None) => v.iter().map(node).collect::<Result<_, _>>()?,
+        (Column::Item(v), Some(s)) => s
+            .iter()
+            .map(|&p| node(&v[p as usize]))
+            .collect::<Result<_, _>>()?,
+        _ => (0..c.len())
+            .map(|r| node(&c.get(r)))
+            .collect::<Result<_, _>>()?,
+    })
+}
+
+/// One row range per (iter, frag) group of a context that is strictly
+/// ascending by (iter, node) — sorted and duplicate-free, as the kernels
+/// want each group — or `None` when it is not. One pass decides both.
+fn context_groups(iters: &[i64], nodes: &[NodeId]) -> Option<Vec<std::ops::Range<usize>>> {
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for r in 1..nodes.len() {
+        let (prev, next) = ((iters[r - 1], nodes[r - 1]), (iters[r], nodes[r]));
+        if prev >= next {
+            return None;
+        }
+        if (prev.0, prev.1.frag) != (next.0, next.1.frag) {
+            groups.push(start..r);
+            start = r;
+        }
+    }
+    if !nodes.is_empty() {
+        groups.push(start..nodes.len());
+    }
+    Some(groups)
+}
 
 pub(crate) fn eval_step(
     arena: &FragArena,
     t: &Table,
-    ax: exrquy_xml::Axis,
-    test: exrquy_xml::NodeTest,
+    ax: Axis,
+    test: NodeTest,
     algo: StepAlgo,
     threads: usize,
+    vec: bool,
 ) -> Result<Table, EvalError> {
-    let iter_col = t.col(Col::ITER);
-    let item_col = t.col(Col::ITEM);
-    // Collect (iter, node) context pairs. Batch extraction: resolve the
-    // column representations once and scan slices; the fallback per-row
-    // loop handles exotic representations. Row order (and therefore
-    // which non-node item errors first) matches the per-row loop.
-    let mut ctx: Vec<(i64, NodeId)> = Vec::with_capacity(t.nrows());
-    let non_node = |other: &dyn std::fmt::Display| {
-        EvalError::new(
-            ErrorCode::XPTY0004,
-            format!("path step applied to atomic value {other}"),
-        )
+    let (iter_col, item_col) = (t.col(Col::ITER), t.col(Col::ITEM));
+    let mut nodes = node_view(&item_col)?;
+    let mut iters = match int_view(&iter_col) {
+        Some(v) => v,
+        None => Cow::Owned(iter_col.to_int_vec()?),
     };
-    match (int_view(&iter_col), &**item_col.data(), item_col.sel()) {
-        (Some(iv), Column::Item(items), sel) => {
-            let mut push = |r: usize, it: &Item| match it {
-                Item::Node(n) => {
-                    ctx.push((iv[r], *n));
-                    Ok(())
-                }
-                other => Err(non_node(other)),
-            };
-            match sel {
-                None => {
-                    for (r, it) in items.iter().enumerate() {
-                        push(r, it)?;
-                    }
-                }
-                Some(s) => {
-                    for (r, &p) in s.iter().enumerate() {
-                        push(r, &items[p as usize])?;
-                    }
-                }
-            }
+    // The kernels want each group's context sorted and duplicate-free.
+    let groups = match context_groups(&iters, &nodes) {
+        Some(groups) => groups,
+        None => {
+            let mut pairs: Vec<(i64, NodeId)> =
+                iters.iter().copied().zip(nodes.iter().copied()).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let (i, n): (Vec<i64>, Vec<NodeId>) = pairs.into_iter().unzip();
+            (iters, nodes) = (Cow::Owned(i), Cow::Owned(n));
+            context_groups(&iters, &nodes).expect("sorted, duplicate-free context")
         }
-        _ => {
-            for r in 0..t.nrows() {
-                match item_col.get(r) {
-                    Item::Node(n) => ctx.push((iter_col.get_int(r)?, n)),
-                    other => return Err(non_node(&other)),
-                }
-            }
+    };
+    let kernel: axis::StepKernel = match (algo, vec) {
+        (StepAlgo::Naive, _) => {
+            |doc, ctx, ax, test, out| out.extend(axis::naive(doc, ctx, ax, test))
         }
-    }
-    if !ctx.is_sorted() {
-        ctx.sort_unstable();
-    }
-    ctx.dedup();
-    // One group per (iter, frag): the staircase-join unit of work.
-    // Groups are (start, end) ranges into the sorted `ctx` — the pre
-    // ranks are copied into one reusable buffer per morsel rather than
-    // one fresh vector per group (a query loop evaluates thousands of
-    // single-node groups per step).
-    let mut groups: Vec<(i64, u32, usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < ctx.len() {
-        let (it, frag) = (ctx[i].0, ctx[i].1.frag);
-        let start = i;
-        while i < ctx.len() && ctx[i].0 == it && ctx[i].1.frag == frag {
-            i += 1;
-        }
-        groups.push((it, frag, start, i));
-    }
+        (StepAlgo::Staircase, false) => axis::step_into,
+        _ => axis::step_name_stream_into,
+    };
     // Data-parallel over groups; partials concatenate in group order, so
     // the output is the serial (iter, doc-order) sequence either way.
-    let groups = &groups;
-    let ctx = &ctx;
+    let (groups, iters, nodes): (_, &[i64], &[NodeId]) = (&groups, &iters, &nodes);
     let parts = run_morsels(
         groups.len(),
         kernel_threads(t.nrows(), threads),
         move |range| {
             let mut out_iter: Vec<i64> = Vec::new();
-            let mut out_item: Vec<Item> = Vec::new();
-            let mut pres: Vec<u32> = Vec::new();
-            for g in range {
-                let (it, frag, start, end) = groups[g];
-                pres.clear();
-                pres.extend(ctx[start..end].iter().map(|c| c.1.pre));
-                let doc = arena.frag(frag);
-                let result = match algo {
-                    StepAlgo::Staircase => axis::step(doc, &pres, ax, test),
-                    StepAlgo::NameStream => axis::step_name_stream(doc, &pres, ax, test),
-                    StepAlgo::Naive => axis::naive(doc, &pres, ax, test),
-                };
-                out_iter.extend(std::iter::repeat_n(it, result.len()));
-                out_item.extend(result.into_iter().map(|p| Item::Node(NodeId::new(frag, p))));
+            let mut out_node: Vec<NodeId> = Vec::new();
+            let (mut ctx, mut hits): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+            for g in &groups[range] {
+                let (it, frag) = (iters[g.start], nodes[g.start].frag);
+                ctx.clear();
+                ctx.extend(nodes[g.clone()].iter().map(|n| n.pre));
+                hits.clear();
+                kernel(arena.frag(frag), &ctx, ax, test, &mut hits);
+                out_iter.extend(std::iter::repeat_n(it, hits.len()));
+                out_node.extend(hits.iter().map(|&pre| NodeId::new(frag, pre)));
             }
-            Ok((out_iter, out_item))
+            Ok((out_iter, out_node))
         },
     )?;
-    let mut out_iter: Vec<i64> = Vec::new();
-    let mut out_item: Vec<Item> = Vec::new();
-    for (pi, pv) in parts {
+    // The first part (the only one of a serial run) is moved, not copied.
+    let mut parts = parts.into_iter();
+    let (mut out_iter, mut out_node) = parts.next().unwrap_or_default();
+    for (pi, pn) in parts {
         out_iter.extend(pi);
-        out_item.extend(pv);
+        out_node.extend(pn);
     }
     Ok(Table::new(vec![
         (Col::ITER, Column::Int(out_iter)),
-        (Col::ITEM, Column::Item(out_item)),
+        (Col::ITEM, Column::from_nodes(out_node, vec)),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    //! `eval_step` against [`axis::naive`] run per (iter, fragment)
+    //! group: every algorithm on both arms, over unsorted and duplicated
+    //! multi-iteration contexts spanning two fragments, in every input
+    //! representation.
+
+    use super::*;
+    use exrquy_xml::rng::SmallRng;
+    use exrquy_xml::Catalog;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    fn two_fragment_arena() -> FragArena {
+        let mut b = Catalog::builder();
+        let mut one = String::from("<r>");
+        for i in 0..12 {
+            one += &format!(r#"<g k="{i}"><x/>t<g><x id="{i}"/></g></g>"#);
+        }
+        b.load_str("one.xml", &(one + "</r>")).unwrap();
+        b.load_str("two.xml", r#"<r><x k="1"/><g><x/><x/></g>u</r>"#)
+            .unwrap();
+        FragArena::new(Arc::new(b.build()))
+    }
+
+    /// The (iter, node) rows `naive` yields group by group.
+    fn expected(
+        arena: &FragArena,
+        rows: &[(i64, NodeId)],
+        ax: Axis,
+        test: NodeTest,
+    ) -> Vec<(i64, NodeId)> {
+        let mut groups: BTreeMap<(i64, u32), Vec<u32>> = BTreeMap::new();
+        for &(it, n) in rows {
+            groups.entry((it, n.frag)).or_default().push(n.pre);
+        }
+        let mut out = Vec::new();
+        for ((it, frag), mut ctx) in groups {
+            ctx.sort_unstable();
+            ctx.dedup();
+            let hits = axis::naive(arena.frag(frag), &ctx, ax, test);
+            out.extend(hits.into_iter().map(|p| (it, NodeId::new(frag, p))));
+        }
+        out
+    }
+
+    fn rows_of(t: &Table) -> Vec<(i64, NodeId)> {
+        (0..t.nrows())
+            .map(|r| match t.item(Col::ITEM, r) {
+                Item::Node(n) => (t.int(Col::ITER, r), n),
+                other => panic!("non-node step result {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_algorithm_and_arm_matches_naive_per_group() {
+        let arena = two_fragment_arena();
+        let mut rng = SmallRng::seed_from_u64(18);
+        let sizes = [arena.frag(0).len() as u32, arena.frag(1).len() as u32];
+        // Shuffled, duplicated contexts over four iterations; one context
+        // holds every node of both fragments in every iteration.
+        let mut contexts: Vec<Vec<(i64, NodeId)>> = (0..6)
+            .map(|_| {
+                (0..rng.gen_range(1usize..60))
+                    .map(|_| {
+                        let frag = rng.gen_range(0u32..2);
+                        let pre = rng.gen_range(0..sizes[frag as usize]);
+                        (rng.gen_range(1i64..5), NodeId::new(frag, pre))
+                    })
+                    .collect()
+            })
+            .collect();
+        contexts.push(
+            (1..4)
+                .rev()
+                .flat_map(|it| {
+                    (0..2).flat_map(move |f| {
+                        (0..sizes[f as usize]).map(move |p| (it, NodeId::new(f, p)))
+                    })
+                })
+                .collect(),
+        );
+        let pool = arena.catalog().pool();
+        let tests = [
+            NodeTest::AnyKind,
+            NodeTest::Wildcard,
+            NodeTest::Text,
+            NodeTest::Name(pool.lookup("x").unwrap()),
+            NodeTest::Name(pool.lookup("g").unwrap()),
+            NodeTest::Name(pool.lookup("k").unwrap()),
+            NodeTest::Name(pool.lookup("id").unwrap()),
+        ];
+        for rows in &contexts {
+            let iters = Column::Int(rows.iter().map(|r| r.0).collect());
+            let nodes: Vec<NodeId> = rows.iter().map(|r| r.1).collect();
+            let table =
+                |item: Column| Table::new(vec![(Col::ITER, iters.clone()), (Col::ITEM, item)]);
+            // Behind a selection vector that restores the row order of a
+            // physically reversed table.
+            let reversed = Table::new(vec![
+                (
+                    Col::ITER,
+                    Column::Int(rows.iter().rev().map(|r| r.0).collect()),
+                ),
+                (
+                    Col::ITEM,
+                    Column::Node(nodes.iter().rev().copied().collect()),
+                ),
+            ])
+            .select_rows((0..rows.len() as u32).rev().collect());
+            let inputs = [
+                table(Column::from_nodes(nodes.clone(), false)),
+                table(Column::Node(nodes.clone())),
+                reversed,
+            ];
+            for ax in Axis::ALL {
+                for &test in &tests {
+                    let want = expected(&arena, rows, ax, test);
+                    assert!(want.windows(2).all(|w| w[0] < w[1]));
+                    for algo in [StepAlgo::Staircase, StepAlgo::NameStream, StepAlgo::Naive] {
+                        for (input, vec, threads) in [
+                            (0, false, 1),
+                            (0, true, 1),
+                            (1, true, 1),
+                            (2, true, 1),
+                            (1, true, 3),
+                        ] {
+                            let got =
+                                eval_step(&arena, &inputs[input], ax, test, algo, threads, vec)
+                                    .unwrap();
+                            assert_eq!(
+                                rows_of(&got),
+                                want,
+                                "{ax}::{test:?} {algo:?} vec {vec} input {input}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference arm keeps nodes boxed; the vectorized arm emits the
+    /// dense node column — whatever representation came in.
+    #[test]
+    fn output_representation_follows_the_arm() {
+        let arena = two_fragment_arena();
+        let root = NodeId::new(0, 0);
+        for boxed_input in [true, false] {
+            let t = Table::new(vec![
+                (Col::ITER, Column::Int(vec![1])),
+                (Col::ITEM, Column::from_nodes(vec![root], !boxed_input)),
+            ]);
+            for (vec, algo) in [(false, StepAlgo::Staircase), (false, StepAlgo::NameStream)] {
+                let out = eval_step(
+                    &arena,
+                    &t,
+                    Axis::Descendant,
+                    NodeTest::AnyKind,
+                    algo,
+                    1,
+                    vec,
+                )
+                .unwrap();
+                assert!(matches!(&**out.col(Col::ITEM).data(), Column::Item(v) if v.len() > 1));
+            }
+            let out = eval_step(
+                &arena,
+                &t,
+                Axis::Descendant,
+                NodeTest::AnyKind,
+                StepAlgo::Staircase,
+                1,
+                true,
+            )
+            .unwrap();
+            assert!(matches!(&**out.col(Col::ITEM).data(), Column::Node(v) if v.len() > 1));
+        }
+    }
+
+    #[test]
+    fn atomic_context_item_is_a_type_error() {
+        let arena = two_fragment_arena();
+        let t = Table::new(vec![
+            (Col::ITER, Column::Int(vec![1, 1])),
+            (
+                Col::ITEM,
+                Column::Item(vec![Item::Node(NodeId::new(0, 1)), Item::Int(3)]),
+            ),
+        ]);
+        for vec in [false, true] {
+            let err = eval_step(
+                &arena,
+                &t,
+                Axis::Child,
+                NodeTest::AnyKind,
+                StepAlgo::Staircase,
+                1,
+                vec,
+            )
+            .unwrap_err();
+            assert_eq!(err.code, ErrorCode::XPTY0004);
+        }
+    }
 }

@@ -138,10 +138,7 @@ impl ColView {
     pub fn to_column(&self) -> Column {
         match &self.sel {
             None => (*self.data).clone(),
-            Some(s) => {
-                let idx: Vec<usize> = s.iter().map(|&p| p as usize).collect();
-                self.data.gather(&idx)
-            }
+            Some(s) => self.data.gather_by(s.iter().map(|&p| p as usize)),
         }
     }
 
@@ -158,10 +155,7 @@ impl ColView {
     pub fn gather(&self, idx: &[usize]) -> Column {
         match &self.sel {
             None => self.data.gather(idx),
-            Some(s) => {
-                let phys: Vec<usize> = idx.iter().map(|&i| s[i] as usize).collect();
-                self.data.gather(&phys)
-            }
+            Some(s) => self.data.gather_by(idx.iter().map(|&i| s[i] as usize)),
         }
     }
 

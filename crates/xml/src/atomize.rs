@@ -8,7 +8,8 @@
 //! the other kinds their own content.
 
 use crate::catalog::{NodeId, NodeRead};
-use crate::tree::{Document, NodeKind};
+use crate::tree::{Document, NodeKind, NO_TEXT};
+use std::sync::Arc;
 
 /// String value of node `pre` in `doc`.
 pub fn string_value(doc: &Document, pre: u32) -> String {
@@ -31,6 +32,30 @@ pub fn string_value(doc: &Document, pre: u32) -> String {
 /// overlay).
 pub fn node_string_value<R: NodeRead + ?Sized>(nodes: &R, node: NodeId) -> String {
     string_value(nodes.doc_of(node), node.pre)
+}
+
+/// [`string_value`] as a shared string. A text, attribute, comment or PI
+/// node — and an element or document whose subtree holds exactly one text
+/// node, the shape of nearly every atomized XMark field — hands out the
+/// document's own `Arc<str>` (a refcount bump); only a value that has to
+/// be concatenated from several text nodes is built afresh.
+pub fn shared_string_value(doc: &Document, pre: u32) -> Arc<str> {
+    let stored = |p: u32| match doc.texts[p as usize] {
+        NO_TEXT => Arc::from(""),
+        t => Arc::clone(&doc.text_data[t as usize]),
+    };
+    match doc.kind(pre) {
+        NodeKind::Element | NodeKind::Document => {
+            let mut texts =
+                (pre + 1..=pre + doc.size(pre)).filter(|&p| doc.kind(p) == NodeKind::Text);
+            match (texts.next(), texts.next()) {
+                (None, _) => Arc::from(""),
+                (Some(only), None) => stored(only),
+                (Some(_), Some(_)) => string_value(doc, pre).into(),
+            }
+        }
+        _ => stored(pre),
+    }
 }
 
 /// Parse an XQuery-style numeric literal from a string value (leading and
@@ -85,6 +110,28 @@ mod tests {
         assert_eq!(string_value(&doc, 2), "v"); // attribute
         assert_eq!(string_value(&doc, 3), "t"); // text
         assert_eq!(string_value(&doc, 4), "c"); // comment
+    }
+
+    #[test]
+    fn shared_values_equal_built_ones_and_share_single_texts() {
+        let mut pool = NamePool::new();
+        let doc = parse_document(
+            r#"<a k="v">x<b y="skip">y</b><c/><!--c--><d><e>deep</e></d>z</a>"#,
+            &mut pool,
+        )
+        .unwrap();
+        for pre in 0..doc.len() as u32 {
+            assert_eq!(&*shared_string_value(&doc, pre), string_value(&doc, pre));
+        }
+        // <d><e>deep</e></d>: `d`, `e` and the text node itself all hand
+        // out the one stored string.
+        let text = (0..doc.len() as u32)
+            .find(|&p| doc.kind(p) == NodeKind::Text && doc.text(p) == Some("deep"))
+            .unwrap();
+        let stored = &doc.text_data[doc.texts[text as usize] as usize];
+        for pre in [text - 2, text - 1, text] {
+            assert!(Arc::ptr_eq(&shared_string_value(&doc, pre), stored));
+        }
     }
 
     #[test]

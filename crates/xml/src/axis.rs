@@ -11,7 +11,27 @@
 //! document region is scanned at most once. [`naive`] is an obviously
 //! correct quadratic reference used for differential (and property) testing.
 //!
-//! Both implementations work on a single [`Document`]; the engine layer
+//! [`step_name_stream`] adds the other family the paper names (§1): per-name
+//! element streams, TwigStack-style. It is the kernel the vectorized
+//! engine runs by default and the one place a step's access path is
+//! decided, from what the call itself holds: the axis and node test say
+//! whether a stream applies at all; for `child::name` the context size and
+//! the length of the stream slice the context spans say which side probes
+//! the other (`probe_from_stream`) — a loop-lifted step is one context
+//! node against a long stream, an unmerged
+//! `descendant-or-self::node()/child::x` pair is every node of the
+//! document against a short one, and each wants the opposite direction.
+//! There is no option to set: the rule compares two counts of
+//! comparisons and has no constant in it. `attribute::name` reads each
+//! context node's attribute run in place ([`step_into`]), whatever the
+//! sizes.
+//!
+//! The kernels are append-style ([`step_into`], [`step_name_stream_into`];
+//! [`step`] and [`step_name_stream`] wrap them): the engine calls one per
+//! (iteration, fragment) group, thousands of times per step, into a
+//! buffer it reuses.
+//!
+//! All implementations work on a single [`Document`]; the engine layer
 //! partitions multi-fragment contexts by fragment.
 
 use crate::name::NameId;
@@ -35,6 +55,22 @@ pub enum Axis {
 }
 
 impl Axis {
+    /// Every axis.
+    pub const ALL: [Axis; 12] = [
+        Axis::Child,
+        Axis::Descendant,
+        Axis::DescendantOrSelf,
+        Axis::SelfAxis,
+        Axis::Attribute,
+        Axis::Parent,
+        Axis::Ancestor,
+        Axis::AncestorOrSelf,
+        Axis::FollowingSibling,
+        Axis::PrecedingSibling,
+        Axis::Following,
+        Axis::Preceding,
+    ];
+
     /// Whether the principal node kind of this axis is `attribute`.
     pub fn principal_is_attribute(self) -> bool {
         matches!(self, Axis::Attribute)
@@ -136,71 +172,73 @@ impl NodeTest {
 /// Evaluate one location step with staircase-join-style pruning.
 ///
 /// `ctx` must be sorted ascending and duplicate-free; the result is sorted
-/// ascending and duplicate-free.
+/// ascending and duplicate-free. Thin wrapper over [`step_into`].
 pub fn step(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest) -> Vec<u32> {
+    let mut out = Vec::new();
+    step_into(doc, ctx, axis, test, &mut out);
+    out
+}
+
+/// An append-style step kernel: [`step_into`] or
+/// [`step_name_stream_into`].
+pub type StepKernel = fn(&Document, &[u32], Axis, NodeTest, &mut Vec<u32>);
+
+/// [`step`], appending to `out`: the engine evaluates thousands of
+/// one-node context groups per loop-lifted step, and an append-style
+/// kernel lets it reuse one buffer instead of allocating a `Vec` per
+/// group. Only the appended tail is touched (and is sorted ascending,
+/// duplicate-free); whatever `out` held before stays as it was.
+pub fn step_into(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest, out: &mut Vec<u32>) {
     debug_assert!(
         ctx.windows(2).all(|w| w[0] < w[1]),
         "context must be sorted, dup-free"
     );
     let attr = axis.principal_is_attribute();
-    let out = match axis {
-        Axis::Descendant => staircase_descendant(doc, ctx, false, test),
-        Axis::DescendantOrSelf => staircase_descendant(doc, ctx, true, test),
+    let start = out.len();
+    match axis {
+        Axis::Descendant => staircase_descendant(doc, ctx, false, test, out),
+        Axis::DescendantOrSelf => staircase_descendant(doc, ctx, true, test, out),
         Axis::Child => {
-            let mut v = Vec::new();
             for &c in ctx {
                 if doc.kind(c).can_have_children() {
-                    v.extend(doc.children(c).filter(|&p| test.matches(doc, p, attr)));
+                    out.extend(doc.children(c).filter(|&p| test.matches(doc, p, attr)));
                 }
             }
-            v.sort_unstable();
-            v
+            sort_tail_if_nested(out, start);
         }
         Axis::Attribute => {
-            let mut v = Vec::new();
             for &c in ctx {
                 if doc.kind(c) == NodeKind::Element {
-                    v.extend(doc.attributes(c).filter(|&p| test.matches(doc, p, attr)));
+                    out.extend(doc.attributes(c).filter(|&p| test.matches(doc, p, attr)));
                 }
             }
-            v.sort_unstable();
-            v
+            sort_tail_if_nested(out, start);
         }
-        Axis::SelfAxis => ctx
-            .iter()
-            .copied()
-            .filter(|&p| test.matches(doc, p, attr))
-            .collect(),
+        Axis::SelfAxis => out.extend(ctx.iter().copied().filter(|&p| test.matches(doc, p, attr))),
         Axis::Parent => {
-            let mut v: Vec<u32> = ctx
-                .iter()
-                .filter_map(|&c| doc.parent(c))
-                .filter(|&p| test.matches(doc, p, attr))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
+            out.extend(
+                ctx.iter()
+                    .filter_map(|&c| doc.parent(c))
+                    .filter(|&p| test.matches(doc, p, attr)),
+            );
+            sort_dedup_tail(out, start);
         }
         Axis::Ancestor | Axis::AncestorOrSelf => {
-            let mut v = Vec::new();
             for &c in ctx {
                 if axis == Axis::AncestorOrSelf && test.matches(doc, c, attr) {
-                    v.push(c);
+                    out.push(c);
                 }
                 let mut cur = c;
                 while let Some(p) = doc.parent(cur) {
                     if test.matches(doc, p, attr) {
-                        v.push(p);
+                        out.push(p);
                     }
                     cur = p;
                 }
             }
-            v.sort_unstable();
-            v.dedup();
-            v
+            sort_dedup_tail(out, start);
         }
         Axis::FollowingSibling | Axis::PrecedingSibling => {
-            let mut v = Vec::new();
             for &c in ctx {
                 if doc.kind(c) == NodeKind::Attribute {
                     continue; // attributes have no siblings
@@ -213,176 +251,263 @@ pub fn step(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest) -> Vec<u32>
                         s < c
                     };
                     if keep && test.matches(doc, s, attr) {
-                        v.push(s);
+                        out.push(s);
                     }
                 }
             }
-            v.sort_unstable();
-            v.dedup();
-            v
+            sort_dedup_tail(out, start);
         }
         Axis::Following => {
             // following(v) = { p : p > v + size(v) } minus attributes; for a
             // context set the union is governed by the smallest window end.
-            let Some(bound) = ctx.iter().map(|&v| v + doc.size(v)).min() else {
-                return Vec::new();
-            };
-            (bound + 1..doc.len() as u32)
-                .filter(|&p| doc.kind(p) != NodeKind::Attribute && test.matches(doc, p, attr))
-                .collect()
+            if let Some(bound) = ctx.iter().map(|&v| v + doc.size(v)).min() {
+                out.extend(
+                    (bound + 1..doc.len() as u32).filter(|&p| {
+                        doc.kind(p) != NodeKind::Attribute && test.matches(doc, p, attr)
+                    }),
+                );
+            }
         }
         Axis::Preceding => {
             // preceding(v) = { p : p + size(p) < v } minus attributes; for a
             // context set the union is governed by the largest context node.
-            let Some(&maxv) = ctx.last() else {
-                return Vec::new();
-            };
-            (0..maxv)
-                .filter(|&p| {
+            if let Some(&maxv) = ctx.last() {
+                out.extend((0..maxv).filter(|&p| {
                     p + doc.size(p) < maxv
                         && doc.kind(p) != NodeKind::Attribute
                         && test.matches(doc, p, attr)
-                })
-                .collect()
+                }));
+            }
         }
-    };
-    debug_assert!(out.windows(2).all(|w| w[0] < w[1]));
-    out
+    }
+    debug_assert!(out[start..].windows(2).all(|w| w[0] < w[1]));
+}
+
+/// Restore ascending order on `out[start..]` after a context-driven
+/// child/attribute scan. Every node has one parent and the context is
+/// duplicate-free, so the tail never holds a node twice; and it is out of
+/// order only when context windows nest (a later context node sits inside
+/// an earlier one's subtree) — disjoint windows emit in document order as
+/// they come, and the common case pays one comparison pass, no sort.
+fn sort_tail_if_nested(out: &mut [u32], start: usize) {
+    let tail = &mut out[start..];
+    if !tail.is_sorted() {
+        tail.sort_unstable();
+    }
+}
+
+/// Sort `out[start..]` and drop its duplicates (the reverse and sibling
+/// axes reach one node from many context nodes).
+fn sort_dedup_tail(out: &mut Vec<u32>, start: usize) {
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..out.len() {
+        if kept == start || out[kept - 1] != out[i] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
 }
 
 /// Staircase join for the descendant(-or-self) axis: a single pass over the
 /// union of the context windows, skipping pruned (nested) windows.
-fn staircase_descendant(doc: &Document, ctx: &[u32], or_self: bool, test: NodeTest) -> Vec<u32> {
-    let mut out = Vec::new();
+fn staircase_descendant(
+    doc: &Document,
+    ctx: &[u32],
+    or_self: bool,
+    test: NodeTest,
+    out: &mut Vec<u32>,
+) {
+    let start = out.len();
     // Attribute context nodes have empty windows but contribute themselves
-    // under `-or-self`; collected separately and merged at the end because
-    // they may lie inside (and be skipped by) an earlier element's window.
-    let mut attr_selves = Vec::new();
+    // under `-or-self`; they may lie inside (and be skipped by) an earlier
+    // element's window, so the tail is re-sorted when any turned up.
+    let mut attr_selves = false;
+    // The window scan reads the kind column as a slice: the one kind a
+    // node must have to pass the test (`None`: any), then the name that
+    // is left to compare, if any.
+    let (kind, name) = match test {
+        NodeTest::AnyKind => (None, None),
+        NodeTest::Wildcard | NodeTest::Element => (Some(NodeKind::Element), None),
+        NodeTest::Name(n) => (Some(NodeKind::Element), Some(n)),
+        NodeTest::Text => (Some(NodeKind::Text), None),
+        NodeTest::Comment => (Some(NodeKind::Comment), None),
+        NodeTest::Pi(target) => (Some(NodeKind::ProcessingInstruction), target),
+        NodeTest::DocumentNode => (Some(NodeKind::Document), None),
+    };
     // `scanned_to` is exclusive: everything < scanned_to has been scanned.
     let mut scanned_to: u32 = 0;
     for &v in ctx {
         if doc.kind(v) == NodeKind::Attribute {
             if or_self && test.matches(doc, v, false) {
-                attr_selves.push(v);
+                out.push(v);
+                attr_selves = true;
             }
             continue;
         }
         let lo = if or_self { v } else { v + 1 };
         let hi = v + doc.size(v) + 1; // exclusive
         let lo = lo.max(scanned_to);
-        for p in lo..hi {
-            // Attributes are not descendants, although they live inside the
-            // pre/size window.
-            if doc.kind(p) != NodeKind::Attribute && test.matches(doc, p, false) {
-                out.push(p);
+        if lo < hi {
+            let kinds = doc.kinds[lo as usize..hi as usize].iter().zip(lo..);
+            match kind {
+                // `node()`: the whole window bar its attributes (which live
+                // inside the pre/size window but are not descendants), so
+                // the output size is known up front.
+                None => {
+                    out.reserve((hi - lo) as usize);
+                    let rest = kinds.filter(|(k, _)| **k != NodeKind::Attribute);
+                    out.extend(rest.map(|(_, p)| p));
+                }
+                Some(want) => {
+                    let hits = kinds.filter(|(k, _)| **k == want).map(|(_, p)| p);
+                    match name {
+                        None => out.extend(hits),
+                        Some(n) => out.extend(hits.filter(|&p| doc.name(p) == n)),
+                    }
+                }
             }
         }
         scanned_to = scanned_to.max(hi);
     }
-    if attr_selves.is_empty() {
-        return out;
+    if attr_selves {
+        out[start..].sort_unstable();
     }
-    // Merge the two sorted, disjoint streams.
-    let mut merged = Vec::with_capacity(out.len() + attr_selves.len());
-    let (mut i, mut j) = (0, 0);
-    while i < out.len() && j < attr_selves.len() {
-        if out[i] < attr_selves[j] {
-            merged.push(out[i]);
-            i += 1;
-        } else {
-            merged.push(attr_selves[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&out[i..]);
-    merged.extend_from_slice(&attr_selves[j..]);
-    merged
 }
 
 /// Evaluate one location step using per-name node streams (TwigStack-style
 /// "element streams", paper §1) where applicable — named element tests on
-/// the child/descendant(-or-self) axes and named attribute tests — and
-/// fall back to [`step`] otherwise.
-///
-/// For selective names this skips the window scans entirely: each context
-/// window binary-searches the (ascending) stream of the requested name.
+/// the child/descendant(-or-self) axes — and fall back to [`step`]
+/// otherwise. Thin wrapper over [`step_name_stream_into`].
 pub fn step_name_stream(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest) -> Vec<u32> {
+    let mut out = Vec::new();
+    step_name_stream_into(doc, ctx, axis, test, &mut out);
+    out
+}
+
+/// [`step_name_stream`], appending to `out` (see [`step_into`]).
+///
+/// This is the one place a step's access path is decided. Whether a name
+/// stream applies at all is read off the axis and node test; for
+/// `descendant(-or-self)::name` each unpruned context window is two
+/// binary searches into the stream; for `child::name` the kernel also
+/// picks the **probe direction** — context-driven or stream-driven — from
+/// the two sizes it holds at run time, the context's and the stream
+/// slice's (see `child_probe`).
+/// Same sorted, duplicate-free output whichever path runs.
+pub fn step_name_stream_into(
+    doc: &Document,
+    ctx: &[u32],
+    axis: Axis,
+    test: NodeTest,
+    out: &mut Vec<u32>,
+) {
     debug_assert!(ctx.windows(2).all(|w| w[0] < w[1]));
     match (axis, test) {
         (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(n)) => {
             let Some(stream) = doc.name_streams().elements.get(&n) else {
-                return Vec::new();
+                return;
             };
             let or_self = axis == Axis::DescendantOrSelf;
-            let mut out = Vec::new();
             let mut scanned_to: u32 = 0;
             for &v in ctx {
                 let lo = if or_self { v } else { v + 1 }.max(scanned_to);
                 let hi = v + doc.size(v) + 1; // exclusive
                 if lo < hi {
                     let from = stream.partition_point(|&p| p < lo);
-                    let to = stream.partition_point(|&p| p < hi);
+                    let to = from + stream[from..].partition_point(|&p| p < hi);
                     out.extend_from_slice(&stream[from..to]);
                 }
                 scanned_to = scanned_to.max(hi);
             }
-            out
         }
         (Axis::Child, NodeTest::Name(n)) => {
-            let Some(stream) = doc.name_streams().elements.get(&n) else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            for &v in ctx {
-                if !doc.kind(v).can_have_children() {
-                    continue;
-                }
-                let (lo, hi) = (v + 1, v + doc.size(v) + 1);
-                let from = stream.partition_point(|&p| p < lo);
-                let to = from + stream[from..].partition_point(|&p| p < hi);
-                // Adaptive: a small same-name window filters by parent
-                // (skipping the subtree scan entirely); a large one —
-                // the name is frequent below `v`, e.g. recursive
-                // markup — walks the real children instead, bounding
-                // the cost by the fanout rather than the subtree's
-                // name frequency.
-                if to - from <= 16 {
-                    out.extend(
-                        stream[from..to]
-                            .iter()
-                            .copied()
-                            .filter(|&p| doc.parent(p) == Some(v)),
-                    );
-                } else {
-                    out.extend(doc.children(v).filter(|&p| test.matches(doc, p, false)));
-                }
+            if let Some(stream) = doc.name_streams().elements.get(&n) {
+                child_probe(doc, ctx, spanned(doc, ctx, stream), test, out);
             }
-            out.sort_unstable();
-            out.dedup();
-            out
         }
-        (Axis::Attribute, NodeTest::Name(n)) => {
-            let Some(stream) = doc.name_streams().attributes.get(&n) else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            for &v in ctx {
-                let (lo, hi) = (v + 1, v + doc.size(v) + 1);
-                let from = stream.partition_point(|&p| p < lo);
-                let to = stream.partition_point(|&p| p < hi);
-                out.extend(
-                    stream[from..to]
-                        .iter()
-                        .copied()
-                        .filter(|&p| doc.parent(p) == Some(v)),
-                );
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        }
-        _ => step(doc, ctx, axis, test),
+        _ => step_into(doc, ctx, axis, test, out),
     }
+}
+
+/// The part of `stream` (ascending pre ranks) any context window can
+/// reach: ranks above the first context node and inside the furthest
+/// window end.
+fn spanned<'s>(doc: &Document, ctx: &[u32], stream: &'s [u32]) -> &'s [u32] {
+    let Some(&first) = ctx.first() else {
+        return &[];
+    };
+    // Windows nest, so the furthest end need not be the last node's.
+    let end = ctx.iter().map(|&v| v + doc.size(v)).max().unwrap_or(first);
+    let from = stream.partition_point(|&p| p <= first);
+    let len = stream[from..].partition_point(|&p| p <= end);
+    &stream[from..from + len]
+}
+
+/// Bit length of `n`: `⌈log₂(n + 1)⌉`, the comparisons one binary search
+/// over `n` sorted entries makes.
+fn search_steps(n: usize) -> usize {
+    (usize::BITS - n.leading_zeros()) as usize
+}
+
+/// The **stream-driven** probe: the entries of `span` whose parent is a
+/// context node. `span` holds only nodes that pass the node test, is
+/// ascending, and a node has one parent, so what is kept is the sorted,
+/// duplicate-free step result as it comes. Costs one binary search of
+/// the context per stream entry.
+fn keep_with_parent_in(doc: &Document, ctx: &[u32], span: &[u32], out: &mut Vec<u32>) {
+    out.extend(
+        span.iter()
+            .copied()
+            .filter(|&p| doc.parent(p).is_some_and(|v| ctx.binary_search(&v).is_ok())),
+    );
+}
+
+/// Is the stream-driven probe of `span` entries (`span · ⌈log₂ ctx⌉`
+/// comparisons) cheaper than probing the stream with both window bounds
+/// of each of `ctx` context nodes (`ctx · 2⌈log₂ span⌉`)? A function of
+/// the two sizes alone: there is nothing to tune, and no document or
+/// workload it could be tuned to.
+fn probe_from_stream(ctx: usize, span: usize) -> bool {
+    span * search_steps(ctx) < ctx * 2 * search_steps(span)
+}
+
+/// `child::name` over the spanned slice of the name's element stream,
+/// probed from whichever side is smaller ([`probe_from_stream`]):
+///
+/// * stream-driven ([`keep_with_parent_in`]) — the side an unmerged
+///   `descendant-or-self::node()/child::x` pair needs: every node of the
+///   document is context, a few thousand `x` are stream;
+/// * context-driven — one stream window per context node. A small
+///   window filters by parent; a large one (the name is frequent below
+///   `v`, e.g. recursive markup) walks `v`'s own children instead,
+///   bounding the cost by the fanout rather than the subtree's name
+///   frequency.
+fn child_probe(doc: &Document, ctx: &[u32], span: &[u32], test: NodeTest, out: &mut Vec<u32>) {
+    if span.is_empty() {
+        return;
+    }
+    if probe_from_stream(ctx.len(), span.len()) {
+        return keep_with_parent_in(doc, ctx, span, out);
+    }
+    let start = out.len();
+    for &v in ctx {
+        let (lo, hi) = (v + 1, v + doc.size(v) + 1);
+        let from = span.partition_point(|&p| p < lo);
+        let to = from + span[from..].partition_point(|&p| p < hi);
+        if to - from <= 16 {
+            out.extend(
+                span[from..to]
+                    .iter()
+                    .copied()
+                    .filter(|&p| doc.parent(p) == Some(v)),
+            );
+        } else {
+            out.extend(doc.children(v).filter(|&p| test.matches(doc, p, false)));
+        }
+    }
+    sort_tail_if_nested(out, start);
 }
 
 /// Naive quadratic reference implementation of [`step`]; used for
@@ -524,52 +649,79 @@ mod tests {
         assert!(!step(&d, &[3], Axis::Preceding, NodeTest::AnyKind).contains(&1));
     }
 
+    /// Every kernel entry point against [`naive`], each also appending
+    /// behind a sentinel that must survive.
+    fn assert_kernels_match_naive(d: &Document, ctx: &[u32], ax: Axis, t: NodeTest) {
+        let want = naive(d, ctx, ax, t);
+        assert!(want.windows(2).all(|w| w[0] < w[1]));
+        let label = format!("axis {ax:?} test {t:?} ctx {ctx:?}");
+        assert_eq!(step(d, ctx, ax, t), want, "staircase, {label}");
+        assert_eq!(step_name_stream(d, ctx, ax, t), want, "streams, {label}");
+        let kernels: [StepKernel; 2] = [step_into, step_name_stream_into];
+        for kernel in kernels {
+            let mut out = vec![u32::MAX, 7];
+            kernel(d, ctx, ax, t, &mut out);
+            assert_eq!(out[..2], [u32::MAX, 7], "{label}");
+            assert_eq!(out[2..], want, "{label}");
+        }
+    }
+
     #[test]
-    fn matches_naive_on_all_axes() {
-        let (d, mut pool) = doc(
-            r#"<site><regions><africa><item id="1"><name>x</name></item></africa>
-               <asia><item id="2"/></asia></regions><people/></site>"#,
-        );
-        let item = pool.intern("item");
-        let ctxs: Vec<Vec<u32>> = vec![
-            vec![0],
-            vec![1],
-            vec![1, 2, 3],
-            (0..d.len() as u32).collect(),
-        ];
-        let axes = [
-            Axis::Child,
-            Axis::Descendant,
-            Axis::DescendantOrSelf,
-            Axis::SelfAxis,
-            Axis::Attribute,
-            Axis::Parent,
-            Axis::Ancestor,
-            Axis::AncestorOrSelf,
-            Axis::FollowingSibling,
-            Axis::PrecedingSibling,
-            Axis::Following,
-            Axis::Preceding,
-        ];
+    fn kernels_match_naive_across_context_shapes_and_probe_directions() {
+        // Thirty groups with a frequent name (`x`), recursive markup (`g`
+        // in `g`), text, attributes on most elements — and a rare name
+        // `z` with a rare attribute `id`, so streams of both lengths meet
+        // contexts of both sizes.
+        let mut xml = String::from("<r>");
+        for i in 0..30 {
+            xml += &format!(r#"<g k="{i}"><x/><y k="{i}"/>t<g><x k="{i}"/><x/></g></g>"#);
+            if i % 10 == 0 {
+                xml += &format!(r#"<z id="{i}"><x/></z>"#);
+            }
+        }
+        xml += "</r>";
+        let (d, mut pool) = doc(&xml);
+        let names = ["x", "g", "z", "k", "id", "nowhere"].map(|n| NodeTest::Name(pool.intern(n)));
         let tests = [
             NodeTest::AnyKind,
             NodeTest::Wildcard,
-            NodeTest::Name(item),
             NodeTest::Text,
             NodeTest::Element,
+            NodeTest::DocumentNode,
         ];
-        for ctx in &ctxs {
-            // Context sets must not contain attributes for sibling axes etc.;
-            // keep them anyway — both impls must agree regardless.
-            for &ax in &axes {
-                for &t in &tests {
-                    assert_eq!(
-                        step(&d, ctx, ax, t),
-                        naive(&d, ctx, ax, t),
-                        "axis {ax:?} test {t:?} ctx {ctx:?}"
-                    );
+        let all: Vec<u32> = (0..d.len() as u32).collect();
+        let of_kind =
+            |k: NodeKind| -> Vec<u32> { all.iter().copied().filter(|&p| d.kind(p) == k).collect() };
+        let groups = step(&d, &all, Axis::SelfAxis, names[1]);
+        let contexts: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![0],                                 // the document node
+            vec![1],                                 // the root element
+            vec![groups[3]],                         // one inner node
+            vec![*all.last().unwrap()],              // the last leaf
+            vec![1, groups[0], groups[1]],           // nested three deep
+            vec![groups[0], groups[10], groups[59]], // a few disjoint windows
+            groups.clone(),                          // many windows, half of them nested
+            of_kind(NodeKind::Attribute),            // attribute contexts only
+            of_kind(NodeKind::Element),
+            all.clone(), // every node of the document
+        ];
+        // Which side `child::name` probed: [context-driven, stream-driven].
+        let mut child = [0usize; 2];
+        for ctx in &contexts {
+            for ax in Axis::ALL {
+                for &t in tests.iter().chain(&names) {
+                    assert_kernels_match_naive(&d, ctx, ax, t);
+                    let NodeTest::Name(n) = t else { continue };
+                    if let (Axis::Child, Some(s)) = (ax, d.name_streams().elements.get(&n)) {
+                        let span = spanned(&d, ctx, s);
+                        if !span.is_empty() {
+                            child[usize::from(probe_from_stream(ctx.len(), span.len()))] += 1;
+                        }
+                    }
                 }
             }
         }
+        assert!(child.iter().all(|&n| n >= 3), "{child:?}");
     }
 }

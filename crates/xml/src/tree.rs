@@ -76,7 +76,7 @@ pub struct Document {
     /// `Arc<str>` so a subtree splice ([`TreeBuilder::copy_subtree`])
     /// copies text by refcount bump, not by reallocating every string.
     pub text_data: Vec<std::sync::Arc<str>>,
-    /// Lazily built per-name element/attribute streams (sorted pre rank
+    /// Lazily built per-name element streams (sorted pre rank
     /// lists) — the tag-name-based access paths of TwigStack-style step
     /// evaluation (paper §1). Built on first use by
     /// [`name_streams`](Self::name_streams).
@@ -91,8 +91,6 @@ pub struct Document {
 pub struct NameStreams {
     /// Element name → ascending pre ranks of elements with that name.
     pub elements: std::collections::HashMap<NameId, Vec<u32>>,
-    /// Attribute name → ascending pre ranks of attributes with that name.
-    pub attributes: std::collections::HashMap<NameId, Vec<u32>>,
 }
 
 impl Document {
@@ -151,13 +149,9 @@ impl Document {
         self.name_streams.get_or_init(|| {
             let mut s = NameStreams::default();
             for pre in 0..self.len() as u32 {
-                match self.kind(pre) {
-                    NodeKind::Element => s.elements.entry(self.name(pre)).or_default().push(pre),
-                    NodeKind::Attribute => {
-                        s.attributes.entry(self.name(pre)).or_default().push(pre)
-                    }
-                    _ => continue,
-                };
+                if self.kind(pre) == NodeKind::Element {
+                    s.elements.entry(self.name(pre)).or_default().push(pre);
+                }
             }
             s
         })
@@ -223,7 +217,11 @@ impl Document {
     /// Append a parentless attribute node (a computed attribute
     /// constructor outside any element content creates one). Returns its
     /// pre rank. Only valid on fragments built as flat forests.
-    pub fn push_orphan_attribute(&mut self, name: NameId, value: &str) -> u32 {
+    pub fn push_orphan_attribute(
+        &mut self,
+        name: NameId,
+        value: impl Into<std::sync::Arc<str>>,
+    ) -> u32 {
         let text = self.push_text_data(value.into());
         self.push_node(NodeKind::Attribute, name, 0, NO_PARENT, text)
     }

@@ -85,21 +85,6 @@ fn build(actions: &[Action], pool: &mut NamePool) -> Document {
     b.finish()
 }
 
-const AXES: [Axis; 12] = [
-    Axis::Child,
-    Axis::Descendant,
-    Axis::DescendantOrSelf,
-    Axis::SelfAxis,
-    Axis::Attribute,
-    Axis::Parent,
-    Axis::Ancestor,
-    Axis::AncestorOrSelf,
-    Axis::FollowingSibling,
-    Axis::PrecedingSibling,
-    Axis::Following,
-    Axis::Preceding,
-];
-
 #[test]
 fn staircase_equals_naive() {
     let mut rng = SmallRng::seed_from_u64(0xA7E5);
@@ -122,7 +107,7 @@ fn staircase_equals_naive() {
             NodeTest::Element,
             NodeTest::DocumentNode,
         ];
-        for &ax in &AXES {
+        for ax in Axis::ALL {
             for &t in &tests {
                 let fast = axis::step(&doc, &ctx, ax, t);
                 let slow = axis::naive(&doc, &ctx, ax, t);
@@ -145,6 +130,87 @@ fn staircase_equals_naive() {
                     ax, t, &ctx
                 );
             }
+        }
+    }
+}
+
+/// The size-driven stream kernel against the staircase join (checked
+/// against `naive` above and in `exrquy-xml`'s unit differential) on a
+/// document large enough that contexts sit far on either side of the
+/// probe-direction threshold: every named step of the forward and
+/// attribute axes from the root, from one entity class, from every
+/// element and from every node — the context an unmerged
+/// `descendant-or-self::node()/child::x` pair produces. Sampled small
+/// contexts go against `naive` itself. Release-mode CI job.
+#[test]
+#[ignore = "XMark scale 0.05 — run in release: cargo test --release --test prop_axes -- --ignored"]
+fn stream_kernel_equals_staircase_on_an_xmark_document() {
+    let xml = exrquy_xmark::generate(&exrquy_xmark::XmarkConfig::at_scale(0.05));
+    let mut pool = NamePool::new();
+    let doc = exrquy_xml::parse_document(&xml, &mut pool).unwrap();
+    let all: Vec<u32> = (0..doc.len() as u32).collect();
+    let named = |name: &str| {
+        axis::step(
+            &doc,
+            &all,
+            Axis::SelfAxis,
+            NodeTest::Name(pool.lookup(name).unwrap()),
+        )
+    };
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let sample: Vec<u32> = all
+        .iter()
+        .copied()
+        .filter(|_| rng.gen_bool(0.0005))
+        .collect();
+    let contexts = [
+        vec![0],
+        named("person"),
+        named("item"),
+        axis::step(&doc, &all, Axis::SelfAxis, NodeTest::Element),
+        all.clone(),
+        sample.clone(),
+    ];
+    // Every element and attribute name of the document.
+    let names: std::collections::BTreeSet<_> = all
+        .iter()
+        .map(|&p| doc.name(p))
+        .filter(|n| n.is_some())
+        .collect();
+    let tests: Vec<NodeTest> = names.into_iter().map(NodeTest::Name).collect();
+    let mut out = Vec::new();
+    for ctx in &contexts {
+        for ax in [
+            Axis::Child,
+            Axis::Attribute,
+            Axis::Descendant,
+            Axis::DescendantOrSelf,
+        ] {
+            for &t in &tests {
+                out.clear();
+                axis::step_name_stream_into(&doc, ctx, ax, t, &mut out);
+                assert_eq!(
+                    out,
+                    axis::step(&doc, ctx, ax, t),
+                    "{ax}::{t:?} over {} nodes",
+                    ctx.len()
+                );
+            }
+        }
+    }
+    for ax in Axis::ALL {
+        for &t in tests
+            .iter()
+            .step_by(7)
+            .chain(&[NodeTest::AnyKind, NodeTest::Text])
+        {
+            let want = axis::naive(&doc, &sample, ax, t);
+            assert_eq!(axis::step(&doc, &sample, ax, t), want, "{ax}::{t:?}");
+            assert_eq!(
+                axis::step_name_stream(&doc, &sample, ax, t),
+                want,
+                "{ax}::{t:?}"
+            );
         }
     }
 }

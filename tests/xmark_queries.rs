@@ -222,3 +222,59 @@ fn q11_q12_count_reads_the_theta_join_directly() {
         assert_eq!(counts, 1, "Q{n} has one fn:count");
     }
 }
+
+/// Q6/Q7/Q14 under the baseline: §5's unmerged step pair stays unmerged.
+/// `descendant-or-self::node()` is still its own `⬡`, a `%` still ranks
+/// its output, and a `child::` step still consumes that — making each
+/// operator faster must never turn into quietly merging them, which is
+/// the order-indifferent compiler's job and what Figure 12 measures.
+#[test]
+fn baseline_keeps_descendant_or_self_step_and_its_rownum() {
+    use exrquy::algebra::Op;
+    use exrquy::xml::{Axis, NodeTest};
+    let s = session();
+    for n in [6, 7, 14] {
+        let plan = s.prepare(query(n), &QueryOptions::baseline()).unwrap();
+        let dag = &plan.dag;
+        let ops: Vec<_> = dag.reachable(plan.root).into_iter().collect();
+        let dos: Vec<_> = ops
+            .iter()
+            .copied()
+            .filter(|&id| {
+                matches!(
+                    dag.op(id),
+                    Op::Step {
+                        axis: Axis::DescendantOrSelf,
+                        test: NodeTest::AnyKind,
+                        ..
+                    }
+                )
+            })
+            .collect();
+        assert!(!dos.is_empty(), "Q{n}: no descendant-or-self::node() step");
+        for step in dos {
+            let ranked = ops.iter().copied().find(|&id| {
+                matches!(dag.op(id), Op::RowNum { input, order, .. }
+                    if *input == step && !order.is_empty())
+            });
+            let ranked = ranked.unwrap_or_else(|| panic!("Q{n}: no % over ⬡ {step}"));
+            // Through projections only, a child step reads the ranked rows.
+            let feeds_child_step = ops.iter().any(|&id| {
+                let Op::Step {
+                    input,
+                    axis: Axis::Child,
+                    ..
+                } = dag.op(id)
+                else {
+                    return false;
+                };
+                let mut at = *input;
+                while let Op::Project { input, .. } = dag.op(at) {
+                    at = *input;
+                }
+                at == ranked
+            });
+            assert!(feeds_child_step, "Q{n}: no child step over % {ranked}");
+        }
+    }
+}
