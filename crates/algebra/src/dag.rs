@@ -367,12 +367,12 @@ impl Dag {
                 }
                 Ok(self.schema(*l).to_vec())
             }
-            Op::Element { names, content } => {
+            Op::Element { names, content, .. } => {
                 self.require(*names, Col::ITER, "elem")?;
                 self.require(*names, Col::ITEM, "elem")?;
-                self.require(*content, Col::ITER, "elem")?;
-                self.require(*content, Col::POS, "elem")?;
-                self.require(*content, Col::ITEM, "elem")?;
+                for c in [Col::ITER, Col::POS, Col::ITEM, Col::ORD] {
+                    self.require(*content, c, "elem")?;
+                }
                 Ok(vec![Col::ITER, Col::ITEM])
             }
             Op::Attr { names, values } => {
@@ -457,6 +457,39 @@ mod tests {
         });
         assert_eq!(p1, p2);
         assert_eq!(dag.len(), 2);
+    }
+
+    /// The twig is part of an `elem`'s identity, compared by shape (two
+    /// separately built skeletons of one shape are one operator).
+    #[test]
+    fn interning_tells_elements_apart_by_twig() {
+        use crate::op::{Twig, TwigPart};
+        use std::sync::Arc;
+        let mut dag = Dag::new();
+        let names = dag.add(Op::Lit {
+            cols: vec![Col::ITER, Col::ITEM],
+            rows: vec![],
+        });
+        let content = dag.add(Op::Lit {
+            cols: vec![Col::ITER, Col::POS, Col::ITEM, Col::ORD],
+            rows: vec![],
+        });
+        let nested = || Twig {
+            name: Arc::from("a"),
+            parts: vec![TwigPart::Slot(1), TwigPart::Elem(Twig::leaf("b", 0))],
+        };
+        assert_eq!((nested().elements(), nested().label()), (2, "a·2".into()));
+        assert_eq!(nested().to_string(), "a($1,b())");
+        let mut elem = |twig: Twig| {
+            dag.add(Op::Element {
+                names,
+                content,
+                twig: Arc::new(twig),
+            })
+        };
+        let (flat, tree) = (elem(Twig::leaf("a", 1)), elem(nested()));
+        assert_ne!(flat, tree);
+        assert_eq!(elem(nested()), tree);
     }
 
     #[test]

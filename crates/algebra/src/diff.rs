@@ -9,6 +9,7 @@
 //! needs to start debugging a rewrite.
 
 use crate::dag::{Dag, OpId};
+use crate::op::Op;
 use crate::stats::PlanStats;
 use std::collections::HashSet;
 use std::fmt;
@@ -82,6 +83,14 @@ pub fn plan_diff(a: &Dag, ra: OpId, b: &Dag, rb: OpId) -> PlanDiff {
                 .push(format!("{path}: `{ka}` ({la}) vs `{kb}` ({lb})"));
             continue; // minimized: do not descend past a kind mismatch
         }
+        if let (Op::Element { twig: ta, .. }, Op::Element { twig: tb, .. }) = (oa, ob) {
+            if ta != tb {
+                let (ta, tb) = (ta.label(), tb.label());
+                diff.divergences.push(format!(
+                    "{path}: `elem⟨{ta}⟩` ({la}) vs `elem⟨{tb}⟩` ({lb})"
+                ));
+            }
+        }
         let (ca, cb) = (oa.children(), ob.children());
         if ca.len() != cb.len() {
             diff.divergences.push(format!(
@@ -102,7 +111,7 @@ pub fn plan_diff(a: &Dag, ra: OpId, b: &Dag, rb: OpId) -> PlanDiff {
 mod tests {
     use super::*;
     use crate::col::Col;
-    use crate::op::{Op, SortKey};
+    use crate::op::SortKey;
     use crate::value::AValue;
 
     fn base(dag: &mut Dag) -> OpId {

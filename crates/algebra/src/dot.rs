@@ -172,7 +172,7 @@ pub fn op_label(op: &Op) -> String {
                 .join(",");
             format!("\\\\ {body}")
         }
-        Op::Element { .. } => "elem".into(),
+        Op::Element { twig, .. } => format!("elem⟨{}⟩", twig.label()),
         Op::Attr { .. } => "attr".into(),
         Op::TextNode { .. } => "text".into(),
         Op::Range { lo, hi, new, .. } => format!("{new}:range({lo},{hi})"),

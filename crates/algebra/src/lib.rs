@@ -31,7 +31,7 @@ pub mod value;
 pub use col::Col;
 pub use dag::{Dag, OpId, SchemaError};
 pub use diff::{plan_diff, PlanDiff};
-pub use op::{AggrKind, FunKind, Op, SortKey};
+pub use op::{AggrKind, FunKind, Op, SortKey, Twig, TwigPart};
 pub use phys::{lower, FuseStep, PhysOp, PhysPlan};
 pub use stats::PlanStats;
 pub use value::AValue;

@@ -138,6 +138,73 @@ impl FunKind {
     }
 }
 
+/// The skeleton of an [`Op::Element`]: the tree of elements one
+/// constructor writes per iteration, with the places content is spliced
+/// in. A syntactic tree of nested direct constructors compiles to one
+/// twig (Pathfinder's twig constructor); a lone `<e>{…}</e>` is the
+/// one-node twig.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Twig {
+    pub name: Arc<str>,
+    /// Children in document order.
+    pub parts: Vec<TwigPart>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum TwigPart {
+    /// A nested element, written in place (never built and copied).
+    Elem(Twig),
+    /// Content slot `n`: the rows of the operator's `content` input
+    /// whose `ord` is `n`. Slots are numbered 1, 2, … in DFS order.
+    Slot(u32),
+}
+
+impl Twig {
+    /// The one-node twig `<name>{slot 1}…{slot n}</name>`.
+    pub fn leaf(name: &str, slots: u32) -> Twig {
+        Twig {
+            name: Arc::from(name),
+            parts: (1..=slots).map(TwigPart::Slot).collect(),
+        }
+    }
+
+    /// Elements in the skeleton, the root included.
+    pub fn elements(&self) -> usize {
+        let nested = self.parts.iter().map(|p| match p {
+            TwigPart::Elem(t) => t.elements(),
+            TwigPart::Slot(_) => 0,
+        });
+        1 + nested.sum::<usize>()
+    }
+
+    /// `personne·15` — root name and, for a proper tree, its element
+    /// count (plan renderings).
+    pub fn label(&self) -> String {
+        match self.elements() {
+            1 => self.name.to_string(),
+            n => format!("{}·{n}", self.name),
+        }
+    }
+}
+
+/// `personne(statistiques(sexe($1),age($2)),$3)` — the skeleton as one
+/// line, slots as `$n` (the literal SQL hosts are handed).
+impl std::fmt::Display for Twig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}(", self.name)?;
+        for (i, p) in self.parts.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            match p {
+                TwigPart::Elem(t) => write!(f, "{t}")?,
+                TwigPart::Slot(n) => write!(f, "${n}")?,
+            }
+        }
+        f.write_str(")")
+    }
+}
+
 /// Grouped aggregation kinds of [`Op::Aggr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggrKind {
@@ -252,11 +319,17 @@ pub enum Op {
         r: OpId,
         on: Vec<(Col, Col)>,
     },
-    /// Element construction: one new element node per row of `names`
-    /// (`iter|item` with string items); `content` (`iter|pos|item`)
-    /// provides the content sequence per iteration — order interaction
-    /// 2© (seq → doc) happens here. Emits `iter|item` (new nodes).
-    Element { names: OpId, content: OpId },
+    /// Element construction: one new tree shaped like `twig` per row of
+    /// `names` (`iter|item`; `item` repeats the root's name for SQL
+    /// hosts, the engine reads every name off the twig); `content`
+    /// (`iter|pos|item|ord`) provides each slot's content sequence per
+    /// iteration — order interaction 2© (seq → doc) happens here. Emits
+    /// `iter|item` (the new root nodes).
+    Element {
+        names: OpId,
+        content: OpId,
+        twig: Arc<Twig>,
+    },
     /// Attribute construction (per-iteration name and string value).
     Attr { names: OpId, values: OpId },
     /// Text node construction from `iter|item` string values.
@@ -327,6 +400,7 @@ impl Op {
             | Op::Element {
                 names: l,
                 content: r,
+                ..
             }
             | Op::Attr {
                 names: l,
@@ -364,6 +438,7 @@ impl Op {
             | Op::Element {
                 names: l,
                 content: r,
+                ..
             }
             | Op::Attr {
                 names: l,

@@ -9,6 +9,10 @@
 //! what `perfbench`, `table2` and `figure12` time; their per-kind medians
 //! are the numbers to compare against those instruments.
 //!
+//! Each run also prints its node counts — constructed, the fragments
+//! they went into, and the result's — whose ratio is the constructors'
+//! write amplification (1.0 = every node written once, into the answer).
+//!
 //! Usage: `profile_query [--query 10] [--scale 0.02] [--baseline] [--runs 5]`
 
 use exrquy::engine::Profile;
@@ -38,6 +42,15 @@ fn main() {
         if profiles.is_empty() {
             eprintln!("{} result items", out.items.len());
         }
+        let n = out.nodes;
+        eprintln!(
+            "run {}: {} nodes constructed in {} fragments, {} in the result (x{:.2})",
+            profiles.len(),
+            n.constructed,
+            n.fragments,
+            n.result,
+            n.constructed as f64 / n.result.max(1) as f64
+        );
         profiles.push(out.profile);
     }
     let (cold, warm) = profiles.split_first().expect("one cold run");

@@ -4,10 +4,12 @@
 //! Constructors realize order interaction 2© (sequence order establishes
 //! document order in the new fragment — the paper's Expression (3)): the
 //! content sequence encoding, `pos` included, feeds the `elem` operator,
-//! which writes the new fragment in that order.
+//! which writes the new fragment in that order. A tree of nested direct
+//! constructors is one `elem` carrying the tree as a [`Twig`], its
+//! content the union of the tree's slots (Pathfinder's twig constructor).
 
 use crate::{CResult, CompileError, Compiler};
-use exrquy_algebra::{AValue, Col, FunKind, Op, OpId};
+use exrquy_algebra::{AValue, Col, FunKind, Op, OpId, Twig, TwigPart};
 use exrquy_frontend::{AttrPart, DirAttr, ElemContent, Expr};
 use std::sync::Arc;
 
@@ -19,27 +21,13 @@ impl Compiler<'_> {
                 attrs,
                 content,
             } => {
-                let mut parts: Vec<OpId> = Vec::new();
-                for a in attrs {
-                    parts.push(self.compile_dir_attr(a)?);
-                }
-                for c in content {
-                    let q = match c {
-                        ElemContent::Text(t) => self.const_item(AValue::Str(Arc::from(t.as_str()))),
-                        ElemContent::Expr(e) => self.compile(e)?,
-                    };
-                    parts.push(q);
-                }
-                // Keep the content-part provenance (`ord`): adjacent
-                // atomics merge space-separated only *within* one enclosed
-                // expression.
-                let content_seq = self.concat_content_parts(&parts);
-                self.emit_element(name, content_seq)
+                let mut slots = Vec::new();
+                let twig = self.compile_twig(name, attrs, content, &mut slots)?;
+                self.emit_element(twig, &slots)
             }
             Expr::ElemConstructor { name, content } => {
                 let q = self.compile(content)?;
-                let tagged = self.concat_content_parts(&[q]);
-                self.emit_element(name, tagged)
+                self.emit_element(Twig::leaf(name, 1), &[q])
             }
             Expr::AttrConstructor { name, value } => {
                 let q = self.compile(value)?;
@@ -79,45 +67,44 @@ impl Compiler<'_> {
         }
     }
 
-    /// Like `concat_sequences` but keeps the part tag as an `ord` column
-    /// (`[iter, pos, item, ord]`) — the element constructor uses it for
-    /// the atomic-spacing rule.
-    fn concat_content_parts(&mut self, qs: &[OpId]) -> OpId {
-        if qs.is_empty() {
-            return self.dag.add(Op::Lit {
-                cols: vec![Col::ITER, Col::POS, Col::ITEM, Col::ORD],
-                rows: vec![],
+    /// The skeleton of a tree of direct constructors. Every attribute,
+    /// literal text and enclosed expression of the whole tree is compiled
+    /// into `slots` in DFS order; a constructor nested *directly* — same
+    /// iteration scope, exactly one element per iteration — becomes a
+    /// skeleton node instead of an ε of its own. One nested anywhere
+    /// else (inside a sequence, a FLWOR, a scope) is ordinary slot
+    /// content and compiles to its own twig.
+    fn compile_twig(
+        &mut self,
+        name: &str,
+        attrs: &[DirAttr],
+        content: &[ElemContent],
+        slots: &mut Vec<OpId>,
+    ) -> Result<Twig, CompileError> {
+        let mut parts = Vec::with_capacity(attrs.len() + content.len());
+        let slot = |slots: &mut Vec<OpId>, q: OpId| {
+            slots.push(q);
+            TwigPart::Slot(slots.len() as u32)
+        };
+        for a in attrs {
+            parts.push(slot(slots, self.compile_dir_attr(a)?));
+        }
+        for c in content {
+            parts.push(match c {
+                ElemContent::Text(t) => {
+                    slot(slots, self.const_item(AValue::Str(Arc::from(t.as_str()))))
+                }
+                ElemContent::Expr(Expr::DirElement {
+                    name,
+                    attrs,
+                    content,
+                }) => TwigPart::Elem(self.compile_twig(name, attrs, content, slots)?),
+                ElemContent::Expr(e) => slot(slots, self.compile(e)?),
             });
         }
-        let mut tagged = Vec::with_capacity(qs.len());
-        for (i, &q) in qs.iter().enumerate() {
-            tagged.push(self.dag.add(Op::Attach {
-                input: q,
-                col: Col::ORD,
-                value: AValue::Int(i as i64 + 1),
-            }));
-        }
-        let mut u = tagged[0];
-        for &t in &tagged[1..] {
-            u = self.dag.add(Op::Union { l: u, r: t });
-        }
-        let renum = self.dag.add(Op::RowNum {
-            input: u,
-            new: Col::POS1,
-            order: vec![
-                exrquy_algebra::SortKey::asc(Col::ORD),
-                exrquy_algebra::SortKey::asc(Col::POS),
-            ],
-            part: Some(Col::ITER),
-        });
-        self.dag.add(Op::Project {
-            input: renum,
-            cols: vec![
-                (Col::ITER, Col::ITER),
-                (Col::POS, Col::POS1),
-                (Col::ITEM, Col::ITEM),
-                (Col::ORD, Col::ORD),
-            ],
+        Ok(Twig {
+            name: Arc::from(name),
+            parts,
         })
     }
 
@@ -131,9 +118,24 @@ impl Compiler<'_> {
         })
     }
 
-    fn emit_element(&mut self, name: &str, content: OpId) -> CResult {
-        let names = self.const_name_table(name);
-        let elem = self.dag.add(Op::Element { names, content });
+    /// `slots[n − 1]` is the content of the twig's slot `n`. Their union
+    /// keeps the slot number as `ord` and each slot's own `pos`: `ord`
+    /// says where in the twig a row goes, and the kernel reads an
+    /// iteration's rows in `(ord, pos)` order, so no `%` renumbers them.
+    fn emit_element(&mut self, twig: Twig, slots: &[OpId]) -> CResult {
+        let content = match slots {
+            [] => self.dag.add(Op::Lit {
+                cols: vec![Col::ITER, Col::POS, Col::ITEM, Col::ORD],
+                rows: vec![],
+            }),
+            _ => self.tagged_union(slots),
+        };
+        let names = self.const_name_table(&twig.name);
+        let elem = self.dag.add(Op::Element {
+            names,
+            content,
+            twig: Arc::new(twig),
+        });
         let with_pos = self.dag.add(Op::Attach {
             input: elem,
             col: Col::POS,

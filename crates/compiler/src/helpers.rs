@@ -49,6 +49,30 @@ impl Compiler<'_> {
         self.canonical(with_item)
     }
 
+    /// `∪̇` of the (non-empty) `qs`, each tagged with its 1-based
+    /// position as `ord`: `[iter, pos, item, ord]`. The unions pair up
+    /// as a balanced tree, so a row is copied log₂ n times, not n/2.
+    pub(crate) fn tagged_union(&mut self, qs: &[OpId]) -> OpId {
+        let mut level: Vec<OpId> = Vec::with_capacity(qs.len());
+        for (i, &q) in qs.iter().enumerate() {
+            level.push(self.dag.add(Op::Attach {
+                input: q,
+                col: Col::ORD,
+                value: AValue::Int(i as i64 + 1),
+            }));
+        }
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [l, r] => self.dag.add(Op::Union { l, r }),
+                    _ => pair[0],
+                })
+                .collect();
+        }
+        level[0]
+    }
+
     /// Concatenate sequence encodings: `∪̇` + `% pos1:⟨ord,pos⟩‖iter`
     /// (iteration-internal sequence order; interaction 4© stays intact in
     /// every ordering mode — see Figure 3).
@@ -58,18 +82,7 @@ impl Compiler<'_> {
             1 => return qs[0],
             _ => {}
         }
-        let mut tagged = Vec::with_capacity(qs.len());
-        for (i, &q) in qs.iter().enumerate() {
-            tagged.push(self.dag.add(Op::Attach {
-                input: q,
-                col: Col::ORD,
-                value: AValue::Int(i as i64 + 1),
-            }));
-        }
-        let mut u = tagged[0];
-        for &t in &tagged[1..] {
-            u = self.dag.add(Op::Union { l: u, r: t });
-        }
+        let u = self.tagged_union(qs);
         let renum = self.dag.add(Op::RowNum {
             input: u,
             new: Col::POS1,

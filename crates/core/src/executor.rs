@@ -8,14 +8,14 @@
 //! catalog and the plan cache.
 
 use crate::result::ResultItem;
-use crate::session::{Error, Prepared, QueryOptions, QueryOutput};
+use crate::session::{Error, NodeCounts, Prepared, QueryOptions, QueryOutput};
 use exrquy_algebra::{Col, PlanStats};
 use exrquy_compiler::{CompiledPlan, Compiler};
 use exrquy_diag::{CancellationToken, ErrorCode, Failpoints};
 use exrquy_engine::{Engine, EngineOptions, EvalError, Item};
 use exrquy_frontend::{check_depth, normalize_opts, parse_module_with};
 use exrquy_opt::try_optimize_with;
-use exrquy_xml::{serialize, Catalog, FragArena};
+use exrquy_xml::{serialize, Catalog, FragArena, NodeRead};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -373,10 +373,18 @@ impl Executor {
         }
         let profile = engine.profile.clone();
         drop(engine);
+        let mut nodes = NodeCounts {
+            constructed: arena.constructed_nodes(),
+            fragments: arena.overlay_frags(),
+            result: 0,
+        };
         let items = order
             .into_iter()
             .map(|r| match item.get(r) {
-                Item::Node(n) => ResultItem::Node(serialize::node_to_string(&arena, n)),
+                Item::Node(n) => {
+                    nodes.result += arena.doc_of(n).size(n.pre) as usize + 1;
+                    ResultItem::Node(serialize::node_to_string(&arena, n))
+                }
                 Item::Int(i) => ResultItem::Int(i),
                 Item::Dbl(d) => ResultItem::Dbl(d),
                 Item::Str(s) => ResultItem::Str(s.to_string()),
@@ -384,7 +392,11 @@ impl Executor {
             })
             .collect();
         drop(tracker);
-        Ok(QueryOutput { items, profile })
+        Ok(QueryOutput {
+            items,
+            profile,
+            nodes,
+        })
     }
 
     /// Parse every lazily loaded fragment this plan can touch, shard by

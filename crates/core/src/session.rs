@@ -388,6 +388,20 @@ pub struct QueryOutput {
     pub items: Vec<ResultItem>,
     /// Per-operator-kind timings of this execution.
     pub profile: Profile,
+    pub nodes: NodeCounts,
+}
+
+/// What an execution wrote against what it returned. `constructed` over
+/// `result` is the constructors' write amplification: 1.0 when every
+/// node is written once, into the answer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeCounts {
+    /// Nodes written into new fragments (what `max_nodes` bounds).
+    pub constructed: usize,
+    /// Fragments those nodes live in — one per constructor evaluated.
+    pub fragments: usize,
+    /// Nodes of the result items' subtrees, constructed or not.
+    pub result: usize,
 }
 
 impl QueryOutput {

@@ -2,86 +2,63 @@
 //! execution's arena overlay and therefore run on the owning thread only.
 
 use crate::column::Column;
-use crate::eval::{int_view, EvalError};
+use crate::eval::{int_col, EvalError};
 use crate::item::Item;
+use crate::sort::{sorted_perm, Key};
 use crate::table::Table;
-use exrquy_algebra::Col;
-use exrquy_diag::ErrorCode;
+use exrquy_algebra::{Col, Twig, TwigPart};
+use exrquy_diag::{BudgetMeter, ErrorCode};
 use exrquy_xml::tree::NodeKind;
 use exrquy_xml::{FragArena, NameId, NodeId, NodeRead, TreeBuilder};
 use std::sync::Arc;
 
-/// `content` rows grouped by `iter` and sorted by `pos` within each
-/// group: one global stable sort over (iter, pos) with groups read back
-/// as contiguous slices — no hash map, no per-group vector.
-struct ContentGroups {
-    /// (iter, pos, ord, item), sorted by (iter, pos); ties keep row
-    /// order (matching the per-group stable sort this replaces). `ord`
-    /// is the content-part tag (0 when the plan carries none).
-    rows: Vec<(i64, i64, i64, Item)>,
+/// A twig flattened to the calls one iteration makes on the builder,
+/// every element name interned once.
+enum Step {
+    Open(NameId),
+    Slot(i64),
+    Close,
 }
 
-impl ContentGroups {
-    fn build(content: &Table) -> Result<Self, EvalError> {
-        let n = content.nrows();
-        let iters = content.col(Col::ITER);
-        let poss = content.col(Col::POS);
-        let items = content.col(Col::ITEM);
-        let ords = if content.schema().contains(&Col::ORD) {
-            Some(content.col(Col::ORD))
-        } else {
-            None
-        };
-        let mut rows: Vec<(i64, i64, i64, Item)> = Vec::with_capacity(n);
-        // Batch extraction: pull the three integer columns out as
-        // slices and dispatch on the item column's representation once,
-        // instead of re-branching per row and per column. Non-integer
-        // iter/pos/ord columns keep the per-row path (and its exact
-        // type-error reporting).
-        let (iv, pv) = (int_view(&iters), int_view(&poss));
-        let ov = match &ords {
-            Some(c) => int_view(c).map(Some),
-            None => Some(None),
-        };
-        if let (Some(iv), Some(pv), Some(ov)) = (iv, pv, ov) {
-            let ord = |r: usize| ov.as_ref().map_or(0, |o| o[r]);
-            match (&**items.data(), items.sel()) {
-                (Column::Item(v), None) => {
-                    rows.extend((0..n).map(|r| (iv[r], pv[r], ord(r), v[r].clone())));
-                }
-                (Column::Item(v), Some(s)) => {
-                    rows.extend((0..n).map(|r| (iv[r], pv[r], ord(r), v[s[r] as usize].clone())));
-                }
-                _ => rows.extend((0..n).map(|r| (iv[r], pv[r], ord(r), items.get(r)))),
-            }
-        } else {
-            for r in 0..n {
-                let ord = match &ords {
-                    Some(c) => c.get_int(r)?,
-                    None => 0,
-                };
-                rows.push((iters.get_int(r)?, poss.get_int(r)?, ord, items.get(r)));
-            }
+fn flatten(arena: &mut FragArena, twig: &Twig, out: &mut Vec<Step>) {
+    out.push(Step::Open(arena.intern(&twig.name)));
+    for part in &twig.parts {
+        match part {
+            TwigPart::Elem(t) => flatten(arena, t, out),
+            TwigPart::Slot(n) => out.push(Step::Slot(i64::from(*n))),
         }
-        if !rows.is_sorted_by_key(|&(it, p, _, _)| (it, p)) {
-            rows.sort_by_key(|&(it, p, _, _)| (it, p));
+    }
+    out.push(Step::Close);
+}
+
+/// The text node adjacent atomics are merging into. It belongs to the
+/// innermost open element and is written when a node follows or an
+/// element opens or closes.
+#[derive(Default)]
+struct PendingText {
+    buf: String,
+    /// Slot of the last atomic: the space separator only applies
+    /// between atomics of the *same* slot (enclosed expression).
+    ord: i64,
+    open: bool,
+}
+
+impl PendingText {
+    fn push(&mut self, s: &str, ord: i64) {
+        if self.open && self.ord == ord {
+            self.buf.push(' ');
         }
-        Ok(ContentGroups { rows })
+        self.buf.push_str(s);
+        self.ord = ord;
+        self.open = true;
     }
 
-    /// The content slice of one iteration (empty when it has none), for
-    /// callers that ask in ascending `iter` order: `cursor` (start at 0)
-    /// only ever moves forward, so a whole constructor is one merge pass
-    /// over `rows` instead of two binary searches per element. It rests
-    /// on the group's first row, so a repeated `iter` reads it again.
-    fn next(&self, cursor: &mut usize, iter: i64) -> &[(i64, i64, i64, Item)] {
-        let rows = &self.rows;
-        while *cursor < rows.len() && rows[*cursor].0 < iter {
-            *cursor += 1;
+    fn flush(&mut self, b: &mut TreeBuilder) {
+        if self.open {
+            b.text(&self.buf);
+            self.buf.clear();
+            self.open = false;
         }
-        let lo = *cursor;
-        let len = rows[lo..].iter().take_while(|r| r.0 == iter).count();
-        &rows[lo..lo + len]
     }
 }
 
@@ -143,100 +120,121 @@ fn roots_table(frag: u32, roots: &[(i64, u32)], vec: bool) -> Table {
     ])
 }
 
+/// Roots between two budget polls of [`eval_element`]: a tripped node
+/// ceiling, deadline or cancellation overshoots by at most this many
+/// trees, however large the operator's input.
+const ROOT_POLL_STRIDE: usize = 2048;
+
+/// The twig kernel: per row of `names` one tree shaped like `twig`,
+/// every node written once. Content rows are read in `(iter, ord, pos)`
+/// order with one forward cursor; slot `n` of an iteration takes its
+/// rows with `ord = n` (rows naming no slot are skipped). Within each
+/// open element leading attribute nodes become attributes (XQTY0024
+/// after content), adjacent atomics merge into one text node — spaced
+/// within a slot, not across slots — and nodes are deep-copied (order
+/// interaction 2©: sequence order establishes document order).
+/// `constructed` is what the execution built before this operator, so
+/// the polled node ceiling sees the running total.
 pub(crate) fn eval_element(
     arena: &mut FragArena,
     names: &Table,
     content: &Table,
+    twig: &Twig,
     vec: bool,
+    meter: &BudgetMeter,
+    constructed: usize,
 ) -> Result<Table, EvalError> {
-    let by_iter = ContentGroups::build(content)?;
-    // One new fragment holds all elements constructed by this operator
-    // invocation, as sibling roots, in iter order.
-    let name_items = names.col(Col::ITEM);
+    let mut steps = Vec::new();
+    flatten(arena, twig, &mut steps);
+
+    let [iters, ords, poss] = [Col::ITER, Col::ORD, Col::POS].map(|c| content.col(c));
+    let (iv, ov) = (int_col(&iters)?, int_col(&ords)?);
+    let items = content.col(Col::ITEM);
+    let n = content.nrows();
+    // Row numbers in (iter, ord, pos) order, ties in row order.
+    let keys = [&iters, &ords, &poss].map(|c| Key::of(c, false));
+    let perm = sorted_perm(n, &keys, 1, vec);
+
+    // One new fragment holds every tree this invocation constructs, as
+    // sibling roots in iter order. Its size is known up front: the
+    // skeleton per name row plus every content node's subtree (atomics
+    // over-count slightly — they merge into shared text nodes).
     let order = rows_by_iter(names)?;
+    let spliced: usize = (0..n)
+        .map(|r| match items.get(r) {
+            Item::Node(nd) => arena.doc_of(nd).size(nd.pre) as usize + 1,
+            _ => 1,
+        })
+        .sum();
     let mut b = TreeBuilder::new();
-    // The output size is known up front: one element per name row plus
-    // every content node's subtree (atomics over-count slightly — they
-    // merge into shared text nodes — which only pads the reservation).
-    let est: usize = order.len()
-        + by_iter
-            .rows
-            .iter()
-            .map(|(_, _, _, it)| match it {
-                Item::Node(n) => arena.doc_of(*n).size(n.pre) as usize + 1,
-                _ => 1,
-            })
-            .sum::<usize>();
-    b.reserve(est);
+    b.reserve(order.len() * twig.elements() + spliced);
     let mut roots: Vec<(i64, u32)> = Vec::with_capacity(order.len());
-    let mut name_ids = NameCache::default();
-    let mut cursor = 0;
-    for &(it, r) in &order {
-        let name_id = name_ids.intern(arena, &name_items.get(r));
-        let root = b.open_element(name_id);
-        let items = by_iter.next(&mut cursor, it);
-        if !items.is_empty() {
-            build_content(arena, &mut b, items)?;
+    let mut text = PendingText::default();
+    // First content row of the current iteration; it only moves forward,
+    // and a repeated `iter` reads its rows again from here.
+    let mut group = 0;
+    for (k, &(it, _)) in order.iter().enumerate() {
+        if k.is_multiple_of(ROOT_POLL_STRIDE) {
+            meter.poll()?;
+            meter.check_nodes(constructed + b.len())?;
         }
-        b.close();
-        roots.push((it, root));
+        while group < n && iv[perm[group] as usize] < it {
+            group += 1;
+        }
+        let mut cur = group;
+        roots.push((it, b.len() as u32));
+        for step in &steps {
+            match *step {
+                Step::Open(name) => {
+                    text.flush(&mut b);
+                    b.open_element(name);
+                }
+                Step::Close => {
+                    text.flush(&mut b);
+                    b.close();
+                }
+                Step::Slot(ord) => {
+                    while cur < n {
+                        let r = perm[cur] as usize;
+                        if iv[r] != it || ov[r] > ord {
+                            break;
+                        }
+                        cur += 1;
+                        if ov[r] == ord {
+                            splice(arena, &mut b, &mut text, items.get(r), ord)?;
+                        }
+                    }
+                }
+            }
+        }
     }
     let frag = arena.add(b.finish());
     Ok(roots_table(frag, &roots, vec))
 }
 
-/// Realize a constructor content sequence: leading attribute nodes
-/// become attributes, adjacent atomics merge into one text node joined
-/// with spaces, nodes are deep-copied (order interaction 2©: sequence
-/// order establishes document order).
-fn build_content(
+/// Append one content item to the innermost open element.
+fn splice(
     arena: &FragArena,
     b: &mut TreeBuilder,
-    items: &[(i64, i64, i64, Item)],
+    text: &mut PendingText,
+    item: Item,
+    ord: i64,
 ) -> Result<(), EvalError> {
-    let mut pending_text: Option<String> = None;
-    let mut pending_ord: i64 = 0;
-    let mut content_started = false;
-    for (_, _, ord, item) in items {
-        match item {
-            Item::Node(n) => {
-                let doc = arena.doc_of(*n);
-                if doc.kind(n.pre) == NodeKind::Attribute {
-                    if content_started || pending_text.is_some() {
-                        return Err(EvalError::new(
-                            ErrorCode::XQTY0024,
-                            "attribute node follows element content (XQTY0024)",
-                        ));
-                    }
-                    b.copy_subtree(doc, n.pre);
-                } else {
-                    if let Some(t) = pending_text.take() {
-                        b.text(&t);
-                    }
-                    b.copy_subtree(doc, n.pre);
-                    content_started = true;
-                }
+    match item {
+        Item::Node(n) => {
+            let doc = arena.doc_of(n);
+            if doc.kind(n.pre) != NodeKind::Attribute {
+                text.flush(b);
+            } else if b.content_started() || text.open {
+                return Err(EvalError::new(
+                    ErrorCode::XQTY0024,
+                    "attribute node follows element content (XQTY0024)",
+                ));
             }
-            atomic => {
-                // Atomics merge into one text node; the space separator
-                // only applies between atomics of the SAME enclosed
-                // expression (content part).
-                let s = atomic.to_xq_string();
-                match pending_text.as_mut() {
-                    Some(t) => {
-                        if *ord == pending_ord {
-                            t.push(' ');
-                        }
-                        t.push_str(&s);
-                    }
-                    None => pending_text = Some(s),
-                }
-                pending_ord = *ord;
-            }
+            b.copy_subtree(doc, n.pre);
         }
-    }
-    if let Some(t) = pending_text {
-        b.text(&t);
+        Item::Str(s) => text.push(&s, ord),
+        atomic => text.push(&atomic.to_xq_string(), ord),
     }
     Ok(())
 }
@@ -302,6 +300,7 @@ pub(crate) fn eval_textnode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exrquy_diag::{CancellationToken, ExecutionBudget};
     use exrquy_xml::Catalog;
 
     fn table(iters: &[i64], items: Vec<Item>) -> Table {
@@ -309,6 +308,259 @@ mod tests {
             (Col::ITER, Column::Int(iters.to_vec())),
             (Col::ITEM, Column::Item(items)),
         ])
+    }
+
+    /// One name row per iteration (the twig supplies the names).
+    fn loop_of(iters: &[i64]) -> Table {
+        table(iters, iters.iter().map(|_| Item::str("unread")).collect())
+    }
+
+    /// Content rows as `(iter, ord, pos, item)`, in the order given.
+    fn content(rows: Vec<(i64, i64, i64, Item)>) -> Table {
+        let ints = |f: fn(&(i64, i64, i64, Item)) -> i64| Column::Int(rows.iter().map(f).collect());
+        Table::new(vec![
+            (Col::ITER, ints(|r| r.0)),
+            (Col::ORD, ints(|r| r.1)),
+            (Col::POS, ints(|r| r.2)),
+            (
+                Col::ITEM,
+                Column::Item(rows.iter().map(|r| r.3.clone()).collect()),
+            ),
+        ])
+    }
+
+    fn elem(name: &str, parts: Vec<TwigPart>) -> TwigPart {
+        TwigPart::Elem(Twig {
+            name: Arc::from(name),
+            parts,
+        })
+    }
+
+    fn twig(name: &str, parts: Vec<TwigPart>) -> Twig {
+        Twig {
+            name: Arc::from(name),
+            parts,
+        }
+    }
+
+    use TwigPart::Slot;
+
+    fn unmetered() -> BudgetMeter {
+        BudgetMeter::new(ExecutionBudget::unbounded(), None)
+    }
+
+    /// A source fragment `<s k="v"><x>1</x><y/>t</s>`: `(k, x, y, t)`.
+    fn source(arena: &mut FragArena) -> [Item; 4] {
+        let mut b = TreeBuilder::new();
+        b.open_element(arena.intern("s"));
+        b.attribute(arena.intern("k"), "v");
+        b.open_element(arena.intern("x"));
+        b.text("1");
+        b.close();
+        b.open_element(arena.intern("y"));
+        b.close();
+        b.text("t");
+        b.close();
+        let frag = arena.add(b.finish());
+        [1, 2, 4, 5].map(|pre| Item::Node(NodeId::new(frag, pre)))
+    }
+
+    /// Run the kernel on both arms: the two must agree, every new
+    /// fragment must satisfy the encoding invariants, and the result is
+    /// the serialized roots with their iterations (or the error code).
+    fn build(
+        arena: &mut FragArena,
+        twig: &Twig,
+        names: &Table,
+        content: &Table,
+    ) -> Result<Vec<(i64, String)>, ErrorCode> {
+        let arm = |arena: &mut FragArena, vec: bool| {
+            let out = eval_element(arena, names, content, twig, vec, &unmetered(), 0)
+                .map_err(|e| e.code)?;
+            let dense = matches!(&**out.col(Col::ITEM).data(), Column::Node(_));
+            assert_eq!(dense, vec);
+            Ok((0..out.nrows())
+                .map(|r| {
+                    let Item::Node(n) = out.item(Col::ITEM, r) else {
+                        panic!("element constructor yields nodes")
+                    };
+                    arena.doc_of(n).check_invariants().unwrap();
+                    let xml = exrquy_xml::serialize::node_to_string(arena, n);
+                    (out.int(Col::ITER, r), xml)
+                })
+                .collect())
+        };
+        let vectorized = arm(arena, true);
+        assert_eq!(vectorized, arm(arena, false), "scalar arm differs");
+        vectorized
+    }
+
+    fn one(arena: &mut FragArena, twig: &Twig, rows: Vec<(i64, i64, i64, Item)>) -> String {
+        let out = build(arena, twig, &loop_of(&[1]), &content(rows)).unwrap();
+        assert_eq!(out.len(), 1);
+        out[0].1.clone()
+    }
+
+    #[test]
+    fn slots_splice_in_skeleton_order() {
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let [_, x, y, t] = source(&mut arena);
+        // <a>{1}<b>{2}</b>{3}</a>: slot 2 empty, slot 1 several nodes.
+        let t3 = twig("a", vec![Slot(1), elem("b", vec![Slot(2)]), Slot(3)]);
+        let rows = vec![
+            (1, 3, 1, t.clone()),
+            (1, 1, 2, y.clone()),
+            (1, 1, 1, x.clone()),
+            (1, 1, 3, x.clone()),
+        ];
+        assert_eq!(
+            one(&mut arena, &t3, rows),
+            "<a><x>1</x><y/><x>1</x><b/>t</a>"
+        );
+        // Rows naming no slot are skipped, wherever they sort.
+        let rows = vec![(1, 0, 1, x.clone()), (1, 2, 1, y), (1, 9, 1, x)];
+        assert_eq!(one(&mut arena, &t3, rows), "<a><b><y/></b></a>");
+    }
+
+    #[test]
+    fn atomics_merge_within_an_element_and_space_within_a_slot() {
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let (a, b) = (Item::Int(1), Item::str("b"));
+        // Adjacent slots: no separator. One slot: a space.
+        let two = twig("e", vec![Slot(1), Slot(2)]);
+        let rows = vec![(1, 1, 1, a.clone()), (1, 2, 1, b.clone())];
+        assert_eq!(one(&mut arena, &two, rows), "<e>1b</e>");
+        let rows = vec![(1, 1, 1, a.clone()), (1, 1, 2, b.clone())];
+        assert_eq!(one(&mut arena, &two, rows), "<e>1 b</e>");
+        // A nested element ends the text node: two text children.
+        let split = twig("e", vec![Slot(1), elem("n", vec![]), Slot(2)]);
+        let rows = vec![(1, 1, 1, a), (1, 2, 1, b)];
+        let xml = one(&mut arena, &split, rows);
+        assert_eq!(xml, "<e>1<n/>b</e>");
+        let last = arena.frag((arena.overlay_frags() - 1) as u32);
+        let kinds: Vec<NodeKind> = last.children(0).map(|c| last.kind(c)).collect();
+        assert_eq!(kinds, [NodeKind::Text, NodeKind::Element, NodeKind::Text]);
+    }
+
+    #[test]
+    fn attributes_lead_each_open_element() {
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let [k, x, ..] = source(&mut arena);
+        // <a>{x}<b>{k}{x}</b></a>: the nested element starts afresh.
+        let t = twig("a", vec![Slot(1), elem("b", vec![Slot(2), Slot(3)])]);
+        let rows = vec![
+            (1, 1, 1, x.clone()),
+            (1, 2, 1, k.clone()),
+            (1, 3, 1, x.clone()),
+        ];
+        assert_eq!(
+            one(&mut arena, &t, rows),
+            r#"<a><x>1</x><b k="v"><x>1</x></b></a>"#
+        );
+        // After content — a node or a pending atomic — it is XQTY0024,
+        // in the nested element as in the root.
+        for first in [x, Item::str("")] {
+            let rows = vec![(1, 2, 1, first.clone()), (1, 3, 1, k.clone())];
+            let got = build(&mut arena, &t, &loop_of(&[1]), &content(rows));
+            assert_eq!(got, Err(ErrorCode::XQTY0024));
+            let rows = vec![(1, 1, 1, first), (1, 1, 2, k.clone())];
+            let got = build(&mut arena, &t, &loop_of(&[1]), &content(rows));
+            assert_eq!(got, Err(ErrorCode::XQTY0024));
+        }
+        // … and after a nested element closed.
+        let after = twig("a", vec![elem("b", vec![]), Slot(1)]);
+        let got = build(
+            &mut arena,
+            &after,
+            &loop_of(&[1]),
+            &content(vec![(1, 1, 1, k)]),
+        );
+        assert_eq!(got, Err(ErrorCode::XQTY0024));
+    }
+
+    #[test]
+    fn iterations_pair_up_whatever_order_they_arrive_in() {
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let t = twig("a", vec![elem("b", vec![Slot(1)]), Slot(2)]);
+        // Unsorted and repeated names; iteration 7 has no content rows,
+        // iteration 4 has content but no name row.
+        let names = loop_of(&[9, 2, 7, 2]);
+        let rows = vec![
+            (9, 2, 1, Item::str("z")),
+            (2, 1, 2, Item::Int(2)),
+            (4, 1, 1, Item::str("lost")),
+            (9, 1, 1, Item::str("n")),
+            (2, 1, 1, Item::Int(1)),
+        ];
+        let got = build(&mut arena, &t, &names, &content(rows)).unwrap();
+        let want = [
+            (2, "<a><b>1 2</b></a>"),
+            (2, "<a><b>1 2</b></a>"),
+            (7, "<a><b/></a>"),
+            (9, "<a><b>n</b>z</a>"),
+        ];
+        assert_eq!(got, want.map(|(it, s)| (it, s.to_owned())));
+    }
+
+    #[test]
+    fn deep_skeleton_nests_and_closes() {
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let [k, ..] = source(&mut arena);
+        let e5 = elem("e5", vec![Slot(2), Slot(3)]);
+        let e2 = elem("e2", vec![elem("e3", vec![elem("e4", vec![e5]), Slot(4)])]);
+        let t = twig("e1", vec![Slot(1), e2, Slot(5)]);
+        assert_eq!(t.elements(), 5);
+        let rows = vec![
+            (1, 5, 1, Item::str("tail")),
+            (1, 4, 1, Item::Int(4)),
+            (1, 3, 1, Item::str("in")),
+            (1, 2, 1, k),
+            (1, 1, 1, Item::str("head")),
+        ];
+        assert_eq!(
+            one(&mut arena, &t, rows),
+            r#"<e1>head<e2><e3><e4><e5 k="v">in</e5></e4>4</e3></e2>tail</e1>"#
+        );
+    }
+
+    /// The kernel polls the meter itself, every `ROOT_POLL_STRIDE` roots:
+    /// a trip is reported from inside the operator, with the nodes the
+    /// execution had built before it counted in.
+    #[test]
+    fn budget_and_cancellation_trip_inside_the_operator() {
+        let mut arena = FragArena::new(Arc::new(Catalog::new()));
+        let t = twig("a", vec![elem("b", vec![elem("c", vec![Slot(1)])])]);
+        let iters: Vec<i64> = (1..=3 * ROOT_POLL_STRIDE as i64).collect();
+        let (names, none) = (loop_of(&iters), content(vec![]));
+        let mut run = |meter: &BudgetMeter, before: usize| {
+            let before_frags = arena.overlay_frags();
+            let got = eval_element(&mut arena, &names, &none, &t, true, meter, before);
+            // A tripped operator leaves no fragment behind.
+            assert_eq!(arena.overlay_frags() > before_frags, got.is_ok());
+            got.map(|out| out.nrows()).map_err(|e| (e.code, e.message))
+        };
+        assert_eq!(run(&unmetered(), 0), Ok(iters.len()));
+
+        // Under the ceiling until the second poll: 3 nodes a root.
+        let cap = 3 * ROOT_POLL_STRIDE - 1;
+        let capped = || BudgetMeter::new(ExecutionBudget::unbounded().with_max_nodes(cap), None);
+        let (code, message) = run(&capped(), 0).unwrap_err();
+        assert_eq!(code, ErrorCode::EXRQ0001);
+        let built = format!("constructed {} XML nodes", 3 * ROOT_POLL_STRIDE);
+        assert!(message.contains(&built), "{message}");
+        // Nodes built earlier in the execution count: the first poll trips.
+        let (_, message) = run(&capped(), cap + 1).unwrap_err();
+        assert!(
+            message.contains(&format!("constructed {} XML", cap + 1)),
+            "{message}"
+        );
+
+        let token = CancellationToken::new();
+        token.cancel();
+        let cancelled = BudgetMeter::new(ExecutionBudget::unbounded(), Some(token));
+        assert_eq!(run(&cancelled, 0).unwrap_err().0, ErrorCode::EXRQ0002);
+        let expired = unmetered().with_hard_deadline(std::time::Instant::now());
+        assert_eq!(run(&expired, 0).unwrap_err().0, ErrorCode::EXRQ0007);
     }
 
     /// Names and values pair up by `iter` whatever order either arrives

@@ -183,9 +183,14 @@ pub(crate) struct NodeLedger {
 }
 
 impl NodeLedger {
+    /// Nodes this execution has constructed so far.
+    fn constructed(&self, arena: &FragArena) -> usize {
+        arena.constructed_nodes().saturating_sub(self.base)
+    }
+
     /// Enforce the node ceiling and publish the bytes constructed so far.
     fn charge(&mut self, arena: &FragArena, meter: &BudgetMeter) -> Result<(), EvalError> {
-        let constructed = arena.constructed_nodes().saturating_sub(self.base);
+        let constructed = self.constructed(arena);
         meter.check_nodes(constructed)?;
         if let Some(t) = self.tracker.as_mut() {
             t.charge_to(constructed * exrquy_diag::APPROX_NODE_BYTES);
@@ -345,8 +350,9 @@ pub(crate) fn run_slot(
             crate::vec::exec_fused(&slot(*input), steps, arena.read(), opts, meter, batches)?
         }
         PhysOp::Op { id, args } => match (cx.dag.op(*id), &mut arena) {
-            (Op::Element { .. }, ArenaAccess::Owner(a, _)) => {
-                eval_element(a, &slot(args[0]), &slot(args[1]), vec)?
+            (Op::Element { twig, .. }, ArenaAccess::Owner(a, nodes)) => {
+                let (names, content, before) = (slot(args[0]), slot(args[1]), nodes.constructed(a));
+                eval_element(a, &names, &content, twig, vec, cx.meter, before)?
             }
             (Op::Attr { .. }, ArenaAccess::Owner(a, _)) => {
                 eval_attr(a, &slot(args[0]), &slot(args[1]), vec)?
@@ -779,6 +785,16 @@ pub(crate) fn int_view<'a>(c: &'a ColView) -> Option<std::borrow::Cow<'a, [i64]>
     }
 }
 
+/// A column the plan guarantees integral (`iter`, `pos`, `ord`) as a
+/// slice: [`int_view`] when it is an `Int` column, a checked copy of a
+/// boxed one (the reference arm's) otherwise.
+pub(crate) fn int_col(c: &ColView) -> Result<std::borrow::Cow<'_, [i64]>, EvalError> {
+    match int_view(c) {
+        Some(v) => Ok(v),
+        None => Ok(std::borrow::Cow::Owned(c.to_int_vec()?)),
+    }
+}
+
 /// Which integers a [`key_view`] holds: keys of different classes never
 /// compare equal (the integer 5 is not the node with key 5), so a join
 /// takes its integer path only over two views of one class.
@@ -1176,13 +1192,27 @@ mod tests {
         });
         // content: iter 1 → items 10, "x" at pos 1, 2
         let content = dag.add(Op::Lit {
-            cols: vec![Col::ITER, Col::POS, Col::ITEM],
+            cols: vec![Col::ITER, Col::POS, Col::ITEM, Col::ORD],
             rows: vec![
-                vec![AValue::Int(1), AValue::Int(1), AValue::Int(10)],
-                vec![AValue::Int(1), AValue::Int(2), AValue::str("x")],
+                vec![
+                    AValue::Int(1),
+                    AValue::Int(1),
+                    AValue::Int(10),
+                    AValue::Int(1),
+                ],
+                vec![
+                    AValue::Int(1),
+                    AValue::Int(2),
+                    AValue::str("x"),
+                    AValue::Int(1),
+                ],
             ],
         });
-        let elem = dag.add(Op::Element { names, content });
+        let elem = dag.add(Op::Element {
+            names,
+            content,
+            twig: Arc::new(exrquy_algebra::Twig::leaf("e", 1)),
+        });
         let mut arena = FragArena::new(Arc::new(Catalog::new()));
         let mut e = Engine::new(&dag, &mut arena, EngineOptions::default());
         let t = e.eval(elem).unwrap();

@@ -303,7 +303,7 @@ mod tests {
     use super::*;
     use crate::item::Item;
     use crate::table::Table;
-    use exrquy_algebra::{AValue, Col, Dag, FunKind, Op, OpId};
+    use exrquy_algebra::{AValue, Col, Dag, FunKind, Op, OpId, Twig};
     use exrquy_xml::Catalog;
     use std::sync::Arc;
 
@@ -462,17 +462,31 @@ mod tests {
             cols: vec![Col::ITER, Col::ITEM],
             rows: vec![
                 vec![AValue::Int(1), AValue::str("a")],
-                vec![AValue::Int(2), AValue::str("b")],
+                vec![AValue::Int(2), AValue::str("a")],
             ],
         });
         let content = dag.add(Op::Lit {
-            cols: vec![Col::ITER, Col::POS, Col::ITEM],
+            cols: vec![Col::ITER, Col::POS, Col::ITEM, Col::ORD],
             rows: vec![
-                vec![AValue::Int(1), AValue::Int(1), AValue::Int(10)],
-                vec![AValue::Int(2), AValue::Int(1), AValue::Int(20)],
+                vec![
+                    AValue::Int(1),
+                    AValue::Int(1),
+                    AValue::Int(10),
+                    AValue::Int(1),
+                ],
+                vec![
+                    AValue::Int(2),
+                    AValue::Int(1),
+                    AValue::Int(20),
+                    AValue::Int(1),
+                ],
             ],
         });
-        let elem = dag.add(Op::Element { names, content });
+        let elem = dag.add(Op::Element {
+            names,
+            content,
+            twig: Arc::new(Twig::leaf("a", 1)),
+        });
         let render = |threads: usize| -> Vec<String> {
             let mut arena = FragArena::new(Arc::new(Catalog::new()));
             let mut e = Engine::new(&dag, &mut arena, opts(threads));
@@ -487,7 +501,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(render(1), render(4));
-        assert_eq!(render(4), vec!["<a>10</a>".to_string(), "<b>20</b>".into()]);
+        assert_eq!(render(4), vec!["<a>10</a>".to_string(), "<a>20</a>".into()]);
     }
 
     #[test]

@@ -18,13 +18,13 @@ use std::collections::HashMap;
 /// counting passes box an `Item` or chase a selection vector per row —
 /// `%` is the operator whose cost the whole paper is about: what it
 /// charges must be the price of the order, not of the bookkeeping.
-enum Key<'a> {
+pub(crate) enum Key<'a> {
     Int(Cow<'a, [i64]>, bool),
     Item(&'a ColView, bool),
 }
 
 impl<'a> Key<'a> {
-    fn of(view: &'a ColView, desc: bool) -> Key<'a> {
+    pub(crate) fn of(view: &'a ColView, desc: bool) -> Key<'a> {
         match key_view(view) {
             Some((_, v)) => Key::Int(v, desc),
             None => Key::Item(view, desc),
@@ -103,7 +103,7 @@ const COUNTING_MIN_ROWS: usize = 64;
 /// key first: O(keys · n), no comparisons. `Item` keys and sparse
 /// integers take the comparison sort, as does the whole reference arm
 /// (whose node columns are boxed, hence `Item` keys).
-fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> Vec<u32> {
+pub(crate) fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> Vec<u32> {
     let cmp = |a: usize, b: usize| {
         keys.iter()
             .map(|k| k.cmp_rows(a, b))

@@ -23,7 +23,7 @@
 //! vectorized arm; the two differ on the scalar arm only.
 
 use crate::column::Column;
-use crate::eval::{int_view, kernel_threads, run_morsels, EvalError, StepAlgo};
+use crate::eval::{int_col, kernel_threads, run_morsels, EvalError, StepAlgo};
 use crate::item::Item;
 use crate::table::{ColView, Table};
 use exrquy_algebra::Col;
@@ -91,10 +91,7 @@ pub(crate) fn eval_step(
 ) -> Result<Table, EvalError> {
     let (iter_col, item_col) = (t.col(Col::ITER), t.col(Col::ITEM));
     let mut nodes = node_view(&item_col)?;
-    let mut iters = match int_view(&iter_col) {
-        Some(v) => v,
-        None => Cow::Owned(iter_col.to_int_vec()?),
-    };
+    let mut iters = int_col(&iter_col)?;
     // The kernels want each group's context sorted and duplicate-free.
     let groups = match context_groups(&iters, &nodes) {
         Some(groups) => groups,

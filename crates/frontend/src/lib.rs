@@ -31,4 +31,4 @@ pub use ast::{
 };
 pub use normalize::{check_depth, normalize, normalize_opts};
 pub use parse::{parse_module, parse_module_with, parse_query, XqError, DEFAULT_MAX_DEPTH};
-pub use pretty::pretty;
+pub use pretty::{pretty, pretty_module};

@@ -163,15 +163,10 @@ pub fn required_columns(
                 push(*l, ln);
                 push(*r, on.iter().map(|&(_, rc)| rc).collect());
             }
-            Op::Element { names, content } => {
+            Op::Element { names, content, .. } => {
                 push(*names, [Col::ITER, Col::ITEM].into_iter().collect());
-                let mut c: BTreeSet<Col> = [Col::ITER, Col::POS, Col::ITEM].into_iter().collect();
-                // The content-part tag participates in the atomic-spacing
-                // rule when the plan carries it.
-                if dag.schema(*content).contains(&Col::ORD) {
-                    c.insert(Col::ORD);
-                }
-                push(*content, c);
+                let c = [Col::ITER, Col::POS, Col::ITEM, Col::ORD];
+                push(*content, c.into_iter().collect());
             }
             Op::Attr { names, values } => {
                 push(*names, [Col::ITER, Col::ITEM].into_iter().collect());

@@ -488,12 +488,17 @@ fn emit_op(dag: &Dag, id: OpId, opts: &SqlOptions) -> String {
             ident(*hi),
             ident(*new)
         ),
-        Op::Element { names, content } => format!(
+        Op::Element {
+            names,
+            content,
+            twig,
+        } => format!(
             // Node construction is the back-end-specific piece (MonetDB/
             // XQuery used dedicated kernel operators): an aggregate UDF
-            // assembling the per-iteration content sequence in pos order.
-            "SELECT n.iter, xq_element(n.item, \
-             (SELECT xq_content_agg(c.item ORDER BY c.pos) \
+            // assembling each iteration's content in (slot, pos) order
+            // into the element tree the skeleton literal spells.
+            "SELECT n.iter, xq_element(n.item, '{twig}', \
+             (SELECT xq_content_agg(c.item, c.ord ORDER BY c.ord, c.pos) \
               FROM {content} c WHERE c.iter = n.iter)) AS item \
              FROM {names} n",
             names = cte_name(*names),

@@ -139,6 +139,17 @@ fn literals_and_unions() {
 }
 
 #[test]
+fn nested_constructors_emit_one_element_call_with_its_skeleton() {
+    let sql = compile_to_sql(r#"<a x="1"><b>{ 1, 2 }</b>t{ 3 }</a>"#, false);
+    assert_eq!(sql.matches("xq_element(").count(), 1, "{sql}");
+    assert!(
+        sql.contains("xq_element(n.item, 'a($1,b($2),$3,$4)',")
+            && sql.contains("xq_content_agg(c.item, c.ord ORDER BY c.ord, c.pos)"),
+        "{sql}"
+    );
+}
+
+#[test]
 fn difference_emits_anti_join() {
     let mut dag = Dag::new();
     let a = dag.add(Op::Lit {

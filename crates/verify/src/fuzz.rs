@@ -748,22 +748,59 @@ impl Gen<'_> {
             let content = self.singleton_expr(depth + 1);
             return Expr::TextConstructor(Box::new(content));
         }
-        let content = if self.profile == FuzzProfile::Unordered {
-            self.singleton_expr(depth + 1)
-        } else {
-            self.small_expr(depth + 1)
-        };
         if self.rng.gen_bool(0.5) {
-            Expr::DirElement {
-                name: "out".into(),
-                attrs: vec![],
-                content: vec![exrquy::frontend::ElemContent::Expr(content)],
-            }
+            self.dir_element(depth, 0)
         } else {
+            let content = self.content_expr(depth + 1);
             Expr::ElemConstructor {
                 name: "out".into(),
                 content: Box::new(content),
             }
+        }
+    }
+
+    /// Constructor content under the profile's singleton rule.
+    fn content_expr(&mut self, depth: usize) -> Expr {
+        if self.profile == FuzzProfile::Unordered {
+            self.singleton_expr(depth)
+        } else {
+            self.small_expr(depth)
+        }
+    }
+
+    /// A direct constructor of 1–3 parts — nested direct constructors
+    /// (`nest` levels above this one, at most two), literal text and
+    /// enclosed expressions — and now and then an attribute: the shapes
+    /// the compiler flattens into one twig, with the spacing, text-merge
+    /// and attribute rules crossing element boundaries.
+    fn dir_element(&mut self, depth: usize, nest: usize) -> Expr {
+        use exrquy::frontend::{AttrPart, DirAttr, ElemContent};
+        let mut attrs = Vec::new();
+        if self.rng.gen_bool(0.3) {
+            let value = if self.rng.gen_bool(0.5) {
+                AttrPart::Lit("v".into())
+            } else {
+                AttrPart::Expr(self.singleton_expr(depth + 1))
+            };
+            attrs.push(DirAttr {
+                name: "k".into(),
+                value: vec![value],
+            });
+        }
+        let mut content = Vec::new();
+        for _ in 0..self.rng.gen_range(1..=3usize) {
+            // Two literal runs in a row would re-parse as one.
+            let after_text = matches!(content.last(), Some(ElemContent::Text(_)));
+            content.push(match self.rng.gen_range(0..5u32) {
+                0 | 1 if nest < 2 => ElemContent::Expr(self.dir_element(depth + 1, nest + 1)),
+                2 if !after_text => ElemContent::Text("t".into()),
+                _ => ElemContent::Expr(self.content_expr(depth + 1)),
+            });
+        }
+        Expr::DirElement {
+            name: ["out", "mid", "leaf"][nest].into(),
+            attrs,
+            content,
         }
     }
 

@@ -5,11 +5,13 @@
 //! the plan, never the answer beyond the admissible permutations — and
 //! every layer built on top makes the same promise for its own axis: the
 //! cost pass, vectorization, worker threads, shard fan-out, the step
-//! algorithm, the served transport. This module states that promise
-//! once. A [`Config`] names one point of the configuration space; each
+//! algorithm, the served transport — and the compiler's flattening of
+//! nested constructors into twigs, which has no option to flip and is
+//! checked metamorphically ([`Constructors`]). This module states that
+//! promise once. A [`Config`] names one point of the configuration space; each
 //! *cell* (corpus, query, compiler profile) is executed once under the
 //! [`REFERENCE`] point (uncosted, scalar, serial, 1 shard, staircase,
-//! direct) and once under every row of the [`TABLE`], and each row must
+//! direct, constructors as written) and once under every row of the [`TABLE`], and each row must
 //! render the same items in the same order — or fail with the same error
 //! code ([`compare`]). Comparison is exact sequence equality, *not* the
 //! bag equivalence the unordered mode would grant: the ordering profile
@@ -24,6 +26,8 @@
 //! ([`expressible`]), so the six (transport, threads) pairs of the two
 //! served transports need six cost-on rows, the other three cost values
 //! need three thread counts each, and cost-on × direct needs one more.
+//! A two-valued axis any point can spell (`constructors`) alternates
+//! down those rows and needs none of its own.
 //!
 //! **Corpora.** XMark as one document (Q1–Q20 × {order-indifferent,
 //! baseline}); XMark split by subtree, read through `fn:collection()`
@@ -57,7 +61,7 @@ use crate::fuzz::{Corpus, FuzzProfile, NAMES};
 use crate::shrink::{shrink, weight};
 use exrquy::diag::Failpoints;
 use exrquy::engine::StepAlgo;
-use exrquy::frontend::{parse_module, pretty};
+use exrquy::frontend::{parse_module, pretty, pretty_module, ElemContent, Expr};
 use exrquy::opt::RuleSet;
 use exrquy::{QueryOptions, QueryOutput, ResultItem, Session};
 use exrquy_xmark::{generate, query, XmarkConfig};
@@ -98,6 +102,20 @@ pub enum Transport {
     ServedChaos,
 }
 
+/// How the query spells its nested direct constructors. The compiler
+/// flattens a constructor nested *directly* in another into one twig for
+/// every configuration, so no product option separates the two shapes;
+/// the axis is metamorphic instead — `Unnested` runs the query rewritten
+/// by [`unnest_constructors`], which means the same and flattens nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Constructors {
+    /// The query as written.
+    Nested,
+    /// Every nested `<b>…</b>` part wrapped as `{(<b>…</b>, ())}`: one
+    /// ε per element, each level copying the one below.
+    Unnested,
+}
+
 /// The failpoint spec a [`Transport::ServedChaos`] daemon arms: every
 /// `net-*` fault class, on mutually prime cadences so they interleave.
 const CHAOS_NET_SPEC: &str = "net-torn-write:5,net-trickle:9,net-disconnect:17,net-slow-read:13";
@@ -111,6 +129,7 @@ pub struct Config {
     pub shards: usize,
     pub step_algo: StepAlgo,
     pub transport: Transport,
+    pub constructors: Constructors,
     /// Extra failpoints armed on the run (planted faults); empty in
     /// every shipped row.
     pub failpoints: &'static str,
@@ -123,6 +142,7 @@ const fn row(
     shards: usize,
     step_algo: StepAlgo,
     transport: Transport,
+    constructors: Constructors,
 ) -> Config {
     Config {
         cost,
@@ -131,6 +151,7 @@ const fn row(
         shards,
         step_algo,
         transport,
+        constructors,
         failpoints: "",
     }
 }
@@ -143,30 +164,34 @@ pub const REFERENCE: Config = row(
     1,
     StepAlgo::Staircase,
     Transport::Direct,
+    Constructors::Nested,
 );
 
-/// The covering table (see the module docs for why sixteen).
+/// The covering table (see the module docs for why sixteen). The
+/// constructor spelling alternates down the rows, which puts both of its
+/// values beside every value of every other axis.
 pub const TABLE: [Config; 16] = {
+    use Constructors::{Nested, Unnested};
     use Cost::{Off, On};
     use StepAlgo::{NameStream, Staircase};
     use Transport::{Direct, Served, ServedChaos};
     [
-        row(Off, false, 1, 2, Staircase, Direct),
-        row(Off, true, 2, 8, NameStream, Direct),
-        row(Off, false, 4, 1, NameStream, Direct),
-        row(INFLATE, true, 1, 1, NameStream, Direct),
-        row(INFLATE, false, 2, 2, Staircase, Direct),
-        row(INFLATE, true, 4, 8, Staircase, Direct),
-        row(DEFLATE, false, 1, 8, NameStream, Direct),
-        row(DEFLATE, true, 2, 1, Staircase, Direct),
-        row(DEFLATE, true, 4, 2, NameStream, Direct),
-        row(On, false, 4, 8, NameStream, Direct),
-        row(On, true, 1, 2, Staircase, Served),
-        row(On, true, 2, 8, Staircase, Served),
-        row(On, true, 4, 1, Staircase, Served),
-        row(On, true, 1, 8, Staircase, ServedChaos),
-        row(On, true, 2, 1, Staircase, ServedChaos),
-        row(On, true, 4, 2, Staircase, ServedChaos),
+        row(Off, false, 1, 2, Staircase, Direct, Nested),
+        row(Off, true, 2, 8, NameStream, Direct, Unnested),
+        row(Off, false, 4, 1, NameStream, Direct, Nested),
+        row(INFLATE, true, 1, 1, NameStream, Direct, Unnested),
+        row(INFLATE, false, 2, 2, Staircase, Direct, Nested),
+        row(INFLATE, true, 4, 8, Staircase, Direct, Unnested),
+        row(DEFLATE, false, 1, 8, NameStream, Direct, Nested),
+        row(DEFLATE, true, 2, 1, Staircase, Direct, Unnested),
+        row(DEFLATE, true, 4, 2, NameStream, Direct, Nested),
+        row(On, false, 4, 8, NameStream, Direct, Unnested),
+        row(On, true, 1, 2, Staircase, Served, Nested),
+        row(On, true, 2, 8, Staircase, Served, Unnested),
+        row(On, true, 4, 1, Staircase, Served, Nested),
+        row(On, true, 1, 8, Staircase, ServedChaos, Unnested),
+        row(On, true, 2, 1, Staircase, ServedChaos, Nested),
+        row(On, true, 4, 2, Staircase, ServedChaos, Unnested),
     ]
 };
 
@@ -175,13 +200,14 @@ pub const TABLE: [Config; 16] = {
 /// with it; the pair-coverage test enumerates value pairs with it. A new
 /// axis is one field, one line here and its covering rows.
 pub type Axis = (&'static str, fn(&mut Config, &Config));
-pub const AXES: [Axis; 7] = [
+pub const AXES: [Axis; 8] = [
     ("cost", |c, from| c.cost = from.cost),
     ("vectorized", |c, from| c.vectorized = from.vectorized),
     ("threads", |c, from| c.threads = from.threads),
     ("shards", |c, from| c.shards = from.shards),
     ("step_algo", |c, from| c.step_algo = from.step_algo),
     ("transport", |c, from| c.transport = from.transport),
+    ("constructors", |c, from| c.constructors = from.constructors),
     ("failpoints", |c, from| c.failpoints = from.failpoints),
 ];
 
@@ -213,6 +239,36 @@ impl Config {
         }
         o.with_failpoints(Failpoints::parse(&spec).expect("lattice failpoint spec parses"))
     }
+}
+
+/// `query` with no direct constructor nested directly in another: each
+/// such part `<b>…</b>` of an enclosing constructor's content becomes
+/// the enclosed expression `{(<b>…</b>, ())}`. Appending the empty
+/// sequence changes no value, and a constructor inside a sequence is
+/// its own twig root, so the rewritten query builds every level
+/// bottom-up and copies it into the level above. `None` when there is
+/// nothing to rewrite — or the query does not parse, which is left for
+/// the run to reject.
+pub fn unnest_constructors(query: &str) -> Option<String> {
+    fn unnest(e: &mut Expr, wrapped: &mut usize) {
+        e.for_each_child_mut(|c| unnest(c, wrapped));
+        if let Expr::DirElement { content, .. } = e {
+            for part in content {
+                if let ElemContent::Expr(nested @ Expr::DirElement { .. }) = part {
+                    let inner = std::mem::replace(nested, Expr::Empty);
+                    *nested = Expr::Sequence(vec![inner, Expr::Empty]);
+                    *wrapped += 1;
+                }
+            }
+        }
+    }
+    let mut module = parse_module(query).ok()?;
+    let mut wrapped = 0;
+    for (_, e) in &mut module.variables {
+        unnest(e, &mut wrapped);
+    }
+    unnest(&mut module.body, &mut wrapped);
+    (wrapped > 0).then(|| pretty_module(&module))
 }
 
 /// The compiler profile of a cell — a property of the cell, not an axis.
@@ -317,8 +373,9 @@ pub struct Report {
     /// `stats-perturb` arm), `join_queries` (authored join cells),
     /// `shards_materialized` (shards holding a parsed fragment in the
     /// multi-shard layouts), `served_cells` ((cell, row) pairs compared
-    /// over the wire), `chaos_retries` (retries the chaos clients spent)
-    /// and `shed_cells` (requests a daemon shed).
+    /// over the wire), `unnested_cells` ((cell, row) pairs whose query had
+    /// nested constructors to unnest), `chaos_retries` (retries the chaos
+    /// clients spent) and `shed_cells` (requests a daemon shed).
     pub witnesses: BTreeMap<&'static str, u64>,
     pub divergences: Vec<Divergence>,
 }
@@ -544,7 +601,8 @@ impl Default for Lattice {
             seed: 42,
             scale: 0.001,
             fuzz_iters: 1,
-            queries: vec![8],
+            // Q8 joins; Q10 nests constructors (the `constructors` axis).
+            queries: vec![8, 10],
             rows: TABLE.to_vec(),
         }
     }
@@ -756,6 +814,7 @@ impl Runner<'_> {
                 self.report
                     .bump("fused_chains", plan.phys.fused_chains as u64);
             }
+            let nests = unnest_constructors(&cell.query).is_some();
             // One memoised reference per compiler mode the rows need.
             let mut refs: [Option<Reference>; 2] = [None, None];
             for row in &cfg.rows {
@@ -776,6 +835,8 @@ impl Runner<'_> {
                 self.report.bump("served_cells", u64::from(served));
                 let perturbed = matches!(row.cost, Cost::Perturb(_));
                 self.report.bump("perturbed_cells", u64::from(perturbed));
+                let unnested = nests && row.constructors == Constructors::Unnested;
+                self.report.bump("unnested_cells", u64::from(unnested));
                 if let Outcome::Diverged(message) = compare(want, &got) {
                     self.diverged(&mut env, cell, row, message);
                 }
@@ -808,6 +869,11 @@ impl Runner<'_> {
         query: &str,
         disabled: RuleSet,
     ) -> Option<Run> {
+        let unnested = match row.constructors {
+            Constructors::Nested => None,
+            Constructors::Unnested => unnest_constructors(query),
+        };
+        let query = unnested.as_deref().unwrap_or(query);
         if row.transport == Transport::Direct {
             let mut opts = row.options(&profile.options());
             opts.opt.disabled_rules = opts.opt.disabled_rules.union(disabled);
@@ -1038,6 +1104,36 @@ mod tests {
                 "row {skip} {dropped:?} covers no pair of its own"
             );
         }
+    }
+
+    /// The rewrite behind the `constructors` axis wraps exactly the
+    /// directly nested constructors, leaves a query without any alone,
+    /// and really does defeat the flattening: one `elem` per element
+    /// where the query as written compiles to one per twig — with the
+    /// same answer.
+    #[test]
+    fn unnesting_keeps_the_answer_and_flattens_nothing() {
+        use exrquy::algebra::PlanStats;
+        let q = r#"for $i in (1, 2) return
+                   <a k="{ $i }">t<b><c>{ $i }</c>{ $i, $i }</b>{ <d/> }u{ (<e/>, $i) }</a>"#;
+        let unnested = unnest_constructors(q).expect("nested constructors to unnest");
+        assert_eq!(
+            unnested,
+            r#"(for $i in (1, 2) return <a k="{$i}">t{(<b>{(<c>{$i}</c>, ())}{($i, $i)}</b>, ())}{(<d/>, ())}u{(<e/>, $i)}</a>)"#
+        );
+        assert_eq!(unnest_constructors(&unnested), None);
+        assert_eq!(unnest_constructors("<a>{ 1 }</a>"), None);
+        assert_eq!(unnest_constructors("<a>{ 1 "), None);
+
+        let s = Session::new();
+        let elems = |text: &str| {
+            let plan = s.prepare(text, &QueryOptions::baseline()).unwrap();
+            PlanStats::of(&plan.dag, plan.root).count("elem")
+        };
+        assert_eq!((elems(q), elems(&unnested)), (2, 5));
+        let run = |text: &str| rendered(&s.query(text).unwrap().items);
+        assert_eq!(run(q), run(&unnested));
+        assert_eq!(run(q)[0], r#"<a k="1">t<b><c>1</c>1 1</b><d/>u<e/>1</a>"#);
     }
 
     #[test]

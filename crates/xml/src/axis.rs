@@ -406,9 +406,10 @@ pub fn step_name_stream_into(
     debug_assert!(ctx.windows(2).all(|w| w[0] < w[1]));
     match (axis, test) {
         (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(n)) => {
-            let Some(stream) = doc.name_streams().elements.get(&n) else {
+            let stream = doc.name_streams().elements(n);
+            if stream.is_empty() {
                 return;
-            };
+            }
             let or_self = axis == Axis::DescendantOrSelf;
             let mut scanned_to: u32 = 0;
             for &v in ctx {
@@ -423,9 +424,8 @@ pub fn step_name_stream_into(
             }
         }
         (Axis::Child, NodeTest::Name(n)) => {
-            if let Some(stream) = doc.name_streams().elements.get(&n) {
-                child_probe(doc, ctx, spanned(doc, ctx, stream), test, out);
-            }
+            let stream = doc.name_streams().elements(n);
+            child_probe(doc, ctx, spanned(doc, ctx, stream), test, out);
         }
         _ => step_into(doc, ctx, axis, test, out),
     }
@@ -713,11 +713,9 @@ mod tests {
                 for &t in tests.iter().chain(&names) {
                     assert_kernels_match_naive(&d, ctx, ax, t);
                     let NodeTest::Name(n) = t else { continue };
-                    if let (Axis::Child, Some(s)) = (ax, d.name_streams().elements.get(&n)) {
-                        let span = spanned(&d, ctx, s);
-                        if !span.is_empty() {
-                            child[usize::from(probe_from_stream(ctx.len(), span.len()))] += 1;
-                        }
+                    let span = spanned(&d, ctx, d.name_streams().elements(n));
+                    if ax == Axis::Child && !span.is_empty() {
+                        child[usize::from(probe_from_stream(ctx.len(), span.len()))] += 1;
                     }
                 }
             }

@@ -57,6 +57,22 @@ impl TreeBuilder {
         self.doc.reserve(additional);
     }
 
+    /// Nodes written so far.
+    pub fn len(&self) -> usize {
+        self.doc.len()
+    }
+
+    /// True until the first node is written.
+    pub fn is_empty(&self) -> bool {
+        self.doc.len() == 0
+    }
+
+    /// Has the innermost open element received a non-attribute child?
+    /// Attributes may only be appended while it has not.
+    pub fn content_started(&self) -> bool {
+        self.content_started.last().is_some_and(|&started| started)
+    }
+
     /// Open an element node; subsequent nodes become its attributes /
     /// children until [`close`](Self::close).
     pub fn open_element(&mut self, name: NameId) -> u32 {

@@ -86,11 +86,27 @@ pub struct Document {
     name_streams: std::sync::OnceLock<NameStreams>,
 }
 
-/// Per-name sorted preorder streams.
+/// Per-name sorted preorder streams, addressed by [`NameId`]: one flat
+/// array of pre ranks grouped by name plus the group offsets, so a
+/// lookup is two array reads — no hashing on the per-group step path.
 #[derive(Debug, Default, Clone)]
 pub struct NameStreams {
-    /// Element name → ascending pre ranks of elements with that name.
-    pub elements: std::collections::HashMap<NameId, Vec<u32>>,
+    /// `pres[offsets[n]..offsets[n + 1]]` are the elements named
+    /// `NameId(n)`, ascending.
+    offsets: Vec<u32>,
+    pres: Vec<u32>,
+}
+
+impl NameStreams {
+    /// Ascending pre ranks of the elements named `name` (empty when the
+    /// fragment has none).
+    pub fn elements(&self, name: NameId) -> &[u32] {
+        let n = name.0 as usize;
+        match n.checked_add(1).and_then(|hi| self.offsets.get(hi)) {
+            Some(&hi) => &self.pres[self.offsets[n] as usize..hi as usize],
+            None => &[],
+        }
+    }
 }
 
 impl Document {
@@ -142,18 +158,36 @@ impl Document {
         (t != NO_TEXT).then(|| &*self.text_data[t as usize])
     }
 
-    /// Per-name node streams, built lazily on first access (one pass over
-    /// the fragment). Preorder ranks per list are ascending by
-    /// construction.
+    /// Per-name node streams, built lazily on first access (a counting
+    /// and a scattering pass over the fragment). Preorder ranks per list
+    /// are ascending by construction.
     pub fn name_streams(&self) -> &NameStreams {
         self.name_streams.get_or_init(|| {
-            let mut s = NameStreams::default();
-            for pre in 0..self.len() as u32 {
-                if self.kind(pre) == NodeKind::Element {
-                    s.elements.entry(self.name(pre)).or_default().push(pre);
+            let named = || {
+                (0..self.len() as u32)
+                    .filter(|&p| self.kind(p) == NodeKind::Element && self.name(p).is_some())
+            };
+            // Histogram → prefix sums → scatter; the scan is in pre
+            // order, so every group comes out ascending.
+            let mut offsets = vec![0u32];
+            for p in named() {
+                let slot = self.name(p).0 as usize + 1;
+                if slot >= offsets.len() {
+                    offsets.resize(slot + 1, 0);
                 }
+                offsets[slot] += 1;
             }
-            s
+            for n in 1..offsets.len() {
+                offsets[n] += offsets[n - 1];
+            }
+            let mut cursor = offsets.clone();
+            let mut pres = vec![0u32; offsets[offsets.len() - 1] as usize];
+            for p in named() {
+                let c = &mut cursor[self.name(p).0 as usize];
+                pres[*c as usize] = p;
+                *c += 1;
+            }
+            NameStreams { offsets, pres }
         })
     }
 
@@ -373,6 +407,24 @@ mod tests {
         let kids: Vec<u32> = doc.children(1).collect();
         assert_eq!(kids, vec![2, 3]);
         assert!(doc.children(2).next().is_none());
+    }
+
+    #[test]
+    fn name_streams_group_elements_by_name_id() {
+        let (doc, mut pool) = figure1();
+        let streams = doc.name_streams();
+        let of = |name: &str| streams.elements(pool.lookup(name).unwrap()).to_vec();
+        assert_eq!(of("a"), [0]);
+        assert_eq!(of("b"), [1]);
+        assert_eq!(of("c"), [2, 4]);
+        assert_eq!(of("d"), [3]);
+        // A name past the fragment's last, and no name at all.
+        assert!(streams.elements(pool.intern("unused")).is_empty());
+        assert!(streams.elements(NameId::NONE).is_empty());
+        assert!(Document::new()
+            .name_streams()
+            .elements(NameId(0))
+            .is_empty());
     }
 
     #[test]

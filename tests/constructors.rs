@@ -132,6 +132,55 @@ fn constructors_inside_iterations() {
     );
 }
 
+/// A tree of nested direct constructors is one twig: the content rules
+/// hold per element of the tree, across the twig's slots, under either
+/// compiler — and a constructor that is *not* nested directly (inside a
+/// sequence, a FLWOR) is ordinary content with the same outcome.
+#[test]
+fn nested_direct_constructors_follow_the_content_rules_per_element() {
+    let s = session();
+    let cases = [
+        // Atomics of adjacent slots merge unspaced, a nested element
+        // splits the text, and the text after it starts afresh.
+        (
+            "<a>{ 1, 2 }{ 3 }<b>{ 4 }</b>{ 5 }t{ 6 }</a>",
+            "<a>1 23<b>4</b>5t6</a>",
+        ),
+        // Attributes lead each element of the tree, direct or computed.
+        (
+            r#"for $x in doc("d.xml")/r/a return
+               <o n="{ $x }"><i>{ $x/@k }<j>{ attribute m { 1 }, $x/text() }</j></i>{ $x }</o>"#,
+            r#"<o n="x"><i k="1"><j m="1">x</j></i><a k="1">x</a></o>"#,
+        ),
+        // Empty slots and iterations leave the skeleton standing.
+        (
+            r#"for $i in (1, 2) return <o><i>{ doc("d.xml")//b[$i = 2] }</i><e/></o>"#,
+            "<o><i/><e/></o><o><i><b>y</b></i><e/></o>",
+        ),
+        // Not nested directly: inside a sequence and inside a FLWOR.
+        (
+            "<a>{ <b>{ 1 }</b>, 2 }<c>{ for $i in (1, 2) return <d>{ $i }</d> }</c></a>",
+            "<a><b>1</b>2<c><d>1</d><d>2</d></c></a>",
+        ),
+    ];
+    for opts in [QueryOptions::baseline(), QueryOptions::order_indifferent()] {
+        for (q, want) in cases {
+            let got = s
+                .query_with(q, &opts)
+                .unwrap_or_else(|e| panic!("`{q}`: {e}"));
+            assert_eq!(got.to_xml(), want, "`{q}`");
+        }
+        for q in [
+            r#"<a><b>{ 1, doc("d.xml")//a/@k }</b></a>"#,
+            r#"<a><b/>{ doc("d.xml")//a/@k }</a>"#,
+            r#"<a><b>t{ doc("d.xml")//a/@k }</b></a>"#,
+        ] {
+            let err = s.query_with(q, &opts).unwrap_err();
+            assert!(err.to_string().contains("XQTY0024"), "`{q}`: {err}");
+        }
+    }
+}
+
 #[test]
 fn escaped_braces_and_entities() {
     let mut s = session();

@@ -77,6 +77,25 @@ fn node_budget_stops_construction() {
     assert!(err.to_string().contains("nodes"), "{err}");
 }
 
+/// A nested constructor is one operator writing every level, so it polls
+/// the node ceiling itself: the overshoot is a few thousand trees, not
+/// the operator's whole output.
+#[test]
+fn node_budget_stops_a_deep_twig_midway() {
+    let s = session();
+    let opts = with_budget(ExecutionBudget::default().with_max_nodes(1_000));
+    let q = "for $i in (1 to 20000) return <a><b><c><d><e>{ $i }</e></d></c></b></a>";
+    let err = s.query_with(q, &opts).unwrap_err();
+    assert_eq!(err.code(), ErrorCode::EXRQ0001, "{err}");
+    let text = err.to_string();
+    let built: usize = text
+        .split_whitespace()
+        .find_map(|w| w.parse().ok())
+        .unwrap_or_else(|| panic!("no node count in {text}"));
+    // 120 000 nodes in all; the trip comes within one poll stride.
+    assert!((1_000..20_000).contains(&built), "{text}");
+}
+
 #[test]
 fn zero_timeout_trips_immediately() {
     let s = session();

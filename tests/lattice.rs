@@ -4,9 +4,10 @@
 //! The default lattice runs a handful of cells of every corpus (XMark
 //! whole and split, both fuzz streams) under the reference point and
 //! every row of the covering table — cost pass, vectorization, worker
-//! threads, shard count, step algorithm, served transport — and each row
-//! must serialize *byte-identically* to the reference. The full-breadth
-//! run with the count floors is `crates/verify/tests/lattice.rs`.
+//! threads, shard count, step algorithm, served transport, nested
+//! constructors as written or unnested — and each row must serialize
+//! *byte-identically* to the reference. The full-breadth run with the
+//! count floors is `crates/verify/tests/lattice.rs`.
 
 use exrquy::{QueryOptions, ResultItem, Session};
 use exrquy_verify::{run_lattice, Lattice};
@@ -16,6 +17,7 @@ fn default_lattice_serializes_identically_under_every_row() {
     let report = run_lattice(&Lattice::default());
     assert!(report.passed(), "{report}");
     assert!(report.cells > 0 && report.witnesses["served_cells"] > 0);
+    assert!(report.witnesses["unnested_cells"] > 0, "{report}");
     println!("{report}");
 }
 

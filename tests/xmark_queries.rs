@@ -223,6 +223,33 @@ fn q11_q12_count_reads_the_theta_join_directly() {
     }
 }
 
+/// Q10: `<personne>`'s fifteen nested direct constructors are one twig —
+/// one `elem` writing the whole tree — beside `<id>` and `<categorie>`,
+/// under either compiler; and no `%` renumbers a constructor's content.
+#[test]
+fn q10_constructs_with_three_twigs() {
+    use exrquy::algebra::Op;
+    let s = session();
+    for opts in [QueryOptions::order_indifferent(), QueryOptions::baseline()] {
+        let plan = s.prepare(query(10), &opts).unwrap();
+        let dag = &plan.dag;
+        let mut twigs: Vec<String> = dag
+            .reachable(plan.root)
+            .into_iter()
+            .filter_map(|id| match dag.op(id) {
+                Op::Element { twig, content, .. } => {
+                    let feed = dag.op(*content).kind_name();
+                    assert!(matches!(feed, "∪̇" | "attach"), "content is a `{feed}`");
+                    Some(twig.label())
+                }
+                _ => None,
+            })
+            .collect();
+        twigs.sort();
+        assert_eq!(twigs, ["categorie", "id", "personne·15"]);
+    }
+}
+
 /// Q6/Q7/Q14 under the baseline: §5's unmerged step pair stays unmerged.
 /// `descendant-or-self::node()` is still its own `⬡`, a `%` still ranks
 /// its output, and a `child::` step still consumes that — making each
