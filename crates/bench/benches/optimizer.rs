@@ -37,16 +37,11 @@ fn bench(c: &mut Criterion) {
             merge_steps: false,
             ..full
         };
-        let physical = OptOptions {
-            physical_order: true,
-            ..full
-        };
         for (label, opts) in [
             ("full", full),
             ("no-weaken", no_weaken),
             ("no-step-merge", no_merge),
             ("cda-only", cda_only),
-            ("full+physical-order", physical),
         ] {
             group.bench_with_input(
                 BenchmarkId::new(label, format!("Q{n}")),

@@ -19,8 +19,9 @@
 //!                        vs. actual cardinality and wall time, then the
 //!                        fusion, cost and plan-cache counters
 //!   --no-cost            disable statistics-driven cost-based planning
-//!                        (join reordering, selection ordering); the
-//!                        rule-only planner runs instead
+//!                        (join reordering, build-side orientation,
+//!                        compensation elision); the rule-only planner
+//!                        runs instead
 //!   --sql                print the SQL:1999 translation instead of executing
 //!   --scalar             run the reference arm: the unfused plan with the
 //!                        row-at-a-time kernel bodies (no selection

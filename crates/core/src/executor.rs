@@ -154,7 +154,6 @@ fn fingerprint(query: &str, opts: &QueryOptions, layout: u64) -> u64 {
     opts.exploit.hash(&mut h);
     opts.ordering.hash(&mut h);
     opts.opt.hash(&mut h);
-    opts.step_algo.hash(&mut h);
     opts.budget.hash(&mut h);
     opts.threads.hash(&mut h);
     opts.vectorized.hash(&mut h);
@@ -288,9 +287,9 @@ impl Executor {
         let (root, opt_report) =
             try_optimize_with(&mut dag, root, &opts.opt, opts.failpoints.perturbed_rule())
                 .map_err(Error::Opt)?;
-        // Cost-based pass: join-order enumeration and selection ordering
-        // over catalog statistics. Every plan it picks serializes
-        // byte-identically to the canonical plan; `--no-cost`
+        // Cost-based pass: join-order enumeration over catalog
+        // statistics. Every plan it picks serializes byte-identically to
+        // the canonical plan; `--no-cost`
         // (`opts.opt.cost = false`) keeps the rule-only planner, in which
         // case only the cardinality estimates are computed (for explain).
         let cost_ctx = exrquy_opt::CostContext {
@@ -313,7 +312,6 @@ impl Executor {
             opt_report,
             cost_report,
             names,
-            step_algo: opts.step_algo,
             budget: opts.budget.clone(),
             cancel: opts.cancel.clone(),
             failpoints: opts.failpoints.clone(),
@@ -345,7 +343,6 @@ impl Executor {
         }
         let tracker = self.materialize_for(plan, run)?;
         let engine_opts = EngineOptions {
-            step_algo: plan.step_algo,
             budget: plan.budget.clone(),
             cancel: run.cancel.clone().or_else(|| plan.cancel.clone()),
             failpoints: run

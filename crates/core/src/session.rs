@@ -7,7 +7,7 @@ use crate::verify::VerifyError;
 use exrquy_algebra::{Dag, OpId, PlanStats};
 use exrquy_compiler::CompileError;
 use exrquy_diag::{CancellationToken, ErrorClass, ErrorCode, ExecutionBudget, Failpoints, Stage};
-use exrquy_engine::{Profile, StepAlgo};
+use exrquy_engine::Profile;
 use exrquy_frontend::{OrderingMode, XqError};
 use exrquy_opt::{CostReport, OptError, OptOptions, OptReport};
 use exrquy_xml::{Catalog, NamePool, ParseError};
@@ -88,8 +88,6 @@ pub struct QueryOptions {
     pub ordering: Option<OrderingMode>,
     /// Plan optimization (column dependency analysis etc.).
     pub opt: OptOptions,
-    /// Step algorithm selection.
-    pub step_algo: StepAlgo,
     /// Resource ceilings (rows, wall-clock, constructed nodes, nesting
     /// depth). Defaults to unbounded, except that the parsers always
     /// apply their own conservative depth limits.
@@ -125,7 +123,6 @@ impl QueryOptions {
             exploit: true,
             ordering: Some(OrderingMode::Unordered),
             opt: OptOptions::default(),
-            step_algo: StepAlgo::Staircase,
             budget: ExecutionBudget::default(),
             cancel: None,
             failpoints: Failpoints::none(),
@@ -141,7 +138,6 @@ impl QueryOptions {
             exploit: false,
             ordering: Some(OrderingMode::Ordered),
             opt: OptOptions::disabled(),
-            step_algo: StepAlgo::Staircase,
             budget: ExecutionBudget::default(),
             cancel: None,
             failpoints: Failpoints::none(),
@@ -157,7 +153,6 @@ impl QueryOptions {
             exploit: true,
             ordering: None,
             opt: OptOptions::default(),
-            step_algo: StepAlgo::Staircase,
             budget: ExecutionBudget::default(),
             cancel: None,
             failpoints: Failpoints::none(),
@@ -220,14 +215,13 @@ pub struct Prepared {
     pub opt_report: OptReport,
     /// Cost-based planning report: per-operator cardinality estimates
     /// (joined with the execution profile's actual row counts by
-    /// `xq --explain`), join clusters examined/reordered, selection
-    /// chains re-applied, and the cost rewrite trace.
+    /// `xq --explain`), join clusters examined/reordered, compensation
+    /// sorts elided, and the cost rewrite trace.
     pub cost_report: CostReport,
     /// The plan's frozen name-pool snapshot (catalog names plus names the
     /// compiler interned for this query), shared with every execution's
     /// arena — plan rendering and SQL emission borrow it, never copy it.
     pub(crate) names: Arc<NamePool>,
-    pub(crate) step_algo: StepAlgo,
     /// Resource ceilings and cancellation carried from the options the
     /// plan was prepared with; applied on every [`Session::execute`].
     pub(crate) budget: ExecutionBudget,
@@ -342,11 +336,8 @@ impl Prepared {
         }
         let _ = writeln!(
             s,
-            "cost: {} join cluster(s), {} reordered ({} compensation sort(s) elided), {} select chain(s) reordered",
-            self.cost_report.clusters,
-            self.cost_report.reordered,
-            self.cost_report.elided,
-            self.cost_report.select_chains
+            "cost: {} join cluster(s), {} reordered ({} compensation sort(s) elided)",
+            self.cost_report.clusters, self.cost_report.reordered, self.cost_report.elided
         );
         for fired in &self.cost_report.trace {
             let _ = writeln!(s, "  {} at op {}", fired.rule, fired.before);

@@ -8,9 +8,9 @@
 //! 1. **baseline** — the unoptimized, fully order-aware reference
 //!    (exploitation off, `ordered` mode, optimizer disabled);
 //! 2. **optimized** — the plan under the caller's requested options;
-//! 3. **noweaken** — the requested options with `%`-weakening and
-//!    physical-order inference disabled (isolates the order-sensitive
-//!    rewrites from the rest of the optimizer);
+//! 3. **noweaken** — the requested options with `%`-weakening disabled
+//!    (isolates the order-sensitive rewrites from the rest of the
+//!    optimizer);
 //!
 //! — and comparing the three result sequences under the equivalence the
 //! effective ordering mode grants: **sequence** equality when the
@@ -120,7 +120,6 @@ impl VerifyReport {
 fn noweaken_opts(opts: &QueryOptions) -> QueryOptions {
     let mut o = opts.clone();
     o.opt.weaken_rownum = false;
-    o.opt.physical_order = false;
     o
 }
 
@@ -129,7 +128,6 @@ fn noweaken_opts(opts: &QueryOptions) -> QueryOptions {
 /// ceilings govern every arm alike.
 fn baseline_opts(opts: &QueryOptions) -> QueryOptions {
     let mut o = QueryOptions::baseline();
-    o.step_algo = opts.step_algo;
     o.budget = opts.budget.clone();
     o.cancel = opts.cancel.clone();
     o.failpoints = opts.failpoints.clone();

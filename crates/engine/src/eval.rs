@@ -88,30 +88,9 @@ impl From<ColumnError> for EvalError {
     }
 }
 
-/// Step-operator algorithm selection (§3: "several existing XPath step
-/// evaluation techniques may be plugged in to realize ⬡").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StepAlgo {
-    /// Staircase join \[Grust et al., VLDB 2003\] — the MonetDB/XQuery
-    /// choice and our default. The scalar reference arm runs exactly
-    /// that; the vectorized arm runs the size-driven kernel
-    /// ([`exrquy_xml::axis::step_name_stream_into`]), which takes a
-    /// per-name stream where the node test has one and the staircase
-    /// scan elsewhere.
-    #[default]
-    Staircase,
-    /// Per-name node streams (TwigStack-style tag-name access, paper §1)
-    /// for named tests, on both arms; staircase elsewhere.
-    NameStream,
-    /// The quadratic reference implementation (differential testing).
-    Naive,
-}
-
 /// Evaluator knobs.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Which algorithm realizes the step operator `⬡`.
-    pub step_algo: StepAlgo,
     /// Resource ceilings enforced at operator boundaries (and inside the
     /// expansion loops of row-explosive operators).
     pub budget: ExecutionBudget,
@@ -459,7 +438,7 @@ pub(crate) fn eval_pure(
         }
         Op::Step { axis, test, .. } => {
             let t = input(0);
-            eval_step(arena, &t, *axis, *test, opts.step_algo, threads, vec)
+            eval_step(arena, &t, *axis, *test, threads, vec)
         }
         Op::Cross { .. } => {
             let (lt, rt) = (input(0), input(1));

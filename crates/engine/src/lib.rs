@@ -45,7 +45,7 @@ mod vec;
 
 pub use bits::BitVec;
 pub use column::{Column, ColumnBuilder, ColumnError};
-pub use eval::{Engine, EngineOptions, EvalError, StepAlgo};
+pub use eval::{Engine, EngineOptions, EvalError};
 pub use item::Item;
 pub use profile::{Profile, SchedStats, VecStats};
 pub use table::{ColView, SelVec, Table};

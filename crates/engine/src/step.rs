@@ -10,20 +10,18 @@
 //! allocation per group, which is what a loop-lifted step — thousands of
 //! one-node groups — is made of.
 //!
-//! Which kernel: the vectorized arm runs
+//! Which kernel is decided by the arm alone: the vectorized arm runs
 //! [`axis::step_name_stream_into`], which decides per call whether a name
 //! stream applies and, for `child::name`, from which side to probe it
 //! (from the context size and the stream slice length, see there) and
-//! scans staircase-style otherwise. The scalar reference arm
-//! runs the plain staircase join [`axis::step_into`] and boxes its
-//! output, so the differential suites check the stream paths, both probe
-//! directions and the node-column layout against it. An explicit
-//! [`StepAlgo::NameStream`] or [`StepAlgo::Naive`] is honoured on both
-//! arms — which makes `Staircase` and `NameStream` the same kernel on the
-//! vectorized arm; the two differ on the scalar arm only.
+//! scans staircase-style otherwise. The scalar reference arm runs the
+//! plain staircase join [`axis::step_into`] and boxes its output, so the
+//! differential suites check the stream paths, both probe directions and
+//! the node-column layout against it. [`axis::naive`] is the reference
+//! both are tested against, here and in `tests/prop_axes.rs`.
 
 use crate::column::Column;
-use crate::eval::{int_col, kernel_threads, run_morsels, EvalError, StepAlgo};
+use crate::eval::{int_col, kernel_threads, run_morsels, EvalError};
 use crate::item::Item;
 use crate::table::{ColView, Table};
 use exrquy_algebra::Col;
@@ -85,7 +83,6 @@ pub(crate) fn eval_step(
     t: &Table,
     ax: Axis,
     test: NodeTest,
-    algo: StepAlgo,
     threads: usize,
     vec: bool,
 ) -> Result<Table, EvalError> {
@@ -105,12 +102,10 @@ pub(crate) fn eval_step(
             context_groups(&iters, &nodes).expect("sorted, duplicate-free context")
         }
     };
-    let kernel: axis::StepKernel = match (algo, vec) {
-        (StepAlgo::Naive, _) => {
-            |doc, ctx, ax, test, out| out.extend(axis::naive(doc, ctx, ax, test))
-        }
-        (StepAlgo::Staircase, false) => axis::step_into,
-        _ => axis::step_name_stream_into,
+    let kernel: axis::StepKernel = if vec {
+        axis::step_name_stream_into
+    } else {
+        axis::step_into
     };
     // Data-parallel over groups; partials concatenate in group order, so
     // the output is the serial (iter, doc-order) sequence either way.
@@ -150,9 +145,8 @@ pub(crate) fn eval_step(
 #[cfg(test)]
 mod tests {
     //! `eval_step` against [`axis::naive`] run per (iter, fragment)
-    //! group: every algorithm on both arms, over unsorted and duplicated
-    //! multi-iteration contexts spanning two fragments, in every input
-    //! representation.
+    //! group: both arms, over unsorted and duplicated multi-iteration
+    //! contexts spanning two fragments, in every input representation.
 
     use super::*;
     use exrquy_xml::rng::SmallRng;
@@ -203,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn every_algorithm_and_arm_matches_naive_per_group() {
+    fn both_arms_match_naive_per_group() {
         let arena = two_fragment_arena();
         let mut rng = SmallRng::seed_from_u64(18);
         let sizes = [arena.frag(0).len() as u32, arena.frag(1).len() as u32];
@@ -267,23 +261,22 @@ mod tests {
                 for &test in &tests {
                     let want = expected(&arena, rows, ax, test);
                     assert!(want.windows(2).all(|w| w[0] < w[1]));
-                    for algo in [StepAlgo::Staircase, StepAlgo::NameStream, StepAlgo::Naive] {
-                        for (input, vec, threads) in [
-                            (0, false, 1),
-                            (0, true, 1),
-                            (1, true, 1),
-                            (2, true, 1),
-                            (1, true, 3),
-                        ] {
-                            let got =
-                                eval_step(&arena, &inputs[input], ax, test, algo, threads, vec)
-                                    .unwrap();
-                            assert_eq!(
-                                rows_of(&got),
-                                want,
-                                "{ax}::{test:?} {algo:?} vec {vec} input {input}"
-                            );
-                        }
+                    for (input, vec, threads) in [
+                        (0, false, 1),
+                        (1, false, 1),
+                        (2, false, 1),
+                        (0, true, 1),
+                        (1, true, 1),
+                        (2, true, 1),
+                        (1, true, 3),
+                    ] {
+                        let got =
+                            eval_step(&arena, &inputs[input], ax, test, threads, vec).unwrap();
+                        assert_eq!(
+                            rows_of(&got),
+                            want,
+                            "{ax}::{test:?} vec {vec} input {input}"
+                        );
                     }
                 }
             }
@@ -301,29 +294,10 @@ mod tests {
                 (Col::ITER, Column::Int(vec![1])),
                 (Col::ITEM, Column::from_nodes(vec![root], !boxed_input)),
             ]);
-            for (vec, algo) in [(false, StepAlgo::Staircase), (false, StepAlgo::NameStream)] {
-                let out = eval_step(
-                    &arena,
-                    &t,
-                    Axis::Descendant,
-                    NodeTest::AnyKind,
-                    algo,
-                    1,
-                    vec,
-                )
-                .unwrap();
-                assert!(matches!(&**out.col(Col::ITEM).data(), Column::Item(v) if v.len() > 1));
-            }
-            let out = eval_step(
-                &arena,
-                &t,
-                Axis::Descendant,
-                NodeTest::AnyKind,
-                StepAlgo::Staircase,
-                1,
-                true,
-            )
-            .unwrap();
+            let step = |vec| eval_step(&arena, &t, Axis::Descendant, NodeTest::AnyKind, 1, vec);
+            let out = step(false).unwrap();
+            assert!(matches!(&**out.col(Col::ITEM).data(), Column::Item(v) if v.len() > 1));
+            let out = step(true).unwrap();
             assert!(matches!(&**out.col(Col::ITEM).data(), Column::Node(v) if v.len() > 1));
         }
     }
@@ -339,16 +313,7 @@ mod tests {
             ),
         ]);
         for vec in [false, true] {
-            let err = eval_step(
-                &arena,
-                &t,
-                Axis::Child,
-                NodeTest::AnyKind,
-                StepAlgo::Staircase,
-                1,
-                vec,
-            )
-            .unwrap_err();
+            let err = eval_step(&arena, &t, Axis::Child, NodeTest::AnyKind, 1, vec).unwrap_err();
             assert_eq!(err.code, ErrorCode::XPTY0004);
         }
     }

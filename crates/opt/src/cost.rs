@@ -1,6 +1,5 @@
-//! Statistics-driven cost-based planning: cardinality estimation, join
-//! graph isolation with byte-identical re-grafting, and selectivity-ordered
-//! selection chains.
+//! Statistics-driven cost-based planning: cardinality estimation and join
+//! graph isolation with byte-identical re-grafting.
 //!
 //! This pass runs *after* the rule rewriter ([`crate::try_optimize_with`])
 //! and never changes what a plan returns — only how it is shaped:
@@ -41,18 +40,14 @@
 //!    unordered aggregate over a reordered star join pays no restore
 //!    cost at all). Any construct the analysis cannot prove indifferent
 //!    keeps the full compensation, so byte-identity holds by
-//!    construction either way.
+//!    construction either way. The one column fact the walk needs — a
+//!    grouping column is constant, so the aggregate has one group — is
+//!    [`ColProp::Const`] from [`props::properties`], the rewriter's own
+//!    analysis, computed once per plan and only when some reorder wins.
+//!    It proves a constant through `∪̇`/`∪̂` when every part agrees.
 //!
-//! 3. **Selection ordering** (`cost-select-order`): chains of stacked σ
-//!    operators are re-applied cheapest-predicate-first. Selections emit the
-//!    surviving rows in input order, so any application order yields the
-//!    same table; the pass is gated on every σ column being produced by a
-//!    boolean-valued function (or boolean attachment), which rules out the
-//!    one observable difference a reorder could cause — a type error raised
-//!    by a row another σ would have filtered.
-//!
-//! Both rewrites honor [`OptOptions::disabled_rules`] and the global
-//! [`OptOptions::cost`] switch, and record [`RuleApplication`]s so the
+//! The rewrite honors [`OptOptions::disabled_rules`] and the global
+//! [`OptOptions::cost`] switch, and records [`RuleApplication`]s so the
 //! differential attribution pass of `exrquy-verify` can bisect a divergence
 //! to a single named rule — exactly as for the rule rewriter. The
 //! `stats-perturb:<factor>` failpoint deterministically corrupts estimates
@@ -60,7 +55,7 @@
 //! which may change which plan wins but — by the byte-identity argument —
 //! never what it returns.
 
-use crate::props;
+use crate::props::{self, ColProp, PropMap};
 use crate::rewrite::{OptError, OptOptions, RuleApplication};
 use exrquy_algebra::{AggrKind, Col, Dag, FunKind, Op, OpId};
 use exrquy_xml::{Axis, CatalogStats, NodeTest};
@@ -102,17 +97,15 @@ pub struct CostReport {
     /// Reordered clusters whose rank-sort compensation was provably
     /// unnecessary and therefore elided (order indifference downstream).
     pub elided: usize,
-    /// Selection chains re-applied in selectivity order.
-    pub select_chains: usize,
     /// Every cost rewrite, in firing order (same shape as the rule
     /// rewriter's trace).
     pub trace: Vec<RuleApplication>,
 }
 
-/// Run the cost-based passes over an already rule-optimized plan. With
-/// [`OptOptions::cost`] off (or both rules disabled) the plan is returned
-/// unchanged, but estimates are still computed so `--explain` can show
-/// them for the rule-only plan.
+/// Run the cost-based pass over an already rule-optimized plan. With
+/// [`OptOptions::cost`] off (or `cost-join-reorder` disabled) the plan is
+/// returned unchanged, but estimates are still computed so `--explain`
+/// can show them for the rule-only plan.
 pub fn cost_optimize(
     dag: &mut Dag,
     root: OpId,
@@ -123,9 +116,6 @@ pub fn cost_optimize(
     let mut cur = root;
     if opts.cost && !opts.disabled_rules.contains("cost-join-reorder") {
         cur = reorder_joins(dag, cur, ctx, &mut report)?;
-    }
-    if opts.cost && !opts.disabled_rules.contains("cost-select-order") {
-        cur = order_selects(dag, cur, ctx, &mut report)?;
     }
     report.estimates = estimate_cardinalities(dag, cur, ctx);
     Ok((cur, report))
@@ -632,7 +622,7 @@ fn reorder_joins(
     let consumers = consumer_counts(dag, root);
     let keys = props::keys(dag, root);
     let est = estimate_cardinalities(dag, root, ctx);
-    let consts = const_cols(dag, &topo);
+    let mut props: Option<PropMap> = None;
 
     // Pass A (detection, parents first): find maximal cluster roots, pick
     // a cheaper order where one exists.
@@ -682,7 +672,8 @@ fn reorder_joins(
         tree_shape(&tree, &mut order, &mut internals);
         let identity = order.iter().copied().eq(0..n) && internals == cluster.supports;
         if cost < canonical * REBUILD_GAIN && !identity {
-            let elide = rank_elidable(dag, root, id, &topo, &keys, &consts);
+            let props = props.get_or_insert_with(|| props::properties(dag, root));
+            let elide = rank_elidable(dag, root, id, &topo, &keys, props);
             decisions.insert(id, (cluster, tree, elide, model));
         }
     }
@@ -881,103 +872,6 @@ fn build_join(
 /// `#` sources by a union; any use of such a column bails.
 const CONFLICT: u32 = u32::MAX;
 
-/// Per-operator sets of columns provably holding at most one distinct
-/// value (the unit-loop `iter`, attached constants, and everything that
-/// carries them unchanged). A constant partition column means a grouped
-/// aggregate has at most one group, which makes it as strong an
-/// order-dependence pinch as an unpartitioned one.
-fn const_cols(dag: &Dag, topo: &[OpId]) -> HashMap<OpId, HashSet<Col>> {
-    let mut out: HashMap<OpId, HashSet<Col>> = HashMap::new();
-    for &id in topo {
-        let get = |m: &HashMap<OpId, HashSet<Col>>, c: OpId, col: Col| {
-            m.get(&c).is_some_and(|s| s.contains(&col))
-        };
-        let set: HashSet<Col> = match dag.op(id) {
-            Op::Lit { cols, rows } => {
-                if rows.len() <= 1 {
-                    cols.iter().copied().collect()
-                } else {
-                    cols.iter()
-                        .enumerate()
-                        .filter(|&(i, _)| rows.iter().all(|r| r[i] == rows[0][i]))
-                        .map(|(_, &c)| c)
-                        .collect()
-                }
-            }
-            // One row: the document root.
-            Op::Doc { .. } => dag.schema(id).iter().copied().collect(),
-            Op::Fanout { lo, hi, .. } => {
-                if hi.saturating_sub(*lo) <= 1 {
-                    dag.schema(id).iter().copied().collect()
-                } else {
-                    HashSet::new()
-                }
-            }
-            Op::Attach { input, col, .. } => {
-                let mut s = out.get(input).cloned().unwrap_or_default();
-                s.insert(*col);
-                s
-            }
-            Op::Project { input, cols } => cols
-                .iter()
-                .filter(|(_, inp)| get(&out, *input, *inp))
-                .map(|&(o, _)| o)
-                .collect(),
-            Op::Fun {
-                input, new, args, ..
-            } => {
-                let mut s = out.get(input).cloned().unwrap_or_default();
-                if args.iter().all(|a| s.contains(a)) {
-                    s.insert(*new);
-                }
-                s
-            }
-            Op::Select { input, .. }
-            | Op::Sort { input, .. }
-            | Op::Distinct { input }
-            | Op::Serialize { input } => out.get(input).cloned().unwrap_or_default(),
-            // New numbering columns are not constant; carried ones are.
-            Op::RowId { input, .. } | Op::RowNum { input, .. } | Op::Range { input, .. } => out
-                .get(input)
-                .map(|s| {
-                    dag.schema(id)
-                        .iter()
-                        .filter(|c| s.contains(c))
-                        .copied()
-                        .collect()
-                })
-                .unwrap_or_default(),
-            Op::Aggr { input, part, .. } => {
-                part.filter(|p| get(&out, *input, *p)).into_iter().collect()
-            }
-            // The step replaces `item`; only a constant iter survives.
-            Op::Step { input, .. } => {
-                if get(&out, *input, Col::ITER) {
-                    [Col::ITER].into_iter().collect()
-                } else {
-                    HashSet::new()
-                }
-            }
-            Op::Cross { l, r } | Op::EquiJoin { l, r, .. } | Op::ThetaJoin { l, r, .. } => {
-                let mut s = out.get(l).cloned().unwrap_or_default();
-                if let Some(rs) = out.get(r) {
-                    s.extend(rs.iter().copied());
-                }
-                s
-            }
-            Op::Difference { l, .. } => out.get(l).cloned().unwrap_or_default(),
-            // Two branches may carry different single values.
-            Op::Union { .. }
-            | Op::ShardUnion { .. }
-            | Op::Element { .. }
-            | Op::Attr { .. }
-            | Op::TextNode { .. } => HashSet::new(),
-        };
-        out.insert(id, set);
-    }
-    out
-}
-
 /// Decide whether the rank-sort compensation for the cluster rooted at
 /// `start` can be elided: walk the downstream cone from `start` to `root`
 /// proving that no operator can translate the cluster's *row order* into
@@ -997,7 +891,7 @@ fn rank_elidable(
     start: OpId,
     topo: &[OpId],
     keys: &props::KeyMap,
-    consts: &HashMap<OpId, HashSet<Col>>,
+    props: &PropMap,
 ) -> bool {
     let mut influenced: HashSet<OpId> = HashSet::new();
     let mut taints: HashMap<OpId, HashMap<Col, u32>> = HashMap::new();
@@ -1118,7 +1012,10 @@ fn rank_elidable(
                         if let Some(s) = psrc {
                             out_taint.insert(*p, s);
                         }
-                        let single_group = consts.get(input).is_some_and(|s| s.contains(p));
+                        let single_group = matches!(
+                            props.get(input).and_then(|m| m.get(p)),
+                            Some(ColProp::Const(_))
+                        );
                         out_influence = inf && !single_group;
                     }
                 }
@@ -1237,237 +1134,6 @@ fn rank_elidable(
     !influenced.contains(&root) && taints.get(&root).is_none_or(|m| m.is_empty())
 }
 
-// ---------------------------------------------------------------------
-// Selection ordering
-// ---------------------------------------------------------------------
-
-/// What produces a σ column's values, when they are provably boolean.
-enum BoolSrc {
-    Fun(FunKind),
-    Const,
-}
-
-/// Walk down from `id` to the producer of `col`; `Some` only when every
-/// value is a boolean (so a σ on it can never raise a type error and its
-/// application order is unobservable).
-fn bool_producer(dag: &Dag, id: OpId, col: Col) -> Option<BoolSrc> {
-    match dag.op(id) {
-        Op::Fun {
-            input, new, kind, ..
-        } => {
-            if *new == col {
-                if bool_valued(*kind) {
-                    Some(BoolSrc::Fun(*kind))
-                } else {
-                    None
-                }
-            } else {
-                bool_producer(dag, *input, col)
-            }
-        }
-        Op::Attach {
-            input,
-            col: c,
-            value,
-        } => {
-            if *c == col {
-                matches!(value, exrquy_algebra::AValue::Bool(_)).then_some(BoolSrc::Const)
-            } else {
-                bool_producer(dag, *input, col)
-            }
-        }
-        Op::Project { input, cols } => cols
-            .iter()
-            .find(|(new, _)| *new == col)
-            .and_then(|(_, src)| bool_producer(dag, *input, *src)),
-        Op::Select { input, .. }
-        | Op::Distinct { input }
-        | Op::Sort { input, .. }
-        | Op::Serialize { input } => bool_producer(dag, *input, col),
-        Op::RowNum { input, new, .. } | Op::RowId { input, new } => (*new != col)
-            .then(|| bool_producer(dag, *input, col))
-            .flatten(),
-        Op::Range { input, new, .. } => (*new != col)
-            .then(|| bool_producer(dag, *input, col))
-            .flatten(),
-        Op::Cross { l, r } | Op::EquiJoin { l, r, .. } | Op::ThetaJoin { l, r, .. } => {
-            if dag.schema(*l).contains(&col) {
-                bool_producer(dag, *l, col)
-            } else {
-                bool_producer(dag, *r, col)
-            }
-        }
-        Op::Union { l, r } => bool_producer(dag, *l, col).and_then(|_| bool_producer(dag, *r, col)),
-        Op::ShardUnion { parts } => {
-            let mut src = None;
-            for p in parts {
-                src = bool_producer(dag, *p, col);
-                src.as_ref()?;
-            }
-            src
-        }
-        _ => None,
-    }
-}
-
-/// Function kinds that always yield a boolean on success.
-fn bool_valued(kind: FunKind) -> bool {
-    matches!(
-        kind,
-        FunKind::Eq
-            | FunKind::Ne
-            | FunKind::Lt
-            | FunKind::Le
-            | FunKind::Gt
-            | FunKind::Ge
-            | FunKind::And
-            | FunKind::Or
-            | FunKind::Not
-            | FunKind::Contains
-            | FunKind::StartsWith
-            | FunKind::EndsWith
-            | FunKind::ItemEbv
-            | FunKind::NodeBefore
-            | FunKind::NodeAfter
-            | FunKind::NodeIs
-    )
-}
-
-/// Fixed selectivity guess per boolean producer kind (smaller = more
-/// selective = applied first).
-fn producer_selectivity(src: &BoolSrc) -> f64 {
-    match src {
-        BoolSrc::Const => 0.5,
-        BoolSrc::Fun(kind) => match kind {
-            FunKind::Eq | FunKind::NodeIs => 0.1,
-            FunKind::And => 0.15,
-            FunKind::Contains | FunKind::StartsWith | FunKind::EndsWith => 0.25,
-            FunKind::Lt | FunKind::Le | FunKind::Gt | FunKind::Ge => 0.3,
-            FunKind::ItemEbv => 0.33,
-            FunKind::NodeBefore | FunKind::NodeAfter => 0.4,
-            FunKind::Or => 0.5,
-            FunKind::Not => 0.7,
-            FunKind::Ne => 0.9,
-            _ => 0.33,
-        },
-    }
-}
-
-/// The `cost-select-order` pass: re-apply stacked σ chains in ascending
-/// selectivity order.
-fn order_selects(
-    dag: &mut Dag,
-    root: OpId,
-    ctx: &CostContext,
-    report: &mut CostReport,
-) -> Result<OpId, OptError> {
-    let topo = dag.topo_order(root);
-    let consumers = consumer_counts(dag, root);
-
-    // Pass A: find chains (head = topmost σ) worth reordering.
-    let mut processed: HashSet<OpId> = HashSet::new();
-    let mut decisions: HashMap<OpId, (OpId, Vec<Col>)> = HashMap::new();
-    for &id in topo.iter().rev() {
-        if processed.contains(&id) {
-            continue;
-        }
-        let Op::Select { input, col } = *dag.op(id) else {
-            continue;
-        };
-        // Collect the chain top-down; interior links must have no other
-        // consumers, or reordering would change what those consumers see.
-        let mut chain = vec![(id, col)];
-        let mut cur = input;
-        while let Op::Select { input, col } = *dag.op(cur) {
-            if consumers.get(&cur).copied().unwrap_or(0) != 1 {
-                break;
-            }
-            chain.push((cur, col));
-            cur = input;
-        }
-        processed.extend(chain.iter().map(|(s, _)| *s));
-        if chain.len() < 2 {
-            continue;
-        }
-        let bottom = cur;
-        // Original application order is bottom-up.
-        chain.reverse();
-        let mut ranked: Vec<(Col, f64)> = Vec::with_capacity(chain.len());
-        let mut all_bool = true;
-        for &(sid, c) in &chain {
-            match bool_producer(dag, bottom, c) {
-                Some(src) => {
-                    let mut sel = producer_selectivity(&src);
-                    if let Some(f) = ctx.perturb {
-                        let f = f.abs().max(1e-6);
-                        sel = if sid.0 % 2 == 0 { sel * f } else { sel / f };
-                    }
-                    ranked.push((c, sel));
-                }
-                None => {
-                    all_bool = false;
-                    break;
-                }
-            }
-        }
-        if !all_bool {
-            continue;
-        }
-        let mut sorted = ranked.clone();
-        sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
-        if sorted
-            .iter()
-            .map(|(c, _)| *c)
-            .eq(ranked.iter().map(|(c, _)| *c))
-        {
-            continue;
-        }
-        decisions.insert(id, (bottom, sorted.into_iter().map(|(c, _)| c).collect()));
-    }
-    if decisions.is_empty() {
-        return Ok(root);
-    }
-
-    // Pass B: rebuild bottom-up with reordered chains.
-    let mut memo: HashMap<OpId, OpId> = HashMap::new();
-    for &id in &topo {
-        if let Some((bottom, order)) = decisions.get(&id) {
-            let mut new = memo.get(bottom).copied().unwrap_or(*bottom);
-            for &c in order {
-                new = dag
-                    .try_add(Op::Select { input: new, col: c })
-                    .map_err(|e| opt_err("cost-select-order", id, dag, e.0))?;
-            }
-            report.select_chains += 1;
-            report.trace.push(RuleApplication {
-                round: 1,
-                rule: "cost-select-order",
-                before: id,
-                after: new,
-            });
-            memo.insert(id, new);
-            continue;
-        }
-        let op = dag.op(id).clone();
-        let mapped: Vec<OpId> = op
-            .children()
-            .iter()
-            .map(|c| memo.get(c).copied().unwrap_or(*c))
-            .collect();
-        let new = if mapped == op.children() {
-            id
-        } else {
-            dag.try_add(op.with_children(&mapped))
-                .map_err(|e| opt_err("cost-select-order", id, dag, e.0))?
-        };
-        memo.insert(id, new);
-    }
-    let new_root = memo[&root];
-    dag.validate_plan(new_root)
-        .map_err(|e| opt_err("cost-select-order", new_root, dag, e.0))?;
-    Ok(new_root)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1483,8 +1149,14 @@ mod tests {
     /// Three-relation chain: big ⨝ big ⨝ tiny, written left-deep with the
     /// tiny relation last — the cost model should join through the tiny
     /// side first.
-    fn chain_plan(dag: &mut Dag) -> (OpId, OpId, OpId, OpId) {
+    fn chain_plan(dag: &mut Dag) -> (OpId, OpId) {
         let a = lit(dag, Col(40), &(0..30).collect::<Vec<_>>());
+        (a, chain_on(dag, a))
+    }
+
+    /// The joins of [`chain_plan`] over a given 30-row first leaf
+    /// carrying column 40.
+    fn chain_on(dag: &mut Dag, a: OpId) -> OpId {
         let b = lit(dag, Col(41), &(0..30).map(|v| v % 3).collect::<Vec<_>>());
         let c = lit(dag, Col(42), &[0, 1]);
         let ab = dag.add(Op::ThetaJoin {
@@ -1492,19 +1164,18 @@ mod tests {
             r: b,
             pred: vec![(Col(40), FunKind::Ne, Col(41))],
         });
-        let root = dag.add(Op::EquiJoin {
+        dag.add(Op::EquiJoin {
             l: ab,
             r: c,
             lcol: Col(41),
             rcol: Col(42),
-        });
-        (a, b, c, root)
+        })
     }
 
     #[test]
     fn estimates_cover_every_operator_and_respect_perturbation() {
         let mut dag = Dag::new();
-        let (a, _, _, root) = chain_plan(&mut dag);
+        let (a, root) = chain_plan(&mut dag);
         let est = estimate_cardinalities(&dag, root, &CostContext::default());
         for id in dag.topo_order(root) {
             assert!(est[&id].is_finite() && est[&id] > 0.0, "estimate for {id}");
@@ -1625,79 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn select_chain_reorders_most_selective_first() {
-        let mut dag = Dag::new();
-        let base = lit(&mut dag, Col(40), &[1, 2, 3, 4]);
-        let ne = dag.add(Op::Fun {
-            input: base,
-            new: Col(41),
-            kind: FunKind::Ne,
-            args: vec![Col(40), Col(40)],
-        });
-        let eq = dag.add(Op::Fun {
-            input: ne,
-            new: Col(42),
-            kind: FunKind::Eq,
-            args: vec![Col(40), Col(40)],
-        });
-        // Canonical order applies the weak σ (Ne, sel 0.9) first.
-        let s1 = dag.add(Op::Select {
-            input: eq,
-            col: Col(41),
-        });
-        let s2 = dag.add(Op::Select {
-            input: s1,
-            col: Col(42),
-        });
-        let (new_root, report) = cost_optimize(
-            &mut dag,
-            s2,
-            &OptOptions::default(),
-            &CostContext::default(),
-        )
-        .unwrap();
-        assert_eq!(report.select_chains, 1);
-        assert_ne!(new_root, s2);
-        // New head filters on the Ne column (weakest last).
-        let Op::Select { input, col } = dag.op(new_root) else {
-            panic!("head must stay a σ");
-        };
-        assert_eq!(*col, Col(41));
-        let Op::Select { col, .. } = dag.op(*input) else {
-            panic!("σ chain expected");
-        };
-        assert_eq!(*col, Col(42));
-        assert_eq!(report.trace[0].rule, "cost-select-order");
-    }
-
-    #[test]
-    fn select_chain_without_boolean_proof_is_untouched() {
-        let mut dag = Dag::new();
-        // Columns straight out of a literal: no boolean producer proof.
-        let base = dag.add(Op::Lit {
-            cols: vec![Col(41), Col(42)],
-            rows: vec![vec![AValue::Bool(true), AValue::Bool(false)]],
-        });
-        let s1 = dag.add(Op::Select {
-            input: base,
-            col: Col(41),
-        });
-        let s2 = dag.add(Op::Select {
-            input: s1,
-            col: Col(42),
-        });
-        let (new_root, report) = cost_optimize(
-            &mut dag,
-            s2,
-            &OptOptions::default(),
-            &CostContext::default(),
-        )
-        .unwrap();
-        assert_eq!(new_root, s2);
-        assert_eq!(report.select_chains, 0);
-    }
-
-    #[test]
     fn shared_interior_joins_are_cluster_leaves() {
         // The a⨝b result feeds both the outer join and a distinct — it
         // must not be dissolved (its other consumer still needs it).
@@ -1800,6 +1398,75 @@ mod tests {
                 .any(|id| matches!(dag.op(*id), Op::Sort { .. })),
             "order-sensitive consumer must keep the restore sort"
         );
+    }
+
+    /// `Count‖iter` over the reorderable chain whose first leaf is two
+    /// halves of column 40, attaching `iter` constants `iters.0` and
+    /// `iters.1`, merged by `∪̇` (or, with `shards`, by `∪̂`).
+    fn count_per_iter_over_union(iters: (i64, i64), shards: bool) -> (Dag, OpId) {
+        let mut dag = Dag::new();
+        let mut half = |vals: std::ops::Range<i64>, iter: i64| {
+            let input = lit(&mut dag, Col(40), &vals.collect::<Vec<_>>());
+            dag.add(Op::Attach {
+                input,
+                col: Col::ITER,
+                value: AValue::Int(iter),
+            })
+        };
+        let (l, r) = (half(0..15, iters.0), half(15..30, iters.1));
+        let a = if shards {
+            dag.add(Op::ShardUnion { parts: vec![l, r] })
+        } else {
+            dag.add(Op::Union { l, r })
+        };
+        let joins = chain_on(&mut dag, a);
+        let root = dag.add(Op::Aggr {
+            input: joins,
+            kind: AggrKind::Count,
+            new: Col(50),
+            arg: None,
+            part: Some(Col::ITER),
+        });
+        (dag, root)
+    }
+
+    #[test]
+    fn a_constant_group_proven_through_a_union_elides_the_compensation() {
+        // Both parts attach `iter = 1`: the count has one group, so it
+        // cannot observe the cluster's row order.
+        for shards in [false, true] {
+            let (mut dag, root) = count_per_iter_over_union((1, 1), shards);
+            let (new_root, report) = cost_optimize(
+                &mut dag,
+                root,
+                &OptOptions::default(),
+                &CostContext::default(),
+            )
+            .unwrap();
+            assert_eq!((report.reordered, report.elided), (1, 1), "{report:?}");
+            dag.validate_plan(new_root).unwrap();
+        }
+    }
+
+    #[test]
+    fn union_parts_with_different_constants_keep_the_compensation() {
+        // `iter` is 1 on one side and 2 on the other: two groups, whose
+        // counts come out in the order their rows arrive.
+        for shards in [false, true] {
+            let (mut dag, root) = count_per_iter_over_union((1, 2), shards);
+            let (new_root, report) = cost_optimize(
+                &mut dag,
+                root,
+                &OptOptions::default(),
+                &CostContext::default(),
+            )
+            .unwrap();
+            assert_eq!((report.reordered, report.elided), (1, 0), "{report:?}");
+            assert!(dag
+                .reachable(new_root)
+                .iter()
+                .any(|id| matches!(dag.op(*id), Op::Sort { .. })));
+        }
     }
 
     #[test]

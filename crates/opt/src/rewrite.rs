@@ -1,7 +1,6 @@
 //! The plan rewriter: applies column dependency analysis, `%`-weakening
 //! and step merging to a fixpoint.
 
-use crate::order::{rownum_is_presorted, sort_orders, OrderMap};
 use crate::props::{domains, keys, origin, properties, ColProp, KeyMap, PropMap};
 use crate::required::{only_join_col_required, required_columns};
 use crate::rules::RuleSet;
@@ -24,17 +23,11 @@ pub struct OptOptions {
     /// §5 step merging: `⬡child::nt ∘ ⬡descendant-or-self::node()` ⇒
     /// `⬡descendant::nt`.
     pub merge_steps: bool,
-    /// Physical order inference (\[15\], cf. §6): drop the sort criteria
-    /// of a `%` whose input the engine provably emits presorted. Off by
-    /// default — the paper's contribution is purely logical; this is the
-    /// orthogonal extension, exercised by the ablation benches.
-    pub physical_order: bool,
     /// Statistics-driven cost-based planning (see [`crate::cost`]): join
-    /// graph isolation + cardinality-estimated join reordering, and
-    /// selectivity-ordered σ chains. Runs as a separate pass after the
-    /// rule rewriter (it needs catalog statistics the rewriter does not
-    /// have); this flag rides the plan-cache fingerprint so costed and
-    /// rule-only plans never alias in the cache.
+    /// graph isolation + cardinality-estimated join reordering. Runs as a
+    /// separate pass after the rule rewriter (it needs catalog statistics
+    /// the rewriter does not have); this flag rides the plan-cache
+    /// fingerprint so costed and rule-only plans never alias in the cache.
     pub cost: bool,
     /// Individually disabled named rules (see [`crate::rules::RULE_NAMES`])
     /// — finer-grained than the pass flags above; a rule fires only when
@@ -52,7 +45,6 @@ impl Default for OptOptions {
             column_dependency: true,
             weaken_rownum: true,
             merge_steps: true,
-            physical_order: false,
             cost: true,
             disabled_rules: RuleSet::empty(),
             max_rounds: 8,
@@ -67,7 +59,6 @@ impl OptOptions {
             column_dependency: false,
             weaken_rownum: false,
             merge_steps: false,
-            physical_order: false,
             cost: false,
             disabled_rules: RuleSet::empty(),
             max_rounds: 1,
@@ -215,7 +206,6 @@ pub fn try_optimize_with(
 struct Ctx<'a> {
     req: HashMap<OpId, BTreeSet<Col>>,
     props: PropMap,
-    orders: OrderMap,
     key_cols: KeyMap,
     /// Joins that pair every left row with exactly one right row (see
     /// [`one_to_one_joins`]).
@@ -303,11 +293,6 @@ fn one_round(
             &one_to_one,
         ),
         props: properties(dag, root),
-        orders: if opts.physical_order {
-            sort_orders(dag, root)
-        } else {
-            OrderMap::new()
-        },
         key_cols,
         one_to_one,
         opts: *opts,
@@ -564,29 +549,6 @@ fn rewrite_op(
                 }
                 ctx.fire("weaken-rownum-to-rowid", old_id, id);
                 return Ok(id);
-            }
-            // [15]-style physical order: the engine already emits the
-            // input presorted — the % numbers in one pass, no sort.
-            // Constant columns constrain nothing and are ignored on both
-            // sides of the prefix match.
-            if opts.physical_order && ctx.on("physical-order") && !order.is_empty() {
-                if let Some(input_order) = ctx.orders.get(&old_input) {
-                    let is_const = |c: Col| {
-                        matches!(prop_of(&ctx.props, old_input, c), Some(ColProp::Const(_)))
-                    };
-                    let filtered_input: Vec<Col> = input_order
-                        .iter()
-                        .copied()
-                        .filter(|&c| !is_const(c))
-                        .collect();
-                    let filtered_order: Vec<exrquy_algebra::SortKey> =
-                        order.iter().copied().filter(|k| !is_const(k.col)).collect();
-                    let filtered_part = part.filter(|&p| !is_const(p));
-                    if rownum_is_presorted(&filtered_input, &filtered_order, filtered_part) {
-                        order.clear();
-                        rule = "physical-order";
-                    }
-                }
             }
             let id = intern(
                 dag,

@@ -24,7 +24,6 @@ pub const RULE_NAMES: &[&str] = &[
     "cda-bypass-fun",
     "weaken-criteria",
     "weaken-rownum-to-rowid",
-    "physical-order",
     "project-prune",
     "project-collapse",
     "project-identity",
@@ -45,7 +44,6 @@ pub const RULE_NAMES: &[&str] = &[
     "join-elim-key-domain",
     "join-self-key",
     "cost-join-reorder",
-    "cost-select-order",
 ];
 
 /// A set of named rewrite rules, packed into one word.

@@ -18,8 +18,9 @@
 //! `--iters` single-document cells and as many multi-document cells with
 //! their authored joins, under both profiles — run under the reference
 //! point and every row of the covering table (cost pass, vectorization,
-//! worker threads, shard count, step algorithm, served and chaos
-//! transport), and every row must serialize byte-identically.
+//! worker threads, shard count, served and chaos transport, nested
+//! constructors as written or unnested), and every row must serialize
+//! byte-identically.
 
 use exrquy_verify::fuzz::{run_fuzz, FuzzConfig, FuzzProfile};
 use exrquy_verify::{run_lattice, Attribution, Lattice};

@@ -14,8 +14,9 @@
 //! configuration lattice (see [`exrquy_verify::lattice`]): the queries
 //! over the whole document and the shard matrix over the split corpus,
 //! under the reference point and every row of the covering table — cost
-//! pass, vectorization, worker threads, shard count, step algorithm,
-//! served and chaos transport — each serializing byte-identically.
+//! pass, vectorization, worker threads, shard count, served and chaos
+//! transport, nested constructors as written or unnested — each
+//! serializing byte-identically.
 
 use exrquy_verify::{
     run_concurrent_differential, run_lattice, run_xmark_suite, ConcurrencyConfig, Lattice,

@@ -4,14 +4,15 @@
 //! The paper's claim is an invariance — trading `%` for `#` may change
 //! the plan, never the answer beyond the admissible permutations — and
 //! every layer built on top makes the same promise for its own axis: the
-//! cost pass, vectorization, worker threads, shard fan-out, the step
-//! algorithm, the served transport — and the compiler's flattening of
-//! nested constructors into twigs, which has no option to flip and is
-//! checked metamorphically ([`Constructors`]). This module states that
-//! promise once. A [`Config`] names one point of the configuration space; each
-//! *cell* (corpus, query, compiler profile) is executed once under the
-//! [`REFERENCE`] point (uncosted, scalar, serial, 1 shard, staircase,
-//! direct, constructors as written) and once under every row of the [`TABLE`], and each row must
+//! cost pass, vectorization (which also pits the name-stream step kernel
+//! against the staircase join), worker threads, shard fan-out, the served
+//! transport — and the compiler's flattening of nested constructors into
+//! twigs, which has no option to flip and is checked metamorphically
+//! ([`Constructors`]). This module states that promise once. A [`Config`]
+//! names one point of the configuration space; each *cell* (corpus,
+//! query, compiler profile) is executed once under the [`REFERENCE`]
+//! point (uncosted, scalar, serial, 1 shard, direct, constructors as
+//! written) and once under every row of the [`TABLE`], and each row must
 //! render the same items in the same order — or fail with the same error
 //! code ([`compare`]). Comparison is exact sequence equality, *not* the
 //! bag equivalence the unordered mode would grant: the ordering profile
@@ -22,7 +23,7 @@
 //! sixteen rows that contain every expressible pair of axis values (a
 //! unit test enumerates the pairs, so an axis value added without a
 //! covering row fails it). Sixteen is the floor for these domains: the
-//! wire protocol cannot spell per-request cost/scalar/step-algorithm
+//! wire protocol cannot spell per-request cost or the scalar arm
 //! ([`expressible`]), so the six (transport, threads) pairs of the two
 //! served transports need six cost-on rows, the other three cost values
 //! need three thread counts each, and cost-on × direct needs one more.
@@ -60,7 +61,6 @@ use crate::fuzz::{cell_rng, gen_corpus, gen_doc, gen_query, gen_query_corpus};
 use crate::fuzz::{Corpus, FuzzProfile, NAMES};
 use crate::shrink::{shrink, weight};
 use exrquy::diag::Failpoints;
-use exrquy::engine::StepAlgo;
 use exrquy::frontend::{parse_module, pretty, pretty_module, ElemContent, Expr};
 use exrquy::opt::RuleSet;
 use exrquy::{QueryOptions, QueryOutput, ResultItem, Session};
@@ -127,7 +127,6 @@ pub struct Config {
     pub vectorized: bool,
     pub threads: usize,
     pub shards: usize,
-    pub step_algo: StepAlgo,
     pub transport: Transport,
     pub constructors: Constructors,
     /// Extra failpoints armed on the run (planted faults); empty in
@@ -140,7 +139,6 @@ const fn row(
     vectorized: bool,
     threads: usize,
     shards: usize,
-    step_algo: StepAlgo,
     transport: Transport,
     constructors: Constructors,
 ) -> Config {
@@ -149,7 +147,6 @@ const fn row(
         vectorized,
         threads,
         shards,
-        step_algo,
         transport,
         constructors,
         failpoints: "",
@@ -162,7 +159,6 @@ pub const REFERENCE: Config = row(
     false,
     1,
     1,
-    StepAlgo::Staircase,
     Transport::Direct,
     Constructors::Nested,
 );
@@ -173,25 +169,24 @@ pub const REFERENCE: Config = row(
 pub const TABLE: [Config; 16] = {
     use Constructors::{Nested, Unnested};
     use Cost::{Off, On};
-    use StepAlgo::{NameStream, Staircase};
     use Transport::{Direct, Served, ServedChaos};
     [
-        row(Off, false, 1, 2, Staircase, Direct, Nested),
-        row(Off, true, 2, 8, NameStream, Direct, Unnested),
-        row(Off, false, 4, 1, NameStream, Direct, Nested),
-        row(INFLATE, true, 1, 1, NameStream, Direct, Unnested),
-        row(INFLATE, false, 2, 2, Staircase, Direct, Nested),
-        row(INFLATE, true, 4, 8, Staircase, Direct, Unnested),
-        row(DEFLATE, false, 1, 8, NameStream, Direct, Nested),
-        row(DEFLATE, true, 2, 1, Staircase, Direct, Unnested),
-        row(DEFLATE, true, 4, 2, NameStream, Direct, Nested),
-        row(On, false, 4, 8, NameStream, Direct, Unnested),
-        row(On, true, 1, 2, Staircase, Served, Nested),
-        row(On, true, 2, 8, Staircase, Served, Unnested),
-        row(On, true, 4, 1, Staircase, Served, Nested),
-        row(On, true, 1, 8, Staircase, ServedChaos, Unnested),
-        row(On, true, 2, 1, Staircase, ServedChaos, Nested),
-        row(On, true, 4, 2, Staircase, ServedChaos, Unnested),
+        row(Off, false, 1, 2, Direct, Nested),
+        row(Off, true, 2, 8, Direct, Unnested),
+        row(Off, false, 4, 1, Direct, Nested),
+        row(INFLATE, true, 1, 1, Direct, Unnested),
+        row(INFLATE, false, 2, 2, Direct, Nested),
+        row(INFLATE, true, 4, 8, Direct, Unnested),
+        row(DEFLATE, false, 1, 8, Direct, Nested),
+        row(DEFLATE, true, 2, 1, Direct, Unnested),
+        row(DEFLATE, true, 4, 2, Direct, Nested),
+        row(On, false, 4, 8, Direct, Unnested),
+        row(On, true, 1, 2, Served, Nested),
+        row(On, true, 2, 8, Served, Unnested),
+        row(On, true, 4, 1, Served, Nested),
+        row(On, true, 1, 8, ServedChaos, Unnested),
+        row(On, true, 2, 1, ServedChaos, Nested),
+        row(On, true, 4, 2, ServedChaos, Unnested),
     ]
 };
 
@@ -200,12 +195,11 @@ pub const TABLE: [Config; 16] = {
 /// with it; the pair-coverage test enumerates value pairs with it. A new
 /// axis is one field, one line here and its covering rows.
 pub type Axis = (&'static str, fn(&mut Config, &Config));
-pub const AXES: [Axis; 8] = [
+pub const AXES: [Axis; 7] = [
     ("cost", |c, from| c.cost = from.cost),
     ("vectorized", |c, from| c.vectorized = from.vectorized),
     ("threads", |c, from| c.threads = from.threads),
     ("shards", |c, from| c.shards = from.shards),
-    ("step_algo", |c, from| c.step_algo = from.step_algo),
     ("transport", |c, from| c.transport = from.transport),
     ("constructors", |c, from| c.constructors = from.constructors),
     ("failpoints", |c, from| c.failpoints = from.failpoints),
@@ -213,14 +207,11 @@ pub const AXES: [Axis; 8] = [
 
 /// Can this point be run at all? The wire protocol spells the ordering
 /// mode and the catalog per request and threads/`net-*` faults per
-/// daemon — not the cost pass, the scalar arm, the step algorithm or a
-/// compile-side failpoint.
+/// daemon — not the cost pass, the scalar arm or a compile-side
+/// failpoint.
 pub fn expressible(c: &Config) -> bool {
     c.transport == Transport::Direct
-        || (c.cost == Cost::On
-            && c.vectorized
-            && c.step_algo == StepAlgo::Staircase
-            && c.failpoints.is_empty())
+        || (c.cost == Cost::On && c.vectorized && c.failpoints.is_empty())
 }
 
 impl Config {
@@ -230,7 +221,6 @@ impl Config {
             .clone()
             .with_vectorized(self.vectorized)
             .with_threads(self.threads);
-        o.step_algo = self.step_algo;
         let mut spec = self.failpoints.to_string();
         match self.cost {
             Cost::Off => o.opt.cost = false,
@@ -368,14 +358,17 @@ pub struct Report {
     /// (cell, row) pairs skipped because the row is not [`expressible`].
     pub inexpressible: usize,
     /// Evidence the run was not vacuous: `reordered_plans` (cells whose
-    /// shipped plan had a join cluster rebuilt), `fused_chains` (in the
-    /// cells' shipped plans), `perturbed_cells` ((cell, row) runs under a
-    /// `stats-perturb` arm), `join_queries` (authored join cells),
-    /// `shards_materialized` (shards holding a parsed fragment in the
-    /// multi-shard layouts), `served_cells` ((cell, row) pairs compared
-    /// over the wire), `unnested_cells` ((cell, row) pairs whose query had
-    /// nested constructors to unnest), `chaos_retries` (retries the chaos
-    /// clients spent) and `shed_cells` (requests a daemon shed).
+    /// shipped plan had a join cluster rebuilt), `elided_plans` (cells
+    /// whose shipped plan rebuilt one without its compensation sort —
+    /// the order-indifference proof compared byte for byte),
+    /// `fused_chains` (in the cells' shipped plans), `perturbed_cells`
+    /// ((cell, row) runs under a `stats-perturb` arm), `join_queries`
+    /// (authored join cells), `shards_materialized` (shards holding a
+    /// parsed fragment in the multi-shard layouts), `served_cells`
+    /// ((cell, row) pairs compared over the wire), `unnested_cells`
+    /// ((cell, row) pairs whose query had nested constructors to
+    /// unnest), `chaos_retries` (retries the chaos clients spent) and
+    /// `shed_cells` (requests a daemon shed).
     pub witnesses: BTreeMap<&'static str, u64>,
     pub divergences: Vec<Divergence>,
 }
@@ -809,8 +802,11 @@ impl Runner<'_> {
             // The plan as shipped: did the enumerator act, did chains fuse?
             let shipped = cell.profile.options();
             if let Ok(plan) = env.session(REFERENCE.shards).prepare(&cell.query, &shipped) {
-                let reordered = u64::from(plan.cost_report.reordered > 0);
-                self.report.bump("reordered_plans", reordered);
+                let any = |n: usize| u64::from(n > 0);
+                self.report
+                    .bump("reordered_plans", any(plan.cost_report.reordered));
+                self.report
+                    .bump("elided_plans", any(plan.cost_report.elided));
                 self.report
                     .bump("fused_chains", plan.phys.fused_chains as u64);
             }

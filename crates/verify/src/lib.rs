@@ -22,13 +22,14 @@
 //!   cache showing cross-thread hits.
 //! * [`lattice`] — the configuration lattice: one byte-identity
 //!   differential for every execution axis. A `Config { cost,
-//!   vectorized, threads, shards, step_algo, transport, failpoints }`
+//!   vectorized, threads, shards, transport, constructors, failpoints }`
 //!   names a point; every cell (XMark whole and split by subtree, fuzz
 //!   single- and multi-document streams with authored joins, under its
 //!   compiler profile) runs at the reference point (uncosted, scalar,
-//!   serial, 1 shard, staircase, direct) and under every row of a
-//!   sixteen-row pairwise covering table, and each row must render the
-//!   same items in the same order or fail with the same error code.
+//!   serial, 1 shard, direct, constructors as written) and under every
+//!   row of a sixteen-row pairwise covering table, and each row must
+//!   render the same items in the same order or fail with the same error
+//!   code.
 //!   Served rows go through an in-process `xqd`, chaos rows through the
 //!   retrying `xqc` client over a fault-injected transport. A red cell
 //!   is minimised, its culprit axis named, and a compile-side culprit

@@ -36,6 +36,7 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     };
     floor("join_queries", 200);
     floor("reordered_plans", 1);
+    floor("elided_plans", 1);
     floor("perturbed_cells", 1);
     floor("fused_chains", 1);
     floor("shards_materialized", 1);

@@ -3,7 +3,6 @@
 //! cache, and loading a document invalidates wholesale.
 
 use exrquy::diag::{CancellationToken, Failpoints};
-use exrquy::engine::StepAlgo;
 use exrquy::frontend::OrderingMode;
 use exrquy::opt::{OptOptions, RuleSet};
 use exrquy::{QueryOptions, Session};
@@ -102,19 +101,6 @@ fn individually_disabled_rules_miss() {
         &s.prepare(QUERY, &disable(&["weaken-criteria"])).unwrap()
     ));
     assert_eq!(s.cache_stats().hits, 1);
-}
-
-#[test]
-fn step_algorithm_misses() {
-    let s = session();
-    let a = s
-        .prepare(QUERY, &QueryOptions::order_indifferent())
-        .unwrap();
-    let mut naive = QueryOptions::order_indifferent();
-    naive.step_algo = StepAlgo::Naive;
-    let b = s.prepare(QUERY, &naive).unwrap();
-    assert!(!Arc::ptr_eq(&a, &b));
-    assert_eq!(s.cache_stats().misses, 2);
 }
 
 #[test]

@@ -63,34 +63,16 @@ fn configs() -> Vec<(&'static str, QueryOptions)> {
     no_merge.opt.merge_steps = false;
     let mut no_cda = QueryOptions::order_indifferent();
     no_cda.opt = OptOptions::disabled();
-    let mut naive_steps = QueryOptions::baseline();
-    naive_steps.step_algo = exrquy::engine::StepAlgo::Naive;
-    let mut name_streams = QueryOptions::baseline();
-    name_streams.step_algo = exrquy::engine::StepAlgo::NameStream;
-    let mut unordered_streams = QueryOptions::order_indifferent();
-    unordered_streams.step_algo = exrquy::engine::StepAlgo::NameStream;
     let mut ordered_opt = QueryOptions::baseline();
     ordered_opt.exploit = true;
     ordered_opt.opt = OptOptions::default();
-    let mut physical = QueryOptions::baseline();
-    physical.opt = OptOptions {
-        physical_order: true,
-        ..OptOptions::default()
-    };
-    let mut unordered_physical = QueryOptions::order_indifferent();
-    unordered_physical.opt.physical_order = true;
     vec![
         ("baseline", QueryOptions::baseline()),
-        ("baseline+naive-steps", naive_steps),
         ("ordered+analysis", ordered_opt),
         ("unordered", QueryOptions::order_indifferent()),
         ("unordered-no-weaken", no_weaken),
         ("unordered-no-merge", no_merge),
         ("unordered-no-analysis", no_cda),
-        ("ordered+physical-order", physical),
-        ("unordered+physical-order", unordered_physical),
-        ("baseline+name-streams", name_streams),
-        ("unordered+name-streams", unordered_streams),
     ]
 }
 

@@ -180,29 +180,6 @@ fn empty_binding_sequences_yield_empty_loops() {
 }
 
 #[test]
-fn physical_order_inference_removes_presorted_sorts() {
-    // The [15]-style extension (§6): under the fully order-aware ordered
-    // mode, the engine emits step results presorted by (iter, item), so
-    // the LOC-rule % needs no sort once physical order inference runs.
-    use exrquy_opt::OptOptions;
-    let s = session();
-    let q = r#"doc("d.xml")//a/text()"#;
-    let mut plain = QueryOptions::baseline();
-    plain.opt = OptOptions::default(); // logical analysis only
-    let mut physical = plain.clone();
-    physical.opt.physical_order = true;
-    let p1 = s.prepare(q, &plain).unwrap();
-    let p2 = s.prepare(q, &physical).unwrap();
-    let c1 = exrquy::algebra::stats::costly_rownums(&p1.dag, p1.root);
-    let c2 = exrquy::algebra::stats::costly_rownums(&p2.dag, p2.root);
-    assert!(c2 < c1, "physical order had no effect: {c1} vs {c2}");
-    // Results identical (the presorted % numbers in the same order).
-    let r1 = s.execute(&p1).unwrap().to_xml();
-    let r2 = s.execute(&p2).unwrap().to_xml();
-    assert_eq!(r1, r2);
-}
-
-#[test]
 fn position_and_last_in_predicate_expressions() {
     let mut s = session();
     let q = r#"for $x in (10,20,30,40) return ()"#;

@@ -32,28 +32,6 @@ fn all_queries_agree_at_scale_0_05() {
     }
 }
 
-#[test]
-#[ignore = "large-scale run; invoke explicitly with --ignored"]
-fn physical_order_configuration_agrees_at_scale() {
-    let cfg = XmarkConfig::at_scale(0.02);
-    let xml = generate(&cfg);
-    let mut s = Session::new();
-    s.load_document("auction.xml", &xml).unwrap();
-    let mut physical = QueryOptions::order_indifferent();
-    physical.opt.physical_order = true;
-    for n in 1..=20 {
-        let reference = s
-            .query_with(query(n), &QueryOptions::order_indifferent())
-            .unwrap();
-        let got = s.query_with(query(n), &physical).unwrap();
-        let mut a: Vec<String> = reference.items.iter().map(|i| i.render()).collect();
-        let mut b: Vec<String> = got.items.iter().map(|i| i.render()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "Q{n} multiset under physical-order inference");
-    }
-}
-
 /// Q11/Q12 under the order-aware baseline are where the direct-address
 /// join index and the counting-sort `%` do the work: `%` numbers the
 /// value join's pairs and two bookkeeping joins re-attach columns over
