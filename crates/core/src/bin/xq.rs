@@ -17,7 +17,8 @@
 //!                        print the physical program as one table: per
 //!                        slot, the operator (or fused chain), estimated
 //!                        vs. actual cardinality and wall time, then the
-//!                        fusion, cost and plan-cache counters
+//!                        fusion, scheduler (with --threads > 1), cost
+//!                        and plan-cache counters
 //!   --no-cost            disable statistics-driven cost-based planning
 //!                        (join reordering, build-side orientation,
 //!                        compensation elision); the rule-only planner
@@ -29,8 +30,10 @@
 //!                        byte-identical to the vectorized default
 //!   --time               print compile/execute wall-clock to stderr
 //!   --profile            print the per-phase execution profile to stderr
-//!   --threads <n>        intra-query worker threads (default 1 = serial;
-//!                        results are byte-identical at any thread count)
+//!   --threads <n>        scheduler workers: independent operators of the
+//!                        plan run concurrently (default 1 = serial; each
+//!                        operator stays single-threaded; results are
+//!                        byte-identical at any thread count)
 //!   --plan-cache <n>     plan-cache capacity in prepared plans (default 128)
 //!   --timeout <secs>     wall-clock budget for execution (fractional ok)
 //!   --deadline-ms <ms>   hard deadline covering load + compile + execute;
@@ -67,7 +70,7 @@ const EXIT_IO: i32 = 4;
 fn usage() -> ! {
     eprintln!(
         "usage: xq [--doc url=path]… [--baseline|--unordered] [--explain] \
-         [--no-cost] [--scalar] [--time] [--profile] [--threads <n>] [--plan-cache <n>] \
+         [--no-cost] [--sql] [--scalar] [--time] [--profile] [--threads <n>] [--plan-cache <n>] \
          [--timeout <secs>] [--deadline-ms <ms>] [--max-rows <n>] \
          [--max-nodes <n>] [--max-depth <n>] [--verify] [--inject <spec>] \
          [--quiet] (<query> | --query-file <path>)"
@@ -104,6 +107,7 @@ fn main() {
     let mut sql = false;
     let mut scalar = false;
     let mut no_cost = false;
+    let mut threads: Option<usize> = None;
     let mut plan_cache: Option<usize> = None;
     let mut time = false;
     let mut profile = false;
@@ -140,9 +144,7 @@ fn main() {
             "--sql" => sql = true,
             "--scalar" => scalar = true,
             "--no-cost" => no_cost = true,
-            "--threads" => {
-                opts = opts.with_threads(parse_num("--threads", args.next()));
-            }
+            "--threads" => threads = Some(parse_num("--threads", args.next())),
             "--plan-cache" => {
                 plan_cache = Some(parse_num("--plan-cache", args.next()));
             }
@@ -182,9 +184,12 @@ fn main() {
     }
     let Some(query) = query else { usage() };
     opts = opts.with_budget(budget).with_vectorized(!scalar);
-    // Applied after --baseline/--unordered so it survives either preset.
+    // Applied after --baseline/--unordered so they survive either preset.
     if no_cost {
         opts.opt.cost = false;
+    }
+    if let Some(n) = threads {
+        opts = opts.with_threads(n);
     }
     // CLI flag wins over the environment fallback.
     let inject = inject.or_else(|| std::env::var("EXRQ_INJECT").ok());

@@ -96,8 +96,10 @@ pub struct QueryOptions {
     pub cancel: Option<CancellationToken>,
     /// Armed failpoints (deterministic fault injection); empty by default.
     pub failpoints: Failpoints,
-    /// Worker threads for intra-query parallel execution (`1` = serial).
-    /// Serial and parallel runs produce byte-identical serializations.
+    /// Scheduler workers for one execution: above one, independent
+    /// operators of the plan run concurrently (`0` and `1` = serial);
+    /// each operator's kernel is single-threaded either way. Serial and
+    /// parallel runs produce byte-identical serializations.
     pub threads: usize,
     /// Run the vectorized arm: the plan is lowered at prepare time with
     /// select→fun→project chains fused into single-pass kernels and
@@ -179,8 +181,8 @@ impl QueryOptions {
         self
     }
 
-    /// Set the intra-query worker thread count (`0` and `1` both mean
-    /// serial execution).
+    /// Set the scheduler worker count: how many independent operators of
+    /// one plan may run at once (`0` and `1` both mean serial execution).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -228,7 +230,7 @@ pub struct Prepared {
     pub(crate) cancel: Option<CancellationToken>,
     /// Armed failpoints carried from the options.
     pub(crate) failpoints: Failpoints,
-    /// Intra-query worker thread count carried from the options.
+    /// Scheduler worker count carried from the options.
     pub(crate) threads: usize,
     /// The effective ordering mode this plan was compiled under (after
     /// any option override of the prolog's `declare ordering`) — it
@@ -330,9 +332,19 @@ impl Prepared {
         if let Some(p) = profile {
             let _ = writeln!(
                 s,
-                "fusion: {} phys slot(s), {} fused chain(s) absorbing {} op(s), {} batch(es)",
-                p.vec.phys_slots, p.vec.fused_chains, p.vec.fused_ops, p.vec.batches
+                "fusion: {} phys slot(s), {} fused chain(s) absorbing {} op(s)",
+                p.vec.phys_slots, p.vec.fused_chains, p.vec.fused_ops
             );
+            // Only a run with `threads > 1` goes through the scheduler.
+            let sched = &p.sched;
+            if *sched != Default::default() {
+                let _ = writeln!(
+                    s,
+                    "scheduler: {} region(s), {} parallel op(s), {} inline op(s), \
+                     {} steal(s), queue peak {}",
+                    sched.regions, sched.par_ops, sched.inline_ops, sched.steals, sched.queue_peak
+                );
+            }
         }
         let _ = writeln!(
             s,

@@ -98,6 +98,34 @@ fn explain_shows_fused_chains_unless_scalar() {
     assert!(scalar.contains(" 0 fused chain(s)"), "{scalar}");
 }
 
+/// `--threads` survives a preset that follows it, and `--explain` shows
+/// the scheduler at work: two independent branches run in one region.
+#[test]
+fn threads_survive_a_later_preset_and_explain_shows_the_scheduler() {
+    let doc = write_doc("cli2c.xml", "<r><a>1</a><b>2</b><a>3</a></r>");
+    let explain = |threads: &str| {
+        let out = xq()
+            .arg("--doc")
+            .arg(format!("d.xml={}", doc.display()))
+            .args(["--threads", threads, "--baseline", "--explain"])
+            .arg(r#"(fn:count(doc("d.xml")//a), fn:sum(doc("d.xml")//b))"#)
+            .output()
+            .expect("xq runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let parallel = explain("2");
+    let regions: u64 = parallel
+        .lines()
+        .find_map(|l| l.strip_prefix("scheduler: "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no scheduler footer in {parallel}"));
+    assert!(regions >= 1, "{parallel}");
+    // A serial run never reaches the scheduler.
+    assert!(!explain("1").contains("scheduler: "));
+}
+
 #[test]
 fn reports_errors_with_nonzero_exit() {
     let out = xq().arg("$unbound").output().expect("xq runs");

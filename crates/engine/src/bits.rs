@@ -63,32 +63,16 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Indices of set bits within `lo..hi`, appended to `out` in order.
-    /// The word-at-a-time scan is what makes fused selects cheap: a run
-    /// of 64 false rows costs one comparison.
-    pub fn extend_ones_in(&self, lo: usize, hi: usize, out: &mut Vec<u32>) {
-        debug_assert!(hi <= self.len);
-        let mut i = lo;
-        while i < hi {
-            let w = i / 64;
-            let mut word = self.words[w] >> (i % 64);
-            if word == 0 {
-                i = (w + 1) * 64;
-                continue;
-            }
-            while word != 0 && i < hi {
-                let tz = word.trailing_zeros() as usize;
-                i += tz;
-                word >>= tz;
-                if i >= hi {
-                    break;
-                }
-                out.push(i as u32);
-                i += 1;
-                word >>= 1;
-            }
-            if word == 0 {
-                i = (w + 1) * 64;
+    /// Indices of set bits, appended to `out` in order. The
+    /// word-at-a-time scan is what makes fused selects cheap: a run of 64
+    /// false rows costs one comparison. (Bits past `len` are never set:
+    /// `push` is the only writer.)
+    pub fn extend_ones(&self, out: &mut Vec<u32>) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
             }
         }
     }
@@ -120,14 +104,14 @@ mod tests {
     }
 
     #[test]
-    fn ones_in_ranges_match_scalar_scan() {
-        let pattern: Vec<bool> = (0..300).map(|i| (i * 31) % 5 == 0).collect();
-        let bv = BitVec::from_iter_exact(pattern.iter().copied());
-        for (lo, hi) in [(0, 300), (0, 0), (63, 65), (64, 128), (1, 299), (200, 200)] {
+    fn ones_match_scalar_scan() {
+        for n in [0, 1, 63, 64, 65, 128, 300] {
+            let pattern: Vec<bool> = (0..n).map(|i| (i * 31) % 5 == 0 || i == 63).collect();
+            let bv = BitVec::from_iter_exact(pattern.iter().copied());
             let mut got = Vec::new();
-            bv.extend_ones_in(lo, hi, &mut got);
-            let want: Vec<u32> = (lo..hi).filter(|&i| pattern[i]).map(|i| i as u32).collect();
-            assert_eq!(got, want, "range {lo}..{hi}");
+            bv.extend_ones(&mut got);
+            let want: Vec<u32> = (0..n).filter(|&i| pattern[i]).map(|i| i as u32).collect();
+            assert_eq!(got, want, "length {n}");
         }
     }
 

@@ -153,7 +153,7 @@ pub(crate) fn eval_element(
     let n = content.nrows();
     // Row numbers in (iter, ord, pos) order, ties in row order.
     let keys = [&iters, &ords, &poss].map(|c| Key::of(c, false));
-    let perm = sorted_perm(n, &keys, 1, vec);
+    let perm = sorted_perm(n, &keys, vec);
 
     // One new fragment holds every tree this invocation constructs, as
     // sibling roots in iter order. Its size is known up front: the

@@ -12,8 +12,10 @@
 //! [`eval_pure`] dispatches a non-constructing operator to its kernel.
 //! The kernels live beside this module by family ([`crate::step`],
 //! [`crate::join`], [`crate::sort`], [`crate::aggr`],
-//! [`crate::construct`]); the row-wise ones split large inputs into
-//! morsels. Serial and parallel runs produce bit-identical tables.
+//! [`crate::construct`]) and are single-threaded: the scheduler is the
+//! only source of intra-query parallelism, so `threads` is read here and
+//! in [`crate::par`] only. Serial and parallel runs produce bit-identical
+//! tables.
 
 use crate::aggr::eval_aggr;
 use crate::column::{Column, ColumnError};
@@ -104,9 +106,10 @@ pub struct EngineOptions {
     /// the same operator). An armed run executes the unfused lowering, so
     /// every trip sits at an operator boundary.
     pub failpoints: Failpoints,
-    /// Worker threads for intra-query parallel execution; `0` and `1`
-    /// both mean serial. Serial and parallel runs of the same plan
-    /// produce bit-identical tables.
+    /// Scheduler workers: above one, independent operators of one plan
+    /// run concurrently through [`crate::par`]; `0` and `1` both mean
+    /// serial. Every kernel itself is single-threaded. Serial and
+    /// parallel runs of the same plan produce bit-identical tables.
     pub threads: usize,
     /// Run the reference arm: the unfused lowering (one operator per
     /// slot) with the row-at-a-time kernel bodies — materializing
@@ -325,8 +328,7 @@ pub(crate) fn run_slot(
     let started = Instant::now();
     let table = match phys {
         PhysOp::Fused { input, steps, .. } => {
-            let (opts, meter, batches) = (cx.opts, cx.meter, &mut prof.vec.batches);
-            crate::vec::exec_fused(&slot(*input), steps, arena.read(), opts, meter, batches)?
+            crate::vec::exec_fused(&slot(*input), steps, arena.read(), cx.meter)?
         }
         PhysOp::Op { id, args } => match (cx.dag.op(*id), &mut arena) {
             (Op::Element { twig, .. }, ArenaAccess::Owner(a, nodes)) => {
@@ -369,7 +371,6 @@ pub(crate) fn eval_pure(
     opts: &EngineOptions,
     meter: &BudgetMeter,
 ) -> Result<Table, EvalError> {
-    let threads = opts.threads.max(1);
     let vec = !opts.scalar;
     match op {
         Op::Lit { cols, rows } => Ok(eval_lit(cols, rows)),
@@ -399,13 +400,13 @@ pub(crate) fn eval_pure(
         }
         Op::Select { col, .. } => {
             let t = input(0);
-            eval_select(&t, *col, threads, vec)
+            eval_select(&t, *col, vec)
         }
         Op::RowNum {
             new, order, part, ..
         } => {
             let t = input(0);
-            Ok(eval_rownum(&t, *new, order, *part, threads, vec))
+            Ok(eval_rownum(&t, *new, order, *part, vec))
         }
         Op::RowId { new, .. } => {
             let t = input(0);
@@ -420,7 +421,7 @@ pub(crate) fn eval_pure(
             new, kind, args, ..
         } => {
             let t = input(0);
-            eval_fun(arena, &t, *new, *kind, args, threads, vec)
+            eval_fun(arena, &t, *new, *kind, args, vec)
         }
         Op::Aggr {
             kind,
@@ -438,7 +439,7 @@ pub(crate) fn eval_pure(
         }
         Op::Step { axis, test, .. } => {
             let t = input(0);
-            eval_step(arena, &t, *axis, *test, threads, vec)
+            eval_step(arena, &t, *axis, *test, vec)
         }
         Op::Cross { .. } => {
             let (lt, rt) = (input(0), input(1));
@@ -522,77 +523,13 @@ pub(crate) fn eval_pure(
     }
 }
 
-// ------------------------------------------------------- morsel kernels
-
-/// Inputs below this row count are not worth splitting: thread spawn and
-/// result concatenation would dominate the scan.
-pub(crate) const MORSEL_MIN_ROWS: usize = 4096;
+// ------------------------------------------------------- row-wise kernels
 
 /// Row-explosive kernels (joins, range expansion) poll the budget meter
 /// every this many emitted rows, so cancellation and hard deadlines
 /// interrupt a single huge operator instead of waiting for its
 /// boundary. Power of two keeps the modulo nearly free.
 pub(crate) const POLL_STRIDE: usize = 8192;
-
-/// Contiguous near-equal ranges covering `0..n` (at most `threads` of
-/// them, never empty ones).
-fn morsel_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let k = threads.min(n).max(1);
-    let (base, rem) = (n / k, n % k);
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < rem);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Run `f` over morsels of `0..n` on a scoped thread pool and return the
-/// partial results **in morsel order** — callers concatenate them, which
-/// is what makes every parallel kernel bit-identical to its serial run.
-/// On failure the error of the earliest morsel wins; because morsels are
-/// contiguous and ordered, that is exactly the error the serial scan
-/// would have hit first.
-pub(crate) fn run_morsels<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, EvalError>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Result<T, EvalError> + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return if n == 0 {
-            Ok(Vec::new())
-        } else {
-            Ok(vec![f(0..n)?])
-        };
-    }
-    let f = &f;
-    let results: Vec<Result<T, EvalError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = morsel_ranges(n, threads)
-            .into_iter()
-            .map(|r| s.spawn(move || f(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("morsel worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Effective worker count for a kernel over `nrows` rows.
-pub(crate) fn kernel_threads(nrows: usize, threads: usize) -> usize {
-    if nrows >= MORSEL_MIN_ROWS {
-        threads
-    } else {
-        1
-    }
-}
 
 /// Constant column for an `attach` (vectorized: integers and booleans
 /// stay dense; scalar: the pre-refactor `Int`-or-boxed layout).
@@ -607,7 +544,7 @@ pub(crate) fn attach_column(value: &AValue, nrows: usize, vec: bool) -> Column {
     }
 }
 
-fn eval_select(t: &Table, col: Col, threads: usize, vec: bool) -> Result<Table, EvalError> {
+fn eval_select(t: &Table, col: Col, vec: bool) -> Result<Table, EvalError> {
     let c = t.col(col);
     let n = t.nrows();
     if vec {
@@ -615,28 +552,21 @@ fn eval_select(t: &Table, col: Col, threads: usize, vec: bool) -> Result<Table, 
         // no per-row boxing otherwise; output rows stay shared behind a
         // selection vector.
         let op = crate::kernels::Operand::from_view(&c, None);
-        let (keep, _batches) = crate::kernels::select_batch(&op, n, threads)?;
-        return Ok(t.select_rows(keep));
+        return Ok(t.select_rows(crate::kernels::select_batch(&op, n)?));
     }
-    let c = &c;
-    let parts = run_morsels(n, kernel_threads(n, threads), |range| {
-        let mut idx: Vec<u32> = Vec::new();
-        for i in range {
-            match c.get(i) {
-                Item::Bool(true) => idx.push(i as u32),
-                Item::Bool(false) => {}
-                other => {
-                    return Err(EvalError::new(
-                        ErrorCode::XPTY0004,
-                        format!("σ on non-boolean value {other:?}"),
-                    ))
-                }
+    let mut idx: Vec<usize> = Vec::new();
+    for i in 0..n {
+        match c.get(i) {
+            Item::Bool(true) => idx.push(i),
+            Item::Bool(false) => {}
+            other => {
+                return Err(EvalError::new(
+                    ErrorCode::XPTY0004,
+                    format!("σ on non-boolean value {other:?}"),
+                ))
             }
         }
-        Ok(idx)
-    })?;
-    let idx = parts.concat();
-    let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+    }
     Ok(t.gather(&idx))
 }
 
@@ -646,12 +576,10 @@ fn eval_fun(
     new: Col,
     kind: FunKind,
     args: &[Col],
-    threads: usize,
     vec: bool,
 ) -> Result<Table, EvalError> {
     let arg_cols: Vec<ColView> = args.iter().map(|a| t.col(*a)).collect();
     let n = t.nrows();
-    let arg_cols = &arg_cols;
     if vec {
         // Batch kernels: integer comparisons and arithmetic run over
         // the raw slices (comparison results bit-packed, integer
@@ -661,22 +589,15 @@ fn eval_fun(
             .iter()
             .map(|c| crate::kernels::Operand::from_view(c, None))
             .collect();
-        let (col, _batches) = crate::kernels::fun_batch(arena, kind, &ops, n, threads)?;
+        let col = crate::kernels::fun_batch(arena, kind, &ops, n)?;
         return Ok(t.with_column(new, col));
     }
-    let parts = run_morsels(n, kernel_threads(n, threads), move |range| {
-        let mut out = Vec::with_capacity(range.len());
-        let mut buf: Vec<Item> = Vec::with_capacity(arg_cols.len());
-        for r in range {
-            buf.clear();
-            buf.extend(arg_cols.iter().map(|c| c.get(r)));
-            out.push(funs::apply(arena, kind, &buf)?);
-        }
-        Ok(out)
-    })?;
     let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p);
+    let mut buf: Vec<Item> = Vec::with_capacity(arg_cols.len());
+    for r in 0..n {
+        buf.clear();
+        buf.extend(arg_cols.iter().map(|c| c.get(r)));
+        out.push(funs::apply(arena, kind, &buf)?);
     }
     Ok(t.with_column(new, Column::Item(out)))
 }

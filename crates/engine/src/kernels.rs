@@ -3,16 +3,16 @@
 //! An [`Operand`] is a cursor over one logical column: the physical
 //! column representation plus the composed row mapping (selection
 //! vector, fused-chain live set, or both). Kernels dispatch once on the
-//! operand representations and then run tight per-morsel loops —
-//! integer comparisons and arithmetic never box an [`Item`], boolean
-//! predicates come straight off the bit-packed column, and the generic
-//! fallback reproduces the scalar per-row path exactly (same values,
-//! same first error) so fused and un-fused execution stay
+//! operand representations and then run one tight single-threaded loop
+//! over the live rows — integer comparisons and arithmetic never box an
+//! [`Item`], boolean predicates come straight off the bit-packed column,
+//! and the generic fallback reproduces the scalar per-row path exactly
+//! (same values, same first error) so fused and un-fused execution stay
 //! byte-identical.
 
 use crate::bits::BitVec;
 use crate::column::{Column, ColumnBuilder};
-use crate::eval::{kernel_threads, run_morsels, EvalError};
+use crate::eval::EvalError;
 use crate::funs;
 use crate::item::Item;
 use crate::table::ColView;
@@ -20,7 +20,6 @@ use exrquy_algebra::FunKind;
 use exrquy_diag::ErrorCode;
 use exrquy_xml::{FragArena, NodeId};
 use std::cmp::Ordering;
-use std::ops::Range;
 
 /// Logical-row → physical-row mapping for one operand. Fused chains
 /// read base columns through the chain's live set *and* the column's
@@ -138,19 +137,19 @@ fn ord_hits(kind: FunKind, ord: Ordering) -> bool {
     }
 }
 
-/// Comparison kernel over one morsel. Integers compare through `f64`
-/// exactly as [`funs::compare`] promotes them; everything else goes
-/// through `compare_with` on borrowed items (no clones for `Item`
-/// columns or constants).
-fn compare_range(kind: FunKind, a: &Operand<'_>, b: &Operand<'_>, range: Range<usize>) -> BitVec {
+/// Comparison kernel over the first `live` rows. Integers compare
+/// through `f64` exactly as [`funs::compare`] promotes them; everything
+/// else goes through `compare_with` on borrowed items (no clones for
+/// `Item` columns or constants).
+fn compare_rows(kind: FunKind, a: &Operand<'_>, b: &Operand<'_>, live: usize) -> BitVec {
     if let (Some(ia), Some(ib)) = (int_src(a), int_src(b)) {
-        return BitVec::from_iter_exact(range.map(|p| {
+        return BitVec::from_iter_exact((0..live).map(|p| {
             (ia.at(p) as f64)
                 .partial_cmp(&(ib.at(p) as f64))
                 .is_some_and(|o| ord_hits(kind, o))
         }));
     }
-    BitVec::from_iter_exact(range.map(|p| {
+    BitVec::from_iter_exact((0..live).map(|p| {
         let (ta, tb);
         let x: &Item = match a {
             Operand::Items(v, m) => &v[m.at(p)],
@@ -172,18 +171,18 @@ fn compare_range(kind: FunKind, a: &Operand<'_>, b: &Operand<'_>, range: Range<u
     }))
 }
 
-/// Integer arithmetic kernel over one morsel; `Add`/`Sub`/`Mul` wrap
-/// and `Mod` raises `FOAR0001` on a zero divisor, bit-for-bit the
-/// integer paths of [`funs::apply`].
-fn arith_range(
+/// Integer arithmetic kernel over the first `live` rows;
+/// `Add`/`Sub`/`Mul` wrap and `Mod` raises `FOAR0001` on a zero divisor,
+/// bit-for-bit the integer paths of [`funs::apply`].
+fn arith_rows(
     arena: &FragArena,
     kind: FunKind,
     a: IntSrc<'_>,
     b: IntSrc<'_>,
-    range: Range<usize>,
+    live: usize,
 ) -> Result<Vec<i64>, EvalError> {
-    let mut out = Vec::with_capacity(range.len());
-    for p in range {
+    let mut out = Vec::with_capacity(live);
+    for p in 0..live {
         let (x, y) = (a.at(p), b.at(p));
         out.push(match kind {
             FunKind::Add => x.wrapping_add(y),
@@ -204,110 +203,71 @@ fn arith_range(
     Ok(out)
 }
 
-/// Evaluate `kind` over `ops` for `live` rows, returning the result
-/// column and the number of morsel batches run.
+/// Evaluate `kind` over `ops` for `live` rows.
 pub(crate) fn fun_batch(
     arena: &FragArena,
     kind: FunKind,
     ops: &[Operand<'_>],
     live: usize,
-    threads: usize,
-) -> Result<(Column, u64), EvalError> {
+) -> Result<Column, EvalError> {
     use FunKind::*;
     if matches!(kind, Eq | Ne | Lt | Le | Gt | Ge) && ops.len() == 2 {
-        let (a, b) = (&ops[0], &ops[1]);
-        let parts = run_morsels(live, kernel_threads(live, threads), |range| {
-            Ok(compare_range(kind, a, b, range))
-        })?;
-        let batches = parts.len() as u64;
-        let mut bits = BitVec::with_capacity(live);
-        for p in &parts {
-            for i in 0..p.len() {
-                bits.push(p.get(i));
-            }
-        }
-        return Ok((Column::Bool(bits), batches));
+        return Ok(Column::Bool(compare_rows(kind, &ops[0], &ops[1], live)));
     }
     if matches!(kind, Add | Sub | Mul | Mod) && ops.len() == 2 {
         if let (Some(a), Some(b)) = (int_src(&ops[0]), int_src(&ops[1])) {
-            let parts = run_morsels(live, kernel_threads(live, threads), |range| {
-                arith_range(arena, kind, a, b, range)
-            })?;
-            let batches = parts.len() as u64;
-            let mut v = Vec::with_capacity(live);
-            for p in parts {
-                v.extend(p);
-            }
-            return Ok((Column::Int(v), batches));
+            return Ok(Column::Int(arith_rows(arena, kind, a, b, live)?));
         }
     }
     // Generic fallback: per-row `funs::apply`, densified by the
     // adaptive builder. Same row order, same first error.
-    let parts = run_morsels(live, kernel_threads(live, threads), |range| {
-        let mut out = ColumnBuilder::new();
-        let mut buf: Vec<Item> = Vec::with_capacity(ops.len());
-        for p in range {
-            buf.clear();
-            buf.extend(ops.iter().map(|o| o.item(p)));
-            out.push(funs::apply(arena, kind, &buf)?);
-        }
-        Ok(out.finish())
-    })?;
-    let batches = parts.len() as u64;
-    let mut it = parts.into_iter();
-    let first = it.next().unwrap_or(Column::Item(Vec::new()));
-    Ok((it.fold(first, |acc, p| acc.append(&p)), batches))
+    let mut out = ColumnBuilder::new();
+    let mut buf: Vec<Item> = Vec::with_capacity(ops.len());
+    for p in 0..live {
+        buf.clear();
+        buf.extend(ops.iter().map(|o| o.item(p)));
+        out.push(funs::apply(arena, kind, &buf)?);
+    }
+    Ok(out.finish())
 }
 
 /// σ kernel: logical rows of `op` (length `live`) whose value is
 /// `true`, erroring on the first non-boolean in row order exactly like
-/// the scalar per-row scan. Returns the kept rows and the batch count.
-pub(crate) fn select_batch(
-    op: &Operand<'_>,
-    live: usize,
-    threads: usize,
-) -> Result<(Vec<u32>, u64), EvalError> {
-    let parts = run_morsels(live, kernel_threads(live, threads), |range| {
-        let mut keep: Vec<u32> = Vec::new();
-        match op {
-            // Bit-packed predicate: word-at-a-time when dense, bit
-            // probes through the mapping otherwise — never boxes.
-            Operand::Bits(v, m) => match m {
-                Map::Id => v.extend_ones_in(range.start, range.end, &mut keep),
-                m => {
-                    for p in range {
-                        if v.get(m.at(p)) {
-                            keep.push(p as u32);
-                        }
+/// the scalar per-row scan.
+pub(crate) fn select_batch(op: &Operand<'_>, live: usize) -> Result<Vec<u32>, EvalError> {
+    let mut keep: Vec<u32> = Vec::new();
+    match op {
+        // Bit-packed predicate: word-at-a-time when dense (an unmapped
+        // operand spans its whole column), bit probes through the
+        // mapping otherwise — never boxes.
+        Operand::Bits(v, Map::Id) => {
+            debug_assert_eq!(v.len(), live);
+            v.extend_ones(&mut keep)
+        }
+        Operand::Bits(v, m) => keep.extend((0..live as u32).filter(|&p| v.get(m.at(p as usize)))),
+        o => {
+            for p in 0..live {
+                let t;
+                let it: &Item = match o {
+                    Operand::Items(v, m) => &v[m.at(p)],
+                    Operand::Const(c) => c,
+                    o => {
+                        t = o.item(p);
+                        &t
                     }
-                }
-            },
-            o => {
-                for p in range {
-                    let t;
-                    let it: &Item = match o {
-                        Operand::Items(v, m) => &v[m.at(p)],
-                        Operand::Const(c) => c,
-                        o => {
-                            t = o.item(p);
-                            &t
-                        }
-                    };
-                    match it {
-                        Item::Bool(true) => keep.push(p as u32),
-                        Item::Bool(false) => {}
-                        other => {
-                            return Err(EvalError::new(
-                                ErrorCode::XPTY0004,
-                                format!("σ on non-boolean value {other:?}"),
-                            ))
-                        }
+                };
+                match it {
+                    Item::Bool(true) => keep.push(p as u32),
+                    Item::Bool(false) => {}
+                    other => {
+                        return Err(EvalError::new(
+                            ErrorCode::XPTY0004,
+                            format!("σ on non-boolean value {other:?}"),
+                        ))
                     }
                 }
             }
         }
-        Ok(keep)
-    })?;
-    let batches = parts.len() as u64;
-    Ok((parts.concat(), batches))
+    }
+    Ok(keep)
 }

@@ -51,8 +51,6 @@ pub struct VecStats {
     pub fused_chains: u64,
     /// Logical operators absorbed into fused chains.
     pub fused_ops: u64,
-    /// Batches (morsels) processed by vectorized kernels.
-    pub batches: u64,
 }
 
 impl VecStats {
@@ -61,7 +59,6 @@ impl VecStats {
         self.phys_slots += other.phys_slots;
         self.fused_chains += other.fused_chains;
         self.fused_ops += other.fused_ops;
-        self.batches += other.batches;
     }
 }
 
@@ -78,7 +75,7 @@ pub struct Profile {
     total: Duration,
     /// Scheduler counters (parallel executions only; zero when serial).
     pub sched: SchedStats,
-    /// Plan-shape counters (slots run, fused chains, batches).
+    /// Plan-shape counters (slots run, fused chains, absorbed ops).
     pub vec: VecStats,
 }
 

@@ -1,9 +1,11 @@
 //! Order-bearing kernels: `%` (rownum), the rank-restoring sort, and
-//! distinct.
+//! distinct. One sorter, [`sorted_perm`], serves all of them on the
+//! calling thread: a sortedness probe, LSD counting passes over dense
+//! integer keys, and one stable comparison sort for everything else.
 
 use crate::column::Column;
 use crate::dense::{dense_range, Csr};
-use crate::eval::{int_view, kernel_threads, key_view, run_morsels, EvalError};
+use crate::eval::{int_view, key_view, EvalError};
 use crate::item::GroupKey;
 use crate::join::FastHasher;
 use crate::table::{ColView, Table};
@@ -103,7 +105,7 @@ const COUNTING_MIN_ROWS: usize = 64;
 /// key first: O(keys · n), no comparisons. `Item` keys and sparse
 /// integers take the comparison sort, as does the whole reference arm
 /// (whose node columns are boxed, hence `Item` keys).
-pub(crate) fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> Vec<u32> {
+pub(crate) fn sorted_perm(n: usize, keys: &[Key], vec: bool) -> Vec<u32> {
     let cmp = |a: usize, b: usize| {
         keys.iter()
             .map(|k| k.cmp_rows(a, b))
@@ -137,7 +139,9 @@ pub(crate) fn sorted_perm(n: usize, keys: &[Key], threads: usize, vec: bool) -> 
             }
         }
     }
-    stable_sorted_indices(n, threads, &cmp)
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm.sort_by(|&a, &b| cmp(a as usize, b as usize));
+    perm
 }
 
 pub(crate) fn eval_rownum(
@@ -145,7 +149,6 @@ pub(crate) fn eval_rownum(
     new: Col,
     order: &[exrquy_algebra::SortKey],
     part: Option<Col>,
-    threads: usize,
     vec: bool,
 ) -> Table {
     let n = t.nrows();
@@ -190,7 +193,7 @@ pub(crate) fn eval_rownum(
         .chain(order.iter().map(|k| (t.col(k.col), k.desc)))
         .collect();
     let keys: Vec<Key> = views.iter().map(|(v, desc)| Key::of(v, *desc)).collect();
-    let idx = sorted_perm(n, &keys, threads, vec);
+    let idx = sorted_perm(n, &keys, vec);
     // Dense 1,2,3,… numbering per partition, written back to row order.
     let mut nums = vec![0i64; n];
     let mut rank = 0i64;
@@ -202,52 +205,6 @@ pub(crate) fn eval_rownum(
         nums[row as usize] = rank;
     }
     t.with_column(new, Column::Int(nums))
-}
-
-/// Comparison index sort reproducing the serial `sort_by` (stable)
-/// bit-for-bit: morsel chunks are stable-sorted in parallel, then folded
-/// left-to-right through a left-preference merge. Equal keys keep the
-/// lower original index — exactly the stability guarantee of the serial
-/// sort — because chunks cover ascending index ranges and the merge
-/// prefers the left run on ties.
-fn stable_sorted_indices<C>(n: usize, threads: usize, cmp: &C) -> Vec<u32>
-where
-    C: Fn(usize, usize) -> Ordering + Sync,
-{
-    let sorted = |range: std::ops::Range<usize>| {
-        let mut idx: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        idx.sort_by(|&a, &b| cmp(a as usize, b as usize));
-        idx
-    };
-    let eff = kernel_threads(n, threads);
-    if eff <= 1 {
-        return sorted(0..n);
-    }
-    run_morsels(n, eff, |range| Ok(sorted(range)))
-        .expect("infallible index sort")
-        .into_iter()
-        .reduce(|a, b| stable_merge(&a, &b, cmp))
-        .unwrap_or_default()
-}
-
-fn stable_merge<C>(a: &[u32], b: &[u32], cmp: &C) -> Vec<u32>
-where
-    C: Fn(usize, usize) -> Ordering,
-{
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if cmp(a[i] as usize, b[j] as usize) != Ordering::Greater {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Stable ascending lexicographic sort by integer key columns — the
@@ -262,7 +219,7 @@ pub(crate) fn eval_sort(t: &Table, keys: &[Col], vec: bool) -> Result<Table, Eva
         .iter()
         .map(|&k| Ok(Key::Int(Cow::Owned(t.col(k).to_int_vec()?), false)))
         .collect::<Result<_, EvalError>>()?;
-    let idx = sorted_perm(t.nrows(), &keys, 1, vec);
+    let idx = sorted_perm(t.nrows(), &keys, vec);
     Ok(if vec {
         t.select_rows(idx)
     } else {
@@ -348,29 +305,17 @@ mod tests {
         )
     }
 
-    fn rownum(
-        t: &Table,
-        order: &[SortKey],
-        part: Option<Col>,
-        threads: usize,
-        vec: bool,
-    ) -> Vec<i64> {
-        eval_rownum(t, Col::RES, order, part, threads, vec)
+    fn rownum(t: &Table, order: &[SortKey], part: Option<Col>, vec: bool) -> Vec<i64> {
+        eval_rownum(t, Col::RES, order, part, vec)
             .col(Col::RES)
             .to_int_vec()
             .unwrap()
     }
 
-    /// `%` agrees across both arms and both thread counts.
+    /// `%` agrees across both arms.
     fn assert_arms_agree(t: &Table, order: &[SortKey], part: Option<Col>) -> Vec<i64> {
-        let reference = rownum(t, order, part, 1, false);
-        for (threads, vec) in [(4, false), (1, true), (4, true)] {
-            assert_eq!(
-                rownum(t, order, part, threads, vec),
-                reference,
-                "threads {threads}, vec {vec}"
-            );
-        }
+        let reference = rownum(t, order, part, false);
+        assert_eq!(rownum(t, order, part, true), reference);
         reference
     }
 
@@ -395,8 +340,7 @@ mod tests {
     #[test]
     fn multi_key_mixed_direction_with_and_without_partition() {
         let mut rng = SmallRng::seed_from_u64(11);
-        // Below, at and above the small-n cutoff, and above the morsel
-        // threshold where `threads` matters to the comparison sort.
+        // Below, at and well above the small-n cutoff.
         for n in [
             1,
             2,
@@ -539,11 +483,10 @@ mod tests {
                 assert_eq!(counts(&packed, &order), dense);
                 assert!(!counts(&boxed, &order));
                 for part in [None, Some(Col::ITER)] {
-                    let want = rownum(&boxed, &order, part, 1, false);
-                    assert_eq!(rownum(&packed, &order, part, 1, true), want);
-                    assert_eq!(rownum(&packed, &order, part, 4, true), want);
-                    let want = rownum(&behind_sel(&boxed), &order, part, 1, false);
-                    assert_eq!(rownum(&behind_sel(&packed), &order, part, 1, true), want);
+                    let want = rownum(&boxed, &order, part, false);
+                    assert_eq!(rownum(&packed, &order, part, true), want);
+                    let want = rownum(&behind_sel(&boxed), &order, part, false);
+                    assert_eq!(rownum(&behind_sel(&packed), &order, part, true), want);
                 }
             }
             let item_only =

@@ -6,9 +6,11 @@
 //! arrive dense — and is usually already sorted and duplicate-free (a
 //! step's input is a step's output), which one pass confirms without
 //! copying either. Each group's pre ranks go through one reused buffer
-//! into an append-style kernel of [`exrquy_xml::axis`]; there is no
-//! allocation per group, which is what a loop-lifted step — thousands of
-//! one-node groups — is made of.
+//! into an append-style kernel of [`exrquy_xml::axis`], and its hits are
+//! appended straight to the two output columns; there is no allocation
+//! per group, which is what a loop-lifted step — thousands of one-node
+//! groups — is made of. The groups run in order on the calling thread,
+//! so the output is the (iter, doc-order) sequence by construction.
 //!
 //! Which kernel is decided by the arm alone: the vectorized arm runs
 //! [`axis::step_name_stream_into`], which decides per call whether a name
@@ -21,7 +23,7 @@
 //! both are tested against, here and in `tests/prop_axes.rs`.
 
 use crate::column::Column;
-use crate::eval::{int_col, kernel_threads, run_morsels, EvalError};
+use crate::eval::{int_col, EvalError};
 use crate::item::Item;
 use crate::table::{ColView, Table};
 use exrquy_algebra::Col;
@@ -83,7 +85,6 @@ pub(crate) fn eval_step(
     t: &Table,
     ax: Axis,
     test: NodeTest,
-    threads: usize,
     vec: bool,
 ) -> Result<Table, EvalError> {
     let (iter_col, item_col) = (t.col(Col::ITER), t.col(Col::ITEM));
@@ -107,34 +108,17 @@ pub(crate) fn eval_step(
     } else {
         axis::step_into
     };
-    // Data-parallel over groups; partials concatenate in group order, so
-    // the output is the serial (iter, doc-order) sequence either way.
-    let (groups, iters, nodes): (_, &[i64], &[NodeId]) = (&groups, &iters, &nodes);
-    let parts = run_morsels(
-        groups.len(),
-        kernel_threads(t.nrows(), threads),
-        move |range| {
-            let mut out_iter: Vec<i64> = Vec::new();
-            let mut out_node: Vec<NodeId> = Vec::new();
-            let (mut ctx, mut hits): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-            for g in &groups[range] {
-                let (it, frag) = (iters[g.start], nodes[g.start].frag);
-                ctx.clear();
-                ctx.extend(nodes[g.clone()].iter().map(|n| n.pre));
-                hits.clear();
-                kernel(arena.frag(frag), &ctx, ax, test, &mut hits);
-                out_iter.extend(std::iter::repeat_n(it, hits.len()));
-                out_node.extend(hits.iter().map(|&pre| NodeId::new(frag, pre)));
-            }
-            Ok((out_iter, out_node))
-        },
-    )?;
-    // The first part (the only one of a serial run) is moved, not copied.
-    let mut parts = parts.into_iter();
-    let (mut out_iter, mut out_node) = parts.next().unwrap_or_default();
-    for (pi, pn) in parts {
-        out_iter.extend(pi);
-        out_node.extend(pn);
+    let mut out_iter: Vec<i64> = Vec::new();
+    let mut out_node: Vec<NodeId> = Vec::new();
+    let (mut ctx, mut hits): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    for g in groups {
+        let (it, frag) = (iters[g.start], nodes[g.start].frag);
+        ctx.clear();
+        ctx.extend(nodes[g].iter().map(|n| n.pre));
+        hits.clear();
+        kernel(arena.frag(frag), &ctx, ax, test, &mut hits);
+        out_iter.extend(std::iter::repeat_n(it, hits.len()));
+        out_node.extend(hits.iter().map(|&pre| NodeId::new(frag, pre)));
     }
     Ok(Table::new(vec![
         (Col::ITER, Column::Int(out_iter)),
@@ -261,17 +245,8 @@ mod tests {
                 for &test in &tests {
                     let want = expected(&arena, rows, ax, test);
                     assert!(want.windows(2).all(|w| w[0] < w[1]));
-                    for (input, vec, threads) in [
-                        (0, false, 1),
-                        (1, false, 1),
-                        (2, false, 1),
-                        (0, true, 1),
-                        (1, true, 1),
-                        (2, true, 1),
-                        (1, true, 3),
-                    ] {
-                        let got =
-                            eval_step(&arena, &inputs[input], ax, test, threads, vec).unwrap();
+                    for (input, vec) in (0..inputs.len()).flat_map(|i| [(i, false), (i, true)]) {
+                        let got = eval_step(&arena, &inputs[input], ax, test, vec).unwrap();
                         assert_eq!(
                             rows_of(&got),
                             want,
@@ -294,7 +269,7 @@ mod tests {
                 (Col::ITER, Column::Int(vec![1])),
                 (Col::ITEM, Column::from_nodes(vec![root], !boxed_input)),
             ]);
-            let step = |vec| eval_step(&arena, &t, Axis::Descendant, NodeTest::AnyKind, 1, vec);
+            let step = |vec| eval_step(&arena, &t, Axis::Descendant, NodeTest::AnyKind, vec);
             let out = step(false).unwrap();
             assert!(matches!(&**out.col(Col::ITEM).data(), Column::Item(v) if v.len() > 1));
             let out = step(true).unwrap();
@@ -313,7 +288,7 @@ mod tests {
             ),
         ]);
         for vec in [false, true] {
-            let err = eval_step(&arena, &t, Axis::Child, NodeTest::AnyKind, 1, vec).unwrap_err();
+            let err = eval_step(&arena, &t, Axis::Child, NodeTest::AnyKind, vec).unwrap_err();
             assert_eq!(err.code, ErrorCode::XPTY0004);
         }
     }

@@ -16,7 +16,7 @@
 //! and counts as one operator, exactly as it would un-fused.
 
 use crate::column::Column;
-use crate::eval::{avalue_item, EngineOptions, EvalError};
+use crate::eval::{avalue_item, EvalError};
 use crate::item::Item;
 use crate::kernels::{fun_batch, select_batch, Operand};
 use crate::table::{ColView, SelRef, SelVec, Table};
@@ -77,11 +77,8 @@ pub(crate) fn exec_fused(
     input: &Table,
     steps: &[FuseStep],
     arena: &FragArena,
-    opts: &EngineOptions,
     meter: &BudgetMeter,
-    batches: &mut u64,
 ) -> Result<Table, EvalError> {
-    let threads = opts.threads.max(1);
     let mut env: Vec<(Col, Src)> = input
         .columns()
         .iter()
@@ -101,9 +98,8 @@ pub(crate) fn exec_fused(
                     .iter()
                     .map(|s| operand(input, &regs, alive.as_deref(), s))
                     .collect();
-                let (col, b) = fun_batch(arena, *kind, &ops, live, threads)?;
+                let col = fun_batch(arena, *kind, &ops, live)?;
                 drop(ops);
-                *batches += b;
                 env.push((*new, Src::Reg(regs.len())));
                 regs.push(Arc::new(col));
             }
@@ -111,11 +107,10 @@ pub(crate) fn exec_fused(
                 let src = lookup(&env, *col);
                 // Inner scope: the operand borrows `regs`, which the
                 // compaction below mutates.
-                let (keep, b) = {
+                let keep = {
                     let op = operand(input, &regs, alive.as_deref(), &src);
-                    select_batch(&op, live, threads)?
+                    select_batch(&op, live)?
                 };
-                *batches += b;
                 alive = Some(match alive.as_ref() {
                     None => keep.clone(),
                     Some(a) => keep.iter().map(|&p| a[p as usize]).collect(),

@@ -1,16 +1,12 @@
 //! Run the XMark differential suite from the command line.
 //!
 //! ```text
-//! xmark-verify [--seed N]... [--scale F] [--query N]... [--threads N]
-//!              [--lattice]
+//! xmark-verify [--seed N]... [--scale F] [--query N]... [--lattice]
 //! ```
 //!
 //! Exits 0 when every (seed, query) cell passes the three-way oracle and
 //! 1 on any divergence, printing the failing cells. CI runs this over a
-//! fixed seed matrix. With `--threads N`, additionally runs the
-//! multi-threaded differential: N threads re-execute the query set
-//! through one shared executor and must be bag-equal to a serial pass.
-//! With `--lattice`, additionally runs the XMark corpora of the
+//! fixed seed matrix. With `--lattice`, additionally runs the XMark corpora of the
 //! configuration lattice (see [`exrquy_verify::lattice`]): the queries
 //! over the whole document and the shard matrix over the split corpus,
 //! under the reference point and every row of the covering table — cost
@@ -18,17 +14,13 @@
 //! transport, nested constructors as written or unnested — each
 //! serializing byte-identically.
 
-use exrquy_verify::{
-    run_concurrent_differential, run_lattice, run_xmark_suite, ConcurrencyConfig, Lattice,
-    SuiteConfig,
-};
+use exrquy_verify::{run_lattice, run_xmark_suite, Lattice, SuiteConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut cfg = SuiteConfig::default();
     let mut seeds: Vec<u64> = Vec::new();
     let mut queries: Vec<usize> = Vec::new();
-    let mut threads: Option<usize> = None;
     let mut lattice = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -49,15 +41,10 @@ fn main() -> ExitCode {
                 Ok(q) if (1..=20).contains(&q) => queries.push(q),
                 _ => die("--query: expected 1..=20"),
             },
-            "--threads" => match parse_next(&mut args, "--threads").parse() {
-                Ok(t) if t >= 1 => threads = Some(t),
-                _ => die("--threads: expected a positive number"),
-            },
             "--lattice" => lattice = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: xmark-verify [--seed N]... [--scale F] [--query N]... \
-                     [--threads N] [--lattice]"
+                    "usage: xmark-verify [--seed N]... [--scale F] [--query N]... [--lattice]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -73,18 +60,6 @@ fn main() -> ExitCode {
     let report = run_xmark_suite(&cfg);
     eprintln!("{report}");
     let mut ok = report.all_passed();
-
-    if let Some(threads) = threads {
-        let ccfg = ConcurrencyConfig {
-            scale: cfg.scale,
-            seed: cfg.seeds.first().copied().unwrap_or(42),
-            threads,
-            queries: cfg.queries.clone(),
-        };
-        let creport = run_concurrent_differential(&ccfg);
-        eprintln!("{creport}");
-        ok &= creport.passed();
-    }
 
     if lattice {
         let lreport = run_lattice(&Lattice {

@@ -367,8 +367,10 @@ pub struct Report {
     /// parsed fragment in the multi-shard layouts), `served_cells`
     /// ((cell, row) pairs compared over the wire), `unnested_cells`
     /// ((cell, row) pairs whose query had nested constructors to
-    /// unnest), `chaos_retries` (retries the chaos clients spent) and
-    /// `shed_cells` (requests a daemon shed).
+    /// unnest), `parallel_regions` (direct (cell, row) runs with
+    /// `threads > 1` in which the scheduler ran independent operators
+    /// concurrently at least once), `chaos_retries` (retries the chaos
+    /// clients spent) and `shed_cells` (requests a daemon shed).
     pub witnesses: BTreeMap<&'static str, u64>,
     pub divergences: Vec<Divergence>,
 }
@@ -824,11 +826,14 @@ impl Runner<'_> {
                     .get_or_insert_with(|| reference(&mut env, row, cell.profile, &cell.query))
                     .expected_by(row);
                 let none = RuleSet::empty();
-                let Some(got) = self.execute(&mut env, row, cell.profile, &cell.query, none) else {
+                let Some((got, parallel)) =
+                    self.execute(&mut env, row, cell.profile, &cell.query, none)
+                else {
                     self.report.bump("shed_cells", 1);
                     continue;
                 };
                 self.report.bump("served_cells", u64::from(served));
+                self.report.bump("parallel_regions", u64::from(parallel));
                 let perturbed = matches!(row.cost, Cost::Perturb(_));
                 self.report.bump("perturbed_cells", u64::from(perturbed));
                 let unnested = nests && row.constructors == Constructors::Unnested;
@@ -855,7 +860,8 @@ impl Runner<'_> {
     }
 
     /// One run of `query` at the point `row` (with `disabled` rules off —
-    /// attribution's probe, direct rows only). `None` when a daemon shed
+    /// attribution's probe, direct rows only), and whether it was a
+    /// direct run that used a parallel region. `None` when a daemon shed
     /// the request.
     fn execute(
         &mut self,
@@ -864,7 +870,7 @@ impl Runner<'_> {
         profile: Profile,
         query: &str,
         disabled: RuleSet,
-    ) -> Option<Run> {
+    ) -> Option<(Run, bool)> {
         let unnested = match row.constructors {
             Constructors::Nested => None,
             Constructors::Unnested => unnest_constructors(query),
@@ -874,7 +880,9 @@ impl Runner<'_> {
             let mut opts = row.options(&profile.options());
             opts.opt.disabled_rules = opts.opt.disabled_rules.union(disabled);
             let out = direct(env.session(row.shards), query, &opts);
-            return Some(out.map(|o| rendered(&o.items)));
+            // Only a `threads > 1` run reaches the scheduler.
+            let parallel = out.as_ref().is_ok_and(|o| o.profile.sched.regions > 0);
+            return Some((out.map(|o| rendered(&o.items)), parallel));
         }
         let (chaos, seed) = (row.transport == Transport::ServedChaos, self.cfg.seed);
         let daemon = self
@@ -890,7 +898,7 @@ impl Runner<'_> {
                 let staged = daemon.client.load_into(url, xml, catalog, Some(row.shards));
                 if let Err(e) = staged {
                     // The direct arm loaded this exact document.
-                    return Some(Err(format!("load of {url} failed: {e}")));
+                    return Some((Err(format!("load of {url} failed: {e}")), false));
                 }
             }
             daemon.loaded = (env.key.to_string(), row.shards);
@@ -900,20 +908,21 @@ impl Runner<'_> {
             catalog: catalog.map(str::to_string),
             ..QueryOpts::default()
         };
-        match daemon.client.query_with(query, &opts) {
-            Ok(result) => Some(Ok(vec![result])),
+        let run = match daemon.client.query_with(query, &opts) {
+            Ok(result) => Ok(vec![result]),
             // Shed (overload/deadline/drain): legal, carries no signal.
             Err(ClientError::Server { code, .. })
                 if matches!(code.as_str(), "EXRQ0006" | "EXRQ0007" | "EXRQ0008") =>
             {
-                None
+                return None
             }
-            Err(ClientError::Server { code, .. }) => Some(Err(code.as_str().to_string())),
+            Err(ClientError::Server { code, .. }) => Err(code.as_str().to_string()),
             // A transport failure the client did not recover — none is
             // injected on a plain daemon, and chaos is bounded and
             // deterministic — is a harness or client bug.
             Err(e) => panic!("lattice served row: unrecovered failure: {e}"),
-        }
+        };
+        Some((run, false))
     }
 
     /// Is `row` red on `query`? (A fresh reference per call: the
@@ -928,7 +937,9 @@ impl Runner<'_> {
     ) -> bool {
         let want = reference(env, row, profile, query);
         self.execute(env, row, profile, query, disabled)
-            .is_some_and(|got| matches!(compare(want.expected_by(row), &got), Outcome::Diverged(_)))
+            .is_some_and(|(got, _)| {
+                matches!(compare(want.expected_by(row), &got), Outcome::Diverged(_))
+            })
     }
 
     /// Record a red (cell, row): name the axis, minimise, attribute. A

@@ -15,11 +15,6 @@
 //!   real queries, asserting *graceful degradation*: the expected typed
 //!   error code, no panic, no partially-built store state, and a session
 //!   that remains usable afterwards.
-//! * [`concurrency`] — the multi-threaded differential: N threads
-//!   re-execute the XMark query set through one shared executor (same
-//!   `Arc<Catalog>`, same plan cache) and every result must be bag-equal
-//!   to a serial reference pass, with the catalog untouched and the plan
-//!   cache showing cross-thread hits.
 //! * [`lattice`] — the configuration lattice: one byte-identity
 //!   differential for every execution axis. A `Config { cost,
 //!   vectorized, threads, shards, transport, constructors, failpoints }`
@@ -56,7 +51,6 @@
 //! every machine.
 
 pub mod attribute;
-pub mod concurrency;
 pub mod fuzz;
 pub mod harness;
 pub mod lattice;
@@ -64,7 +58,6 @@ pub mod shrink;
 pub mod suite;
 
 pub use attribute::{attribute_divergence, Attribution};
-pub use concurrency::{run_concurrent_differential, ConcurrencyConfig, ConcurrencyReport};
 pub use fuzz::{
     gen_corpus, gen_doc, gen_query, gen_query_corpus, run_fuzz, Corpus, Divergence, FuzzConfig,
     FuzzProfile, FuzzReport,

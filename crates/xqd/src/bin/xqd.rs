@@ -7,6 +7,10 @@
 //!     [--plan-cache <n>] [--mem-watermark <bytes>] [--inject <spec>]
 //! ```
 //!
+//! `--workers` sets how many requests run at once; `--threads` how many
+//! independent operators of one request's plan may run at once (default
+//! serial; every operator itself is single-threaded).
+//!
 //! The daemon drains gracefully on SIGTERM/SIGINT or a `shutdown` op:
 //! queued requests are shed with `EXRQ0008`, in-flight requests get the
 //! grace period, stragglers are cancelled.
@@ -27,7 +31,8 @@ fn usage() -> ! {
          \x20        [--workers <n>] [--queue <n>] [--max-inflight <n>] \\\n\
          \x20        [--drain-grace-ms <ms>] [--deadline-ms <ms>] \\\n\
          \x20        [--threads <n>] [--plan-cache <n>] \\\n\
-         \x20        [--mem-watermark <bytes>] [--inject <spec>]"
+         \x20        [--mem-watermark <bytes>] [--inject <spec>]\n\
+         --threads: scheduler workers per request (independent operators run concurrently)"
     );
     exit(EXIT_USAGE);
 }

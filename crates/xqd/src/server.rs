@@ -83,7 +83,9 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Deterministic fault injection, re-armed per request.
     pub failpoints: Failpoints,
-    /// Intra-query worker threads (0 = serial evaluation).
+    /// Scheduler workers per request: independent operators of one plan
+    /// run concurrently (0 = serial evaluation). Request-level
+    /// concurrency comes from `workers`.
     pub threads: usize,
     /// Plan-cache capacity override for freshly swapped catalogs.
     pub plan_cache: Option<usize>,

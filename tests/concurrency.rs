@@ -4,13 +4,15 @@
 //! and shareable (`Arc<Catalog>`), a prepared plan may be executed from
 //! any number of threads at once, and every execution writes only into
 //! its private fragment overlay — so concurrent runs are bag-equal to a
-//! serial run and the catalog is byte-identical afterwards.
+//! serial run and the catalog is byte-identical afterwards. The query
+//! sets are a small hand-written document and XMark Q1–Q20.
 
 use exrquy::diag::{ErrorCode, Failpoints};
 use exrquy::frontend::pretty;
 use exrquy::{Prepared, QueryOptions, ResultItem, Session};
 use exrquy_verify::fuzz::{cell_rng, FUZZ_DOC_URL};
 use exrquy_verify::{gen_doc, gen_query, FuzzProfile};
+use exrquy_xmark::{generate, query, XmarkConfig, ALL_QUERIES};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
@@ -142,6 +144,43 @@ fn concurrent_prepare_hits_shared_cache() {
         "expected >= {THREADS} cache hits, got {}",
         stats.hits
     );
+}
+
+/// XMark Q1–Q20 over one generated document, every thread preparing for
+/// itself: each prepare hits the plan cache the serial pass primed, each
+/// result is bag-equal to the serial answer, and the catalog is untouched.
+#[test]
+fn xmark_queries_agree_across_threads() {
+    let xml = generate(&XmarkConfig {
+        scale: 0.0025,
+        seed: 42,
+    });
+    let mut s = Session::new();
+    s.load_document("auction.xml", &xml).unwrap();
+    let opts = QueryOptions::order_indifferent();
+    let serial: Vec<(usize, Vec<String>)> = (1..=ALL_QUERIES.len())
+        .map(|q| (q, bag(&s.query_with(query(q), &opts).unwrap().items)))
+        .collect();
+
+    let executor = s.executor().clone();
+    let nodes_before = s.catalog().total_nodes();
+    let hits_before = executor.cache_stats().hits;
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (serial, executor, opts) = (&serial, &executor, &opts);
+            scope.spawn(move || {
+                for i in 0..serial.len() {
+                    let (q, expect) = &serial[(t + i) % serial.len()];
+                    let plan = executor.prepare(query(*q), opts).unwrap();
+                    let out = executor.execute(&plan).unwrap();
+                    assert_eq!(&bag(&out.items), expect, "thread {t} Q{q}");
+                }
+            });
+        }
+    });
+    assert_eq!(s.catalog().total_nodes(), nodes_before);
+    let hits = executor.cache_stats().hits - hits_before;
+    assert_eq!(hits, (THREADS * serial.len()) as u64, "every prepare hits");
 }
 
 /// Fuzz-generated queries executed with 4 worker threads under armed

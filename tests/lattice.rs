@@ -21,6 +21,9 @@ fn default_lattice_serializes_identically_under_every_row() {
     // Some cell's shipped plan skips a compensation sort, and every row
     // must still match it byte for byte.
     assert!(report.witnesses["elided_plans"] >= 1, "{report}");
+    // The `threads` axis is not vacuous: some direct run really ran
+    // independent operators concurrently.
+    assert!(report.witnesses["parallel_regions"] >= 1, "{report}");
     println!("{report}");
 }
 
