@@ -28,14 +28,6 @@ impl AValue {
     pub fn str(s: &str) -> Self {
         AValue::Str(Arc::from(s))
     }
-
-    /// Extract the double (if this is one).
-    pub fn as_dbl(&self) -> Option<f64> {
-        match self {
-            AValue::Dbl(b) => Some(f64::from_bits(*b)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AValue {

@@ -6,7 +6,7 @@
 use exrquy::{QueryOptions, Session};
 use exrquy_bench::harness::{BenchmarkId, Criterion};
 use exrquy_bench::{criterion_group, criterion_main};
-use exrquy_opt::{optimize, OptOptions};
+use exrquy_opt::{try_optimize, OptOptions};
 use exrquy_xmark::query;
 
 fn plans(session: &Session, n: usize) -> (exrquy_algebra::Dag, exrquy_algebra::OpId) {
@@ -24,19 +24,11 @@ fn bench(c: &mut Criterion) {
     for n in [6usize, 10, 11] {
         let (dag, root) = plans(&session, n);
         let full = OptOptions::default();
-        let no_weaken = OptOptions {
-            weaken_rownum: false,
-            ..full
-        };
-        let no_merge = OptOptions {
-            merge_steps: false,
-            ..full
-        };
-        let cda_only = OptOptions {
-            weaken_rownum: false,
-            merge_steps: false,
-            ..full
-        };
+        let no_weaken = full
+            .without_rule("weaken-criteria")
+            .without_rule("weaken-rownum-to-rowid");
+        let no_merge = full.without_rule("merge-steps");
+        let cda_only = no_weaken.without_rule("merge-steps");
         for (label, opts) in [
             ("full", full),
             ("no-weaken", no_weaken),
@@ -49,7 +41,7 @@ fn bench(c: &mut Criterion) {
                 |b, opts| {
                     b.iter_batched(
                         || dag.clone(),
-                        |mut d| optimize(&mut d, root, opts).0,
+                        |mut d| try_optimize(&mut d, root, opts).unwrap().0,
                         exrquy_bench::harness::BatchSize::SmallInput,
                     )
                 },

@@ -186,7 +186,7 @@ fn main() {
     opts = opts.with_budget(budget).with_vectorized(!scalar);
     // Applied after --baseline/--unordered so they survive either preset.
     if no_cost {
-        opts.opt.cost = false;
+        opts.opt = opts.opt.without_rule("cost-join-reorder");
     }
     if let Some(n) = threads {
         opts = opts.with_threads(n);

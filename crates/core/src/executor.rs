@@ -289,9 +289,9 @@ impl Executor {
                 .map_err(Error::Opt)?;
         // Cost-based pass: join-order enumeration over catalog
         // statistics. Every plan it picks serializes byte-identically to
-        // the canonical plan; `--no-cost`
-        // (`opts.opt.cost = false`) keeps the rule-only planner, in which
-        // case only the cardinality estimates are computed (for explain).
+        // the canonical plan; `--no-cost` (rule `cost-join-reorder`
+        // disabled) keeps the rule-only planner, in which case only the
+        // cardinality estimates are computed (for explain).
         let cost_ctx = exrquy_opt::CostContext {
             stats: Some(self.catalog.stats()),
             perturb: opts.failpoints.perturbed_stats(),

@@ -41,7 +41,7 @@ pub mod verify;
 
 pub use executor::{CacheStats, Executor, RunOptions};
 pub use result::ResultItem;
-pub use session::{Error, Explain, NodeCounts, Prepared, QueryOptions, QueryOutput, Session};
+pub use session::{Error, NodeCounts, Prepared, QueryOptions, QueryOutput, Session};
 pub use verify::{ArmReport, Equivalence, VerifyError, VerifyReport};
 
 // Re-exports for downstream harnesses.

@@ -382,9 +382,6 @@ impl Prepared {
     }
 }
 
-/// Alias kept for discoverability: `explain` returns the same structure.
-pub type Explain = Prepared;
-
 /// Result of one query execution.
 #[derive(Debug)]
 pub struct QueryOutput {
@@ -646,11 +643,6 @@ impl Session {
     /// order indifference exploited).
     pub fn query(&self, query: &str) -> Result<QueryOutput, Error> {
         self.query_with(query, &QueryOptions::honor_prolog())
-    }
-
-    /// Compile only — the plan inspection entry point.
-    pub fn explain(&self, query: &str, opts: &QueryOptions) -> Result<Arc<Explain>, Error> {
-        self.prepare(query, opts)
     }
 }
 

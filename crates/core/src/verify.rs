@@ -116,10 +116,13 @@ impl VerifyReport {
 }
 
 /// Options for the `noweaken` arm: the caller's configuration with the
-/// order-sensitive rewrites switched off.
+/// §7 `%`-weakening rules switched off.
 fn noweaken_opts(opts: &QueryOptions) -> QueryOptions {
     let mut o = opts.clone();
-    o.opt.weaken_rownum = false;
+    o.opt = o
+        .opt
+        .without_rule("weaken-criteria")
+        .without_rule("weaken-rownum-to-rowid");
     o
 }
 

@@ -21,8 +21,8 @@
 //!   oracle-perturb:<arm> corrupt one oracle arm's result
 //!                       (arm ∈ baseline | optimized | noweaken)
 //!   rule-perturb:<rule> apply the named rewrite rule in a deliberately
-//!                       unsound variant (a planted optimizer bug; the
-//!                       optimizer decides which rules support it)
+//!                       unsound variant (a planted optimizer bug; rule ∈
+//!                       PERTURBABLE_RULES)
 //!   stats-perturb:<f>   deterministically corrupt the cost model's
 //!                       cardinality estimates by factor f (even operator
 //!                       ids ×f, odd ÷f) — wrong statistics may change
@@ -76,6 +76,11 @@ impl fmt::Display for OracleArm {
         f.write_str(self.as_str())
     }
 }
+
+/// The rewrite rules with a planted unsound variant — the only names
+/// `rule-perturb:<rule>` accepts, so a typo or an unplanted rule is a spec
+/// error instead of a run that plants nothing and passes as clean.
+pub const PERTURBABLE_RULES: &[&str] = &["weaken-criteria", "join-elim-key-domain"];
 
 /// Error parsing a failpoint spec string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,12 +212,15 @@ impl Failpoints {
                     fp.oracle_perturb = Some(arm);
                 }
                 "rule-perturb" => {
-                    let rule = arg.filter(|a| !a.is_empty()).ok_or_else(|| {
-                        FailpointSpecError(
-                            "`rule-perturb` needs a rule name, e.g. rule-perturb:weaken-criteria"
-                                .into(),
-                        )
-                    })?;
+                    let rule = arg
+                        .filter(|a| PERTURBABLE_RULES.contains(a))
+                        .ok_or_else(|| {
+                            FailpointSpecError(format!(
+                                "`rule-perturb`: unknown rule `{}` (expected {})",
+                                arg.unwrap_or(""),
+                                PERTURBABLE_RULES.join("|")
+                            ))
+                        })?;
                     fp.rule_perturb = Some(rule.to_string());
                 }
                 "stats-perturb" => {
@@ -380,8 +388,11 @@ mod tests {
         let fp = Failpoints::parse("rule-perturb:weaken-criteria").unwrap();
         assert_eq!(fp.perturbed_rule(), Some("weaken-criteria"));
         assert!(!fp.is_empty());
+        assert!(Failpoints::parse("rule-perturb:join-elim-key-domain").is_ok());
         assert!(Failpoints::parse("rule-perturb").is_err());
         assert!(Failpoints::parse("rule-perturb:").is_err());
+        let err = Failpoints::parse("rule-perturb:merge-steps").unwrap_err();
+        assert!(err.0.contains("weaken-criteria"), "{err}");
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl ColView {
         self.len() == 0
     }
 
-    /// True when no selection vector is interposed.
-    pub fn is_dense(&self) -> bool {
-        self.sel.is_none()
-    }
-
     /// The selection vector, if any.
     pub fn sel(&self) -> Option<&[u32]> {
         self.sel.as_deref().map(|s| s.as_slice())
@@ -102,27 +97,6 @@ impl ColView {
     #[inline]
     pub fn get_int(&self, i: usize) -> Result<i64, ColumnError> {
         self.data.get_int(self.phys(i))
-    }
-
-    /// Boolean at logical row `i`, `None` for non-boolean values.
-    #[inline]
-    pub fn get_bool(&self, i: usize) -> Option<bool> {
-        match &*self.data {
-            Column::Bool(v) => Some(v.get(self.phys(i))),
-            other => match other.get(self.phys(i)) {
-                Item::Bool(b) => Some(b),
-                _ => None,
-            },
-        }
-    }
-
-    /// Dense `i64` slice when the view is an unselected `Int` column —
-    /// the fast path for sort keys and join keys.
-    pub fn as_int_slice(&self) -> Option<&[i64]> {
-        match (&self.sel, &*self.data) {
-            (None, Column::Int(v)) => Some(v),
-            _ => None,
-        }
     }
 
     /// Materialize into a dense `i64` vector.
@@ -190,20 +164,6 @@ impl Table {
             cols: cols
                 .into_iter()
                 .map(|(n, c)| (n, ColView::dense(Arc::new(c))))
-                .collect(),
-            nrows,
-        }
-    }
-
-    /// Build from shared dense columns.
-    pub fn from_refs(cols: Vec<(Col, ColRef)>, nrows: usize) -> Table {
-        for (name, c) in &cols {
-            assert_eq!(c.len(), nrows, "column `{name}` length mismatch");
-        }
-        Table {
-            cols: cols
-                .into_iter()
-                .map(|(n, c)| (n, ColView::dense(c)))
                 .collect(),
             nrows,
         }

@@ -77,11 +77,6 @@ impl BinOp {
             BinOp::GenEq | BinOp::GenNe | BinOp::GenLt | BinOp::GenLe | BinOp::GenGt | BinOp::GenGe
         )
     }
-
-    /// Whether this is a node-set operation (`|`, `intersect`, `except`).
-    pub fn is_node_set_op(self) -> bool {
-        matches!(self, BinOp::Union | BinOp::Intersect | BinOp::Except)
-    }
 }
 
 /// Unary operators.

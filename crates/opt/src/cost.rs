@@ -7,7 +7,7 @@
 //! 1. **Cardinality estimation** ([`estimate_cardinalities`]) walks the
 //!    plan bottom-up deriving an estimated row count per operator, consulting
 //!    the catalog's [`CatalogStats`] (element/attribute histograms, fanout,
-//!    fragment weights) when available and falling back to fixed per-kind
+//!    node and fragment counts) when available and falling back to fixed per-kind
 //!    multipliers otherwise. Estimates feed the enumerator below and the
 //!    `--explain` estimated-vs-actual table.
 //!
@@ -46,10 +46,10 @@
 //!    analysis, computed once per plan and only when some reorder wins.
 //!    It proves a constant through `∪̇`/`∪̂` when every part agrees.
 //!
-//! The rewrite honors [`OptOptions::disabled_rules`] and the global
-//! [`OptOptions::cost`] switch, and records [`RuleApplication`]s so the
-//! differential attribution pass of `exrquy-verify` can bisect a divergence
-//! to a single named rule — exactly as for the rule rewriter. The
+//! The rewrite honors [`OptOptions::disabled_rules`] and records
+//! [`RuleApplication`]s so the differential attribution pass of
+//! `exrquy-verify` can bisect a divergence to a single named rule —
+//! exactly as for the rule rewriter. The
 //! `stats-perturb:<factor>` failpoint deterministically corrupts estimates
 //! (even operator ids are multiplied by the factor, odd ones divided),
 //! which may change which plan wins but — by the byte-identity argument —
@@ -103,9 +103,9 @@ pub struct CostReport {
 }
 
 /// Run the cost-based pass over an already rule-optimized plan. With
-/// [`OptOptions::cost`] off (or `cost-join-reorder` disabled) the plan is
-/// returned unchanged, but estimates are still computed so `--explain`
-/// can show them for the rule-only plan.
+/// `cost-join-reorder` disabled the plan is returned unchanged, but
+/// estimates are still computed so `--explain` can show them for the
+/// rule-only plan.
 pub fn cost_optimize(
     dag: &mut Dag,
     root: OpId,
@@ -114,7 +114,7 @@ pub fn cost_optimize(
 ) -> Result<(OpId, CostReport), OptError> {
     let mut report = CostReport::default();
     let mut cur = root;
-    if opts.cost && !opts.disabled_rules.contains("cost-join-reorder") {
+    if !opts.disabled_rules.contains("cost-join-reorder") {
         cur = reorder_joins(dag, cur, ctx, &mut report)?;
     }
     report.estimates = estimate_cardinalities(dag, cur, ctx);
@@ -1222,10 +1222,7 @@ mod tests {
     #[test]
     fn join_reorder_respects_gates() {
         for opts in [
-            OptOptions {
-                cost: false,
-                ..OptOptions::default()
-            },
+            OptOptions::disabled(),
             OptOptions::default().without_rule("cost-join-reorder"),
         ] {
             let mut dag = Dag::new();

@@ -8,8 +8,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 /// `{pos, item}` (serialization of the result sequence).
 ///
 /// `prune_projections` must mirror whether the rewriter is allowed to
-/// prune unrequired columns out of `π` operators (`project-prune`
-/// enabled under column-dependency analysis). When it is, a projection
+/// prune unrequired columns out of `π` operators (rule `project-prune`
+/// not disabled). When it is, a projection
 /// only demands the sources of its *required* outputs; when pruning is
 /// off, the rebuilt projection keeps every column, so every source stays
 /// demanded — otherwise a column-dependency bypass upstream could delete
@@ -83,10 +83,10 @@ pub fn required_columns(
             Op::Fun {
                 input, new, args, ..
             } => {
+                // No rule bypasses a `fun`, so it reads its arguments
+                // whether or not its result is consumed.
                 let mut n: BTreeSet<Col> = my_req.iter().copied().filter(|c| c != new).collect();
-                if my_req.contains(new) {
-                    n.extend(args.iter().copied());
-                }
+                n.extend(args.iter().copied());
                 push(*input, n);
             }
             Op::Aggr {
@@ -266,6 +266,30 @@ mod tests {
         assert!(req[&l].contains(&Col::RES));
         assert!(req[&l].contains(&Col::POS));
         assert!(req[&l].contains(&Col::ITEM));
+    }
+
+    #[test]
+    fn fun_arguments_required_even_when_its_result_is_not() {
+        // `fn:count(() + 1)`: the count reads only `iter`, but the `fun`
+        // stays in the plan, so the producer of its argument must too.
+        let mut dag = Dag::new();
+        let l = dag.add(Op::Lit {
+            cols: vec![Col::ITER, Col::ITEM, Col::ITEM1],
+            rows: vec![],
+        });
+        let f = dag.add(Op::Fun {
+            input: l,
+            new: Col::RES,
+            kind: exrquy_algebra::FunKind::Add,
+            args: vec![Col::ITEM, Col::ITEM1],
+        });
+        let root = dag.add(Op::Project {
+            input: f,
+            cols: vec![(Col::ITER, Col::ITER)],
+        });
+        let req = required_columns(&dag, root, true, &HashSet::new());
+        assert!(!req[&f].contains(&Col::RES));
+        assert!(req[&l].contains(&Col::ITEM) && req[&l].contains(&Col::ITEM1));
     }
 
     #[test]

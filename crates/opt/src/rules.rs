@@ -21,23 +21,16 @@ pub const RULE_NAMES: &[&str] = &[
     "cda-bypass-rownum",
     "cda-bypass-rowid",
     "cda-bypass-attach",
-    "cda-bypass-fun",
     "weaken-criteria",
     "weaken-rownum-to-rowid",
     "project-prune",
     "project-collapse",
     "project-identity",
-    "select-const-true",
-    "select-const-false",
     "merge-steps",
-    "distinct-dedup",
     "distinct-disjoint-union",
-    "union-empty-side",
     "union-align-schema",
-    "shard-push-select",
     "shard-push-project",
     "shard-push-fun",
-    "shard-push-attach",
     "shard-push-step",
     "shard-push-cross",
     "shard-union-singleton",
@@ -202,11 +195,21 @@ mod tests {
 
     #[test]
     fn from_names_rejects_unknown() {
-        let ok = RuleSet::from_names(["merge-steps", "select-const-true"]).unwrap();
+        let ok = RuleSet::from_names(["merge-steps", "shard-push-fun"]).unwrap();
         assert_eq!(ok.len(), 2);
         let err = RuleSet::from_names(["merge-steps", "bogus"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
         assert!(err.contains("merge-steps"), "{err}");
+    }
+
+    #[test]
+    fn every_perturbable_rule_is_a_rule() {
+        for rule in exrquy_diag::failpoint::PERTURBABLE_RULES {
+            assert!(
+                RuleSet::is_known(rule),
+                "rule-perturb accepts unknown `{rule}`"
+            );
+        }
     }
 
     #[test]

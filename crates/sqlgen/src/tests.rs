@@ -5,7 +5,7 @@ use crate::{to_sql, SqlOptions};
 use exrquy_algebra::{AValue, Col, Dag, Op, OpId, SortKey};
 use exrquy_compiler::Compiler;
 use exrquy_frontend::{normalize_opts, parse_module, OrderingMode};
-use exrquy_opt::{optimize, OptOptions};
+use exrquy_opt::{try_optimize, OptOptions};
 use exrquy_xml::Catalog;
 
 fn compile_to_sql(q: &str, unordered: bool) -> String {
@@ -20,7 +20,9 @@ fn compile_to_sql(q: &str, unordered: bool) -> String {
     let plan = Compiler::new(&catalog).compile_module(&m).unwrap();
     let mut dag = plan.dag;
     let root = if unordered {
-        optimize(&mut dag, plan.root, &OptOptions::default()).0
+        try_optimize(&mut dag, plan.root, &OptOptions::default())
+            .unwrap()
+            .0
     } else {
         plan.root
     };
@@ -183,7 +185,7 @@ fn cte_count_matches_plan_size() {
     let catalog = Catalog::new();
     let plan = Compiler::new(&catalog).compile_module(&m).unwrap();
     let mut dag = plan.dag;
-    let (root, _) = optimize(&mut dag, plan.root, &OptOptions::default());
+    let (root, _) = try_optimize(&mut dag, plan.root, &OptOptions::default()).unwrap();
     let sql = to_sql(&dag, root, &SqlOptions::default());
     let ctes = sql.matches(" AS (").count();
     assert_eq!(ctes, roots_of(&dag, root), "{sql}");

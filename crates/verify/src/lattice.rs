@@ -223,7 +223,7 @@ impl Config {
             .with_threads(self.threads);
         let mut spec = self.failpoints.to_string();
         match self.cost {
-            Cost::Off => o.opt.cost = false,
+            Cost::Off => o.opt = o.opt.without_rule("cost-join-reorder"),
             Cost::On => {}
             Cost::Perturb(p) => spec = format!("{spec},{p}"),
         }

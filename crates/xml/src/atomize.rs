@@ -7,7 +7,6 @@
 //! the concatenation of all descendant text nodes in document order, for
 //! the other kinds their own content.
 
-use crate::catalog::{NodeId, NodeRead};
 use crate::tree::{Document, NodeKind, NO_TEXT};
 use std::sync::Arc;
 
@@ -26,12 +25,6 @@ pub fn string_value(doc: &Document, pre: u32) -> String {
         }
         _ => doc.text(pre).unwrap_or("").to_owned(),
     }
-}
-
-/// String value of a node resolved through any layer (catalog or
-/// overlay).
-pub fn node_string_value<R: NodeRead + ?Sized>(nodes: &R, node: NodeId) -> String {
-    string_value(nodes.doc_of(node), node.pre)
 }
 
 /// [`string_value`] as a shared string. A text, attribute, comment or PI

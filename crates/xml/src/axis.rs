@@ -76,20 +76,6 @@ impl Axis {
         matches!(self, Axis::Attribute)
     }
 
-    /// Whether this axis yields nodes in reverse document order in XPath
-    /// semantics. (Irrelevant for the result *set*, which we always return
-    /// in document order — XQuery path results are in document order.)
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::PrecedingSibling
-                | Axis::Preceding
-        )
-    }
-
     /// XPath surface syntax of the axis.
     pub fn as_str(self) -> &'static str {
         match self {

@@ -2,12 +2,11 @@
 //!
 //! The optimizer's cardinality model (see `exrquy-opt`) needs cheap,
 //! deterministic answers to "how big is this document", "how many `<item>`
-//! elements exist", and "what values does `@id` take". Those answers live
-//! here, collected per fragment and aggregated per catalog:
+//! elements exist", and "how many children does an element have". Those
+//! answers live here, collected per fragment and aggregated per catalog:
 //!
 //! * **materialized fragments** are walked exactly — node counts, element
-//!   and attribute name histograms, child fanout, and min/max sketches for
-//!   integer-valued attributes and element text;
+//!   and attribute name histograms, and child fanout;
 //! * **lazy fragments** (raw XML, not yet parsed) are *estimated* by a
 //!   single linear scan over the bytes — the same flavor of scan
 //!   `scan_names` already performs at load time, so estimation never
@@ -27,7 +26,7 @@ use crate::name::{NameId, NamePool};
 use crate::tree::{Document, NodeKind};
 use std::collections::HashMap;
 
-/// Node-count and value statistics for one fragment.
+/// Node-count and name statistics for one fragment.
 #[derive(Debug, Clone, Default)]
 pub struct FragStats {
     /// Total encoded nodes (estimated for unmaterialized fragments).
@@ -36,40 +35,17 @@ pub struct FragStats {
     pub elem_counts: HashMap<NameId, u64>,
     /// Attribute count per attribute name.
     pub attr_counts: HashMap<NameId, u64>,
-    /// Min/max sketch of integer-parsing values, keyed by the attribute
-    /// name (for attribute values) or the enclosing element name (for
-    /// element text).
-    pub int_ranges: HashMap<NameId, (i64, i64)>,
     /// Total elements (denominator of the fanout average).
     pub elements: u64,
     /// Total element-children-of-elements (numerator of the fanout
     /// average).
     pub element_children: u64,
-    /// Whether these numbers came from a byte-scan estimate rather than a
-    /// walk of the parsed tree.
-    pub estimated: bool,
-}
-
-impl FragStats {
-    fn touch_range(&mut self, name: NameId, v: i64) {
-        self.int_ranges
-            .entry(name)
-            .and_modify(|(lo, hi)| {
-                *lo = (*lo).min(v);
-                *hi = (*hi).max(v);
-            })
-            .or_insert((v, v));
-    }
 }
 
 /// Aggregated, frozen statistics for one catalog snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogStats {
-    /// Per-fragment node weights (exact or estimated), index = fragment.
-    pub per_frag_nodes: Vec<u64>,
-    /// Per-shard node weights under the snapshot's shard layout.
-    pub per_shard_nodes: Vec<u64>,
-    /// Sum of `per_frag_nodes`.
+    /// Encoded nodes over every fragment (exact or estimated).
     pub total_nodes: u64,
     /// Fragment (≈ document root) count.
     pub frags: u64,
@@ -77,14 +53,10 @@ pub struct CatalogStats {
     pub elem_counts: HashMap<NameId, u64>,
     /// Catalog-wide attribute count per attribute name.
     pub attr_counts: HashMap<NameId, u64>,
-    /// Catalog-wide min/max integer-value sketches (see [`FragStats`]).
-    pub int_ranges: HashMap<NameId, (i64, i64)>,
     /// Catalog-wide element count.
     pub elements: u64,
     /// Average element children per element (child-step fanout).
     pub avg_fanout: f64,
-    /// How many fragments contributed estimates instead of exact walks.
-    pub estimated_frags: u64,
 }
 
 impl CatalogStats {
@@ -96,15 +68,6 @@ impl CatalogStats {
     /// Attributes named `name` across the catalog.
     pub fn attr_count(&self, name: NameId) -> u64 {
         self.attr_counts.get(&name).copied().unwrap_or(0)
-    }
-
-    /// Width of the integer value range recorded under `name` (a crude
-    /// distinct-value proxy for equi-join selectivity), if any values
-    /// parsed as integers.
-    pub fn int_range_width(&self, name: NameId) -> Option<u64> {
-        self.int_ranges
-            .get(&name)
-            .map(|&(lo, hi)| hi.abs_diff(lo).saturating_add(1))
     }
 }
 
@@ -125,23 +88,7 @@ pub fn stats_of_document(doc: &Document) -> FragStats {
                     }
                 }
             }
-            NodeKind::Attribute => {
-                let name = doc.name(pre);
-                *s.attr_counts.entry(name).or_default() += 1;
-                if let Some(v) = doc.text(pre).and_then(|t| t.trim().parse::<i64>().ok()) {
-                    s.touch_range(name, v);
-                }
-            }
-            NodeKind::Text => {
-                // Key element text under the enclosing element's name.
-                if let Some(p) = doc.parent(pre) {
-                    if doc.kind(p) == NodeKind::Element {
-                        if let Some(v) = doc.text(pre).and_then(|t| t.trim().parse::<i64>().ok()) {
-                            s.touch_range(doc.name(p), v);
-                        }
-                    }
-                }
-            }
+            NodeKind::Attribute => *s.attr_counts.entry(doc.name(pre)).or_default() += 1,
             _ => {}
         }
     }
@@ -155,27 +102,21 @@ pub fn stats_of_document(doc: &Document) -> FragStats {
 pub fn estimate_from_xml(xml: &str, pool: &NamePool) -> FragStats {
     let mut s = FragStats {
         nodes: 1, // the virtual document root
-        estimated: true,
         ..FragStats::default()
     };
     let b = xml.as_bytes();
     let mut i = 0;
-    let mut last_elem: Option<NameId> = None;
     let mut depth: u64 = 0;
     while i < b.len() {
         if b[i] != b'<' {
             // Text run until the next tag; count it as one text node if it
-            // holds any non-whitespace, and sketch integer content.
+            // holds any non-whitespace.
             let start = i;
             while i < b.len() && b[i] != b'<' {
                 i += 1;
             }
-            let text = xml[start..i].trim();
-            if !text.is_empty() {
+            if !xml[start..i].trim().is_empty() {
                 s.nodes += 1;
-                if let (Some(name), Ok(v)) = (last_elem, text.parse::<i64>()) {
-                    s.touch_range(name, v);
-                }
             }
             continue;
         }
@@ -187,7 +128,6 @@ pub fn estimate_from_xml(xml: &str, pool: &NamePool) -> FragStats {
                     i += 1;
                 }
                 depth = depth.saturating_sub(1);
-                last_elem = None;
             }
             Some(b'!') | Some(b'?') => {
                 while i < b.len() && b[i] != b'>' {
@@ -199,16 +139,14 @@ pub fn estimate_from_xml(xml: &str, pool: &NamePool) -> FragStats {
                 while i < b.len() && !b" \t\r\n/>".contains(&b[i]) {
                     i += 1;
                 }
-                let name = pool.lookup(&xml[start..i]);
                 s.nodes += 1;
                 s.elements += 1;
                 if depth > 0 {
                     s.element_children += 1;
                 }
-                if let Some(id) = name {
+                if let Some(id) = pool.lookup(&xml[start..i]) {
                     *s.elem_counts.entry(id).or_default() += 1;
                 }
-                last_elem = name;
                 // Attributes until the tag closes.
                 let mut self_closing = false;
                 while i < b.len() && b[i] != b'>' {
@@ -227,16 +165,12 @@ pub fn estimate_from_xml(xml: &str, pool: &NamePool) -> FragStats {
                         if i < b.len() && (b[i] == b'"' || b[i] == b'\'') {
                             let quote = b[i];
                             i += 1;
-                            let vstart = i;
                             while i < b.len() && b[i] != quote {
                                 i += 1;
                             }
                             s.nodes += 1;
                             if let Some(id) = aname {
                                 *s.attr_counts.entry(id).or_default() += 1;
-                                if let Ok(v) = xml[vstart..i].trim().parse::<i64>() {
-                                    s.touch_range(id, v);
-                                }
                             }
                             i += 1;
                         }
@@ -246,8 +180,6 @@ pub fn estimate_from_xml(xml: &str, pool: &NamePool) -> FragStats {
                 }
                 if !self_closing {
                     depth += 1;
-                } else {
-                    last_elem = None;
                 }
             }
             _ => {}
@@ -272,30 +204,19 @@ pub fn estimate_node_weight(xml: &str) -> u64 {
 }
 
 /// Fold per-fragment statistics into catalog-wide aggregates.
-pub fn aggregate(per_frag: Vec<FragStats>, shard_bounds: &[u32]) -> CatalogStats {
+pub fn aggregate(per_frag: Vec<FragStats>) -> CatalogStats {
     let mut out = CatalogStats {
         frags: per_frag.len() as u64,
         ..CatalogStats::default()
     };
     for f in &per_frag {
         out.total_nodes += f.nodes;
-        out.per_frag_nodes.push(f.nodes);
         out.elements += f.elements;
-        out.estimated_frags += f.estimated as u64;
         for (&n, &c) in &f.elem_counts {
             *out.elem_counts.entry(n).or_default() += c;
         }
         for (&n, &c) in &f.attr_counts {
             *out.attr_counts.entry(n).or_default() += c;
-        }
-        for (&n, &(lo, hi)) in &f.int_ranges {
-            out.int_ranges
-                .entry(n)
-                .and_modify(|(l, h)| {
-                    *l = (*l).min(lo);
-                    *h = (*h).max(hi);
-                })
-                .or_insert((lo, hi));
         }
     }
     let children: u64 = per_frag.iter().map(|f| f.element_children).sum();
@@ -304,11 +225,6 @@ pub fn aggregate(per_frag: Vec<FragStats>, shard_bounds: &[u32]) -> CatalogStats
     } else {
         0.0
     };
-    for w in shard_bounds.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        out.per_shard_nodes
-            .push(out.per_frag_nodes[lo..hi].iter().sum());
-    }
     out
 }
 
@@ -318,19 +234,16 @@ mod tests {
     use crate::parse::parse_document;
 
     #[test]
-    fn exact_walk_counts_elements_attributes_and_ranges() {
+    fn exact_walk_counts_elements_and_attributes() {
         let mut pool = NamePool::new();
         let doc =
             parse_document(r#"<r><a id="3">7</a><a id="9"/><b>x</b></r>"#, &mut pool).unwrap();
         let s = stats_of_document(&doc);
         assert_eq!(s.nodes, doc.len() as u64);
-        assert!(!s.estimated);
         let a = pool.lookup("a").unwrap();
         let id = pool.lookup("id").unwrap();
         assert_eq!(s.elem_counts[&a], 2);
         assert_eq!(s.attr_counts[&id], 2);
-        assert_eq!(s.int_ranges[&id], (3, 9));
-        assert_eq!(s.int_ranges[&a], (7, 7)); // element text sketch
         assert_eq!(s.elements, 4);
     }
 
@@ -341,13 +254,13 @@ mod tests {
         let doc = parse_document(xml, &mut pool).unwrap();
         let exact = stats_of_document(&doc);
         let est = estimate_from_xml(xml, &pool);
-        assert!(est.estimated);
         assert_eq!(est.nodes, exact.nodes, "node estimate exact on clean XML");
         let a = pool.lookup("a").unwrap();
         let id = pool.lookup("id").unwrap();
         assert_eq!(est.elem_counts[&a], exact.elem_counts[&a]);
         assert_eq!(est.attr_counts[&id], exact.attr_counts[&id]);
-        assert_eq!(est.int_ranges[&id], (3, 9));
+        assert_eq!(est.elements, exact.elements);
+        assert_eq!(est.element_children, exact.element_children);
     }
 
     #[test]
@@ -359,15 +272,14 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums_shards() {
+    fn aggregate_sums_fragments() {
         let mut pool = NamePool::new();
         let d1 = parse_document("<r><x/></r>", &mut pool).unwrap();
         let d2 = parse_document("<r><x/><x/></r>", &mut pool).unwrap();
         let frags = vec![stats_of_document(&d1), stats_of_document(&d2)];
         let (n1, n2) = (frags[0].nodes, frags[1].nodes);
-        let agg = aggregate(frags, &[0, 1, 2]);
-        assert_eq!(agg.per_shard_nodes, vec![n1, n2]);
-        assert_eq!(agg.total_nodes, n1 + n2);
+        let agg = aggregate(frags);
+        assert_eq!((agg.frags, agg.total_nodes), (2, n1 + n2));
         let x = pool.lookup("x").unwrap();
         assert_eq!(agg.elem_count(x), 3);
         assert_eq!(agg.attr_count(x), 0);

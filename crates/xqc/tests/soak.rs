@@ -43,7 +43,7 @@ fn daemon_survives_simultaneous_panics_worker_deaths_net_chaos_and_reloads() {
         .iter()
         .map(|q| {
             let plan = session
-                .explain(q, &exrquy::QueryOptions::order_indifferent())
+                .prepare(q, &exrquy::QueryOptions::order_indifferent())
                 .unwrap();
             assert!(
                 !plan.plan_text().contains('%'),

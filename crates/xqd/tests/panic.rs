@@ -101,7 +101,7 @@ fn injected_panic_poisons_one_request_and_the_rest_stay_byte_identical() {
     let session = test_session();
     for q in &followups {
         let plan = session
-            .explain(q, &exrquy::QueryOptions::order_indifferent())
+            .prepare(q, &exrquy::QueryOptions::order_indifferent())
             .unwrap();
         assert!(
             !plan.plan_text().contains('%'),

@@ -144,7 +144,14 @@ fn matrix_rejects_silent_success_as_non_graceful() {
 fn malformed_inject_specs_are_rejected_with_context() {
     // (`budget-trip:<anything>` is accepted — unknown aliases pass through
     // as canonical kind names — so it is not in this list.)
-    for bad in ["doc-io", "doc-io:x", "unknown:1", "oracle-perturb:sideways"] {
+    for bad in [
+        "doc-io",
+        "doc-io:x",
+        "unknown:1",
+        "oracle-perturb:sideways",
+        "rule-perturb:merge-steps",
+        "rule-perturb:bogus",
+    ] {
         let err = Failpoints::parse(bad).expect_err(bad);
         assert!(
             err.to_string().contains(bad.split(':').next().unwrap()),

@@ -61,12 +61,9 @@ fn optimizer_toggles_miss() {
     let a = s
         .prepare(QUERY, &QueryOptions::order_indifferent())
         .unwrap();
-    let mut weakened = QueryOptions::order_indifferent();
-    weakened.opt = OptOptions {
-        weaken_rownum: false,
-        ..weakened.opt
-    };
-    let b = s.prepare(QUERY, &weakened).unwrap();
+    let mut rules_off = QueryOptions::order_indifferent();
+    rules_off.opt = OptOptions::disabled();
+    let b = s.prepare(QUERY, &rules_off).unwrap();
     assert!(!Arc::ptr_eq(&a, &b));
     assert_eq!(s.cache_stats().misses, 2);
 }

@@ -58,9 +58,12 @@ const MULTISET: &[&str] = &[
 
 fn configs() -> Vec<(&'static str, QueryOptions)> {
     let mut no_weaken = QueryOptions::order_indifferent();
-    no_weaken.opt.weaken_rownum = false;
+    no_weaken.opt = no_weaken
+        .opt
+        .without_rule("weaken-criteria")
+        .without_rule("weaken-rownum-to-rowid");
     let mut no_merge = QueryOptions::order_indifferent();
-    no_merge.opt.merge_steps = false;
+    no_merge.opt = no_merge.opt.without_rule("merge-steps");
     let mut no_cda = QueryOptions::order_indifferent();
     no_cda.opt = OptOptions::disabled();
     let mut ordered_opt = QueryOptions::baseline();
