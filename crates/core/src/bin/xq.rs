@@ -38,7 +38,8 @@
 //!   --timeout <secs>     wall-clock budget for execution (fractional ok)
 //!   --deadline-ms <ms>   hard deadline covering load + compile + execute;
 //!                        exceeding it exits 3 with EXRQ0007 (the same
-//!                        code path xqd uses to shed overdue requests)
+//!                        code path xqd uses to shed overdue requests);
+//!                        not accepted with --verify (usage error, 64)
 //!   --max-rows <n>       cap rows any single operator may materialize
 //!   --max-nodes <n>      cap XML nodes constructed during evaluation
 //!   --max-depth <n>      cap query expression nesting depth
@@ -183,6 +184,10 @@ fn main() {
         }
     }
     let Some(query) = query else { usage() };
+    if verify && deadline.is_some() {
+        eprintln!("xq: --deadline-ms cannot be combined with --verify: the oracle runs unbounded");
+        exit(EXIT_USAGE);
+    }
     opts = opts.with_budget(budget).with_vectorized(!scalar);
     // Applied after --baseline/--unordered so they survive either preset.
     if no_cost {

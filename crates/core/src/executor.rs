@@ -341,7 +341,6 @@ impl Executor {
                 "request deadline exceeded before execution started",
             )));
         }
-        let tracker = self.materialize_for(plan, run)?;
         let engine_opts = EngineOptions {
             budget: plan.budget.clone(),
             cancel: run.cancel.clone().or_else(|| plan.cancel.clone()),
@@ -388,125 +387,10 @@ impl Executor {
                 Item::Bool(b) => ResultItem::Bool(b),
             })
             .collect();
-        drop(tracker);
         Ok(QueryOutput {
             items,
             profile,
             nodes,
         })
-    }
-
-    /// Parse every lazily loaded fragment this plan can touch, shard by
-    /// shard, *before* evaluation starts. The engine's read path
-    /// (`NodeRead`) assumes every fragment a step lands on is
-    /// materialized; funneling all parsing through here keeps that
-    /// invariant while giving the serving layer one governed choke point:
-    ///
-    /// * cancellation is honored between shards ([`ErrorCode::EXRQ0002`]),
-    /// * the `doc-parse:<n>` failpoint fires per lazily parsed document
-    ///   (counted in fragment order within this run),
-    /// * the `budget-trip:fanout` failpoint and the node budget trip as
-    ///   [`ErrorCode::EXRQ0001`] — and because
-    ///   [`Catalog::materialize_frags`] commits a shard's parses only
-    ///   after the whole batch succeeds, a mid-shard trip leaves no
-    ///   partial shard visible,
-    /// * parsed bytes are charged to the run's [`MemoryGauge`]
-    ///   (`run.gauge`) while the run is in flight.
-    ///
-    /// Returns the gauge tracker (if any) so the charge lives exactly as
-    /// long as the execution.
-    fn materialize_for(
-        &self,
-        plan: &Prepared,
-        run: &RunOptions,
-    ) -> Result<Option<exrquy_diag::MemoryTracker>, Error> {
-        // Fragments the plan can reach: named documents plus the fanout
-        // ranges of `collection()` scans.
-        let mut pending: Vec<u32> = Vec::new();
-        for id in plan.dag.reachable(plan.root) {
-            match plan.dag.op(id) {
-                exrquy_algebra::Op::Doc { url } => {
-                    if let Some(root) = self.catalog.doc_root(url) {
-                        if !self.catalog.is_materialized(root.frag) {
-                            pending.push(root.frag);
-                        }
-                    }
-                }
-                exrquy_algebra::Op::Fanout { lo, hi, .. } => {
-                    pending.extend(self.catalog.pending_frags(*lo, *hi));
-                }
-                _ => {}
-            }
-        }
-        if pending.is_empty() {
-            return Ok(None);
-        }
-        pending.sort_unstable();
-        pending.dedup();
-
-        let failpoints = run.failpoints.as_ref().unwrap_or(&plan.failpoints);
-        let cancel = run.cancel.as_ref().or(plan.cancel.as_ref());
-        let mut tracker = run.gauge.as_ref().map(|g| g.tracker());
-        let mut charged = 0usize;
-        let mut parses = 0usize;
-        let node_cap = plan.budget.max_nodes;
-        let mut nodes_so_far = 0usize;
-
-        // Group by shard and materialize shard-atomically, in shard order.
-        let mut i = 0;
-        while i < pending.len() {
-            let shard = self.catalog.shard_of(pending[i]);
-            let mut j = i;
-            while j < pending.len() && self.catalog.shard_of(pending[j]) == shard {
-                j += 1;
-            }
-            let batch = &pending[i..j];
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return Err(Error::Eval(EvalError::new(
-                    ErrorCode::EXRQ0002,
-                    format!("query cancelled while loading catalog shard {shard}"),
-                )));
-            }
-            if failpoints.trips_budget("fanout") {
-                return Err(Error::Eval(EvalError::new(
-                    ErrorCode::EXRQ0001,
-                    format!("resource budget exhausted loading catalog shard {shard} (injected)"),
-                )));
-            }
-            for frag in batch {
-                parses += 1;
-                if failpoints.doc_parse_fails(parses) {
-                    let url = self.catalog.frag_url(*frag).unwrap_or("<collection>");
-                    return Err(Error::Eval(EvalError::new(
-                        ErrorCode::FODC0006,
-                        format!(
-                            "document `{url}` is not well-formed (injected at lazy parse {parses})"
-                        ),
-                    )));
-                }
-            }
-            let stats = self
-                .catalog
-                .materialize_frags(batch, node_cap.map(|c| c.saturating_sub(nodes_so_far)))
-                .map_err(|e| match e {
-                    exrquy_xml::MaterializeError::Parse(p) => Error::Xml(p),
-                    exrquy_xml::MaterializeError::NodeBudget { nodes, cap } => {
-                        Error::Eval(EvalError::new(
-                            ErrorCode::EXRQ0001,
-                            format!(
-                                "loading catalog shard {shard} would materialize {nodes} XML \
-                                 nodes, exceeding the remaining budget of {cap}"
-                            ),
-                        ))
-                    }
-                })?;
-            nodes_so_far += stats.nodes;
-            if let Some(t) = tracker.as_mut() {
-                charged += stats.bytes + stats.nodes * exrquy_diag::APPROX_NODE_BYTES;
-                t.charge_to(charged);
-            }
-            i = j;
-        }
-        Ok(tracker)
     }
 }

@@ -10,7 +10,7 @@ use exrquy_diag::{CancellationToken, ErrorClass, ErrorCode, ExecutionBudget, Fai
 use exrquy_engine::Profile;
 use exrquy_frontend::{OrderingMode, XqError};
 use exrquy_opt::{CostReport, OptError, OptOptions, OptReport};
-use exrquy_xml::{Catalog, NamePool, ParseError};
+use exrquy_xml::{Catalog, CatalogBuilder, NamePool, ParseError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -472,6 +472,16 @@ impl Session {
     /// assert_eq!(s.query(r#"fn:count(doc("d.xml")//x)"#).unwrap().to_xml(), "1");
     /// ```
     pub fn load_document(&mut self, url: &str, xml: &str) -> Result<(), Error> {
+        let mut builder = self.executor.catalog().to_builder();
+        self.stage(&mut builder, url, xml)?;
+        self.swap(builder);
+        Ok(())
+    }
+
+    /// Parse `xml` into `builder` under `url`: every load path of the
+    /// session goes through here. Each call is one load for the
+    /// `doc-parse` failpoint.
+    fn stage(&mut self, builder: &mut CatalogBuilder, url: &str, xml: &str) -> Result<(), Error> {
         self.loads += 1;
         if self.failpoints.doc_parse_fails(self.loads) {
             return Err(Error::Xml(
@@ -487,27 +497,15 @@ impl Session {
                 .with_source(url),
             ));
         }
-        let mut builder = self.executor.catalog().to_builder();
         builder
             .load_str(url, xml)
             .map_err(|e| Error::Xml(e.with_source(url)))?;
-        self.executor =
-            Executor::with_cache_capacity(Arc::new(builder.build()), self.cache_capacity);
         Ok(())
     }
 
-    /// Register `xml` under `url` *without parsing the tree yet*. Only
-    /// the document's names are scanned (so plans compile against a
-    /// complete, frozen name pool); the pre/size/level tree is built on
-    /// the first execution of a plan that can touch the fragment —
-    /// shard-atomically, under the run's budget, cancellation and
-    /// `doc-parse` failpoints (see `Executor::materialize_for`). Note the
-    /// session-level `doc-parse` failpoint does **not** fire here: with
-    /// lazy loading the parse belongs to execution, so the failpoint
-    /// travels with [`QueryOptions::failpoints`] instead.
-    pub fn load_document_lazy(&mut self, url: &str, xml: &str) {
-        let mut builder = self.executor.catalog().to_builder();
-        builder.load_str_lazy(url, xml);
+    /// Publish `builder` as the new catalog snapshot behind a fresh
+    /// executor (which drops the plan cache).
+    fn swap(&mut self, builder: CatalogBuilder) {
         self.executor =
             Executor::with_cache_capacity(Arc::new(builder.build()), self.cache_capacity);
     }
@@ -519,29 +517,38 @@ impl Session {
     pub fn set_shards(&mut self, n: usize) {
         let mut builder = self.executor.catalog().to_builder();
         builder.set_shards(n);
-        self.executor =
-            Executor::with_cache_capacity(Arc::new(builder.build()), self.cache_capacity);
+        self.swap(builder);
     }
 
-    /// Bulk-register a document corpus lazily and partition it into
+    /// Parse and register a document corpus and partition it into
     /// `shards` in a single catalog swap (one snapshot, one plan-cache
-    /// invalidation — not one per document).
+    /// invalidation — not one per document). All or nothing: the first
+    /// malformed document fails the call and the previous catalog stays
+    /// in place, untouched.
+    ///
+    /// ```
+    /// let mut s = exrquy::Session::new();
+    /// s.load_corpus_sharded([("a.xml", "<r><x/></r>"), ("b.xml", "<r/>")], 2)
+    ///     .unwrap();
+    /// assert_eq!(s.query("fn:count(fn:collection()//x)").unwrap().to_xml(), "1");
+    /// ```
     pub fn load_corpus_sharded<'a>(
         &mut self,
         docs: impl IntoIterator<Item = (&'a str, &'a str)>,
         shards: usize,
-    ) {
+    ) -> Result<(), Error> {
         let mut builder = self.executor.catalog().to_builder();
         for (url, xml) in docs {
-            builder.load_str_lazy(url, xml);
+            self.stage(&mut builder, url, xml)?;
         }
         builder.set_shards(shards);
-        self.executor =
-            Executor::with_cache_capacity(Arc::new(builder.build()), self.cache_capacity);
+        self.swap(builder);
+        Ok(())
     }
 
     /// Arm failpoints on the session's document resolver (the `doc-parse`
-    /// hook fires in [`load_document`](Self::load_document)). Failpoints
+    /// hook fires per document in [`load_document`](Self::load_document)
+    /// and [`load_corpus_sharded`](Self::load_corpus_sharded)). Failpoints
     /// for plan evaluation travel with [`QueryOptions::failpoints`]
     /// instead, so the oracle can arm each arm independently.
     pub fn set_failpoints(&mut self, failpoints: Failpoints) {
@@ -771,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn collection_scans_lazy_sharded_catalogs() {
+    fn collection_scans_sharded_catalogs() {
         let docs: Vec<(String, String)> = (0..5)
             .map(|i| (format!("d{i}.xml"), format!("<r><x>{i}</x></r>")))
             .collect();
@@ -783,19 +790,18 @@ mod tests {
         let expect = base.query("fn:collection()//x").unwrap().to_xml();
         assert_eq!(expect, "<x>0</x><x>1</x><x>2</x><x>3</x><x>4</x>");
 
-        // Lazy + sharded: nothing parses at load time, everything the
-        // plan touches parses at first execution, and the serialization
-        // is byte-identical across shard counts and engine paths.
+        // Sharded: the serialization is byte-identical across shard
+        // counts and engine paths.
         for shards in [1, 2, 8] {
             let mut s = Session::new();
-            s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), shards);
-            assert_eq!(s.store_nodes(), 0, "lazy load must not parse");
+            s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), shards)
+                .unwrap();
+            assert_eq!(s.store_nodes(), base.store_nodes());
             for vectorized in [true, false] {
                 let opts = QueryOptions::order_indifferent().with_vectorized(vectorized);
                 let out = s.query_with("fn:collection()//x", &opts).unwrap();
                 assert_eq!(out.to_xml(), expect, "shards={shards} vec={vectorized}");
             }
-            assert!(s.store_nodes() > 0, "execution materializes the catalog");
             // Documents also stay addressable by name.
             assert_eq!(
                 s.query(r#"fn:count(doc("d3.xml")//x)"#).unwrap().to_xml(),
@@ -810,7 +816,8 @@ mod tests {
             .map(|i| (format!("d{i}.xml"), format!("<r><x>{i}</x></r>")))
             .collect();
         let mut s = Session::new();
-        s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), 2);
+        s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), 2)
+            .unwrap();
         let opts = QueryOptions::order_indifferent();
         let two = s.prepare("fn:collection()//x", &opts).unwrap();
         // Re-partitioning swaps the executor, so even an identical query

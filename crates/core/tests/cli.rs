@@ -280,6 +280,21 @@ fn verify_runs_the_oracle_and_prints_the_result() {
 }
 
 #[test]
+fn verify_rejects_a_deadline_as_a_usage_error() {
+    // The oracle's arms run without a deadline, so the combination is
+    // refused rather than silently ignored.
+    let out = xq()
+        .args(["--deadline-ms", "0", "--verify", "1 + 1"])
+        .output()
+        .expect("xq runs");
+    assert_eq!(out.status.code(), Some(64));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim().lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--deadline-ms"), "{stderr}");
+}
+
+#[test]
 fn verify_divergence_exits_5_with_exrq0004() {
     let doc = write_doc("cli6.xml", "<r><a>1</a><a>2</a></r>");
     for arm in ["optimized", "baseline", "noweaken"] {

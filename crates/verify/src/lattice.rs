@@ -41,7 +41,7 @@
 //!
 //! **Served rows** load the cell's corpus into an in-process `xqd` (one
 //! daemon per served (transport, threads); a single document hot-reloads
-//! the default catalog, a multi-document corpus stages a named catalog;
+//! the default catalog, a multi-document corpus loads into a named catalog;
 //! `shards` rides the `load` op), query with the wire spelling of the
 //! cell's profile, and compare the one serialized string against a direct
 //! reference run under the identical compiler mode. A shed answer
@@ -60,10 +60,11 @@ use crate::attribute::{attribute, fired_rules, Attribution};
 use crate::fuzz::{cell_rng, gen_corpus, gen_doc, gen_query, gen_query_corpus};
 use crate::fuzz::{Corpus, FuzzProfile, NAMES};
 use crate::shrink::{shrink, weight};
+use exrquy::algebra::Op;
 use exrquy::diag::Failpoints;
 use exrquy::frontend::{parse_module, pretty, pretty_module, ElemContent, Expr};
 use exrquy::opt::RuleSet;
-use exrquy::{QueryOptions, QueryOutput, ResultItem, Session};
+use exrquy::{Prepared, QueryOptions, QueryOutput, ResultItem, Session};
 use exrquy_xmark::{generate, query, XmarkConfig};
 use exrquy_xqc::{Client, ClientError, Config as XqcConfig, QueryOpts};
 use exrquy_xqd::{spawn, ServerConfig, ServerHandle};
@@ -363,8 +364,9 @@ pub struct Report {
     /// the order-indifference proof compared byte for byte),
     /// `fused_chains` (in the cells' shipped plans), `perturbed_cells`
     /// ((cell, row) runs under a `stats-perturb` arm), `join_queries`
-    /// (authored join cells), `shards_materialized` (shards holding a
-    /// parsed fragment in the multi-shard layouts), `served_cells`
+    /// (authored join cells), `sharded_plans` (cells whose shipped plan,
+    /// at the widest layout above one shard, keeps a `∪̂` over at least
+    /// two `Fanout`s), `served_cells`
     /// ((cell, row) pairs compared over the wire), `unnested_cells`
     /// ((cell, row) pairs whose query had nested constructors to
     /// unnest), `parallel_regions` (direct (cell, row) runs with
@@ -624,23 +626,32 @@ struct Env<'c> {
 }
 
 impl Env<'_> {
-    /// A single document loads eagerly and is then re-partitioned; a
-    /// multi-document corpus stages lazily in one swap — the same split
-    /// the daemon makes between its default and its named catalogs.
+    /// The corpus, one document or many, parsed and partitioned into
+    /// `shards` in one catalog swap — the one load path there is.
     fn session(&mut self, shards: usize) -> &Session {
         self.sessions.entry(shards).or_insert_with(|| {
             let mut s = Session::new();
-            if let [(url, xml)] = self.docs {
-                s.load_document(url, xml)
-                    .expect("lattice corpus document is well-formed");
-                s.set_shards(shards);
-            } else {
-                let docs = self.docs.iter().map(|(u, x)| (u.as_str(), x.as_str()));
-                s.load_corpus_sharded(docs, shards);
-            }
+            let docs = self.docs.iter().map(|(u, x)| (u.as_str(), x.as_str()));
+            s.load_corpus_sharded(docs, shards)
+                .expect("lattice corpus documents are well-formed");
             s
         })
     }
+}
+
+/// Does `plan` keep a `∪̂` over at least two `Fanout`s — a shard union
+/// the optimizer did not collapse?
+fn fans_out(plan: &Prepared) -> bool {
+    let dag = &plan.dag;
+    let fanouts = |id| {
+        dag.reachable(id)
+            .into_iter()
+            .filter(|&d| matches!(dag.op(d), Op::Fanout { .. }))
+            .count()
+    };
+    dag.reachable(plan.root)
+        .into_iter()
+        .any(|id| matches!(dag.op(id), Op::ShardUnion { .. }) && fanouts(id) >= 2)
 }
 
 /// A reference run in the two renderings rows are compared in: item by
@@ -799,6 +810,7 @@ impl Runner<'_> {
             docs,
             sessions: BTreeMap::new(),
         };
+        let widest = cfg.rows.iter().map(|r| r.shards).max().unwrap_or(1);
         for cell in cells {
             self.report.cells += 1;
             // The plan as shipped: did the enumerator act, did chains fuse?
@@ -811,6 +823,12 @@ impl Runner<'_> {
                     .bump("elided_plans", any(plan.cost_report.elided));
                 self.report
                     .bump("fused_chains", plan.phys.fused_chains as u64);
+            }
+            // …and does it still fan out over the widest layout?
+            if widest > 1 {
+                let fans = env.session(widest).prepare(&cell.query, &shipped);
+                let fans = fans.is_ok_and(|plan| fans_out(&plan));
+                self.report.bump("sharded_plans", u64::from(fans));
             }
             let nests = unnest_constructors(&cell.query).is_some();
             // One memoised reference per compiler mode the rows need.
@@ -844,17 +862,6 @@ impl Runner<'_> {
             }
             if refs.iter().flatten().any(|r| r.items.is_err()) {
                 self.report.error_cells += 1;
-            }
-        }
-        for (&shards, session) in &env.sessions {
-            if shards > 1 {
-                let cat = session.catalog();
-                let live = cat
-                    .shard_bounds()
-                    .windows(2)
-                    .filter(|w| (w[0]..w[1]).any(|f| cat.is_materialized(f)))
-                    .count();
-                self.report.bump("shards_materialized", live as u64);
             }
         }
     }
@@ -1172,7 +1179,9 @@ mod tests {
         });
         let mut session = Session::new();
         let split = split_xmark(&xml);
-        session.load_corpus_sharded(split.iter().map(|(u, x)| (u.as_str(), x.as_str())), 1);
+        session
+            .load_corpus_sharded(split.iter().map(|(u, x)| (u.as_str(), x.as_str())), 1)
+            .unwrap();
         for q in XMARK_SHARD_QUERIES {
             session
                 .query_with(q, &QueryOptions::order_indifferent())
@@ -1197,7 +1206,7 @@ mod tests {
         // and keep their canonical order. (The key-only map joins every
         // FLWOR used to carry are gone before the cost pass looks.)
         let mut s = Session::new();
-        s.load_corpus_sharded(CHAIN_CORPUS, 1);
+        s.load_corpus_sharded(CHAIN_CORPUS, 1).unwrap();
         let reordered = |relations| {
             let opts = QueryOptions::order_indifferent();
             let plan = s.prepare(&chain_join(relations), &opts).unwrap();

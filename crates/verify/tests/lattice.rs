@@ -39,7 +39,7 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     floor("elided_plans", 1);
     floor("perturbed_cells", 1);
     floor("fused_chains", 1);
-    floor("shards_materialized", 1);
+    floor("sharded_plans", 1);
     floor("served_cells", 1);
     // Q10, Q20 and the fuzz grammar's nested constructors, on the eight
     // unnested rows.

@@ -22,10 +22,9 @@
 //! (the `item` column of the paper's `iter|pos|item` tables).
 
 use crate::name::{NameId, NamePool};
-use crate::parse::{parse_document, scan_names, ParseError};
+use crate::parse::{parse_document, ParseError};
 use crate::stats::{self, CatalogStats};
 use crate::tree::Document;
-use exrquy_diag::ErrorCode;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -71,92 +70,13 @@ pub trait NodeRead {
     }
 }
 
-/// One base fragment: either an eagerly parsed document or a lazy slot
-/// holding the raw XML plus a write-once cell the parsed tree lands in
-/// on first touch. Names are interned eagerly in both cases (the scan
-/// pass of [`CatalogBuilder::load_str_lazy`]), so the catalog's pool is
-/// frozen and complete regardless of which slots have materialized.
-#[derive(Debug)]
-enum FragSlot {
-    Loaded(Arc<Document>),
-    Lazy {
-        xml: Arc<str>,
-        cell: OnceLock<Arc<Document>>,
-    },
-}
-
-impl FragSlot {
-    fn document(&self) -> Option<&Arc<Document>> {
-        match self {
-            FragSlot::Loaded(d) => Some(d),
-            FragSlot::Lazy { cell, .. } => cell.get(),
-        }
-    }
-}
-
-impl Clone for FragSlot {
-    fn clone(&self) -> Self {
-        match self {
-            FragSlot::Loaded(d) => FragSlot::Loaded(Arc::clone(d)),
-            FragSlot::Lazy { xml, cell } => {
-                let copy = OnceLock::new();
-                if let Some(d) = cell.get() {
-                    let _ = copy.set(Arc::clone(d));
-                }
-                FragSlot::Lazy {
-                    xml: Arc::clone(xml),
-                    cell: copy,
-                }
-            }
-        }
-    }
-}
-
-/// Why a batch of lazy fragments failed to materialize. Either way
-/// nothing from the failing batch became visible — materialization
-/// stages every parse first and commits only a fully parsed batch, so a
-/// budget trip or parse error mid-shard leaves no partial shard behind.
-#[derive(Debug, Clone)]
-pub enum MaterializeError {
-    /// A document in the batch is malformed (or parse was fault-injected).
-    Parse(ParseError),
-    /// Parsing the batch would exceed the caller's node ceiling.
-    NodeBudget { nodes: usize, cap: usize },
-}
-
-impl fmt::Display for MaterializeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MaterializeError::Parse(e) => e.fmt(f),
-            MaterializeError::NodeBudget { nodes, cap } => write!(
-                f,
-                "lazy document load would materialize {nodes} XML nodes, exceeding the budget of {cap}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MaterializeError {}
-
-/// What one [`Catalog::materialize_frags`] call committed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaterializeStats {
-    /// Fragments parsed and committed by this call.
-    pub frags: usize,
-    /// Nodes those fragments hold.
-    pub nodes: usize,
-    /// Raw XML bytes parsed.
-    pub bytes: usize,
-}
-
-/// The immutable document layer: parsed (or lazily pending) documents, a
-/// frozen name pool, the `fn:doc()` URL map, and the shard layout — a
-/// partition of the fragment range into contiguous, ascending shards.
-/// Cheap to clone (fragments and pool are behind `Arc`s) and shareable
-/// across threads.
+/// The immutable document layer: parsed documents, a frozen name pool,
+/// the `fn:doc()` URL map, and the shard layout — a partition of the
+/// fragment range into contiguous, ascending shards. Cheap to clone
+/// (fragments and pool are behind `Arc`s) and shareable across threads.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    frags: Vec<FragSlot>,
+    frags: Vec<Arc<Document>>,
     pool: Arc<NamePool>,
     docs: HashMap<String, NodeId>,
     /// Shard boundaries: shard `i` covers fragments
@@ -217,14 +137,9 @@ impl Catalog {
         self.frags.is_empty()
     }
 
-    /// Total node count over all *materialized* base documents (lazy
-    /// slots contribute once they load).
+    /// Total node count over all base documents.
     pub fn total_nodes(&self) -> usize {
-        self.frags
-            .iter()
-            .filter_map(|s| s.document())
-            .map(|d| d.len())
-            .sum()
+        self.frags.iter().map(|d| d.len()).sum()
     }
 
     /// Number of shards in the layout (≥ 1; empty shards are legal when
@@ -241,14 +156,6 @@ impl Catalog {
     /// Fragment range `[lo, hi)` of shard `i`.
     pub fn shard_range(&self, i: usize) -> (u32, u32) {
         (self.shards[i], self.shards[i + 1])
-    }
-
-    /// Which shard holds fragment `frag`. Boundaries may repeat (empty
-    /// shards), so the owner is the last shard whose lower bound is
-    /// ≤ `frag`.
-    pub fn shard_of(&self, frag: u32) -> usize {
-        debug_assert!((frag as usize) < self.frag_count());
-        self.shards.partition_point(|&b| b <= frag) - 1
     }
 
     /// Deterministic hash of the shard layout (boundaries + fragment
@@ -271,81 +178,6 @@ impl Catalog {
             .map(|(url, _)| url.as_str())
     }
 
-    /// Whether fragment `frag` has a parsed tree (eager, or lazy and
-    /// already touched).
-    pub fn is_materialized(&self, frag: u32) -> bool {
-        self.frags[frag as usize].document().is_some()
-    }
-
-    /// Fragments in `[lo, hi)` that still need parsing.
-    pub fn pending_frags(&self, lo: u32, hi: u32) -> Vec<u32> {
-        (lo..hi.min(self.frag_count() as u32))
-            .filter(|&f| !self.is_materialized(f))
-            .collect()
-    }
-
-    /// Parse the given lazy fragments and commit them, atomically per
-    /// call: every document is parsed into a staging area first (against
-    /// a scratch copy of the frozen pool — the eager name scan guarantees
-    /// no new names appear), and only a fully parsed batch is published
-    /// into the write-once cells. On any error *nothing* from this call
-    /// becomes visible. `node_cap` bounds the nodes this call may
-    /// materialize (a lazy-load budget); already-materialized fragments
-    /// in `frags` are skipped and free.
-    ///
-    /// Concurrent callers may race on the same fragment; the first commit
-    /// wins and later ones are dropped — both parsed the same bytes
-    /// against the same frozen pool, so the trees are identical.
-    pub fn materialize_frags(
-        &self,
-        frags: &[u32],
-        node_cap: Option<usize>,
-    ) -> Result<MaterializeStats, MaterializeError> {
-        let mut staged: Vec<(u32, Document)> = Vec::new();
-        let mut scratch: Option<NamePool> = None;
-        let mut stats = MaterializeStats::default();
-        for &f in frags {
-            let FragSlot::Lazy { xml, cell } = &self.frags[f as usize] else {
-                continue;
-            };
-            if cell.get().is_some() {
-                continue;
-            }
-            let pool = scratch.get_or_insert_with(|| (*self.pool).clone());
-            let before = pool.len();
-            let url = self.frag_url(f).unwrap_or("<collection>").to_owned();
-            let doc = parse_document(xml, pool)
-                .map_err(|e| MaterializeError::Parse(e.with_source(url.clone())))?;
-            if pool.len() != before {
-                return Err(MaterializeError::Parse(ParseError {
-                    offset: 0,
-                    message: "lazily loaded document interned names the load-time scan missed"
-                        .into(),
-                    code: ErrorCode::FODC0006,
-                    source: Some(url),
-                }));
-            }
-            stats.frags += 1;
-            stats.nodes += doc.len();
-            stats.bytes += xml.len();
-            if let Some(cap) = node_cap {
-                if stats.nodes > cap {
-                    return Err(MaterializeError::NodeBudget {
-                        nodes: stats.nodes,
-                        cap,
-                    });
-                }
-            }
-            staged.push((f, doc));
-        }
-        for (f, doc) in staged {
-            if let FragSlot::Lazy { cell, .. } = &self.frags[f as usize] {
-                let _ = cell.set(Arc::new(doc));
-            }
-        }
-        Ok(stats)
-    }
-
     /// The frozen name pool documents were interned against.
     pub fn pool(&self) -> &NamePool {
         &self.pool
@@ -363,37 +195,19 @@ impl Catalog {
     }
 
     /// Statistics for cost-based planning, frozen per catalog snapshot:
-    /// the first call walks every materialized fragment exactly and
-    /// byte-scan-estimates the still-lazy ones; every later call returns
-    /// the same `Arc`. A fragment materializing *after* the freeze does
-    /// not update the snapshot — estimates only steer plan choice, never
-    /// results, and the next catalog swap recomputes exactly.
+    /// the first call walks every fragment exactly; every later call
+    /// returns the same `Arc`.
     pub fn stats(&self) -> Arc<CatalogStats> {
         Arc::clone(self.stats.get_or_init(|| {
-            let per: Vec<stats::FragStats> = self
-                .frags
-                .iter()
-                .map(|slot| match slot.document() {
-                    Some(d) => stats::stats_of_document(d),
-                    None => match slot {
-                        FragSlot::Lazy { xml, .. } => stats::estimate_from_xml(xml, &self.pool),
-                        FragSlot::Loaded(_) => unreachable!("loaded slots have documents"),
-                    },
-                })
-                .collect();
-            Arc::new(stats::aggregate(per))
+            let per = self.frags.iter().map(|d| stats::stats_of_document(d));
+            Arc::new(stats::aggregate(per.collect()))
         }))
     }
 }
 
 impl NodeRead for Catalog {
     fn frag(&self, frag: u32) -> &Document {
-        self.frags[frag as usize].document().unwrap_or_else(|| {
-            panic!(
-                "fragment {frag} is lazy and not yet materialized \
-                 (executors must materialize every fragment a plan can touch before evaluating)"
-            )
-        })
+        &self.frags[frag as usize]
     }
 
     fn resolve_name(&self, id: NameId) -> &str {
@@ -402,12 +216,11 @@ impl NodeRead for Catalog {
 }
 
 /// Mutable staging area for building a [`Catalog`]. Documents are parsed
-/// (or name-scanned and deferred) into the builder; nothing becomes
-/// visible to readers until [`build`](Self::build) produces the
-/// immutable catalog.
+/// into the builder; nothing becomes visible to readers until
+/// [`build`](Self::build) produces the immutable catalog.
 #[derive(Debug)]
 pub struct CatalogBuilder {
-    frags: Vec<FragSlot>,
+    frags: Vec<Arc<Document>>,
     pool: NamePool,
     docs: HashMap<String, NodeId>,
     /// Desired shard count; [`build`](Self::build) turns it into
@@ -433,42 +246,22 @@ impl CatalogBuilder {
     /// error nothing is registered — the builder is unchanged except for
     /// names the aborted parse may have interned, which are harmless.
     pub fn load_str(&mut self, url: &str, xml: &str) -> Result<NodeId, ParseError> {
-        let doc = crate::parse::parse_document(xml, &mut self.pool)?;
+        let doc = parse_document(xml, &mut self.pool)?;
         Ok(self.insert(url, doc))
-    }
-
-    /// Register `xml` under `url` *without parsing it*: only the names
-    /// are interned (one cheap scan, so the built catalog's pool is
-    /// complete and frozen) and the tree is encoded on first touch —
-    /// see [`Catalog::materialize_frags`]. Malformed XML is accepted
-    /// here and reported when materialization first parses it. Same
-    /// replace-in-place semantics as [`load_str`](Self::load_str).
-    pub fn load_str_lazy(&mut self, url: &str, xml: &str) -> NodeId {
-        scan_names(xml, &mut self.pool);
-        self.insert_slot(
-            url,
-            FragSlot::Lazy {
-                xml: Arc::from(xml),
-                cell: OnceLock::new(),
-            },
-        )
     }
 
     /// Register an already-encoded document under `url` (same replace
     /// semantics as [`load_str`](Self::load_str)).
     pub fn insert(&mut self, url: &str, doc: Document) -> NodeId {
-        self.insert_slot(url, FragSlot::Loaded(Arc::new(doc)))
-    }
-
-    fn insert_slot(&mut self, url: &str, slot: FragSlot) -> NodeId {
+        let doc = Arc::new(doc);
         let node = match self.docs.get(url) {
             Some(old) => {
-                self.frags[old.frag as usize] = slot;
+                self.frags[old.frag as usize] = doc;
                 *old
             }
             None => {
                 let frag = self.frags.len() as u32;
-                self.frags.push(slot);
+                self.frags.push(doc);
                 NodeId::new(frag, 0)
             }
         };
@@ -485,22 +278,11 @@ impl CatalogBuilder {
     }
 
     /// Freeze into an immutable, shareable catalog. Shard boundaries are
-    /// computed here: `k` contiguous ranges balanced by *node weight*
-    /// (exact node counts for parsed fragments, byte-scan estimates for
-    /// lazy ones), so one fat document no longer lands a whole corpus's
-    /// work on shard 0 the way the old fragment-count split did.
+    /// computed here: `k` contiguous ranges balanced by *node count*, so
+    /// one fat document does not land a whole corpus's work on shard 0
+    /// the way a fragment-count split would.
     pub fn build(self) -> Catalog {
-        let weights: Vec<u64> = self
-            .frags
-            .iter()
-            .map(|slot| match slot.document() {
-                Some(d) => (d.len() as u64).max(1),
-                None => match slot {
-                    FragSlot::Lazy { xml, .. } => stats::estimate_node_weight(xml),
-                    FragSlot::Loaded(_) => unreachable!("loaded slots have documents"),
-                },
-            })
-            .collect();
+        let weights: Vec<u64> = self.frags.iter().map(|d| (d.len() as u64).max(1)).collect();
         let shards = balanced_bounds(&weights, self.shards);
         Catalog {
             frags: self.frags,
@@ -762,52 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_load_defers_parse_until_materialized() {
-        let mut b = Catalog::builder();
-        let root = b.load_str_lazy("a.xml", "<a><b/><c/></a>");
-        let cat = b.build();
-        assert_eq!(root, NodeId::new(0, 0));
-        assert!(!cat.is_materialized(0));
-        assert_eq!(cat.total_nodes(), 0);
-        // Names were interned eagerly by the scan.
-        assert!(cat.pool().lookup("b").is_some());
-        assert_eq!(cat.pending_frags(0, 1), vec![0]);
-        let stats = cat.materialize_frags(&[0], None).unwrap();
-        assert_eq!((stats.frags, stats.nodes), (1, 4));
-        assert!(cat.is_materialized(0));
-        assert_eq!(cat.total_nodes(), 4);
-        assert_eq!(cat.frag(0).len(), 4);
-        // Re-materializing is free.
-        let again = cat.materialize_frags(&[0], None).unwrap();
-        assert_eq!(again.frags, 0);
-    }
-
-    #[test]
-    fn lazy_parse_error_surfaces_at_materialization() {
-        let mut b = Catalog::builder();
-        b.load_str_lazy("good.xml", "<g/>");
-        b.load_str_lazy("bad.xml", "<broken");
-        let cat = b.build();
-        let err = cat.materialize_frags(&[0, 1], None).unwrap_err();
-        assert!(matches!(err, MaterializeError::Parse(_)), "{err}");
-        assert!(err.to_string().contains("bad.xml"), "{err}");
-        // Atomic: the good document did not commit either.
-        assert!(!cat.is_materialized(0));
-    }
-
-    #[test]
-    fn node_budget_trips_without_partial_commit() {
-        let mut b = Catalog::builder();
-        b.load_str_lazy("a.xml", "<a><b/><c/></a>"); // 4 nodes
-        b.load_str_lazy("b.xml", "<a><b/><c/></a>"); // 4 nodes
-        let cat = b.build();
-        let err = cat.materialize_frags(&[0, 1], Some(5)).unwrap_err();
-        assert!(matches!(err, MaterializeError::NodeBudget { .. }), "{err}");
-        assert!(!cat.is_materialized(0) && !cat.is_materialized(1));
-        assert_eq!(cat.total_nodes(), 0);
-    }
-
-    #[test]
     fn shard_layout_partitions_fragments() {
         let mut b = Catalog::builder();
         for i in 0..5 {
@@ -819,10 +555,6 @@ mod tests {
         assert_eq!(cat.shard_bounds(), &[0, 2, 5]);
         assert_eq!(cat.shard_range(0), (0, 2));
         assert_eq!(cat.shard_range(1), (2, 5));
-        assert_eq!(cat.shard_of(0), 0);
-        assert_eq!(cat.shard_of(1), 0);
-        assert_eq!(cat.shard_of(2), 1);
-        assert_eq!(cat.shard_of(4), 1);
     }
 
     #[test]
@@ -840,38 +572,25 @@ mod tests {
         b.set_shards(2);
         let cat = b.build();
         assert_eq!(cat.shard_bounds(), &[0, 1, 6]);
-
-        // Lazy loads balance on byte-scan estimates the same way — no
-        // parse happens at build time.
-        let mut b = Catalog::builder();
-        b.load_str_lazy("big.xml", &big);
-        for i in 0..5 {
-            b.load_str_lazy(&format!("s{i}.xml"), "<d/>");
-        }
-        b.set_shards(2);
-        let cat = b.build();
-        assert_eq!(cat.total_nodes(), 0, "balancing must not parse");
-        assert_eq!(cat.shard_bounds(), &[0, 1, 6]);
     }
 
     #[test]
     fn stats_freeze_per_catalog_snapshot() {
         let mut b = Catalog::builder();
-        b.load_str_lazy("a.xml", r#"<r><x k="3"/><x k="8"/></r>"#);
+        b.load_str("a.xml", r#"<r><x k="3"/><x k="8"/></r>"#)
+            .unwrap();
         let cat = b.build();
         let s1 = cat.stats();
-        assert_eq!(cat.total_nodes(), 0, "estimating must not parse");
         assert_eq!(s1.frags, 1);
         let x = cat.pool().lookup("x").unwrap();
         let k = cat.pool().lookup("k").unwrap();
         assert_eq!(s1.elem_count(x), 2);
         assert_eq!(s1.attr_count(k), 2);
-        // Materializing after the freeze does not mutate the snapshot…
-        cat.materialize_frags(&[0], None).unwrap();
+        // Later calls share the snapshot; the next catalog computes its own.
         assert!(Arc::ptr_eq(&s1, &cat.stats()));
-        // …but the next snapshot (catalog swap) recomputes exactly.
         let cat2 = cat.to_builder().build();
         let s2 = cat2.stats();
+        assert!(!Arc::ptr_eq(&s1, &s2));
         assert_eq!(s2.total_nodes, cat2.total_nodes() as u64);
     }
 
@@ -892,12 +611,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 3);
-        // Every fragment is owned by the shard whose range contains it.
-        for f in 0..3u32 {
-            let s = cat.shard_of(f);
-            let (lo, hi) = cat.shard_range(s);
-            assert!(lo <= f && f < hi);
-        }
     }
 
     #[test]

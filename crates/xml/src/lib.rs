@@ -34,10 +34,8 @@ pub mod tree;
 
 pub use axis::{Axis, NodeTest};
 pub use builder::TreeBuilder;
-pub use catalog::{
-    Catalog, CatalogBuilder, FragArena, MaterializeError, MaterializeStats, NodeId, NodeRead,
-};
+pub use catalog::{Catalog, CatalogBuilder, FragArena, NodeId, NodeRead};
 pub use name::{NameId, NamePool};
-pub use parse::{parse_document, parse_document_with, scan_names, ParseError, DEFAULT_MAX_DEPTH};
+pub use parse::{parse_document, parse_document_with, ParseError, DEFAULT_MAX_DEPTH};
 pub use stats::{CatalogStats, FragStats};
 pub use tree::{Document, NodeKind};

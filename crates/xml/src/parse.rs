@@ -348,122 +348,6 @@ impl Parser<'_, '_> {
     }
 }
 
-/// Intern every name [`parse_document`] would intern — element names,
-/// attribute names, processing-instruction targets — without building a
-/// tree. This is the cheap half of lazy document loading: a catalog can
-/// freeze its [`NamePool`] over a corpus up front (name-id equality is
-/// what compiled plans rely on) while deferring the expensive
-/// pre/size/level encoding until a shard is first touched. The scan is
-/// tolerant of malformed input (it stops interning rather than erroring;
-/// the real parse at materialization time reports the error), but on any
-/// input the full parser accepts, the scan interns a superset of the
-/// parser's names — materialization verifies this and re-parsing can run
-/// against a frozen pool.
-pub fn scan_names(input: &str, pool: &mut NamePool) {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    while pos < bytes.len() {
-        match bytes[pos..].iter().position(|&b| b == b'<') {
-            Some(i) => pos += i + 1,
-            None => return,
-        }
-        match bytes.get(pos) {
-            // End tag: its name was interned by the matching start tag on
-            // any input the parser accepts.
-            Some(b'/') => match find(bytes, pos, ">") {
-                Some(i) => pos = i + 1,
-                None => return,
-            },
-            Some(b'!') => {
-                let (end, skip) = if bytes[pos..].starts_with(b"!--") {
-                    ("-->", 3)
-                } else if bytes[pos..].starts_with(b"![CDATA[") {
-                    ("]]>", 3)
-                } else {
-                    (">", 1)
-                };
-                match find(bytes, pos, end) {
-                    Some(i) => pos = i + skip,
-                    None => return,
-                }
-            }
-            Some(b'?') => {
-                pos += 1;
-                if let Some(name) = scan_name(bytes, &mut pos) {
-                    pool.intern(name);
-                }
-                match find(bytes, pos, "?>") {
-                    Some(i) => pos = i + 2,
-                    None => return,
-                }
-            }
-            Some(_) => {
-                if let Some(name) = scan_name(bytes, &mut pos) {
-                    pool.intern(name);
-                } else {
-                    continue;
-                }
-                // Attributes up to the closing `>`; quoted values are
-                // consumed whole so a `<` inside one cannot start a tag.
-                loop {
-                    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                        pos += 1;
-                    }
-                    match bytes.get(pos) {
-                        None => return,
-                        Some(b'>') => {
-                            pos += 1;
-                            break;
-                        }
-                        Some(&b) if Parser::is_name_byte(b, true) => {
-                            if let Some(name) = scan_name(bytes, &mut pos) {
-                                pool.intern(name);
-                            }
-                            while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                                pos += 1;
-                            }
-                            if bytes.get(pos) == Some(&b'=') {
-                                pos += 1;
-                                while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                                    pos += 1;
-                                }
-                                if let Some(&q @ (b'"' | b'\'')) = bytes.get(pos) {
-                                    pos += 1;
-                                    while bytes.get(pos).is_some_and(|&b| b != q) {
-                                        pos += 1;
-                                    }
-                                    pos += 1;
-                                }
-                            }
-                        }
-                        Some(_) => pos += 1,
-                    }
-                }
-            }
-            None => return,
-        }
-    }
-}
-
-/// A name token at `*pos`, advancing past it (the scanning twin of
-/// [`Parser::parse_name`]).
-fn scan_name<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    let start = *pos;
-    if !bytes
-        .get(*pos)
-        .is_some_and(|&b| Parser::is_name_byte(b, true))
-    {
-        return None;
-    }
-    while bytes
-        .get(*pos)
-        .is_some_and(|&b| Parser::is_name_byte(b, false))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos]).ok()
-}
-
 fn find(haystack: &[u8], from: usize, needle: &str) -> Option<usize> {
     let n = needle.as_bytes();
     haystack[from..]
@@ -591,40 +475,5 @@ mod tests {
         let mut pool = NamePool::new();
         assert!(parse_document("<a><b>", &mut pool).is_err());
         assert!(parse_document("<a", &mut pool).is_err());
-    }
-
-    #[test]
-    fn scan_names_covers_parser_interning() {
-        // Every name the parser interns must already be in a pool the
-        // scanner filled — the invariant lazy loading relies on.
-        let inputs = [
-            "<a><b><c/><d/></b><c/></a>",
-            r#"<e pos="1" kind='x'>hello</e>"#,
-            "<a><![CDATA[1<2]]><!--c--><?t  data?></a>",
-            "<?xml version=\"1.0\"?><!DOCTYPE a><!-- hi --><a at=\"v\">x</a>",
-            r#"<r><x a="&lt;tag&gt;" b='<not-a-tag c="1"/>'/><y/></r>"#,
-            "<ns:a ns:b=\"1\"><_c d-e.f=\"2\"/></ns:a>",
-        ];
-        for input in inputs {
-            let mut scanned = NamePool::new();
-            scan_names(input, &mut scanned);
-            let mut parsed = NamePool::new();
-            let _ = parse_document(input, &mut parsed);
-            for name in parsed.names() {
-                assert!(
-                    scanned.lookup(name).is_some(),
-                    "scan missed `{name}` in {input}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scan_names_tolerates_malformed_input() {
-        // The scanner never errors; it just stops (the real parse reports).
-        for bad in ["<a><b>", "<a", "<", "</", "<!", "<a x=", "<a x='unterm"] {
-            let mut pool = NamePool::new();
-            scan_names(bad, &mut pool);
-        }
     }
 }

@@ -50,7 +50,7 @@ use exrquy_diag::{CancellationToken, ErrorCode, Failpoints, MemoryGauge};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -241,8 +241,9 @@ struct Shared {
     sched: Mutex<Sched>,
     work_ready: Condvar,
     draining: AtomicBool,
-    /// True while a catalog reload is staging — flips `/ready` off.
-    reloading: AtomicBool,
+    /// Catalog loads staging right now, into any catalog — `/ready` is
+    /// off while any is (see [`LoadGuard`]).
+    loads_in_flight: AtomicUsize,
     stop_readers: AtomicBool,
     stop_supervisor: AtomicBool,
     shutdown_requested: AtomicBool,
@@ -496,7 +497,7 @@ pub fn spawn(cfg: ServerConfig, mut session: Session) -> io::Result<ServerHandle
         sched: Mutex::new(Sched::default()),
         work_ready: Condvar::new(),
         draining: AtomicBool::new(false),
-        reloading: AtomicBool::new(false),
+        loads_in_flight: AtomicUsize::new(0),
         stop_readers: AtomicBool::new(false),
         stop_supervisor: AtomicBool::new(false),
         shutdown_requested: AtomicBool::new(false),
@@ -836,7 +837,7 @@ fn dispatch(
         }
         Op::Ready => {
             let draining = shared.draining.load(Ordering::SeqCst);
-            let reloading = shared.reloading.load(Ordering::SeqCst);
+            let reloading = shared.loads_in_flight.load(Ordering::SeqCst) > 0;
             writer.send(&ok_response(
                 &id,
                 vec![
@@ -1269,20 +1270,11 @@ fn run_load(
     catalog: Option<&str>,
     shards: Option<usize>,
 ) -> String {
-    shared.reloading.store(true, Ordering::SeqCst);
-    let response = match catalog {
+    let _loading = LoadGuard::enter(&shared.loads_in_flight);
+    match catalog {
         None => {
             let mut session = lock_recover(&shared.loader);
-            load_into(
-                shared,
-                job,
-                &mut session,
-                &shared.exec,
-                url,
-                xml,
-                shards,
-                false,
-            )
+            load_into(shared, job, &mut session, &shared.exec, url, xml, shards)
         }
         Some(name) => {
             // Get-or-create the named catalog, then stage under *its*
@@ -1304,30 +1296,33 @@ fn run_load(
                     .clone()
             };
             let mut session = lock_recover(&entry.loader);
-            load_into(
-                shared,
-                job,
-                &mut session,
-                &entry.exec,
-                url,
-                xml,
-                shards,
-                true,
-            )
+            load_into(shared, job, &mut session, &entry.exec, url, xml, shards)
         }
-    };
-    shared.reloading.store(false, Ordering::SeqCst);
-    response
+    }
 }
 
-/// Stage `url` into `session`, apply a requested shard count, and
-/// publish the fresh executor snapshot. The default catalog stages
-/// eagerly (`lazy == false`) so malformed documents are rejected at
-/// load time, exactly as before catalogs were routable; named catalogs
-/// stage lazily — the corpus case — deferring each tree parse until the
-/// first query that can touch it, under that run's budget and
-/// cancellation (see `Executor` lazy materialization).
-#[allow(clippy::too_many_arguments)]
+/// One in-flight catalog load: counted in on entry, out on drop — also
+/// when the load panics. Loads into different catalogs run concurrently,
+/// so readiness needs the count, not a flag the first finisher clears.
+struct LoadGuard<'a>(&'a AtomicUsize);
+
+impl<'a> LoadGuard<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        LoadGuard(count)
+    }
+}
+
+impl Drop for LoadGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Parse `url` into `session`, apply a requested shard count, and
+/// publish the fresh executor snapshot. A malformed document is
+/// rejected here, at the `load` op, and the catalog keeps serving what
+/// it held before.
 fn load_into(
     shared: &Shared,
     job: &Job,
@@ -1336,15 +1331,8 @@ fn load_into(
     url: &str,
     xml: &str,
     shards: Option<usize>,
-    lazy: bool,
 ) -> String {
-    let staged = if lazy {
-        session.load_document_lazy(url, xml);
-        Ok(())
-    } else {
-        session.load_document(url, xml)
-    };
-    match staged {
+    match session.load_document(url, xml) {
         Ok(()) => {
             if let Some(n) = shards {
                 session.set_shards(n);
@@ -1365,5 +1353,23 @@ fn load_into(
             )
         }
         Err(e) => query_error_response(shared, &job.id, &e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ready_waits_for_every_load_in_flight() {
+        let count = AtomicUsize::new(0);
+        let ready = || count.load(Ordering::SeqCst) == 0;
+        let first = LoadGuard::enter(&count);
+        let second = LoadGuard::enter(&count);
+        assert!(!ready());
+        drop(first);
+        assert!(!ready(), "one load still staging");
+        drop(second);
+        assert!(ready());
     }
 }

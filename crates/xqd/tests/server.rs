@@ -344,8 +344,8 @@ fn named_catalogs_route_queries_and_shard_their_corpus() {
     let mut c = Client::connect(&handle);
 
     // Build a 3-document corpus in catalog "corpus", re-partitioned to
-    // 2 shards on the last load. Named loads stage lazily, so nodes==0
-    // until a query materializes the shards.
+    // 2 shards on the last load. Named loads parse at load time, so the
+    // last one reports every node: 3 documents × (doc, r, x, text).
     for (i, shards) in [(0, ""), (1, ""), (2, r#","shards":2"#)] {
         let r = c.roundtrip(&format!(
             r#"{{"id":{i},"op":"load","url":"d{i}.xml","xml":"<r><x>{i}</x></r>","catalog":"corpus"{shards}}}"#
@@ -355,17 +355,26 @@ fn named_catalogs_route_queries_and_shard_their_corpus() {
             assert_eq!(r.get("shards").and_then(Value::as_i64), Some(1));
         } else {
             assert_eq!(r.get("shards").and_then(Value::as_i64), Some(2));
-            assert_eq!(
-                r.get("nodes").and_then(Value::as_i64),
-                Some(0),
-                "named loads stage lazily — no tree parse at load time"
-            );
+            assert_eq!(r.get("nodes").and_then(Value::as_i64), Some(12));
         }
     }
 
     // A routed collection() scan sees all three documents in load
     // order, byte-identical to what a local sharded session produces.
     let r = c.roundtrip(r#"{"id":3,"op":"query","query":"fn:collection()//x","catalog":"corpus"}"#);
+    assert_eq!(
+        r.get("result").and_then(Value::as_str),
+        Some("<x>0</x><x>1</x><x>2</x>"),
+        "{r:?}"
+    );
+
+    // A malformed named load is refused at the load op, and the catalog
+    // keeps serving what it held before.
+    let r =
+        c.roundtrip(r#"{"id":7,"op":"load","url":"d3.xml","xml":"<broken","catalog":"corpus"}"#);
+    assert_eq!(r.get("ok"), Some(&Value::Bool(false)), "{r:?}");
+    assert_eq!(r.get("code").and_then(Value::as_str), Some("FODC0006"));
+    let r = c.roundtrip(r#"{"id":8,"op":"query","query":"fn:collection()//x","catalog":"corpus"}"#);
     assert_eq!(
         r.get("result").and_then(Value::as_str),
         Some("<x>0</x><x>1</x><x>2</x>"),
@@ -386,5 +395,8 @@ fn named_catalogs_route_queries_and_shard_their_corpus() {
 
     let stats = handle.shutdown();
     assert_eq!(stats.loads, 3);
-    assert_eq!(stats.failed, 2, "missing doc + unknown catalog");
+    assert_eq!(
+        stats.failed, 3,
+        "malformed load + missing doc + unknown catalog"
+    );
 }

@@ -74,7 +74,8 @@ fn census() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
     let docs = split_xmark(&xml);
     let split = [1, 8].map(|shards| {
         let mut s = Session::new();
-        s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), shards);
+        s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), shards)
+            .unwrap();
         s
     });
 
