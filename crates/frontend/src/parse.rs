@@ -10,6 +10,7 @@ use crate::ast::*;
 use exrquy_diag::ErrorCode;
 use exrquy_xml::parse::decode_entities;
 use exrquy_xml::Axis;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Default expression-nesting ceiling. Each nesting level costs a
@@ -1129,7 +1130,9 @@ impl<'a> P<'a> {
                 }
             }
         }
-        decode_entities(&raw).map_err(|m| self.err(m))
+        decode_entities(&raw)
+            .map(Cow::into_owned)
+            .map_err(|m| self.err(m))
     }
 
     fn number(&mut self) -> Result<Expr, XqError> {

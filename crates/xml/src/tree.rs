@@ -228,6 +228,21 @@ impl Document {
         self.texts.reserve(additional);
     }
 
+    /// Give back column capacity that a [`reserve`](Self::reserve)
+    /// overshot by more than half. Growth by doubling never leaves that
+    /// much spare, so this only frees an estimate that ran high.
+    pub(crate) fn shrink_excess(&mut self) {
+        if self.len() >= self.kinds.capacity() / 2 {
+            return;
+        }
+        self.kinds.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.sizes.shrink_to_fit();
+        self.levels.shrink_to_fit();
+        self.parents.shrink_to_fit();
+        self.texts.shrink_to_fit();
+    }
+
     /// Append one node; used by [`crate::builder::TreeBuilder`]. Returns the
     /// new node's pre rank.
     pub(crate) fn push_node(

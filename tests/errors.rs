@@ -143,6 +143,70 @@ fn malformed_documents_name_path_and_byte_offset() {
 }
 
 #[test]
+fn well_formedness_violations_fail_the_load() {
+    let mut s = session();
+    for (xml, offset, what) in [
+        // WFC: Unique Att Spec.
+        ("<a x=\"1\" x=\"2\"/>", 9, "duplicate attribute `x`"),
+        // WFC: No < in Attribute Values.
+        ("<a b=\"x<y\"/>", 7, "`<` in attribute value"),
+        // A character reference outside the XML `Char` production.
+        ("<a>&#0;</a>", 7, "`&#0;` is not an XML character"),
+    ] {
+        let err = s.load_document("bad.xml", xml).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::FODC0006, "`{xml}` gave {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("`bad.xml` at byte {offset}: ")) && msg.contains(what),
+            "`{xml}` gave {msg}"
+        );
+    }
+    // Nothing was registered, and the session still answers.
+    assert!(s.query(r#"doc("bad.xml")"#).is_err());
+    assert_eq!(
+        s.query(r#"fn:count(doc("d.xml")//a)"#).unwrap().to_xml(),
+        "1"
+    );
+    // Query string literals decode references with the same function:
+    // the same reference is a syntax error there.
+    let err = s.query("\"&#0;\"").unwrap_err();
+    assert_eq!(err.code(), ErrorCode::XPST0003, "{err}");
+}
+
+#[test]
+fn a_duplicate_attribute_fails_an_xqd_load() {
+    use exrquy_xqd::{spawn, ServerConfig};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = spawn(cfg, session()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut roundtrip = |line: &str| {
+        writeln!(writer, "{line}").unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response
+    };
+    let r = roundtrip(r#"{"id":1,"op":"load","url":"d.xml","xml":"<r><a x='1' x='2'/></r>"}"#);
+    assert!(
+        r.contains(r#""ok":false"#) && r.contains(r#""code":"FODC0006""#),
+        "{r}"
+    );
+    assert!(r.contains("duplicate attribute"), "{r}");
+    // The load was refused whole: d.xml is still the document it was.
+    let r = roundtrip(r#"{"id":2,"op":"query","query":"fn:count(doc(\"d.xml\")//a)"}"#);
+    assert!(r.contains(r#""result":"1""#), "{r}");
+    handle.shutdown();
+}
+
+#[test]
 fn a_malformed_corpus_document_fails_the_whole_sharded_load() {
     let mut s = Session::new();
     s.load_corpus_sharded([("p0.xml", "<p/>"), ("p1.xml", "<p><q/></p>")], 2)

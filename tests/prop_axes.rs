@@ -29,8 +29,11 @@ fn random_actions(rng: &mut SmallRng) -> Vec<Action> {
         .collect()
 }
 
-/// Build a well-formed document from an arbitrary action list.
-fn build(actions: &[Action], pool: &mut NamePool) -> Document {
+/// Build a well-formed document from an arbitrary action list. Attribute
+/// names may repeat on one element — the encoding tolerates it and no
+/// constructor rejects it — unless `unique_attrs` asks for a tree the
+/// parser would accept (it rejects a repeat as FODC0006).
+fn build(actions: &[Action], pool: &mut NamePool, unique_attrs: bool) -> Document {
     let names: Vec<_> = (0..6).map(|i| pool.intern(&format!("n{i}"))).collect();
     let attrs: Vec<_> = (0..4).map(|i| pool.intern(&format!("a{i}"))).collect();
     let mut b = TreeBuilder::new();
@@ -38,6 +41,8 @@ fn build(actions: &[Action], pool: &mut NamePool) -> Document {
     b.open_element(root);
     let mut depth = 1;
     let mut can_attr = true;
+    // Attribute names already on the open element (bit `i` for `a{i}`).
+    let mut attrs_used = 0u8;
     // Avoid adjacent text nodes: the XDM merges them, which would break
     // the reparse-length check.
     let mut last_was_text = false;
@@ -47,6 +52,7 @@ fn build(actions: &[Action], pool: &mut NamePool) -> Document {
                 b.open_element(names[*i as usize]);
                 depth += 1;
                 can_attr = true;
+                attrs_used = 0;
                 last_was_text = false;
             }
             Action::Close => {
@@ -58,9 +64,8 @@ fn build(actions: &[Action], pool: &mut NamePool) -> Document {
                 }
             }
             Action::Attr(i) => {
-                if can_attr {
-                    // Attribute names may repeat on one element — the
-                    // encoding tolerates it and nothing here validates.
+                if can_attr && !(unique_attrs && attrs_used & (1 << i) != 0) {
+                    attrs_used |= 1 << i;
                     b.attribute(attrs[*i as usize], "v");
                 }
             }
@@ -91,7 +96,7 @@ fn staircase_equals_naive() {
     for _case in 0..64 {
         let acts = random_actions(&mut rng);
         let mut pool = NamePool::new();
-        let doc = build(&acts, &mut pool);
+        let doc = build(&acts, &mut pool, false);
         assert!(doc.check_invariants().is_ok());
         // Context: random subset of all nodes.
         let ctx: Vec<u32> = (0..doc.len() as u32)
@@ -221,7 +226,7 @@ fn subtree_copy_preserves_structure() {
     for _case in 0..64 {
         let acts = random_actions(&mut rng);
         let mut pool = NamePool::new();
-        let doc = build(&acts, &mut pool);
+        let doc = build(&acts, &mut pool, false);
         // Copy the whole root into a fresh builder and compare serialized
         // forms (deep copy is what constructors rely on).
         let mut b = TreeBuilder::new();
@@ -242,7 +247,7 @@ fn parse_serialize_roundtrip() {
     for _case in 0..64 {
         let acts = random_actions(&mut rng);
         let mut pool = NamePool::new();
-        let doc = build(&acts, &mut pool);
+        let doc = build(&acts, &mut pool, true);
         let mut xml = String::new();
         exrquy_xml::serialize::serialize_subtree(&doc, 0, &pool, &mut xml);
         let mut pool2 = NamePool::new();

@@ -224,6 +224,56 @@ fn serialize_parse_preserves_pre_size_level_encoding() {
     }
 }
 
+/// A whole XMark document survives parse → serialize → parse with every
+/// column of the encoding unchanged, name ids and text included. Run by
+/// CI's `verify` job: `cargo test --release --test prop_roundtrip --
+/// --ignored`.
+#[test]
+#[ignore = "XMark at scale 0.05 (1.9 MB) three times; run with --ignored"]
+fn xmark_documents_roundtrip_column_for_column() {
+    for seed in [7, 42, 1234] {
+        let text = exrquy_xmark::generate(&exrquy_xmark::XmarkConfig { scale: 0.05, seed });
+        let mut pool1 = NamePool::new();
+        let doc1 = parse_document(&text, &mut pool1).expect("generated XMark parses");
+        let mut serialized = String::new();
+        serialize_subtree(&doc1, 0, &pool1, &mut serialized);
+        // Both parses would repeat a wrongly interned name, so check the
+        // element names against a scan of the text that shares no code
+        // with the parser.
+        let tags: Vec<&str> = text
+            .split('<')
+            .skip(1)
+            .filter(|t| !t.starts_with(['/', '!', '?']))
+            .map(|t| t.split(['>', '/', ' ', '\n']).next().unwrap_or(""))
+            .collect();
+        let elements: Vec<&str> = (0..doc1.len() as u32)
+            .filter(|&p| doc1.kind(p) == exrquy_xml::NodeKind::Element)
+            .map(|p| pool1.resolve(doc1.name(p)))
+            .collect();
+        assert!(tags == elements, "seed {seed}: element names differ");
+        let mut pool2 = NamePool::new();
+        let doc2 = parse_document(&serialized, &mut pool2).expect("serialized XMark reparses");
+
+        // Names are interned in document order, so a fresh pool hands
+        // out the same ids.
+        assert_eq!(pool1.names(), pool2.names(), "seed {seed}: name pools");
+        // Compared whole but reported by name: a failing `assert_eq!`
+        // would print 100 k entries.
+        for (column, same) in [
+            ("kinds", doc1.kinds == doc2.kinds),
+            ("names", doc1.names == doc2.names),
+            ("sizes", doc1.sizes == doc2.sizes),
+            ("levels", doc1.levels == doc2.levels),
+            ("parents", doc1.parents == doc2.parents),
+            ("texts", doc1.texts == doc2.texts),
+            ("text_data", doc1.text_data == doc2.text_data),
+        ] {
+            assert!(same, "seed {seed}: column `{column}` changed");
+        }
+        assert!(doc1.len() > 100_000, "seed {seed}: {} nodes", doc1.len());
+    }
+}
+
 #[test]
 fn roundtrip_covers_depth_and_width_extremes() {
     // A deep chain and a wide fan-out exercise `size`/`level` bookkeeping
