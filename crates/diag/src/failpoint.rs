@@ -30,9 +30,6 @@
 //!   panic:<op>          panic (deliberately) when evaluating an operator
 //!                       of the given kind — exercises the serving layer's
 //!                       panic containment (EXRQ0009)
-//!   worker-kill:<n>     panic the worker thread that starts the n-th job,
-//!                       outside the containment region — exercises worker
-//!                       supervision and respawn
 //!   net-torn-write:<n>  tear every n-th response write: flush half the
 //!                       frame, pause, then the rest (framing must survive)
 //!   net-disconnect:<n>  drop the connection mid-frame on every n-th
@@ -119,9 +116,6 @@ pub struct Failpoints {
     /// Operator kind (canonical symbol) whose evaluation panics — the
     /// deterministic trigger for the serving layer's panic containment.
     pub panic_op: Option<String>,
-    /// 1-based index of the started job whose worker thread panics
-    /// outside the containment region (supervision test).
-    pub worker_kill: Option<usize>,
     /// Tear every n-th response write on a connection.
     pub net_torn_write: Option<usize>,
     /// Disconnect mid-frame on every n-th response write.
@@ -249,7 +243,6 @@ impl Failpoints {
                     })?;
                     fp.panic_op = Some(canonical_op_kind(op));
                 }
-                "worker-kill" => fp.worker_kill = Some(num("worker-kill")?.max(1)),
                 "net-torn-write" => fp.net_torn_write = Some(num("net-torn-write")?.max(1)),
                 "net-disconnect" => fp.net_disconnect = Some(num("net-disconnect")?.max(1)),
                 "net-trickle" => fp.net_trickle = Some(num("net-trickle")?.max(1)),
@@ -258,8 +251,8 @@ impl Failpoints {
                     return Err(FailpointSpecError(format!(
                         "unknown failpoint `{other}` (expected doc-io, doc-parse, \
                          budget-trip, cancel-after, oracle-perturb, rule-perturb, \
-                         stats-perturb, panic, worker-kill, net-torn-write, net-disconnect, \
-                         net-trickle, net-slow-read)"
+                         stats-perturb, panic, net-torn-write, net-disconnect, net-trickle, \
+                         net-slow-read)"
                     )))
                 }
             }
@@ -307,12 +300,6 @@ impl Failpoints {
     /// Should evaluating an operator of `kind` panic (deliberately)?
     pub fn panics_in(&self, kind: &str) -> bool {
         self.panic_op.as_deref() == Some(kind)
-    }
-
-    /// Should the worker that starts the `n`-th (1-based) job panic
-    /// outside the containment region?
-    pub fn kills_worker_at(&self, job: usize) -> bool {
-        self.worker_kill == Some(job)
     }
 
     /// True when any `net-*` chaos-transport point is armed.
@@ -428,18 +415,6 @@ mod tests {
         assert!(fp.panics_in("⋈θ"));
         assert!(Failpoints::parse("panic").is_err());
         assert!(Failpoints::parse("panic:").is_err());
-    }
-
-    #[test]
-    fn worker_kill_is_one_shot_by_job_index() {
-        let fp = Failpoints::parse("worker-kill:3").unwrap();
-        assert!(!fp.kills_worker_at(2));
-        assert!(fp.kills_worker_at(3));
-        assert!(!fp.kills_worker_at(4));
-        // 0 clamps to 1 (a "kill the first job" spec, never a no-op).
-        assert!(Failpoints::parse("worker-kill:0")
-            .unwrap()
-            .kills_worker_at(1));
     }
 
     #[test]

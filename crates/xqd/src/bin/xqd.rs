@@ -165,8 +165,7 @@ fn main() {
     let stats = handle.shutdown();
     eprintln!(
         "xqd: done — {} completed, {} failed, {} crashed, {} shed \
-         ({} overload / {} deadline / {} drain / {} drained), \
-         {} workers respawned",
+         ({} overload / {} deadline / {} drain / {} drained)",
         stats.completed,
         stats.failed,
         stats.crashed,
@@ -175,6 +174,5 @@ fn main() {
         stats.shed_deadline,
         stats.shed_draining,
         stats.drained,
-        stats.workers_respawned,
     );
 }

@@ -5,7 +5,7 @@
 //! ([`exrquy::Executor`]). The protocol is line-delimited JSON over
 //! TCP (see [`proto`]); the robustness story — bounded admission,
 //! deadline shedding, per-client fairness, graceful drain, hot reload,
-//! panic containment, and worker supervision — lives in [`server`].
+//! and panic containment — lives in [`server`].
 //!
 //! Std-only by the repo's dependency policy: no async runtime, no
 //! serde. The [`json`] module is the shared JSON codec, also used by

@@ -23,18 +23,15 @@
 //! the *previous* [`Executor`] snapshot; the swap itself holds the
 //! snapshot write lock only long enough to replace one pointer.
 //!
-//! Fault containment is layered (see DESIGN.md "Fault containment &
+//! Fault containment has two layers (see DESIGN.md "Fault containment &
 //! self-healing"):
 //!
-//! 1. **`catch_unwind` around query execution** — an engine panic
-//!    answers `EXRQ0009` and the daemon keeps serving; the panicking
-//!    run's overlay arena died with the unwind, and a canary probe
-//!    checks the shared snapshot still answers.
-//! 2. **Worker supervision** — a worker thread that dies outside the
-//!    containment region (any non-engine panic) is detected by the
-//!    supervisor, its orphaned request answered `EXRQ0009`, its
-//!    scheduler accounting repaired, and a replacement worker spawned.
-//! 3. **Poison-recovering locks** — every shared mutex recovers from
+//! 1. **`catch_unwind` at the job boundary** — a panic anywhere in a
+//!    query or load answers `EXRQ0009` and the worker takes the next
+//!    job; a drop guard releases the job's in-flight accounting even
+//!    during the unwind, and a canary probe checks the default snapshot
+//!    still answers.
+//! 2. **Poison-recovering locks** — every shared mutex recovers from
 //!    `PoisonError` instead of propagating it, so a single crash never
 //!    cascades into every later lock acquisition.
 //!
@@ -50,6 +47,7 @@ use exrquy_diag::{CancellationToken, ErrorCode, Failpoints, MemoryGauge};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread;
@@ -58,7 +56,7 @@ use std::time::{Duration, Instant};
 /// Lock a mutex, recovering from poisoning. Shared serving state stays
 /// structurally valid across a panicking lock holder (counters and
 /// collections are updated in place, never left half-rebuilt), and with
-/// panics contained per-request, a poisoned lock must degrade to "keep
+/// panics contained per job, a poisoned lock must degrade to "keep
 /// serving", not "every future request panics too".
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -130,15 +128,13 @@ struct Counters {
     shed_draining: AtomicU64,
     queue_peak: AtomicU64,
     loads: AtomicU64,
-    /// Requests whose execution panicked: contained by `catch_unwind`
-    /// or repaired by the supervisor after a worker died.
+    /// Jobs (queries or loads) that panicked, caught at the job
+    /// boundary and answered `EXRQ0009`.
     crashed: AtomicU64,
     /// Admitted requests shed from the queue at drain time (the
     /// dispatch-time refusal of *unadmitted* work stays in
     /// `shed_draining`, so admission arithmetic reconciles).
     drained: AtomicU64,
-    /// Dead worker threads detected and replaced by the supervisor.
-    workers_respawned: AtomicU64,
     /// Times a worker found only memory-deferred work (watermark
     /// governor held runnable jobs back).
     mem_deferred: AtomicU64,
@@ -163,7 +159,6 @@ pub struct StatsSnapshot {
     pub loads: u64,
     pub crashed: u64,
     pub drained: u64,
-    pub workers_respawned: u64,
     pub mem_deferred: u64,
     pub mem_inflight_bytes: u64,
     pub mem_peak_bytes: u64,
@@ -204,19 +199,11 @@ struct Sched {
     queues: HashMap<u64, VecDeque<Job>>,
     rotation: VecDeque<u64>,
     queued: usize,
-    inflight: HashMap<u64, usize>,
-    inflight_total: usize,
+    /// One entry per dequeued job not yet finished: its client, for the
+    /// per-client in-flight cap, and its cancellation token, cancelled
+    /// when the drain grace period expires.
+    running: Vec<(u64, CancellationToken)>,
     stopped: bool,
-}
-
-/// What the supervisor needs to answer for a request whose worker died
-/// mid-job: enough to send the `EXRQ0009` response and repair the
-/// scheduler's in-flight accounting.
-struct OrphanJob {
-    client: u64,
-    id: Value,
-    writer: Arc<ConnWriter>,
-    cancel: CancellationToken,
 }
 
 /// One named catalog beyond the default: its staging session plus the
@@ -245,27 +232,13 @@ struct Shared {
     /// off while any is (see [`LoadGuard`]).
     loads_in_flight: AtomicUsize,
     stop_readers: AtomicBool,
-    stop_supervisor: AtomicBool,
     shutdown_requested: AtomicBool,
     shutdown_cv: Condvar,
     shutdown_mx: Mutex<()>,
     counters: Counters,
-    /// Cancellation tokens of in-flight runs, cancelled en masse when
-    /// the drain grace period expires.
-    active_runs: Mutex<Vec<CancellationToken>>,
     /// Shared memory gauge for the watermark governor; every in-flight
     /// engine publishes its constructed-node bytes here.
     gauge: MemoryGauge,
-    /// `running[i]` is what worker `i` is executing right now — the
-    /// supervisor's repair manifest when a worker dies.
-    running: Mutex<Vec<Option<OrphanJob>>>,
-    /// Monotone count of jobs started by the pool, for `worker-kill:<n>`.
-    jobs_started: AtomicU64,
-    /// Worker join handles, indexed by worker slot; `None` while a slot
-    /// is being respawned or after shutdown joined it. Shared with the
-    /// supervisor (which takes, joins, and replaces dead workers) and
-    /// the `health` probe.
-    workers: Mutex<Vec<Option<thread::JoinHandle<()>>>>,
     started_at: Instant,
 }
 
@@ -289,7 +262,6 @@ impl Shared {
             loads: c.loads.load(Ordering::Relaxed),
             crashed: c.crashed.load(Ordering::Relaxed),
             drained: c.drained.load(Ordering::Relaxed),
-            workers_respawned: c.workers_respawned.load(Ordering::Relaxed),
             mem_deferred: c.mem_deferred.load(Ordering::Relaxed),
             mem_inflight_bytes: self.gauge.bytes_in_flight() as u64,
             mem_peak_bytes: self.gauge.peak_bytes() as u64,
@@ -301,14 +273,6 @@ impl Shared {
         self.shutdown_requested.store(true, Ordering::SeqCst);
         let _guard = lock_recover(&self.shutdown_mx);
         self.shutdown_cv.notify_all();
-    }
-
-    /// Worker threads currently alive (not crashed, not yet joined).
-    fn workers_alive(&self) -> usize {
-        lock_recover(&self.workers)
-            .iter()
-            .filter(|h| h.as_ref().is_some_and(|h| !h.is_finished()))
-            .count()
     }
 }
 
@@ -346,7 +310,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept_thread: Option<thread::JoinHandle<()>>,
-    supervisor: Option<thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
     readers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
@@ -418,7 +382,7 @@ impl ServerHandle {
         let deadline = Instant::now() + shared.cfg.drain_grace;
         {
             let mut sched = lock_recover(&shared.sched);
-            while sched.inflight_total > 0 && Instant::now() < deadline {
+            while !sched.running.is_empty() && Instant::now() < deadline {
                 let timeout = deadline.saturating_duration_since(Instant::now());
                 let (g, _) = shared
                     .work_ready
@@ -430,13 +394,13 @@ impl ServerHandle {
 
         // Grace expired: cancel stragglers, then wait for them to yield
         // at the next budget poll.
-        for token in lock_recover(&shared.active_runs).iter() {
+        for (_, token) in &lock_recover(&shared.sched).running {
             token.cancel();
         }
         {
             let hard_stop = Instant::now() + shared.cfg.drain_grace;
             let mut sched = lock_recover(&shared.sched);
-            while sched.inflight_total > 0 && Instant::now() < hard_stop {
+            while !sched.running.is_empty() && Instant::now() < hard_stop {
                 let timeout = hard_stop.saturating_duration_since(Instant::now());
                 let (g, _) = shared
                     .work_ready
@@ -446,28 +410,22 @@ impl ServerHandle {
             }
         }
 
-        // Stop the supervisor *before* stopping workers: workers exiting
-        // normally on `stopped` must not look like crashes to respawn.
-        shared.stop_supervisor.store(true, Ordering::SeqCst);
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
+        // Stop accepting before stopping the pool. The workers then exit
+        // last, and glibc hands the arena a thread releases to the next
+        // thread created, so a daemon spawned after this one in the same
+        // process gives its workers the heap these workers grew instead
+        // of growing a fresh one.
+        shared.stop_readers.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = self.accept_thread.take() {
+            let _ = acceptor.join();
         }
         {
             let mut sched = lock_recover(&shared.sched);
             sched.stopped = true;
             shared.work_ready.notify_all();
         }
-        shared.stop_readers.store(true, Ordering::SeqCst);
-
-        let workers: Vec<_> = lock_recover(&shared.workers)
-            .iter_mut()
-            .filter_map(Option::take)
-            .collect();
-        for worker in workers {
+        for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        if let Some(acceptor) = self.accept_thread.take() {
-            let _ = acceptor.join();
         }
         let readers = std::mem::take(&mut *lock_recover(&self.readers));
         for reader in readers {
@@ -480,16 +438,12 @@ impl ServerHandle {
 /// Bind, spawn the pool, and start accepting. `session` supplies the
 /// initial catalog (documents already loaded) and stays on as the
 /// staging area for `load` ops.
-pub fn spawn(cfg: ServerConfig, mut session: Session) -> io::Result<ServerHandle> {
-    if let Some(capacity) = cfg.plan_cache {
-        session.set_plan_cache_capacity(capacity);
-    }
-    session.set_failpoints(cfg.failpoints.clone());
+pub fn spawn(cfg: ServerConfig, session: Session) -> io::Result<ServerHandle> {
+    let session = staging_session(&cfg, session);
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let workers = cfg.workers.max(1);
     let shared = Arc::new(Shared {
         exec: RwLock::new(session.executor().clone()),
         loader: Mutex::new(session),
@@ -499,31 +453,23 @@ pub fn spawn(cfg: ServerConfig, mut session: Session) -> io::Result<ServerHandle
         draining: AtomicBool::new(false),
         loads_in_flight: AtomicUsize::new(0),
         stop_readers: AtomicBool::new(false),
-        stop_supervisor: AtomicBool::new(false),
         shutdown_requested: AtomicBool::new(false),
         shutdown_cv: Condvar::new(),
         shutdown_mx: Mutex::new(()),
         counters: Counters::default(),
-        active_runs: Mutex::new(Vec::new()),
         gauge: MemoryGauge::new(),
-        running: Mutex::new((0..workers).map(|_| None).collect()),
-        jobs_started: AtomicU64::new(0),
-        workers: Mutex::new((0..workers).map(|_| None).collect()),
         started_at: Instant::now(),
         cfg,
     });
 
-    {
-        let mut handles = lock_recover(&shared.workers);
-        for (n, slot) in handles.iter_mut().enumerate() {
-            *slot = Some(spawn_worker(&shared, n)?);
-        }
-    }
-
-    let supervisor_shared = Arc::clone(&shared);
-    let supervisor = thread::Builder::new()
-        .name("xqd-supervisor".to_string())
-        .spawn(move || supervisor_loop(&supervisor_shared))?;
+    let workers = (0..shared.cfg.workers.max(1))
+        .map(|n| {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name(format!("xqd-worker-{n}"))
+                .spawn(move || worker_loop(&shared))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
 
     let readers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let accept_shared = Arc::clone(&shared);
@@ -536,74 +482,20 @@ pub fn spawn(cfg: ServerConfig, mut session: Session) -> io::Result<ServerHandle
         shared,
         addr,
         accept_thread: Some(accept_thread),
-        supervisor: Some(supervisor),
+        workers,
         readers,
     })
 }
 
-fn spawn_worker(shared: &Arc<Shared>, slot: usize) -> io::Result<thread::JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("xqd-worker-{slot}"))
-        .spawn(move || worker_loop(&shared, slot))
-}
-
-/// Worker supervision: detect worker threads that died (any panic that
-/// escaped per-request containment), answer their orphaned request with
-/// `EXRQ0009`, repair the scheduler's in-flight accounting, and spawn a
-/// replacement into the same slot. Polls at a coarse interval — worker
-/// death is rare, so detection latency matters less than overhead.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    while !shared.stop_supervisor.load(Ordering::SeqCst) {
-        let dead: Vec<usize> = {
-            let handles = lock_recover(&shared.workers);
-            handles
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.as_ref().is_some_and(|h| h.is_finished()))
-                .map(|(slot, _)| slot)
-                .collect()
-        };
-        for slot in dead {
-            // Re-check under the race with shutdown: a worker exiting
-            // normally on `stopped` must be joined by shutdown, not us.
-            if shared.stop_supervisor.load(Ordering::SeqCst) {
-                return;
-            }
-            let handle = lock_recover(&shared.workers)[slot].take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-            if let Some(orphan) = lock_recover(&shared.running)[slot].take() {
-                shared.counters.crashed.fetch_add(1, Ordering::Relaxed);
-                orphan.writer.send(&err_response(
-                    &orphan.id,
-                    ErrorCode::EXRQ0009.as_str(),
-                    "internal error: worker thread died while executing this request",
-                ));
-                lock_recover(&shared.active_runs).retain(|t| !t.same_as(&orphan.cancel));
-                let mut sched = lock_recover(&shared.sched);
-                if let Some(n) = sched.inflight.get_mut(&orphan.client) {
-                    *n = n.saturating_sub(1);
-                    if *n == 0 {
-                        sched.inflight.remove(&orphan.client);
-                    }
-                }
-                sched.inflight_total = sched.inflight_total.saturating_sub(1);
-                shared.work_ready.notify_all();
-            }
-            shared
-                .counters
-                .workers_respawned
-                .fetch_add(1, Ordering::Relaxed);
-            // On spawn failure (resource exhaustion) the slot stays
-            // empty: the pool shrinks rather than the daemon dying.
-            if let Ok(h) = spawn_worker(shared, slot) {
-                lock_recover(&shared.workers)[slot] = Some(h);
-            }
-        }
-        thread::sleep(Duration::from_millis(20));
+/// Apply the daemon's session settings — plan-cache capacity and
+/// failpoints — to a staging session: the default catalog's and every
+/// named catalog's alike.
+fn staging_session(cfg: &ServerConfig, mut session: Session) -> Session {
+    if let Some(capacity) = cfg.plan_cache {
+        session.set_plan_cache_capacity(capacity);
     }
+    session.set_failpoints(cfg.failpoints.clone());
+    session
 }
 
 fn accept_loop(
@@ -812,18 +704,11 @@ fn dispatch(
     match op {
         Op::Ping => writer.send(&ok_response(&id, vec![("pong", Value::Bool(true))])),
         Op::Health => {
-            let alive = shared.workers_alive();
             writer.send(&ok_response(
                 &id,
                 vec![
                     ("alive", Value::Bool(true)),
                     ("workers", Value::Int(shared.cfg.workers.max(1) as i64)),
-                    ("workers_alive", Value::Int(alive as i64)),
-                    (
-                        "workers_respawned",
-                        Value::Int(shared.counters.workers_respawned.load(Ordering::Relaxed)
-                            as i64),
-                    ),
                     (
                         "crashed",
                         Value::Int(shared.counters.crashed.load(Ordering::Relaxed) as i64),
@@ -876,7 +761,6 @@ fn dispatch(
                     ("loads", Value::Int(s.loads as i64)),
                     ("crashed", Value::Int(s.crashed as i64)),
                     ("drained", Value::Int(s.drained as i64)),
-                    ("workers_respawned", Value::Int(s.workers_respawned as i64)),
                     ("mem_deferred", Value::Int(s.mem_deferred as i64)),
                     (
                         "mem_inflight_bytes",
@@ -985,7 +869,7 @@ fn next_job(shared: &Shared, sched: &mut Sched) -> Option<Job> {
         // Invariant: the loop runs at most rotation.len() times and only
         // rotates (never drains) within an iteration, so front() exists.
         let client = *sched.rotation.front().unwrap();
-        let running = sched.inflight.get(&client).copied().unwrap_or(0);
+        let running = sched.running.iter().filter(|(c, _)| *c == client).count();
         if running >= cap {
             // At its cap: rotate past, give others a chance.
             sched.rotation.rotate_left(1);
@@ -1013,8 +897,7 @@ fn next_job(shared: &Shared, sched: &mut Sched) -> Option<Job> {
             sched.rotation.rotate_left(1);
         }
         sched.queued -= 1;
-        *sched.inflight.entry(client).or_insert(0) += 1;
-        sched.inflight_total += 1;
+        sched.running.push((client, job.cancel.clone()));
         return Some(job);
     }
     if deferred {
@@ -1023,7 +906,7 @@ fn next_job(shared: &Shared, sched: &mut Sched) -> Option<Job> {
     None
 }
 
-fn worker_loop(shared: &Shared, slot: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut sched = lock_recover(&shared.sched);
@@ -1052,34 +935,79 @@ fn worker_loop(shared: &Shared, slot: usize) {
                 };
             }
         };
-        // Register in the supervisor's manifest *before* running: if
-        // this thread dies inside run_job, the supervisor knows which
-        // request to answer and which accounting to repair.
-        lock_recover(&shared.running)[slot] = Some(OrphanJob {
-            client: job.client,
-            id: job.id.clone(),
-            writer: Arc::clone(&job.writer),
-            cancel: job.cancel.clone(),
-        });
-        let seq = shared.jobs_started.fetch_add(1, Ordering::Relaxed) + 1;
-        if shared.cfg.failpoints.kills_worker_at(seq as usize) {
-            // Deliberately OUTSIDE the catch_unwind containment region
-            // and holding no lock: this panic kills the worker thread
-            // itself, which is exactly what supervision exists for.
-            panic!("injected worker death at job {seq} (worker-kill:<n> failpoint)");
-        }
-        run_job(shared, &job);
-        lock_recover(&shared.running)[slot] = None;
-        let mut sched = lock_recover(&shared.sched);
-        if let Some(n) = sched.inflight.get_mut(&job.client) {
-            *n -= 1;
-            if *n == 0 {
-                sched.inflight.remove(&job.client);
+        let _running = JobGuard { shared, job: &job };
+        // Panic containment: the job's one region, queries and loads
+        // alike. Unwind-safety audit of what a caught panic leaves:
+        //  - a query runs on its own clone of an executor snapshot; the
+        //    shared pieces are the immutable `Arc<Catalog>` (never
+        //    mutated by execution) and the plan cache, whose lock
+        //    recovers from poisoning and whose map operations leave it
+        //    structurally valid;
+        //  - the `FragArena` overlay is created *inside* `execute_with`
+        //    and dropped by the unwind itself — a half-built overlay
+        //    cannot leak into any other request because no other request
+        //    can reach it;
+        //  - the memory gauge charge is released by `MemoryTracker::Drop`
+        //    during the unwind;
+        //  - a load stages behind its catalog's loader lock (poison
+        //    recovering); `load_document` swaps the session's executor
+        //    only on success and publishing is one pointer store, so a
+        //    panic mid-load leaves the catalog serving what it held, and
+        //    `LoadGuard` restores readiness during the unwind;
+        //  - the job's scheduler entry is released by `_running`'s drop.
+        // Hence `AssertUnwindSafe` is sound: observing this state after a
+        // panic cannot expose a broken invariant.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, &job)));
+        if let Err(payload) = outcome {
+            shared.counters.crashed.fetch_add(1, Ordering::Relaxed);
+            // Poison detection: the panicking job's overlay died with its
+            // arena; the shared snapshot must still answer. A canary
+            // probe (no failpoints, no deadline) turns that from an
+            // assumption into a checked invariant. Wrapped in its own
+            // catch_unwind so a truly poisoned pool degrades to a typed
+            // response, not a dead worker.
+            let exec = shared
+                .exec
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            let canary = panic::catch_unwind(AssertUnwindSafe(|| {
+                exec.prepare("1", &QueryOptions::order_indifferent())
+                    .and_then(|plan| exec.execute_with(&plan, &RunOptions::default()))
+                    .is_ok()
+            }));
+            let pool_intact = matches!(canary, Ok(true));
+            debug_assert!(pool_intact, "shared executor poisoned by a contained panic");
+            if !pool_intact {
+                eprintln!("xqd: WARNING: canary probe failed after contained panic");
             }
+            job.writer.send(&err_response(
+                &job.id,
+                ErrorCode::EXRQ0009.as_str(),
+                &format!(
+                    "internal error: request execution panicked ({}); overlay discarded",
+                    panic_message(payload.as_ref())
+                ),
+            ));
         }
-        sched.inflight_total -= 1;
+    }
+}
+
+/// A dequeued job's entry in [`Sched::running`], taken by
+/// [`next_job`] and released on drop — also during an unwind — so a
+/// crashed job can neither wedge its client at the in-flight cap nor
+/// make drain wait out the grace period.
+struct JobGuard<'a> {
+    shared: &'a Shared,
+    job: &'a Job,
+}
+
+impl Drop for JobGuard<'_> {
+    fn drop(&mut self) {
+        let mut sched = lock_recover(&self.shared.sched);
+        sched.running.retain(|(_, t)| !t.same_as(&self.job.cancel));
         // A completion can unblock a capped client *and* the drain wait.
-        shared.work_ready.notify_all();
+        self.shared.work_ready.notify_all();
     }
 }
 
@@ -1100,7 +1028,6 @@ fn run_job(shared: &Shared, job: &Job) {
             return;
         }
     }
-    lock_recover(&shared.active_runs).push(job.cancel.clone());
     let response = match &job.op {
         Op::Query {
             query,
@@ -1121,7 +1048,6 @@ fn run_job(shared: &Shared, job: &Job) {
             "op not valid for worker",
         ),
     };
-    lock_recover(&shared.active_runs).retain(|t| !t.same_as(&job.cancel));
     job.writer.send(&response);
 }
 
@@ -1191,56 +1117,18 @@ fn run_query(
         },
         gauge: Some(shared.gauge.clone()),
     };
-    // Panic containment. Unwind-safety audit of the captured state:
-    //  - `exec` is this request's own clone of the executor; its shared
-    //    pieces are the immutable `Arc<Catalog>` (never mutated by
-    //    execution) and the plan cache, whose lock recovers from
-    //    poisoning and whose map operations leave it structurally valid;
-    //  - `opts` / `run` are request-owned;
-    //  - the `FragArena` overlay is created *inside* `execute_with` and
-    //    dropped by the unwind itself — a half-built overlay cannot leak
-    //    into any other request because no other request can reach it;
-    //  - the memory gauge charge is released by `MemoryTracker::Drop`
-    //    during the unwind.
-    // Hence `AssertUnwindSafe` is sound: observing this state after a
-    // panic cannot expose a broken invariant.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec.prepare(query, &opts)
-            .and_then(|plan| exec.execute_with(&plan, &run))
-    }));
-    match result {
-        Ok(Ok(out)) => {
+    match exec
+        .prepare(query, &opts)
+        .and_then(|plan| exec.execute_with(&plan, &run))
+    {
+        Ok(out) => {
+            // Serialize before counting: a panic in between is counted
+            // once, as `crashed`, at the job boundary.
+            let response = ok_response(&job.id, vec![("result", Value::Str(out.to_xml()))]);
             shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            ok_response(&job.id, vec![("result", Value::Str(out.to_xml()))])
+            response
         }
-        Ok(Err(e)) => query_error_response(shared, &job.id, &e),
-        Err(payload) => {
-            shared.counters.crashed.fetch_add(1, Ordering::Relaxed);
-            // Poison detection: the panicking run's overlay died with
-            // its arena; the shared snapshot must still answer. A
-            // canary probe (no failpoints, no deadline) turns that
-            // from an assumption into a checked invariant. Wrapped in
-            // its own catch_unwind so a truly poisoned pool degrades
-            // to a typed response, not a dead worker.
-            let canary = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                exec.prepare("1", &QueryOptions::order_indifferent())
-                    .and_then(|plan| exec.execute_with(&plan, &RunOptions::default()))
-                    .is_ok()
-            }));
-            let pool_intact = matches!(canary, Ok(true));
-            debug_assert!(pool_intact, "shared executor poisoned by a contained panic");
-            if !pool_intact {
-                eprintln!("xqd: WARNING: canary probe failed after contained panic");
-            }
-            err_response(
-                &job.id,
-                ErrorCode::EXRQ0009.as_str(),
-                &format!(
-                    "internal error: request execution panicked ({}); overlay discarded",
-                    panic_message(payload.as_ref())
-                ),
-            )
-        }
+        Err(e) => query_error_response(shared, &job.id, &e),
     }
 }
 
@@ -1287,7 +1175,7 @@ fn run_load(
                     .unwrap_or_else(PoisonError::into_inner);
                 map.entry(name.to_string())
                     .or_insert_with(|| {
-                        let session = Session::new();
+                        let session = staging_session(&shared.cfg, Session::new());
                         Arc::new(NamedCatalog {
                             exec: RwLock::new(session.executor().clone()),
                             loader: Mutex::new(session),

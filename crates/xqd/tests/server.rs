@@ -292,7 +292,59 @@ fn injected_doc_faults_surface_as_typed_errors_not_hangs() {
     // was armed for.
     let r = c.roundtrip(r#"{"id":2,"op":"query","query":"1+1"}"#);
     assert_eq!(r.get("result").and_then(Value::as_str), Some("2"));
+
+    // A named catalog's staging session is armed the same way, counting
+    // its own loads: its first load succeeds, its second is malformed.
+    let r = c.roundtrip(r#"{"id":3,"op":"load","url":"n.xml","xml":"<ok/>","catalog":"named"}"#);
+    assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{r:?}");
+    let r = c.roundtrip(r#"{"id":4,"op":"load","url":"m.xml","xml":"<ok/>","catalog":"named"}"#);
+    assert_eq!(r.get("ok"), Some(&Value::Bool(false)), "{r:?}");
+    assert_eq!(r.get("code").and_then(Value::as_str), Some("FODC0006"));
     handle.shutdown();
+}
+
+/// `default_deadline` applies only to requests that carry no
+/// `deadline_ms` of their own.
+#[test]
+fn default_deadline_sheds_requests_without_their_own() {
+    let handle = small_server(ServerConfig {
+        default_deadline: Some(Duration::ZERO),
+        ..default_cfg()
+    });
+    let mut c = Client::connect(&handle);
+    let r = c.roundtrip(r#"{"id":1,"op":"query","query":"1+1"}"#);
+    assert_eq!(
+        r.get("code").and_then(Value::as_str),
+        Some("EXRQ0007"),
+        "{r:?}"
+    );
+    let r = c.roundtrip(r#"{"id":2,"op":"query","query":"1+1","deadline_ms":60000}"#);
+    assert_eq!(r.get("result").and_then(Value::as_str), Some("2"), "{r:?}");
+    let stats = handle.shutdown();
+    assert_eq!((stats.shed_deadline, stats.completed), (1, 1));
+}
+
+/// `plan_cache` sizes the served plan cache: two queries alternating
+/// through one slot evict each other on every request.
+#[test]
+fn plan_cache_capacity_bounds_the_served_cache() {
+    let misses = |plan_cache: Option<usize>| {
+        let handle = small_server(ServerConfig {
+            plan_cache,
+            ..default_cfg()
+        });
+        let mut c = Client::connect(&handle);
+        for i in 0..4 {
+            let q = if i % 2 == 0 { "1+1" } else { "2+2" };
+            let r = c.roundtrip(&format!(r#"{{"id":{i},"op":"query","query":"{q}"}}"#));
+            assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{r:?}");
+        }
+        let s = c.roundtrip(r#"{"id":"s","op":"stats"}"#);
+        handle.shutdown();
+        s.get("plan_cache_misses").and_then(Value::as_i64)
+    };
+    assert_eq!(misses(Some(1)), Some(4));
+    assert_eq!(misses(None), Some(2));
 }
 
 #[test]
