@@ -367,9 +367,8 @@ impl Dag {
                 }
                 Ok(self.schema(*l).to_vec())
             }
-            Op::Element { names, content, .. } => {
-                self.require(*names, Col::ITER, "elem")?;
-                self.require(*names, Col::ITEM, "elem")?;
+            Op::Element { iters, content, .. } => {
+                self.require(*iters, Col::ITER, "elem")?;
                 for c in [Col::ITER, Col::POS, Col::ITEM, Col::ORD] {
                     self.require(*content, c, "elem")?;
                 }
@@ -466,8 +465,8 @@ mod tests {
         use crate::op::{Twig, TwigPart};
         use std::sync::Arc;
         let mut dag = Dag::new();
-        let names = dag.add(Op::Lit {
-            cols: vec![Col::ITER, Col::ITEM],
+        let iters = dag.add(Op::Lit {
+            cols: vec![Col::ITER],
             rows: vec![],
         });
         let content = dag.add(Op::Lit {
@@ -482,7 +481,7 @@ mod tests {
         assert_eq!(nested().to_string(), "a($1,b())");
         let mut elem = |twig: Twig| {
             dag.add(Op::Element {
-                names,
+                iters,
                 content,
                 twig: Arc::new(twig),
             })

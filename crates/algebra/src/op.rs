@@ -188,7 +188,7 @@ impl Twig {
 }
 
 /// `personne(statistiques(sexe($1),age($2)),$3)` — the skeleton as one
-/// line, slots as `$n` (the literal SQL hosts are handed).
+/// line, slots as `$n` (what a test compares a compiled twig against).
 impl std::fmt::Display for Twig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}(", self.name)?;
@@ -320,13 +320,12 @@ pub enum Op {
         on: Vec<(Col, Col)>,
     },
     /// Element construction: one new tree shaped like `twig` per row of
-    /// `names` (`iter|item`; `item` repeats the root's name for SQL
-    /// hosts, the engine reads every name off the twig); `content`
-    /// (`iter|pos|item|ord`) provides each slot's content sequence per
-    /// iteration — order interaction 2© (seq → doc) happens here. Emits
-    /// `iter|item` (the new root nodes).
+    /// `iters` (the loop relation, `iter`; every name is read off the
+    /// twig); `content` (`iter|pos|item|ord`) provides each slot's
+    /// content sequence per iteration — order interaction 2© (seq → doc)
+    /// happens here. Emits `iter|item` (the new root nodes).
     Element {
-        names: OpId,
+        iters: OpId,
         content: OpId,
         twig: Arc<Twig>,
     },
@@ -398,7 +397,7 @@ impl Op {
             | Op::Union { l, r }
             | Op::Difference { l, r, .. }
             | Op::Element {
-                names: l,
+                iters: l,
                 content: r,
                 ..
             }
@@ -436,7 +435,7 @@ impl Op {
             | Op::Union { l, r }
             | Op::Difference { l, r, .. }
             | Op::Element {
-                names: l,
+                iters: l,
                 content: r,
                 ..
             }

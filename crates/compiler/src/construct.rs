@@ -108,7 +108,7 @@ impl Compiler<'_> {
         })
     }
 
-    /// `loop × item|name` — the per-iteration constructor name table.
+    /// `loop × item|name` — the per-iteration attribute name table.
     fn const_name_table(&mut self, name: &str) -> OpId {
         let lp = self.cur_loop();
         self.dag.add(Op::Attach {
@@ -130,9 +130,8 @@ impl Compiler<'_> {
             }),
             _ => self.tagged_union(slots),
         };
-        let names = self.const_name_table(&twig.name);
         let elem = self.dag.add(Op::Element {
-            names,
+            iters: self.cur_loop(),
             content,
             twig: Arc::new(twig),
         });

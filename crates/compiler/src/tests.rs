@@ -3,7 +3,7 @@
 //! the workspace root, which run the plans through the engine).
 
 use crate::{CompiledPlan, Compiler};
-use exrquy_algebra::{stats, Op, PlanStats};
+use exrquy_algebra::{stats, Col, Op, PlanStats};
 use exrquy_frontend::{normalize, parse_module};
 use exrquy_xml::Catalog;
 
@@ -165,6 +165,20 @@ fn constructors_compile() {
     let s = stats_of(&p);
     assert!(s.count("elem") == 1);
     assert!(s.count("attr") == 1);
+}
+
+#[test]
+fn nested_direct_constructors_compile_to_one_twig() {
+    // One `elem` for the whole tree, slots numbered in DFS order, run once
+    // per row of the loop relation itself (every name is in the twig).
+    let p = compile(r#"<a x="1"><b>{ 1, 2 }</b>t{ 3 }</a>"#);
+    let elems: Vec<_> = (p.dag.reachable(p.root).into_iter())
+        .filter_map(|id| match p.dag.op(id) {
+            Op::Element { iters, twig, .. } => Some((p.dag.schema(*iters), twig.to_string())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(elems, [(&[Col::ITER][..], "a($1,b($2),$3,$4)".into())]);
 }
 
 #[test]

@@ -23,7 +23,6 @@
 //!                        (join reordering, build-side orientation,
 //!                        compensation elision); the rule-only planner
 //!                        runs instead
-//!   --sql                print the SQL:1999 translation instead of executing
 //!   --scalar             run the reference arm: the unfused plan with the
 //!                        row-at-a-time kernel bodies (no selection
 //!                        vectors, no fused chains); results are
@@ -71,7 +70,7 @@ const EXIT_IO: i32 = 4;
 fn usage() -> ! {
     eprintln!(
         "usage: xq [--doc url=path]… [--baseline|--unordered] [--explain] \
-         [--no-cost] [--sql] [--scalar] [--time] [--profile] [--threads <n>] [--plan-cache <n>] \
+         [--no-cost] [--scalar] [--time] [--profile] [--threads <n>] [--plan-cache <n>] \
          [--timeout <secs>] [--deadline-ms <ms>] [--max-rows <n>] \
          [--max-nodes <n>] [--max-depth <n>] [--verify] [--inject <spec>] \
          [--quiet] (<query> | --query-file <path>)"
@@ -105,7 +104,6 @@ fn main() {
     let mut explain = false;
     let mut verify = false;
     let mut inject: Option<String> = None;
-    let mut sql = false;
     let mut scalar = false;
     let mut no_cost = false;
     let mut threads: Option<usize> = None;
@@ -142,7 +140,6 @@ fn main() {
                 let spec = args.next().unwrap_or_else(|| usage());
                 inject = Some(spec);
             }
-            "--sql" => sql = true,
             "--scalar" => scalar = true,
             "--no-cost" => no_cost = true,
             "--threads" => threads = Some(parse_num("--threads", args.next())),
@@ -287,10 +284,6 @@ fn main() {
         };
         println!("-- physical program (estimated vs actual) --");
         print!("{}", plan.explain_table(profile, &session.cache_stats()));
-        return;
-    }
-    if sql {
-        println!("{}", plan.to_sql());
         return;
     }
 

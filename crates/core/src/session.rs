@@ -222,7 +222,7 @@ pub struct Prepared {
     pub cost_report: CostReport,
     /// The plan's frozen name-pool snapshot (catalog names plus names the
     /// compiler interned for this query), shared with every execution's
-    /// arena — plan rendering and SQL emission borrow it, never copy it.
+    /// arena — plan rendering borrows it, never copies it.
     pub(crate) names: Arc<NamePool>,
     /// Resource ceilings and cancellation carried from the options the
     /// plan was prepared with; applied on every [`Session::execute`].
@@ -364,21 +364,6 @@ impl Prepared {
             cache.hit_rate() * 100.0
         );
         s
-    }
-
-    /// SQL:1999 rendering of the plan (the "XQuery on SQL Hosts" mapping;
-    /// see `exrquy-sqlgen`): one `WITH` chain, `%` as
-    /// `ROW_NUMBER() OVER (…)`, steps as staircase-join predicates over a
-    /// shredded `doc_nodes` table.
-    pub fn to_sql(&self) -> String {
-        exrquy_sqlgen::to_sql(
-            &self.dag,
-            self.root,
-            &exrquy_sqlgen::SqlOptions {
-                names: Arc::clone(&self.names),
-                pretty: true,
-            },
-        )
     }
 }
 

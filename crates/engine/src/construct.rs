@@ -125,7 +125,7 @@ fn roots_table(frag: u32, roots: &[(i64, u32)], vec: bool) -> Table {
 /// trees, however large the operator's input.
 const ROOT_POLL_STRIDE: usize = 2048;
 
-/// The twig kernel: per row of `names` one tree shaped like `twig`,
+/// The twig kernel: per row of `iterations` one tree shaped like `twig`,
 /// every node written once. Content rows are read in `(iter, ord, pos)`
 /// order with one forward cursor; slot `n` of an iteration takes its
 /// rows with `ord = n` (rows naming no slot are skipped). Within each
@@ -137,7 +137,7 @@ const ROOT_POLL_STRIDE: usize = 2048;
 /// the polled node ceiling sees the running total.
 pub(crate) fn eval_element(
     arena: &mut FragArena,
-    names: &Table,
+    iterations: &Table,
     content: &Table,
     twig: &Twig,
     vec: bool,
@@ -157,9 +157,9 @@ pub(crate) fn eval_element(
 
     // One new fragment holds every tree this invocation constructs, as
     // sibling roots in iter order. Its size is known up front: the
-    // skeleton per name row plus every content node's subtree (atomics
+    // skeleton per iteration plus every content node's subtree (atomics
     // over-count slightly — they merge into shared text nodes).
-    let order = rows_by_iter(names)?;
+    let order = rows_by_iter(iterations)?;
     let spliced: usize = (0..n)
         .map(|r| match items.get(r) {
             Item::Node(nd) => arena.doc_of(nd).size(nd.pre) as usize + 1,
@@ -310,9 +310,9 @@ mod tests {
         ])
     }
 
-    /// One name row per iteration (the twig supplies the names).
+    /// The loop relation: one row per iteration.
     fn loop_of(iters: &[i64]) -> Table {
-        table(iters, iters.iter().map(|_| Item::str("unread")).collect())
+        Table::new(vec![(Col::ITER, Column::Int(iters.to_vec()))])
     }
 
     /// Content rows as `(iter, ord, pos, item)`, in the order given.
@@ -371,11 +371,11 @@ mod tests {
     fn build(
         arena: &mut FragArena,
         twig: &Twig,
-        names: &Table,
+        iters: &Table,
         content: &Table,
     ) -> Result<Vec<(i64, String)>, ErrorCode> {
         let arm = |arena: &mut FragArena, vec: bool| {
-            let out = eval_element(arena, names, content, twig, vec, &unmetered(), 0)
+            let out = eval_element(arena, iters, content, twig, vec, &unmetered(), 0)
                 .map_err(|e| e.code)?;
             let dense = matches!(&**out.col(Col::ITEM).data(), Column::Node(_));
             assert_eq!(dense, vec);
@@ -482,9 +482,9 @@ mod tests {
     fn iterations_pair_up_whatever_order_they_arrive_in() {
         let mut arena = FragArena::new(Arc::new(Catalog::new()));
         let t = twig("a", vec![elem("b", vec![Slot(1)]), Slot(2)]);
-        // Unsorted and repeated names; iteration 7 has no content rows,
-        // iteration 4 has content but no name row.
-        let names = loop_of(&[9, 2, 7, 2]);
+        // Unsorted and repeated iterations; iteration 7 has no content
+        // rows, iteration 4 has content but no loop row.
+        let iters = loop_of(&[9, 2, 7, 2]);
         let rows = vec![
             (9, 2, 1, Item::str("z")),
             (2, 1, 2, Item::Int(2)),
@@ -492,7 +492,7 @@ mod tests {
             (9, 1, 1, Item::str("n")),
             (2, 1, 1, Item::Int(1)),
         ];
-        let got = build(&mut arena, &t, &names, &content(rows)).unwrap();
+        let got = build(&mut arena, &t, &iters, &content(rows)).unwrap();
         let want = [
             (2, "<a><b>1 2</b></a>"),
             (2, "<a><b>1 2</b></a>"),
@@ -531,10 +531,10 @@ mod tests {
         let mut arena = FragArena::new(Arc::new(Catalog::new()));
         let t = twig("a", vec![elem("b", vec![elem("c", vec![Slot(1)])])]);
         let iters: Vec<i64> = (1..=3 * ROOT_POLL_STRIDE as i64).collect();
-        let (names, none) = (loop_of(&iters), content(vec![]));
+        let (lp, none) = (loop_of(&iters), content(vec![]));
         let mut run = |meter: &BudgetMeter, before: usize| {
             let before_frags = arena.overlay_frags();
-            let got = eval_element(&mut arena, &names, &none, &t, true, meter, before);
+            let got = eval_element(&mut arena, &lp, &none, &t, true, meter, before);
             // A tripped operator leaves no fragment behind.
             assert_eq!(arena.overlay_frags() > before_frags, got.is_ok());
             got.map(|out| out.nrows()).map_err(|e| (e.code, e.message))

@@ -332,8 +332,8 @@ pub(crate) fn run_slot(
         }
         PhysOp::Op { id, args } => match (cx.dag.op(*id), &mut arena) {
             (Op::Element { twig, .. }, ArenaAccess::Owner(a, nodes)) => {
-                let (names, content, before) = (slot(args[0]), slot(args[1]), nodes.constructed(a));
-                eval_element(a, &names, &content, twig, vec, cx.meter, before)?
+                let (iters, content, before) = (slot(args[0]), slot(args[1]), nodes.constructed(a));
+                eval_element(a, &iters, &content, twig, vec, cx.meter, before)?
             }
             (Op::Attr { .. }, ArenaAccess::Owner(a, _)) => {
                 eval_attr(a, &slot(args[0]), &slot(args[1]), vec)?
@@ -1085,10 +1085,9 @@ mod tests {
     #[test]
     fn element_construction_with_content() {
         let mut dag = Dag::new();
-        // names: iter 1 → "e"
-        let names = dag.add(Op::Lit {
-            cols: vec![Col::ITER, Col::ITEM],
-            rows: vec![vec![AValue::Int(1), AValue::str("e")]],
+        let iters = dag.add(Op::Lit {
+            cols: vec![Col::ITER],
+            rows: vec![vec![AValue::Int(1)]],
         });
         // content: iter 1 → items 10, "x" at pos 1, 2
         let content = dag.add(Op::Lit {
@@ -1109,7 +1108,7 @@ mod tests {
             ],
         });
         let elem = dag.add(Op::Element {
-            names,
+            iters,
             content,
             twig: Arc::new(exrquy_algebra::Twig::leaf("e", 1)),
         });

@@ -458,12 +458,9 @@ mod tests {
     #[test]
     fn parallel_construction_matches_serial() {
         let mut dag = Dag::new();
-        let names = dag.add(Op::Lit {
-            cols: vec![Col::ITER, Col::ITEM],
-            rows: vec![
-                vec![AValue::Int(1), AValue::str("a")],
-                vec![AValue::Int(2), AValue::str("a")],
-            ],
+        let iters = dag.add(Op::Lit {
+            cols: vec![Col::ITER],
+            rows: vec![vec![AValue::Int(1)], vec![AValue::Int(2)]],
         });
         let content = dag.add(Op::Lit {
             cols: vec![Col::ITER, Col::POS, Col::ITEM, Col::ORD],
@@ -483,7 +480,7 @@ mod tests {
             ],
         });
         let elem = dag.add(Op::Element {
-            names,
+            iters,
             content,
             twig: Arc::new(Twig::leaf("a", 1)),
         });

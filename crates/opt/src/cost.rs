@@ -176,7 +176,7 @@ pub fn estimate_cardinalities(dag: &Dag, root: OpId, ctx: &CostContext) -> HashM
             Op::Union { l, r } => of(*l, &est) + of(*r, &est),
             Op::ShardUnion { parts } => parts.iter().map(|p| of(*p, &est)).sum(),
             Op::Difference { l, .. } => of(*l, &est),
-            Op::Element { names, .. } => of(*names, &est),
+            Op::Element { iters, .. } => of(*iters, &est),
             Op::Attr { names, .. } => of(*names, &est),
             Op::TextNode { content } => of(*content, &est),
         };

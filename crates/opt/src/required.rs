@@ -163,8 +163,8 @@ pub fn required_columns(
                 push(*l, ln);
                 push(*r, on.iter().map(|&(_, rc)| rc).collect());
             }
-            Op::Element { names, content, .. } => {
-                push(*names, [Col::ITER, Col::ITEM].into_iter().collect());
+            Op::Element { iters, content, .. } => {
+                push(*iters, [Col::ITER].into_iter().collect());
                 let c = [Col::ITER, Col::POS, Col::ITEM, Col::ORD];
                 push(*content, c.into_iter().collect());
             }
