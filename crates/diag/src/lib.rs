@@ -47,7 +47,8 @@ pub enum ErrorCode {
     EXRQ0001,
     /// Query cancelled via a [`CancellationToken`].
     EXRQ0002,
-    /// Recursion / nesting depth limit exceeded.
+    /// Recursion / nesting depth limit exceeded, or a document past the
+    /// 4 GiB the tree encoding addresses.
     EXRQ0003,
     /// Differential oracle divergence: an optimized execution produced a
     /// result outside the admissible set of the reference execution.
@@ -502,7 +503,7 @@ impl CancellationToken {
 /// [`MemoryGauge`] publishes. Deliberately coarse: the gauge governs
 /// admission (a watermark, not an allocator), so a stable fiction beats
 /// a fragile exact count.
-pub const APPROX_NODE_BYTES: usize = 64;
+pub const APPROX_NODE_BYTES: usize = 78;
 
 #[derive(Debug, Default)]
 struct GaugeInner {

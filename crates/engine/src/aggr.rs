@@ -8,7 +8,8 @@ use crate::join::FastMap;
 use crate::table::Table;
 use exrquy_algebra::{AggrKind, Col};
 use exrquy_diag::ErrorCode;
-use exrquy_xml::NodeRead;
+use exrquy_xml::{atomize, NodeRead};
+use std::borrow::Cow;
 
 pub(crate) fn eval_aggr<R: NodeRead + ?Sized>(
     nodes: &R,
@@ -19,17 +20,18 @@ pub(crate) fn eval_aggr<R: NodeRead + ?Sized>(
     part: Option<Col>,
     vec: bool,
 ) -> Result<Table, EvalError> {
-    struct State {
+    struct State<'n> {
         count: i64,
         sum: f64,
         min: Option<Item>,
         max: Option<Item>,
         any: bool,
         all: bool,
-        strs: Vec<(i64, String)>,
+        /// A node's string value borrows its document's text.
+        strs: Vec<(i64, Cow<'n, str>)>,
         ebv_items: Vec<Item>,
     }
-    impl State {
+    impl State<'_> {
         fn new() -> Self {
             State {
                 count: 0,
@@ -115,8 +117,7 @@ pub(crate) fn eval_aggr<R: NodeRead + ?Sized>(
             let item = a.get(r);
             match kind {
                 AggrKind::Sum | AggrKind::Avg => {
-                    let atom = funs::atomize_item(nodes, &item);
-                    let v = atom.as_number_promoting().ok_or_else(|| {
+                    let v = funs::number_of(nodes, &item).ok_or_else(|| {
                         EvalError::new(
                             ErrorCode::FORG0001,
                             format!("fn:sum on non-numeric value {item}"),
@@ -127,10 +128,9 @@ pub(crate) fn eval_aggr<R: NodeRead + ?Sized>(
                 AggrKind::Max | AggrKind::Min => {
                     // Untyped values promote to xs:double for fn:min/max
                     // (F&O §15.4); non-numeric strings compare lexically.
-                    let atom = funs::atomize_item(nodes, &item);
-                    let atom = match atom.as_number_promoting() {
+                    let atom = match funs::number_of(nodes, &item) {
                         Some(n) => Item::Dbl(n),
-                        None => atom,
+                        None => funs::atomize_item(nodes, &item),
                     };
                     let better_max = st.max.as_ref().is_none_or(|m| {
                         funs::compare(&atom, m) == Some(std::cmp::Ordering::Greater)
@@ -153,12 +153,15 @@ pub(crate) fn eval_aggr<R: NodeRead + ?Sized>(
                 }
                 AggrKind::Ebv => st.ebv_items.push(item),
                 AggrKind::StrJoin => {
-                    let atom = funs::atomize_item(nodes, &item);
+                    let s = match item {
+                        Item::Node(n) => atomize::string_value(nodes.doc_of(n), n.pre),
+                        other => Cow::Owned(other.to_xq_string()),
+                    };
                     let posv = match &pos_col {
                         Some(p) => p.get_int(r)?,
                         None => r as i64,
                     };
-                    st.strs.push((posv, atom.to_xq_string()));
+                    st.strs.push((posv, s));
                 }
                 AggrKind::Count => {}
             }
@@ -194,7 +197,7 @@ pub(crate) fn eval_aggr<R: NodeRead + ?Sized>(
                 let joined = st
                     .strs
                     .iter()
-                    .map(|(_, s)| s.as_str())
+                    .map(|(_, s)| s.as_ref())
                     .collect::<Vec<_>>()
                     .join(" ");
                 Some(Item::str(&joined))

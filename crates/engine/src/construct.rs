@@ -10,7 +10,6 @@ use exrquy_algebra::{Col, Twig, TwigPart};
 use exrquy_diag::{BudgetMeter, ErrorCode};
 use exrquy_xml::tree::NodeKind;
 use exrquy_xml::{FragArena, NameId, NodeId, NodeRead, TreeBuilder};
-use std::sync::Arc;
 
 /// A twig flattened to the calls one iteration makes on the builder,
 /// every element name interned once.
@@ -248,7 +247,7 @@ pub(crate) fn eval_attr(
     // values: iter|item (one string per iteration; should an iteration
     // carry several, the last row wins). Both inputs are walked in iter
     // order, so one forward cursor pairs them up — no map, and a string
-    // value is shared with the new attribute, not copied.
+    // value is copied once, into the fragment's text arena.
     let val_items = values.col(Col::ITEM);
     let vals = rows_by_iter(values)?;
     let name_items = names.col(Col::ITEM);
@@ -265,14 +264,14 @@ pub(crate) fn eval_attr(
         }
         // The cursor rests on the iteration's first value row, so a
         // repeated `iter` among the names reads the same value again.
-        let value: Arc<str> = match vals[cursor..].iter().take_while(|v| v.0 == it).last() {
+        let value = match vals[cursor..].iter().take_while(|v| v.0 == it).last() {
             Some(&(_, vr)) => match val_items.get(vr) {
                 Item::Str(s) => s,
                 other => other.to_xq_string().into(),
             },
             None => "".into(),
         };
-        rows.push((it, doc.push_orphan_attribute(name_id, value)));
+        rows.push((it, doc.push_orphan_attribute(name_id, &value)));
     }
     let frag = arena.add(doc);
     Ok(roots_table(frag, &rows, vec))
@@ -302,6 +301,7 @@ mod tests {
     use super::*;
     use exrquy_diag::{CancellationToken, ExecutionBudget};
     use exrquy_xml::Catalog;
+    use std::sync::Arc;
 
     fn table(iters: &[i64], items: Vec<Item>) -> Table {
         Table::new(vec![

@@ -94,12 +94,21 @@ fn both_int(a: &Item, b: &Item) -> Option<(i64, i64)> {
     }
 }
 
-/// Atomize: nodes become their (untyped) string value — the document's
-/// own string wherever one text node holds it — atomics pass.
+/// Atomize: nodes become their (untyped) string value, copied out of
+/// the document's text arena into a string item; atomics pass.
 pub fn atomize_item<R: NodeRead + ?Sized>(nodes: &R, i: &Item) -> Item {
     match i {
-        Item::Node(n) => Item::Str(atomize::shared_string_value(nodes.doc_of(*n), n.pre)),
+        Item::Node(n) => Item::str(&atomize::string_value(nodes.doc_of(*n), n.pre)),
         other => other.clone(),
+    }
+}
+
+/// `i` atomized and promoted to a number as by
+/// [`Item::as_number_promoting`], without building a string item.
+pub(crate) fn number_of<R: NodeRead + ?Sized>(nodes: &R, i: &Item) -> Option<f64> {
+    match i {
+        Item::Node(n) => atomize::parse_number(&atomize::string_value(nodes.doc_of(*n), n.pre)),
+        other => other.as_number_promoting(),
     }
 }
 
@@ -240,14 +249,11 @@ pub fn apply<R: NodeRead + ?Sized>(
             )
         }
         Atomize => atomize_item(nodes, &args[0]),
-        ToNum => {
-            let v = atomize_item(nodes, &args[0]);
-            match v.as_number_promoting() {
-                Some(n) => Item::Dbl(n),
-                None => Item::Dbl(f64::NAN),
-            }
-        }
-        ToStr => Item::str(&atomize_item(nodes, &args[0]).to_xq_string()),
+        ToNum => Item::Dbl(number_of(nodes, &args[0]).unwrap_or(f64::NAN)),
+        ToStr => match atomize_item(nodes, &args[0]) {
+            s @ Item::Str(_) => s,
+            other => Item::str(&other.to_xq_string()),
+        },
         NameOf => match &args[0] {
             Item::Node(n) => {
                 let doc = nodes.doc_of(*n);

@@ -6,48 +6,45 @@
 //! atomizing a node yields its *string value*: for elements and documents
 //! the concatenation of all descendant text nodes in document order, for
 //! the other kinds their own content.
+//!
+//! A value is read out of the document's text arena and borrowed
+//! wherever it is one slice of it: the value of a leaf, and that of an
+//! element or document whose descendant values are all text nodes (the
+//! values of a subtree are adjacent in the arena, so their concatenation
+//! is the slice that spans them). Only a subtree that mixes text with
+//! attribute, comment or PI values has its string value built afresh.
 
 use crate::tree::{Document, NodeKind, NO_TEXT};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// String value of node `pre` in `doc`.
-pub fn string_value(doc: &Document, pre: u32) -> String {
+pub fn string_value(doc: &Document, pre: u32) -> Cow<'_, str> {
     match doc.kind(pre) {
         NodeKind::Element | NodeKind::Document => {
+            let window = pre + 1..=pre + doc.size(pre);
+            let mut valued = window.clone().filter(|&p| doc.texts[p as usize] != NO_TEXT);
+            let Some(first) = valued.next() else {
+                return Cow::Borrowed("");
+            };
+            let mut last = first;
+            let mut text_only = doc.kind(first) == NodeKind::Text;
+            for p in valued {
+                text_only &= doc.kind(p) == NodeKind::Text;
+                last = p;
+            }
+            if text_only {
+                let (first, last) = (doc.texts[first as usize], doc.texts[last as usize]);
+                return Cow::Borrowed(doc.arena.span(first, last));
+            }
             let mut out = String::new();
-            let end = pre + doc.size(pre);
-            for p in pre + 1..=end {
+            for p in window {
                 if doc.kind(p) == NodeKind::Text {
                     out.push_str(doc.text(p).unwrap_or(""));
                 }
             }
-            out
+            Cow::Owned(out)
         }
-        _ => doc.text(pre).unwrap_or("").to_owned(),
-    }
-}
-
-/// [`string_value`] as a shared string. A text, attribute, comment or PI
-/// node — and an element or document whose subtree holds exactly one text
-/// node, the shape of nearly every atomized XMark field — hands out the
-/// document's own `Arc<str>` (a refcount bump); only a value that has to
-/// be concatenated from several text nodes is built afresh.
-pub fn shared_string_value(doc: &Document, pre: u32) -> Arc<str> {
-    let stored = |p: u32| match doc.texts[p as usize] {
-        NO_TEXT => Arc::from(""),
-        t => Arc::clone(&doc.text_data[t as usize]),
-    };
-    match doc.kind(pre) {
-        NodeKind::Element | NodeKind::Document => {
-            let mut texts =
-                (pre + 1..=pre + doc.size(pre)).filter(|&p| doc.kind(p) == NodeKind::Text);
-            match (texts.next(), texts.next()) {
-                (None, _) => Arc::from(""),
-                (Some(only), None) => stored(only),
-                (Some(_), Some(_)) => string_value(doc, pre).into(),
-            }
-        }
-        _ => stored(pre),
+        _ => Cow::Borrowed(doc.text(pre).unwrap_or("")),
     }
 }
 
@@ -106,25 +103,50 @@ mod tests {
     }
 
     #[test]
-    fn shared_values_equal_built_ones_and_share_single_texts() {
+    fn values_borrow_the_arena_unless_text_mixes_with_other_values() {
         let mut pool = NamePool::new();
         let doc = parse_document(
-            r#"<a k="v">x<b y="skip">y</b><c/><!--c--><d><e>deep</e></d>z</a>"#,
+            r#"<a k="v">x<b y="skip">y</b><c/><!--c--><d><e>deep</e>er</d>z</a>"#,
             &mut pool,
         )
         .unwrap();
+        // The element-by-element definition, built the long way.
+        let built = |pre: u32| -> String {
+            match doc.kind(pre) {
+                NodeKind::Element | NodeKind::Document => (pre + 1..=pre + doc.size(pre))
+                    .filter(|&p| doc.kind(p) == NodeKind::Text)
+                    .filter_map(|p| doc.text(p))
+                    .collect(),
+                _ => doc.text(pre).unwrap_or("").to_owned(),
+            }
+        };
         for pre in 0..doc.len() as u32 {
-            assert_eq!(&*shared_string_value(&doc, pre), string_value(&doc, pre));
+            assert_eq!(string_value(&doc, pre), built(pre), "node {pre}");
         }
-        // <d><e>deep</e></d>: `d`, `e` and the text node itself all hand
-        // out the one stored string.
-        let text = (0..doc.len() as u32)
-            .find(|&p| doc.kind(p) == NodeKind::Text && doc.text(p) == Some("deep"))
+        // One text node: `e`, and the text node itself, borrow it.
+        let deep = (0..doc.len() as u32)
+            .find(|&p| doc.text(p) == Some("deep"))
             .unwrap();
-        let stored = &doc.text_data[doc.texts[text as usize] as usize];
-        for pre in [text - 2, text - 1, text] {
-            assert!(Arc::ptr_eq(&shared_string_value(&doc, pre), stored));
+        for pre in [deep - 1, deep] {
+            assert!(matches!(string_value(&doc, pre), Cow::Borrowed("deep")));
         }
+        // Two adjacent text nodes: `d` borrows their joint slice.
+        assert!(matches!(
+            string_value(&doc, deep - 2),
+            Cow::Borrowed("deeper")
+        ));
+        // `b` holds an attribute value beside its text, and `a` and the
+        // document node hold attribute and comment values: built afresh.
+        assert_eq!(pool.resolve(doc.name(4)), "b");
+        for pre in [0, 1, 4] {
+            assert!(matches!(string_value(&doc, pre), Cow::Owned(_)), "{pre}");
+        }
+        // No text at all.
+        let c_name = pool.lookup("c").unwrap();
+        let c = (0..doc.len() as u32)
+            .find(|&p| doc.name(p) == c_name && doc.kind(p) == NodeKind::Element)
+            .unwrap();
+        assert!(matches!(string_value(&doc, c), Cow::Borrowed("")));
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! funnel through it. It maintains the open-element stack and back-patches
 //! the `size` column when elements close, so a fragment is produced in one
 //! left-to-right pass.
+//!
+//! String content is appended to the document's text arena in the same
+//! pass, so text ids follow preorder and a copied subtree's text is one
+//! byte range of its source's arena.
 
 use crate::name::NameId;
 use crate::tree::{Document, NodeKind, NO_PARENT, NO_TEXT};
-use std::sync::Arc;
 
 /// Streaming builder for one [`Document`] fragment.
 #[derive(Debug, Default)]
@@ -57,6 +60,12 @@ impl TreeBuilder {
         self.doc.reserve(additional);
     }
 
+    /// Pre-allocate room for `bytes` more bytes of string content in
+    /// `values` more text, attribute, comment or PI values.
+    pub(crate) fn reserve_text(&mut self, bytes: usize, values: usize) {
+        self.doc.arena.reserve(bytes, values);
+    }
+
     /// Nodes written so far.
     pub fn len(&self) -> usize {
         self.doc.len()
@@ -97,7 +106,7 @@ impl TreeBuilder {
     /// content has already started (attributes precede children in the
     /// encoding).
     pub fn attribute(&mut self, name: NameId, value: &str) -> u32 {
-        self.leaf(NodeKind::Attribute, name, value.into())
+        self.leaf(NodeKind::Attribute, name, value)
     }
 
     /// Append a text node. Empty strings produce no node (the XQuery data
@@ -106,21 +115,21 @@ impl TreeBuilder {
         if content.is_empty() {
             return None;
         }
-        Some(self.leaf(NodeKind::Text, NameId::NONE, content.into()))
+        Some(self.leaf(NodeKind::Text, NameId::NONE, content))
     }
 
     /// Append a comment node.
     pub fn comment(&mut self, content: &str) -> u32 {
-        self.leaf(NodeKind::Comment, NameId::NONE, content.into())
+        self.leaf(NodeKind::Comment, NameId::NONE, content)
     }
 
     /// Append a processing-instruction node.
     pub fn processing_instruction(&mut self, target: NameId, content: &str) -> u32 {
-        self.leaf(NodeKind::ProcessingInstruction, target, content.into())
+        self.leaf(NodeKind::ProcessingInstruction, target, content)
     }
 
-    /// Append a childless node holding (a reference to) `content`.
-    fn leaf(&mut self, kind: NodeKind, name: NameId, content: Arc<str>) -> u32 {
+    /// Append a childless node holding a copy of `content`.
+    fn leaf(&mut self, kind: NodeKind, name: NameId, content: &str) -> u32 {
         if kind == NodeKind::Attribute {
             assert!(!self.open.is_empty(), "attribute() outside an open element");
             assert!(
@@ -128,7 +137,7 @@ impl TreeBuilder {
                 "attribute() after element content started"
             );
         }
-        let text = self.doc.push_text_data(content);
+        let text = self.doc.arena.push(content);
         let pre = self.push(kind, name, text);
         if kind != NodeKind::Attribute {
             self.mark_content();
@@ -152,10 +161,11 @@ impl TreeBuilder {
         // Element subtrees splice columnar: the pre-order window
         // [src_pre, src_pre + size] lands verbatim except for three
         // rebased columns (levels shift by the destination depth,
-        // parents by the destination pre offset, text indices into the
-        // destination's text pool). Subtree sizes are pre-relative and
-        // copy unchanged. This replaces the per-node replay — one array
-        // extend per column instead of an open/close call per node.
+        // parents by the destination pre offset, text ids by the
+        // destination arena's length). Subtree sizes are pre-relative and
+        // copy unchanged. The window's text ids are one contiguous run,
+        // so its string content is one byte range of the source arena,
+        // copied whole.
         if src.kind(src_pre) == NodeKind::Element {
             let a = src_pre as usize;
             let b = a + src.size(src_pre) as usize + 1;
@@ -163,6 +173,16 @@ impl TreeBuilder {
             let level_off = self.level() as i32 - src.level(src_pre) as i32;
             let parent = self.parent();
             self.mark_content();
+            let window = &src.texts[a..b];
+            let (first, base) = match (
+                window.iter().find(|&&t| t != NO_TEXT),
+                window.iter().rfind(|&&t| t != NO_TEXT),
+            ) {
+                (Some(&first), Some(&last)) => {
+                    (first, self.doc.arena.extend_from(&src.arena, first, last))
+                }
+                _ => (0, 0),
+            };
             let d = &mut self.doc;
             d.kinds.extend_from_slice(&src.kinds[a..b]);
             d.names.extend_from_slice(&src.names[a..b]);
@@ -180,24 +200,15 @@ impl TreeBuilder {
                         p - src_pre + dst_base
                     }
                 }));
-            d.texts.reserve(b - a);
-            for &t in &src.texts[a..b] {
-                if t == NO_TEXT {
-                    d.texts.push(NO_TEXT);
-                } else {
-                    d.texts.push(d.text_data.len() as u32);
-                    d.text_data.push(src.text_data[t as usize].clone());
-                }
-            }
+            d.texts.extend(window.iter().map(|&t| match t {
+                NO_TEXT => NO_TEXT,
+                t => t - first + base,
+            }));
             return;
         }
-        // What remains is a leaf (text, comment, PI or attribute): it
-        // shares the source's string — a refcount bump, no allocation.
+        // What remains is a leaf (text, comment, PI or attribute).
         let kind = src.kind(src_pre);
-        let content: Arc<str> = match src.texts[src_pre as usize] {
-            NO_TEXT => "".into(),
-            t => src.text_data[t as usize].clone(),
-        };
+        let content = src.text(src_pre).unwrap_or("");
         if kind != NodeKind::Text || !content.is_empty() {
             self.leaf(kind, src.name(src_pre), content);
         }
@@ -301,6 +312,75 @@ mod tests {
         assert_eq!(dst.text(2), Some("x"));
         assert_eq!(dst.name(3), a);
         assert_eq!(dst.size(3), 3);
+    }
+
+    /// Splices from two documents into a builder whose arena already
+    /// holds text: every spliced node keeps its source's text, and the
+    /// spliced roots serialize exactly as their sources do.
+    #[test]
+    fn splices_from_two_documents_keep_every_value() {
+        use crate::parse::parse_document;
+        use crate::serialize::serialize_subtree;
+
+        let mut pool = NamePool::new();
+        let src1 = parse_document(
+            "<a x=\"&lt;1&gt;\">t&amp;u<!--note--><b y='2'>v&#65;<?pi data?></b>w</a>",
+            &mut pool,
+        )
+        .unwrap();
+        let mut b2 = TreeBuilder::new();
+        b2.open_element(pool.intern("c"));
+        b2.attribute(pool.intern("z"), "\"q\"");
+        b2.text("one");
+        b2.comment("two");
+        b2.close();
+        let mut src2 = b2.finish();
+        let orphan = src2.push_orphan_attribute(pool.intern("o"), "free & clear");
+        src2.check_invariants().unwrap();
+
+        let b_name = pool.intern("b");
+        let first = |hit: &dyn Fn(u32) -> bool| (0..src1.len() as u32).find(|&p| hit(p)).unwrap();
+        let of_kind = |kind| first(&|p| src1.kind(p) == kind);
+        let splices = [
+            (&src2, orphan),
+            (&src1, 1),
+            (&src1, first(&|p| src1.name(p) == b_name)),
+            (&src1, of_kind(NodeKind::Text)),
+            (&src1, of_kind(NodeKind::Comment)),
+            (&src1, of_kind(NodeKind::ProcessingInstruction)),
+            (&src2, 0),
+            (&src1, 1),
+        ];
+
+        let mut b = TreeBuilder::new();
+        b.open_element(pool.intern("r"));
+        b.attribute(pool.intern("held"), "before");
+        let mut roots = Vec::new();
+        for (i, &(src, pre)) in splices.iter().enumerate() {
+            if i == 1 {
+                b.text("lead");
+            }
+            roots.push(b.len() as u32);
+            b.copy_subtree(src, pre);
+        }
+        b.close();
+        let dst = b.finish();
+        dst.check_invariants().unwrap();
+
+        let (mut want, mut got) = (String::new(), String::new());
+        for (&(src, pre), &at) in splices.iter().zip(&roots) {
+            for i in 0..=src.size(pre) {
+                let (s, d) = (pre + i, at + i);
+                assert_eq!(dst.kind(d), src.kind(s), "node {d}");
+                assert_eq!(dst.name(d), src.name(s), "node {d}");
+                assert_eq!(dst.text(d), src.text(s), "node {d}");
+            }
+            serialize_subtree(src, pre, &pool, &mut want);
+            serialize_subtree(&dst, at, &pool, &mut got);
+        }
+        assert_eq!(got, want);
+        assert_eq!(dst.text(1), Some("before"));
+        assert_eq!(dst.text(roots[1] - 1), Some("lead"));
     }
 
     #[test]

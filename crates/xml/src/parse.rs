@@ -12,7 +12,8 @@
 //! input (every token boundary is an ASCII byte, so slicing the `&str`
 //! needs no re-validation), character data and attribute values are
 //! borrowed unless they contain a reference, and the one copy of a value
-//! is the `Arc<str>` the document keeps.
+//! is its bytes appended to the document's text arena, reserved once
+//! from the input's length.
 
 use crate::builder::TreeBuilder;
 use crate::name::{NameId, NamePool};
@@ -34,7 +35,7 @@ pub struct ParseError {
     /// Human-readable description.
     pub message: String,
     /// Machine-readable code (`FODC0006` for malformed content,
-    /// `EXRQ0003` for nesting-depth overflow).
+    /// `EXRQ0003` for nesting-depth overflow and inputs past 4 GiB).
     pub code: ErrorCode,
     /// Where the input came from (file path or URL), when known. Set by
     /// document loaders via [`with_source`](Self::with_source) so the
@@ -82,6 +83,7 @@ pub fn parse_document_with(
     pool: &mut NamePool,
     max_depth: usize,
 ) -> Result<Document, ParseError> {
+    check_input_len(input.len())?;
     let mut p = Parser {
         input,
         pos: 0,
@@ -106,6 +108,9 @@ pub fn parse_document_with(
         })
         .sum();
     p.builder.reserve(markup);
+    // Decoded values never outgrow the bytes they were read from; the
+    // unused part of the reservation is given back at the end.
+    p.builder.reserve_text(input.len(), markup);
     p.skip_prolog()?;
     p.parse_element()?;
     p.skip_misc();
@@ -115,6 +120,22 @@ pub fn parse_document_with(
     let mut doc = p.builder.finish();
     doc.shrink_excess();
     Ok(doc)
+}
+
+/// A document's pre ranks and text offsets are `u32`, and neither its
+/// node count nor its decoded text can exceed its input's byte length:
+/// an input that fits in `u32` fits the encoding.
+fn check_input_len(len: usize) -> Result<(), ParseError> {
+    match u32::try_from(len) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ParseError {
+            // The first byte past the limit.
+            offset: u32::MAX as usize + 1,
+            message: format!("document of {len} bytes exceeds the 4 GiB limit"),
+            code: ErrorCode::EXRQ0003,
+            source: None,
+        }),
+    }
 }
 
 /// Slots of the parser-local name memo (a power of two, sparse enough
@@ -762,6 +783,17 @@ mod tests {
         assert_eq!(doc.len(), 4);
         assert!(doc.kinds.capacity() < 100, "{}", doc.kinds.capacity());
         assert!(doc.texts.capacity() < 100, "{}", doc.texts.capacity());
+    }
+
+    #[test]
+    fn inputs_past_u32_are_rejected_with_a_limit_error() {
+        assert!(check_input_len(u32::MAX as usize).is_ok());
+        let err = check_input_len(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.code, ErrorCode::EXRQ0003);
+        assert_eq!(
+            err.message,
+            "document of 4294967296 bytes exceeds the 4 GiB limit"
+        );
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! attributes stable, document-order-compatible identifiers while axis
 //! evaluation simply filters them out everywhere except on the `attribute`
 //! axis.
+//!
+//! String content lives in one [`TextArena`] per document: the values of
+//! text, attribute, comment and PI nodes are appended in preorder to a
+//! single byte buffer, and the `texts` column holds each node's index
+//! into the arena's table of end offsets. Because values are appended in
+//! preorder, the text ids of any subtree are one contiguous run, and so
+//! are their bytes: a splice copies one byte range, and dropping a
+//! document frees a few buffers however many values it holds.
 
 use crate::name::{NameId, NamePool};
 use std::fmt;
@@ -56,8 +64,83 @@ impl fmt::Display for NodeKind {
 /// Sentinel parent rank of root nodes.
 pub const NO_PARENT: u32 = u32::MAX;
 
-/// Index into a document's text data, or `NO_TEXT`.
+/// Index into a document's text arena, or `NO_TEXT`.
 pub const NO_TEXT: u32 = u32::MAX;
+
+/// The string content of one document: every value appended to one
+/// buffer, and the end offset of each in a table indexed by text id
+/// (value `t` spans `ends[t - 1]..ends[t]`, from 0 for the first).
+/// The layout is private; compare arenas whole with `==`.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct TextArena {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+/// `len` as an arena offset. A parsed document cannot get here with
+/// more (its input is checked first); a constructed one would have to
+/// build 4 GiB of text.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("text arena exceeds 4 GiB")
+}
+
+impl TextArena {
+    /// Number of values held.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Byte offset where value `t` starts.
+    fn start(&self, t: u32) -> u32 {
+        match t {
+            0 => 0,
+            _ => self.ends[t as usize - 1],
+        }
+    }
+
+    /// Value `t`.
+    fn get(&self, t: u32) -> &str {
+        self.span(t, t)
+    }
+
+    /// Values `first..=last`, concatenated: one slice, since
+    /// consecutive values are adjacent in the buffer.
+    pub(crate) fn span(&self, first: u32, last: u32) -> &str {
+        &self.bytes[self.start(first) as usize..self.ends[last as usize] as usize]
+    }
+
+    /// Append `s`, returning its text id.
+    pub(crate) fn push(&mut self, s: &str) -> u32 {
+        let id = self.ends.len() as u32;
+        self.bytes.push_str(s);
+        self.ends.push(offset(self.bytes.len()));
+        id
+    }
+
+    /// Append values `first..=last` of `src` as one byte copy, returning
+    /// the id the first of them gets here (the rest follow in order).
+    pub(crate) fn extend_from(&mut self, src: &TextArena, first: u32, last: u32) -> u32 {
+        let base = self.ends.len() as u32;
+        let (from, to) = (src.start(first), self.bytes.len() as u32);
+        self.bytes.push_str(src.span(first, last));
+        // The shifted ends below are at most the new length.
+        offset(self.bytes.len());
+        let ends = &src.ends[first as usize..=last as usize];
+        self.ends.extend(ends.iter().map(|&e| e - from + to));
+        base
+    }
+
+    /// Pre-allocate room for `bytes` more bytes in `values` more values.
+    pub(crate) fn reserve(&mut self, bytes: usize, values: usize) {
+        self.bytes.reserve(bytes);
+        self.ends.reserve(values);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+}
 
 /// One encoded XML fragment.
 ///
@@ -69,13 +152,12 @@ pub struct Document {
     pub sizes: Vec<u32>,
     pub levels: Vec<u16>,
     pub parents: Vec<u32>,
-    /// Per-node index into `text_data` (text content of text nodes, value of
-    /// attributes, content of comments/PIs); `NO_TEXT` otherwise.
+    /// Per-node index into the text arena (text content of text nodes,
+    /// value of attributes, content of comments/PIs); `NO_TEXT`
+    /// otherwise. The ids that are set count up from 0 in preorder.
     pub texts: Vec<u32>,
-    /// Shared string content referenced from `texts`. Entries are
-    /// `Arc<str>` so a subtree splice ([`TreeBuilder::copy_subtree`])
-    /// copies text by refcount bump, not by reallocating every string.
-    pub text_data: Vec<std::sync::Arc<str>>,
+    /// The string content `texts` points into.
+    pub(crate) arena: TextArena,
     /// Lazily built per-name element streams (sorted pre rank
     /// lists) — the tag-name-based access paths of TwigStack-style step
     /// evaluation (paper §1). Built on first use by
@@ -155,7 +237,12 @@ impl Document {
     /// String content of a text/attribute/comment/PI node; `None` otherwise.
     pub fn text(&self, pre: u32) -> Option<&str> {
         let t = self.texts[pre as usize];
-        (t != NO_TEXT).then(|| &*self.text_data[t as usize])
+        (t != NO_TEXT).then(|| self.arena.get(t))
+    }
+
+    /// The document's string content, whole.
+    pub fn text_arena(&self) -> &TextArena {
+        &self.arena
     }
 
     /// Per-name node streams, built lazily on first access (a counting
@@ -228,10 +315,12 @@ impl Document {
         self.texts.reserve(additional);
     }
 
-    /// Give back column capacity that a [`reserve`](Self::reserve)
-    /// overshot by more than half. Growth by doubling never leaves that
-    /// much spare, so this only frees an estimate that ran high.
+    /// Give back the text arena's spare capacity, and column capacity
+    /// that a [`reserve`](Self::reserve) overshot by more than half.
+    /// Growth by doubling never leaves that much spare, so the latter
+    /// only frees an estimate that ran high.
     pub(crate) fn shrink_excess(&mut self) {
+        self.arena.shrink_to_fit();
         if self.len() >= self.kinds.capacity() / 2 {
             return;
         }
@@ -266,20 +355,9 @@ impl Document {
     /// Append a parentless attribute node (a computed attribute
     /// constructor outside any element content creates one). Returns its
     /// pre rank. Only valid on fragments built as flat forests.
-    pub fn push_orphan_attribute(
-        &mut self,
-        name: NameId,
-        value: impl Into<std::sync::Arc<str>>,
-    ) -> u32 {
-        let text = self.push_text_data(value.into());
+    pub fn push_orphan_attribute(&mut self, name: NameId, value: &str) -> u32 {
+        let text = self.arena.push(value);
         self.push_node(NodeKind::Attribute, name, 0, NO_PARENT, text)
-    }
-
-    /// Intern string content, returning its index for `texts`.
-    pub(crate) fn push_text_data(&mut self, s: std::sync::Arc<str>) -> u32 {
-        let id = self.text_data.len() as u32;
-        self.text_data.push(s);
-        id
     }
 
     /// Debug rendering of the encoding: one line per node, as in the
@@ -309,10 +387,17 @@ impl Document {
 
     /// Validate the structural invariants of the encoding (used by tests and
     /// debug assertions): sizes nest properly, levels are consistent with
-    /// parents, attribute runs directly follow their elements.
+    /// parents, attribute runs directly follow their elements, text ids
+    /// count up in preorder.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.len() as u32;
+        let mut next_text = 0;
         for pre in 0..n {
+            match self.texts[pre as usize] {
+                NO_TEXT => {}
+                t if t == next_text => next_text += 1,
+                t => return Err(format!("node {pre}: text id {t}, expected {next_text}")),
+            }
             let size = self.size(pre);
             if pre + size >= n + if size == 0 { 1 } else { 0 } && pre + size > n - 1 {
                 return Err(format!("node {pre}: subtree exceeds fragment"));
@@ -340,6 +425,12 @@ impl Document {
                 }
                 c += self.size(c) + 1;
             }
+        }
+        if next_text as usize != self.arena.len() {
+            return Err(format!(
+                "{next_text} text ids for {} arena values",
+                self.arena.len()
+            ));
         }
         Ok(())
     }

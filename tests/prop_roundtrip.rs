@@ -266,7 +266,7 @@ fn xmark_documents_roundtrip_column_for_column() {
             ("levels", doc1.levels == doc2.levels),
             ("parents", doc1.parents == doc2.parents),
             ("texts", doc1.texts == doc2.texts),
-            ("text_data", doc1.text_data == doc2.text_data),
+            ("text arena", doc1.text_arena() == doc2.text_arena()),
         ] {
             assert!(same, "seed {seed}: column `{column}` changed");
         }
