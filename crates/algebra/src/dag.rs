@@ -396,31 +396,7 @@ impl Dag {
                 self.require(*input, Col::ITEM, "serialize")?;
                 Ok(self.schema(*input).to_vec())
             }
-            Op::Fanout { lo, hi, .. } => {
-                if lo > hi {
-                    return Err(SchemaError("fanout: inverted fragment range".into()));
-                }
-                Ok(vec![Col::POS, Col::ITEM])
-            }
-            Op::ShardUnion { parts } => {
-                let first = parts
-                    .first()
-                    .ok_or_else(|| SchemaError("∪̂: no parts".into()))?;
-                let s0 = self.schema(*first);
-                let set0: HashSet<Col> = s0.iter().copied().collect();
-                for p in &parts[1..] {
-                    let sp = self.schema(*p);
-                    let setp: HashSet<Col> = sp.iter().copied().collect();
-                    if set0 != setp {
-                        return Err(SchemaError(format!(
-                            "∪̂: column sets differ ({} vs {})",
-                            s0.iter().map(|c| c.name()).collect::<Vec<_>>().join(","),
-                            sp.iter().map(|c| c.name()).collect::<Vec<_>>().join(",")
-                        )));
-                    }
-                }
-                Ok(s0.to_vec())
-            }
+            Op::Collection => Ok(vec![Col::POS, Col::ITEM]),
         }
     }
 }

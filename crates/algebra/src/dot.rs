@@ -178,8 +178,7 @@ pub fn op_label(op: &Op) -> String {
         Op::Range { lo, hi, new, .. } => format!("{new}:range({lo},{hi})"),
         Op::Serialize { .. } => "serialize".into(),
         Op::Sort { keys, .. } => format!("sort ⟨{}⟩", cols(keys)),
-        Op::Fanout { shard, lo, hi } => format!("fanout s{shard} [{lo},{hi})"),
-        Op::ShardUnion { parts } => format!("∪̂ ({})", parts.len()),
+        Op::Collection => "collection".into(),
     }
 }
 

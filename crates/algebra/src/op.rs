@@ -346,15 +346,11 @@ pub enum Op {
     /// order with `item` values. Identity on its input; the seed of the
     /// column dependency analysis (required columns {pos, item}, §4.1).
     Serialize { input: OpId },
-    /// Access to one shard of the catalog's document collection: one row
-    /// per document whose fragment index lies in `[lo, hi)`, with `pos` =
-    /// the document's 1-based rank in the whole collection (its fragment
-    /// index + 1) and `item` = its root node. The compiler emits one
-    /// `Fanout` per shard of the catalog's layout for `fn:collection()`;
-    /// carrying the fragment range in the operator keeps evaluation
-    /// independent of the catalog the plan later runs against (the plan
-    /// cache keys on the layout, so ranges never go stale).
-    Fanout { shard: u32, lo: u32, hi: u32 },
+    /// The catalog's document collection (`fn:collection()`): one row
+    /// per document fragment of the catalog the plan runs against, with
+    /// `pos` = the document's 1-based rank in the collection (its
+    /// fragment index + 1) and `item` = its root node.
+    Collection,
     /// Stable ascending lexicographic sort by `keys` (integer rank
     /// columns). Schema-preserving. Emitted only by the cost-based join
     /// enumerator: after reordering a join cluster, sorting by the
@@ -362,22 +358,13 @@ pub enum Op {
     /// order exactly, which is what keeps reordered plans byte-identical
     /// to the rule-only reference plan.
     Sort { input: OpId, keys: Vec<Col> },
-    /// `∪̂` — n-ary disjoint bag union over per-shard subplans. Column
-    /// *sets* of all parts must coincide. Parts are kept in ascending
-    /// shard order and — by construction and by every shard-push rewrite —
-    /// produce node rows from disjoint, ascending fragment ranges, so a
-    /// plain shard-major concatenation *is* collection order. Row numbering
-    /// below a `∪̂` is shard-local, which the paper's order indifference
-    /// makes free (§5: `#` keys need no global order).
-    ShardUnion { parts: Vec<OpId> },
 }
 
 impl Op {
     /// Children of this operator, in a fixed order.
     pub fn children(&self) -> Vec<OpId> {
         match self {
-            Op::Lit { .. } | Op::Doc { .. } | Op::Fanout { .. } => vec![],
-            Op::ShardUnion { parts } => parts.clone(),
+            Op::Lit { .. } | Op::Doc { .. } | Op::Collection => vec![],
             Op::Project { input, .. }
             | Op::Select { input, .. }
             | Op::RowNum { input, .. }
@@ -414,8 +401,7 @@ impl Op {
     pub fn with_children(&self, ch: &[OpId]) -> Op {
         let mut op = self.clone();
         match &mut op {
-            Op::Lit { .. } | Op::Doc { .. } | Op::Fanout { .. } => {}
-            Op::ShardUnion { parts } => *parts = ch.to_vec(),
+            Op::Lit { .. } | Op::Doc { .. } | Op::Collection => {}
             Op::Project { input, .. }
             | Op::Select { input, .. }
             | Op::RowNum { input, .. }
@@ -475,8 +461,7 @@ impl Op {
         "range",
         "serialize",
         "sort",
-        "fanout",
-        "∪̂",
+        "collection",
     ];
 
     /// Short operator-kind name for statistics and rendering.
@@ -504,8 +489,7 @@ impl Op {
             Op::Range { .. } => "range",
             Op::Serialize { .. } => "serialize",
             Op::Sort { .. } => "sort",
-            Op::Fanout { .. } => "fanout",
-            Op::ShardUnion { .. } => "∪̂",
+            Op::Collection => "collection",
         }
     }
 }

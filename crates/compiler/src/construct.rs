@@ -13,7 +13,7 @@ use exrquy_algebra::{AValue, Col, FunKind, Op, OpId, Twig, TwigPart};
 use exrquy_frontend::{AttrPart, DirAttr, ElemContent, Expr};
 use std::sync::Arc;
 
-impl Compiler<'_> {
+impl Compiler {
     pub(crate) fn compile_constructor(&mut self, e: &Expr) -> CResult {
         match e {
             Expr::DirElement {

@@ -43,7 +43,7 @@ pub(crate) struct ForScope {
     map: OpId,
 }
 
-impl Compiler<'_> {
+impl Compiler {
     pub(crate) fn compile_flwor(&mut self, e: &Expr) -> CResult {
         let Expr::Flwor {
             clauses,

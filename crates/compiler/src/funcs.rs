@@ -19,7 +19,7 @@ fn arg_col(i: usize) -> Col {
     }
 }
 
-impl Compiler<'_> {
+impl Compiler {
     pub(crate) fn compile_call(&mut self, name: &str, args: &[Expr]) -> CResult {
         match (name, args.len()) {
             ("doc", 1) => {
@@ -43,25 +43,10 @@ impl Compiler<'_> {
             }
             ("collection", 0) => {
                 // The whole catalog, one document root per fragment, in
-                // collection (= fragment) order. Compiled as a fanout per
-                // catalog shard under a disjoint bag union `∪̂`: shards are
-                // contiguous fragment ranges, so the shard-major
-                // concatenation *is* collection order and the union needs
-                // no re-sort. `pos` is the global fragment rank, emitted by
-                // each fanout directly.
-                let parts: Vec<OpId> = (0..self.catalog.shard_count())
-                    .map(|s| {
-                        let (lo, hi) = self.catalog.shard_range(s);
-                        self.dag.add(Op::Fanout {
-                            shard: s as u32,
-                            lo,
-                            hi,
-                        })
-                    })
-                    .collect();
-                let union = self.dag.add(Op::ShardUnion { parts });
+                // collection (= fragment) order; `pos` is the fragment rank.
+                let coll = self.dag.add(Op::Collection);
                 let lp = self.cur_loop();
-                let crossed = self.dag.add(Op::Cross { l: lp, r: union });
+                let crossed = self.dag.add(Op::Cross { l: lp, r: coll });
                 Ok(self.canonical(crossed))
             }
             ("count", 1) => self.compile_aggregate(AggrKind::Count, &args[0], Some(AValue::Int(0))),

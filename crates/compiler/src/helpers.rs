@@ -4,7 +4,7 @@
 use crate::{CResult, CompileError, Compiler};
 use exrquy_algebra::{AValue, AggrKind, Col, Op, OpId, SortKey};
 
-impl Compiler<'_> {
+impl Compiler {
     /// Project `q` to the canonical `[iter, pos, item]` layout.
     pub(crate) fn canonical(&mut self, q: OpId) -> OpId {
         self.dag.add(Op::Project {

@@ -120,15 +120,12 @@ pub(crate) struct VarEntry {
     pub q: OpId,
 }
 
-/// The compiler state. Compilation only *reads* the shared catalog; the
-/// names a query mentions are interned into a private copy-on-write
-/// snapshot ([`CompiledPlan::names`]), so any number of compilations may
-/// run concurrently over one `Arc<Catalog>`.
-pub struct Compiler<'c> {
+/// The compiler state. Compilation reads only the shared catalog's name
+/// pool; the names a query mentions are interned into a private
+/// copy-on-write snapshot ([`CompiledPlan::names`]), so any number of
+/// compilations may run concurrently over one `Arc<Catalog>`.
+pub struct Compiler {
     pub(crate) dag: Dag,
-    /// The shared, immutable document layer (read-only).
-    #[allow(dead_code)]
-    pub(crate) catalog: &'c Catalog,
     /// Name snapshot: starts as a shared handle to the catalog's frozen
     /// pool; cloned lazily (`Arc::make_mut`) the first time the query
     /// mentions a name absent from every document.
@@ -141,11 +138,11 @@ pub struct Compiler<'c> {
     pub(crate) mode: Vec<OrderingMode>,
 }
 
-impl<'c> Compiler<'c> {
+impl Compiler {
     /// Create a compiler over a shared catalog; node-test names resolve
     /// against the catalog's pool and accumulate into the plan's own
     /// snapshot.
-    pub fn new(catalog: &'c Catalog) -> Self {
+    pub fn new(catalog: &Catalog) -> Self {
         let mut dag = Dag::new();
         let unit_loop = dag.add(Op::Lit {
             cols: vec![Col::ITER],
@@ -154,7 +151,6 @@ impl<'c> Compiler<'c> {
         Compiler {
             dag,
             names: catalog.pool_arc(),
-            catalog,
             frames: vec![Frame {
                 loop_op: unit_loop,
                 map_op: None,

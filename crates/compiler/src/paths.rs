@@ -6,7 +6,7 @@ use exrquy_algebra::{AValue, AggrKind, Col, FunKind, Op, OpId, SortKey};
 use exrquy_frontend::{Expr, NodeTestAst};
 use exrquy_xml::NodeTest;
 
-impl Compiler<'_> {
+impl Compiler {
     pub(crate) fn resolve_test(&mut self, t: &NodeTestAst) -> NodeTest {
         match t {
             NodeTestAst::AnyKind => NodeTest::AnyKind,

@@ -17,7 +17,7 @@ use crate::{CResult, CompileError, Compiler, Frame};
 use exrquy_algebra::{AValue, AggrKind, Col, FunKind, Op, OpId};
 use exrquy_frontend::{BinOp, Expr, Quant};
 
-impl Compiler<'_> {
+impl Compiler {
     /// Iterations (of the current loop) in which `e` is true.
     pub(crate) fn compile_truth(&mut self, e: &Expr) -> CResult {
         match e {

@@ -143,13 +143,8 @@ impl PlanCache {
 
 /// Everything that changes the compiled plan must feed the cache key;
 /// two option sets with equal fingerprints must prepare identical plans.
-/// `layout` is the catalog's shard-layout signature: `collection()`
-/// compiles to per-shard fanouts whose fragment ranges are baked into the
-/// plan, so two catalogs with different layouts must never share a cached
-/// plan even when their query text and options agree.
-fn fingerprint(query: &str, opts: &QueryOptions, layout: u64) -> u64 {
+fn fingerprint(query: &str, opts: &QueryOptions) -> u64 {
     let mut h = DefaultHasher::new();
-    layout.hash(&mut h);
     query.hash(&mut h);
     opts.exploit.hash(&mut h);
     opts.ordering.hash(&mut h);
@@ -250,7 +245,7 @@ impl Executor {
             self.cache.uncacheable.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::new(self.compile(query, opts)?));
         }
-        let key = fingerprint(query, opts, self.catalog.layout_signature());
+        let key = fingerprint(query, opts);
         if let Some(plan) = self.cache.get(key) {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(plan);

@@ -495,45 +495,44 @@ impl Session {
             Executor::with_cache_capacity(Arc::new(builder.build()), self.cache_capacity);
     }
 
-    /// Re-partition the catalog into `n` shards (contiguous, ascending
-    /// fragment ranges; clamped to at least 1). Swaps in a fresh executor
-    /// — the shard layout is baked into compiled `collection()` plans, so
-    /// the plan cache must not survive a re-partitioning.
-    pub fn set_shards(&mut self, n: usize) {
-        let mut builder = self.executor.catalog().to_builder();
-        builder.set_shards(n);
-        self.swap(builder);
-    }
-
-    /// Parse and register a document corpus and partition it into
-    /// `shards` in a single catalog swap (one snapshot, one plan-cache
-    /// invalidation — not one per document). All or nothing: the first
-    /// malformed document fails the call and the previous catalog stays
-    /// in place, untouched.
+    /// Parse and register a document corpus in a single catalog swap
+    /// (one snapshot, one plan-cache invalidation — not one per
+    /// document). All or nothing: the first malformed document fails the
+    /// call and the previous catalog stays in place, untouched.
     ///
     /// ```
     /// let mut s = exrquy::Session::new();
-    /// s.load_corpus_sharded([("a.xml", "<r><x/></r>"), ("b.xml", "<r/>")], 2)
-    ///     .unwrap();
+    /// s.load_corpus([("a.xml", "<r><x/></r>"), ("b.xml", "<r/>")]).unwrap();
     /// assert_eq!(s.query("fn:count(fn:collection()//x)").unwrap().to_xml(), "1");
     /// ```
-    pub fn load_corpus_sharded<'a>(
+    pub fn load_corpus<'a>(
         &mut self,
         docs: impl IntoIterator<Item = (&'a str, &'a str)>,
-        shards: usize,
     ) -> Result<(), Error> {
         let mut builder = self.executor.catalog().to_builder();
         for (url, xml) in docs {
             self.stage(&mut builder, url, xml)?;
         }
-        builder.set_shards(shards);
         self.swap(builder);
         Ok(())
     }
 
+    /// [`load_corpus`](Self::load_corpus) under its former name; the
+    /// shard count is ignored. It exists only for the three call sites
+    /// of the `perfbench` package (`collection_star.rs:42`,
+    /// `compile_cold.rs:47`, `catalog_load.rs:114`); no crate, test or
+    /// example may call it.
+    pub fn load_corpus_sharded<'a>(
+        &mut self,
+        docs: impl IntoIterator<Item = (&'a str, &'a str)>,
+        _shards: usize,
+    ) -> Result<(), Error> {
+        self.load_corpus(docs)
+    }
+
     /// Arm failpoints on the session's document resolver (the `doc-parse`
     /// hook fires per document in [`load_document`](Self::load_document)
-    /// and [`load_corpus_sharded`](Self::load_corpus_sharded)). Failpoints
+    /// and [`load_corpus`](Self::load_corpus)). Failpoints
     /// for plan evaluation travel with [`QueryOptions::failpoints`]
     /// instead, so the oracle can arm each arm independently.
     pub fn set_failpoints(&mut self, failpoints: Failpoints) {
@@ -543,12 +542,6 @@ impl Session {
     /// Number of nodes across loaded documents.
     pub fn store_nodes(&self) -> usize {
         self.executor.catalog().total_nodes()
-    }
-
-    /// Number of shards in the catalog's current partitioning (1 unless
-    /// [`set_shards`](Self::set_shards) asked for more).
-    pub fn shard_count(&self) -> usize {
-        self.executor.catalog().shard_count()
     }
 
     /// The current catalog snapshot. Clone the `Arc` to share the loaded
@@ -763,11 +756,11 @@ mod tests {
     }
 
     #[test]
-    fn collection_scans_sharded_catalogs() {
+    fn collection_scans_a_corpus() {
         let docs: Vec<(String, String)> = (0..5)
             .map(|i| (format!("d{i}.xml"), format!("<r><x>{i}</x></r>")))
             .collect();
-        // Unsharded eager baseline.
+        // One document at a time, one swap per document.
         let mut base = Session::new();
         for (url, xml) in &docs {
             base.load_document(url, xml).unwrap();
@@ -775,50 +768,32 @@ mod tests {
         let expect = base.query("fn:collection()//x").unwrap().to_xml();
         assert_eq!(expect, "<x>0</x><x>1</x><x>2</x><x>3</x><x>4</x>");
 
-        // Sharded: the serialization is byte-identical across shard
-        // counts and engine paths.
-        for shards in [1, 2, 8] {
-            let mut s = Session::new();
-            s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), shards)
-                .unwrap();
-            assert_eq!(s.store_nodes(), base.store_nodes());
-            for vectorized in [true, false] {
-                let opts = QueryOptions::order_indifferent().with_vectorized(vectorized);
-                let out = s.query_with("fn:collection()//x", &opts).unwrap();
-                assert_eq!(out.to_xml(), expect, "shards={shards} vec={vectorized}");
-            }
-            // Documents also stay addressable by name.
-            assert_eq!(
-                s.query(r#"fn:count(doc("d3.xml")//x)"#).unwrap().to_xml(),
-                "1"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_layout_feeds_the_plan_cache_key() {
-        let docs: Vec<(String, String)> = (0..4)
-            .map(|i| (format!("d{i}.xml"), format!("<r><x>{i}</x></r>")))
-            .collect();
+        // The corpus load is byte-identical on both engine paths.
         let mut s = Session::new();
-        s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), 2)
+        s.load_corpus(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())))
             .unwrap();
-        let opts = QueryOptions::order_indifferent();
-        let two = s.prepare("fn:collection()//x", &opts).unwrap();
-        // Re-partitioning swaps the executor, so even an identical query
-        // text compiles fresh plans with the new fanout ranges.
-        s.set_shards(4);
-        let four = s.prepare("fn:collection()//x", &opts).unwrap();
-        assert!(!Arc::ptr_eq(&two, &four));
-        let fanouts = |p: &Prepared| {
-            p.dag
-                .reachable(p.root)
-                .into_iter()
-                .filter(|id| matches!(p.dag.op(*id), exrquy_algebra::Op::Fanout { .. }))
-                .count()
-        };
-        assert_eq!(fanouts(&two), 2);
-        assert_eq!(fanouts(&four), 4);
+        assert_eq!(s.store_nodes(), base.store_nodes());
+        for vectorized in [true, false] {
+            let opts = QueryOptions::order_indifferent().with_vectorized(vectorized);
+            let out = s.query_with("fn:collection()//x", &opts).unwrap();
+            assert_eq!(out.to_xml(), expect, "vec={vectorized}");
+        }
+        // Documents also stay addressable by name.
+        assert_eq!(
+            s.query(r#"fn:count(doc("d3.xml")//x)"#).unwrap().to_xml(),
+            "1"
+        );
+        // The whole collection is one scan leaf.
+        let plan = s
+            .prepare("fn:collection()//x", &QueryOptions::order_indifferent())
+            .unwrap();
+        let scans = plan
+            .dag
+            .reachable(plan.root)
+            .into_iter()
+            .filter(|id| matches!(plan.dag.op(*id), exrquy_algebra::Op::Collection))
+            .count();
+        assert_eq!(scans, 1);
     }
 
     #[test]

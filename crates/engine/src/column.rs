@@ -204,74 +204,6 @@ impl Column {
             }
         }
     }
-
-    /// N-ary append in one allocation. Empty parts are representation
-    /// transparent (an empty shard must not demote the union); when all
-    /// non-empty parts share a representation the result stays dense,
-    /// otherwise everything funnels through the bulk [`Item`] walk — the
-    /// same dense/fallback contract as [`append`](Self::append) without
-    /// the O(n²) copying a pairwise fold over n shards would do.
-    pub fn append_all(parts: &[&Column]) -> Column {
-        let total: usize = parts.iter().map(|c| c.len()).sum();
-        let mut live = parts.iter().filter(|c| !c.is_empty());
-        let Some(first) = live.next() else {
-            return parts.first().map_or(Column::Int(Vec::new()), |c| match c {
-                Column::Int(_) => Column::Int(Vec::new()),
-                Column::Bool(_) => Column::Bool(BitVec::new()),
-                Column::Node(_) => Column::Node(Vec::new()),
-                Column::Item(_) => Column::Item(Vec::new()),
-            });
-        };
-        let uniform = live.all(|c| std::mem::discriminant(*c) == std::mem::discriminant(*first));
-        if uniform {
-            match first {
-                Column::Int(_) => {
-                    let mut v = Vec::with_capacity(total);
-                    for c in parts {
-                        if let Column::Int(p) = c {
-                            v.extend_from_slice(p);
-                        }
-                    }
-                    Column::Int(v)
-                }
-                Column::Bool(_) => {
-                    let mut v = BitVec::with_capacity(total);
-                    for c in parts {
-                        if let Column::Bool(p) = c {
-                            for i in 0..p.len() {
-                                v.push(p.get(i));
-                            }
-                        }
-                    }
-                    Column::Bool(v)
-                }
-                Column::Node(_) => {
-                    let mut v = Vec::with_capacity(total);
-                    for c in parts {
-                        if let Column::Node(p) = c {
-                            v.extend_from_slice(p);
-                        }
-                    }
-                    Column::Node(v)
-                }
-                Column::Item(_) => {
-                    let mut v = Vec::with_capacity(total);
-                    for c in parts {
-                        if let Column::Item(p) = c {
-                            v.extend_from_slice(p);
-                        }
-                    }
-                    Column::Item(v)
-                }
-            }
-        } else {
-            let mut v: Vec<Item> = Vec::with_capacity(total);
-            for c in parts {
-                extend_items(&mut v, c);
-            }
-            Column::Item(v)
-        }
-    }
 }
 
 /// Bulk-extend `out` with `c`'s values as items (no per-row `get` on the
@@ -401,46 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn append_all_is_dense_and_skips_empty_parts() {
-        // Uniform Int parts: one dense allocation, order preserved.
-        let a = Column::Int(vec![1, 2]);
-        let b = Column::Int(vec![3]);
-        let c = Column::Int(vec![4, 5]);
-        assert_eq!(
-            Column::append_all(&[&a, &b, &c]),
-            Column::Int(vec![1, 2, 3, 4, 5])
-        );
-        // An empty part — an empty shard of a ∪̂ — must not demote the
-        // result representation, whatever variant the empty part carries.
-        let empty_item = Column::Item(vec![]);
-        assert_eq!(
-            Column::append_all(&[&a, &empty_item, &b]),
-            Column::Int(vec![1, 2, 3])
-        );
-        let empty_int = Column::Int(vec![]);
-        let items = Column::Item(vec![Item::str("x")]);
-        let j = Column::append_all(&[&empty_int, &items]);
-        assert!(matches!(j, Column::Item(_)));
-        assert_eq!(j.get(0), Item::str("x"));
-        // Bools stay packed.
-        let ba = Column::Bool(BitVec::from_iter_exact([true, false].into_iter()));
-        let bb = Column::Bool(BitVec::from_iter_exact([true].into_iter()));
-        let joined = Column::append_all(&[&ba, &bb]);
-        assert!(matches!(joined, Column::Bool(_)));
-        assert_eq!(joined.len(), 3);
-        assert_eq!(joined.get(2), Item::Bool(true));
-        // Genuinely mixed non-empty parts fall back to boxed items.
-        let mixed = Column::append_all(&[&a, &items]);
-        assert!(matches!(mixed, Column::Item(_)));
-        assert_eq!(mixed.len(), 3);
-        assert_eq!(mixed.get(0), Item::Int(1));
-        assert_eq!(mixed.get(2), Item::str("x"));
-        // All-empty and no-part unions are empty.
-        assert_eq!(Column::append_all(&[&empty_int, &empty_item]).len(), 0);
-        assert_eq!(Column::append_all(&[]).len(), 0);
-    }
-
-    #[test]
     fn int_views() {
         let c = Column::Item(vec![Item::Int(5)]);
         assert_eq!(c.get_int(0).unwrap(), 5);
@@ -486,10 +378,6 @@ mod tests {
         assert_eq!(a.gather(&[2, 2, 0]), Column::Node(vec![n(9), n(9), n(4)]));
         let b = Column::Node(vec![n(1)]);
         assert_eq!(a.append(&b), Column::Node(vec![n(4), n(2), n(9), n(1)]));
-        assert_eq!(
-            Column::append_all(&[&b, &Column::Item(vec![]), &a]),
-            Column::Node(vec![n(1), n(4), n(2), n(9)])
-        );
         // A ∪̇ with atomics degrades to boxed items, values intact.
         let mixed = b.append(&Column::Int(vec![7]));
         assert_eq!(mixed, Column::Item(vec![Item::Node(n(1)), Item::Int(7)]));

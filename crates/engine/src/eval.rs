@@ -470,22 +470,12 @@ pub(crate) fn eval_pure(
             let t = input(0);
             eval_sort(&t, keys, vec)
         }
-        Op::Fanout { lo, hi, .. } => {
-            let (lo, hi) = (*lo, *hi);
+        Op::Collection => {
             let catalog = arena.catalog();
-            if hi as usize > catalog.frag_count() {
-                return Err(EvalError::new(
-                    ErrorCode::FODC0002,
-                    format!(
-                        "collection shard range [{lo},{hi}) exceeds catalog ({} fragments)",
-                        catalog.frag_count()
-                    ),
-                ));
-            }
-            let n = (hi - lo) as usize;
-            let mut pos = Vec::with_capacity(n);
-            let mut items = Vec::with_capacity(n);
-            for frag in lo..hi {
+            let n = catalog.frag_count() as u32;
+            let mut pos = Vec::with_capacity(n as usize);
+            let mut items = Vec::with_capacity(n as usize);
+            for frag in 0..n {
                 let access = meter.record_doc_access();
                 if opts.failpoints.doc_io_fails(access) {
                     let url = catalog.frag_url(frag).unwrap_or("<collection>");
@@ -503,19 +493,6 @@ pub(crate) fn eval_pure(
                 (Col::POS, Column::Int(pos)),
                 (Col::ITEM, Column::from_nodes(items, vec)),
             ]))
-        }
-        Op::ShardUnion { parts } => {
-            let tables: Vec<Arc<Table>> = (0..parts.len()).map(&input).collect();
-            let first = tables
-                .first()
-                .expect("∪̂ with no parts rejected at plan validation");
-            let mut cols: Vec<(Col, Column)> = Vec::with_capacity(first.schema().len());
-            for (name, _) in first.columns() {
-                let refs: Vec<_> = tables.iter().map(|t| t.col(*name).to_ref()).collect();
-                let borrowed: Vec<&Column> = refs.iter().map(|r| r.as_ref()).collect();
-                cols.push((*name, Column::append_all(&borrowed)));
-            }
-            Ok(Table::new(cols))
         }
         Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. } => {
             unreachable!("writer operators are evaluated on the owning thread")

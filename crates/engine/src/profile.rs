@@ -152,7 +152,7 @@ impl Profile {
     /// Classify an operator into a Table 2 phase.
     pub fn phase_of(op: &Op) -> &'static str {
         match op {
-            Op::Step { .. } | Op::Doc { .. } | Op::Fanout { .. } => "path steps",
+            Op::Step { .. } | Op::Doc { .. } | Op::Collection => "path steps",
             Op::Fun { .. } => "atomization & arithmetic",
             Op::EquiJoin { .. } | Op::ThetaJoin { .. } | Op::Cross { .. } => "join",
             Op::RowNum { .. } => "iter→seq reorder (%)",

@@ -44,7 +44,7 @@
 //!    grouping column is constant, so the aggregate has one group — is
 //!    [`ColProp::Const`] from [`props::properties`], the rewriter's own
 //!    analysis, computed once per plan and only when some reorder wins.
-//!    It proves a constant through `∪̇`/`∪̂` when every part agrees.
+//!    It proves a constant through `∪̇` when both parts agree.
 //!
 //! The rewrite honors [`OptOptions::disabled_rules`] and records
 //! [`RuleApplication`]s so the differential attribution pass of
@@ -135,7 +135,7 @@ pub fn estimate_cardinalities(dag: &Dag, root: OpId, ctx: &CostContext) -> HashM
         let mut e = match op {
             Op::Lit { rows, .. } => rows.len() as f64,
             Op::Doc { .. } => 1.0,
-            Op::Fanout { lo, hi, .. } => (hi.saturating_sub(*lo)) as f64,
+            Op::Collection => ctx.stats.as_deref().map_or(1.0, |s| s.frags as f64),
             Op::Select { input, .. } => of(*input, &est) * 0.33,
             Op::Project { input, .. }
             | Op::RowNum { input, .. }
@@ -174,7 +174,6 @@ pub fn estimate_cardinalities(dag: &Dag, root: OpId, ctx: &CostContext) -> HashM
                 lc * rc * sel
             }
             Op::Union { l, r } => of(*l, &est) + of(*r, &est),
-            Op::ShardUnion { parts } => parts.iter().map(|p| of(*p, &est)).sum(),
             Op::Difference { l, .. } => of(*l, &est),
             Op::Element { iters, .. } => of(*iters, &est),
             Op::Attr { names, .. } => of(*names, &est),
@@ -1071,19 +1070,6 @@ fn rank_elidable(
                     }
                 }
             }
-            Op::ShardUnion { parts } => {
-                for &c in dag.schema(id) {
-                    let srcs: Vec<Option<u32>> = parts.iter().map(|p| t(&taints, *p, c)).collect();
-                    if srcs.iter().all(Option::is_none) {
-                        continue;
-                    }
-                    if srcs.windows(2).all(|w| w[0] == w[1]) {
-                        out_taint.insert(c, srcs[0].unwrap_or(CONFLICT));
-                    } else {
-                        out_taint.insert(c, CONFLICT);
-                    }
-                }
-            }
             Op::Difference { l, r, on } => {
                 for &(lc, rc) in on {
                     if !eq_ok(t(&taints, *l, lc), t(&taints, *r, rc)) {
@@ -1122,7 +1108,7 @@ fn rank_elidable(
             | Op::TextNode { .. }
             | Op::Lit { .. }
             | Op::Doc { .. }
-            | Op::Fanout { .. } => return false,
+            | Op::Collection => return false,
         }
         if out_influence {
             influenced.insert(id);
@@ -1399,8 +1385,8 @@ mod tests {
 
     /// `Count‖iter` over the reorderable chain whose first leaf is two
     /// halves of column 40, attaching `iter` constants `iters.0` and
-    /// `iters.1`, merged by `∪̇` (or, with `shards`, by `∪̂`).
-    fn count_per_iter_over_union(iters: (i64, i64), shards: bool) -> (Dag, OpId) {
+    /// `iters.1`, merged by `∪̇`.
+    fn count_per_iter_over_union(iters: (i64, i64)) -> (Dag, OpId) {
         let mut dag = Dag::new();
         let mut half = |vals: std::ops::Range<i64>, iter: i64| {
             let input = lit(&mut dag, Col(40), &vals.collect::<Vec<_>>());
@@ -1411,11 +1397,7 @@ mod tests {
             })
         };
         let (l, r) = (half(0..15, iters.0), half(15..30, iters.1));
-        let a = if shards {
-            dag.add(Op::ShardUnion { parts: vec![l, r] })
-        } else {
-            dag.add(Op::Union { l, r })
-        };
+        let a = dag.add(Op::Union { l, r });
         let joins = chain_on(&mut dag, a);
         let root = dag.add(Op::Aggr {
             input: joins,
@@ -1431,39 +1413,35 @@ mod tests {
     fn a_constant_group_proven_through_a_union_elides_the_compensation() {
         // Both parts attach `iter = 1`: the count has one group, so it
         // cannot observe the cluster's row order.
-        for shards in [false, true] {
-            let (mut dag, root) = count_per_iter_over_union((1, 1), shards);
-            let (new_root, report) = cost_optimize(
-                &mut dag,
-                root,
-                &OptOptions::default(),
-                &CostContext::default(),
-            )
-            .unwrap();
-            assert_eq!((report.reordered, report.elided), (1, 1), "{report:?}");
-            dag.validate_plan(new_root).unwrap();
-        }
+        let (mut dag, root) = count_per_iter_over_union((1, 1));
+        let (new_root, report) = cost_optimize(
+            &mut dag,
+            root,
+            &OptOptions::default(),
+            &CostContext::default(),
+        )
+        .unwrap();
+        assert_eq!((report.reordered, report.elided), (1, 1), "{report:?}");
+        dag.validate_plan(new_root).unwrap();
     }
 
     #[test]
     fn union_parts_with_different_constants_keep_the_compensation() {
         // `iter` is 1 on one side and 2 on the other: two groups, whose
         // counts come out in the order their rows arrive.
-        for shards in [false, true] {
-            let (mut dag, root) = count_per_iter_over_union((1, 2), shards);
-            let (new_root, report) = cost_optimize(
-                &mut dag,
-                root,
-                &OptOptions::default(),
-                &CostContext::default(),
-            )
-            .unwrap();
-            assert_eq!((report.reordered, report.elided), (1, 0), "{report:?}");
-            assert!(dag
-                .reachable(new_root)
-                .iter()
-                .any(|id| matches!(dag.op(*id), Op::Sort { .. })));
-        }
+        let (mut dag, root) = count_per_iter_over_union((1, 2));
+        let (new_root, report) = cost_optimize(
+            &mut dag,
+            root,
+            &OptOptions::default(),
+            &CostContext::default(),
+        )
+        .unwrap();
+        assert_eq!((report.reordered, report.elided), (1, 0), "{report:?}");
+        assert!(dag
+            .reachable(new_root)
+            .iter()
+            .any(|id| matches!(dag.op(*id), Op::Sort { .. })));
     }
 
     #[test]

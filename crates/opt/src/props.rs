@@ -259,7 +259,7 @@ pub fn properties(dag: &Dag, root: OpId) -> PropMap {
                     }
                 }
             }
-            Op::Doc { .. } => {}
+            Op::Doc { .. } | Op::Collection => {}
             Op::Project { input, cols } => {
                 let cp = child_props(*input, &props);
                 for (new, src) in cols {
@@ -347,22 +347,6 @@ pub fn properties(dag: &Dag, root: OpId) -> PropMap {
             Op::Range { input, new, .. } => {
                 mine = child_props(*input, &props);
                 mine.remove(new);
-            }
-            Op::Fanout { .. } => {}
-            Op::ShardUnion { parts } => {
-                // N-ary fold of the binary-union intersection: a property
-                // survives only when every part agrees on it.
-                if let Some((first, rest)) = parts.split_first() {
-                    mine = child_props(*first, &props);
-                    for p in rest {
-                        let pp = child_props(*p, &props);
-                        mine.retain(|c, prop| match (prop.clone(), pp.get(c)) {
-                            (ColProp::Const(a), Some(ColProp::Const(b))) => &a == b,
-                            (ColProp::Arbitrary, Some(ColProp::Arbitrary)) => true,
-                            _ => false,
-                        });
-                    }
-                }
             }
             Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. } => {}
         }

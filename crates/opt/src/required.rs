@@ -38,12 +38,7 @@ pub fn required_columns(
             req.entry(child).or_default().extend(cols);
         };
         match op {
-            Op::Lit { .. } | Op::Doc { .. } | Op::Fanout { .. } => {}
-            Op::ShardUnion { parts } => {
-                for p in parts {
-                    push(*p, my_req.clone());
-                }
-            }
+            Op::Lit { .. } | Op::Doc { .. } | Op::Collection => {}
             Op::Project { input, cols } => {
                 let needed: BTreeSet<Col> = cols
                     .iter()

@@ -37,8 +37,8 @@ impl OptOptions {
     /// three passes off — §4.1 column dependency analysis (bypass dead
     /// `%`/`#`/attach, prune projections, remove loop-lifting's map
     /// joins), §7 `%`→`#` weakening, §5 step merging — and the cost
-    /// pass's join reordering. The π clean-ups, `∪̇` schema alignment,
-    /// disjoint-union `δ` removal and the shard rules stay on.
+    /// pass's join reordering. The π clean-ups, `∪̇` schema alignment
+    /// and disjoint-union `δ` removal stay on.
     pub fn disabled() -> Self {
         OptOptions {
             disabled_rules: RuleSet::from_names([
@@ -282,39 +282,6 @@ fn prop_of(props: &PropMap, id: OpId, col: Col) -> Option<&ColProp> {
     props.get(&id).and_then(|m| m.get(&col))
 }
 
-/// Distribute a row-wise operator beneath a `∪̂`: rebuild it once per
-/// shard part and re-union. Sound for operators that map each input row
-/// independently (π, fun) and — because shard parts are
-/// disjoint, *ascending* fragment ranges — for `⬡` and a single-row `×`,
-/// where the shard-major concatenation commutes with the operator row
-/// for row. Pushing is what lets the engine run steps (staircase joins)
-/// shard-parallel: each `∪̂` part becomes an independent subplan.
-///
-/// Returns `Ok(None)` when `union_id` is not a `∪̂` or the rule is
-/// disabled; the caller falls through to its ordinary rebuild.
-fn push_below_shard_union(
-    dag: &mut Dag,
-    ctx: &mut Ctx<'_>,
-    rule: &'static str,
-    old_id: OpId,
-    union_id: OpId,
-    mut make: impl FnMut(OpId) -> Op,
-) -> Result<Option<OpId>, OptError> {
-    if !ctx.on(rule) {
-        return Ok(None);
-    }
-    let Op::ShardUnion { parts } = dag.op(union_id).clone() else {
-        return Ok(None);
-    };
-    let mut new_parts = Vec::with_capacity(parts.len());
-    for p in parts {
-        new_parts.push(intern(dag, ctx, rule, old_id, make(p))?);
-    }
-    let id = intern(dag, ctx, rule, old_id, Op::ShardUnion { parts: new_parts })?;
-    ctx.fire(rule, old_id, id);
-    Ok(Some(id))
-}
-
 /// Rule `join-self-key`: `π_a(X) ⋈ π_b(X)` where both join columns
 /// rename one key `k` of `X` pairs every row of `X` with itself and
 /// nothing else, so the join is `π_{a ∪ b}(X)` — same rows, in `X`'s
@@ -529,32 +496,6 @@ fn rewrite_op(
             ctx.fire("cda-bypass-attach", old_id, ch[0]);
             Ok(ch[0])
         }
-        Op::Fun {
-            new, kind, args, ..
-        } => {
-            if let Some(id) =
-                push_below_shard_union(dag, ctx, "shard-push-fun", old_id, ch[0], |p| Op::Fun {
-                    input: p,
-                    new: *new,
-                    kind: *kind,
-                    args: args.clone(),
-                })?
-            {
-                return Ok(id);
-            }
-            intern(
-                dag,
-                ctx,
-                "rebuild",
-                old_id,
-                Op::Fun {
-                    input: ch[0],
-                    new: *new,
-                    kind: *kind,
-                    args: args.clone(),
-                },
-            )
-        }
         // ---- projections: prune & collapse
         Op::Project { cols, .. } => {
             let mut cols: Vec<(Col, Col)> = cols.clone();
@@ -620,16 +561,6 @@ fn rewrite_op(
                 ctx.fire("project-identity", old_id, ch[0]);
                 return Ok(ch[0]);
             }
-            if let Some(id) =
-                push_below_shard_union(dag, ctx, "shard-push-project", old_id, ch[0], |p| {
-                    Op::Project {
-                        input: p,
-                        cols: cols.clone(),
-                    }
-                })?
-            {
-                return Ok(id);
-            }
             intern(
                 dag,
                 ctx,
@@ -654,29 +585,6 @@ fn rewrite_op(
                         },
                     )?;
                     ctx.fire("merge-steps", old_id, id);
-                    return Ok(id);
-                }
-            }
-            // Pushing a step beneath `∪̂` is sound only when `iter` is a
-            // known constant across the union: a step never leaves its
-            // fragment, shard parts cover disjoint ascending fragment
-            // ranges, and with a single iteration the per-shard results
-            // concatenate back into global document order. With varying
-            // `iter` the parts would interleave by iteration and the
-            // concatenation would no longer match the unsharded row order.
-            if matches!(
-                prop_of(&ctx.props, old_op.children()[0], Col::ITER),
-                Some(ColProp::Const(_))
-            ) {
-                if let Some(id) =
-                    push_below_shard_union(dag, ctx, "shard-push-step", old_id, ch[0], |p| {
-                        Op::Step {
-                            input: p,
-                            axis: *axis,
-                            test: *test,
-                        }
-                    })?
-                {
                     return Ok(id);
                 }
             }
@@ -737,41 +645,6 @@ fn rewrite_op(
                 return Ok(id);
             }
             intern(dag, ctx, "rebuild", old_id, Op::Union { l, r })
-        }
-        // ---- sharded collection scans (∪̂ of fanouts)
-        Op::Cross { .. } => {
-            let (l, r) = (ch[0], ch[1]);
-            // `l × (A ∪̂ B) = (l × A) ∪̂ (l × B)`. Restricted to a
-            // single-row literal left input (the constant outer loop of a
-            // top-level `collection()` scan): with one left row the
-            // distributed form replays the right-hand concatenation row
-            // for row, so even `#`-observed physical order is preserved.
-            if matches!(dag.op(l), Op::Lit { rows, .. } if rows.len() == 1) {
-                if let Some(id) =
-                    push_below_shard_union(dag, ctx, "shard-push-cross", old_id, r, |p| {
-                        Op::Cross { l, r: p }
-                    })?
-                {
-                    return Ok(id);
-                }
-            }
-            intern(dag, ctx, "rebuild", old_id, Op::Cross { l, r })
-        }
-        Op::ShardUnion { .. } => {
-            // A one-shard catalog compiles to `∪̂` of a single fanout —
-            // the union is the identity and disappears, so unsharded
-            // plans carry no union overhead at all.
-            if ctx.on("shard-union-singleton") && ch.len() == 1 {
-                ctx.fire("shard-union-singleton", old_id, ch[0]);
-                return Ok(ch[0]);
-            }
-            intern(
-                dag,
-                ctx,
-                "rebuild",
-                old_id,
-                Op::ShardUnion { parts: ch.to_vec() },
-            )
         }
         // ---- map joins against a key-only copy of the loop relation
         &Op::EquiJoin { l, r, lcol, rcol } => {
@@ -1166,89 +1039,6 @@ mod tests {
         let (new_root, report) = try_optimize(&mut dag, root, &opts).unwrap();
         assert_eq!(report.fired("cda-bypass-rownum"), 0, "{:?}", report.trace);
         assert_eq!(PlanStats::of(&dag, new_root).rownums(), 1);
-    }
-
-    /// A top-level `collection()//e` plan: × and ⬡ over the `∪̂` of two
-    /// fanouts must migrate beneath the union so each shard runs its own
-    /// staircase join, while a one-part union collapses away entirely.
-    #[test]
-    fn shard_pushdown_moves_steps_below_union() {
-        let mut dag = Dag::new();
-        let lp = dag.add(Op::Lit {
-            cols: vec![Col::ITER],
-            rows: vec![vec![AValue::Int(1)]],
-        });
-        let f0 = dag.add(Op::Fanout {
-            shard: 0,
-            lo: 0,
-            hi: 2,
-        });
-        let f1 = dag.add(Op::Fanout {
-            shard: 1,
-            lo: 2,
-            hi: 4,
-        });
-        let u = dag.add(Op::ShardUnion {
-            parts: vec![f0, f1],
-        });
-        let crossed = dag.add(Op::Cross { l: lp, r: u });
-        let ii = dag.add(Op::Project {
-            input: crossed,
-            cols: vec![(Col::ITER, Col::ITER), (Col::ITEM, Col::ITEM)],
-        });
-        let step = dag.add(Op::Step {
-            input: ii,
-            axis: Axis::Child,
-            test: NodeTest::Element,
-        });
-        let h = dag.add(Op::RowId {
-            input: step,
-            new: Col::POS,
-        });
-        let root = dag.add(Op::Serialize { input: h });
-        let (new_root, report) = try_optimize(&mut dag, root, &OptOptions::default()).unwrap();
-        assert!(report.fired("shard-push-cross") >= 1, "{:?}", report.trace);
-        assert!(report.fired("shard-push-step") >= 1, "{:?}", report.trace);
-        // Both shards got their own step, and the ∪̂ now sits above them.
-        let reachable = dag.reachable(new_root);
-        let steps = reachable
-            .iter()
-            .filter(|id| matches!(dag.op(**id), Op::Step { .. }))
-            .count();
-        assert_eq!(steps, 2, "one staircase join per shard");
-        let union = reachable
-            .iter()
-            .find(|id| matches!(dag.op(**id), Op::ShardUnion { .. }))
-            .expect("∪̂ survives");
-        for part in dag.op(*union).children() {
-            let below = dag.reachable(part);
-            assert!(
-                below
-                    .iter()
-                    .any(|id| matches!(dag.op(*id), Op::Step { .. })),
-                "each ∪̂ part contains its shard's step"
-            );
-        }
-
-        // A single-part union disappears outright.
-        let mut dag2 = Dag::new();
-        let f = dag2.add(Op::Fanout {
-            shard: 0,
-            lo: 0,
-            hi: 4,
-        });
-        let u1 = dag2.add(Op::ShardUnion { parts: vec![f] });
-        let h2 = dag2.add(Op::RowId {
-            input: u1,
-            new: Col::ITER,
-        });
-        let root2 = dag2.add(Op::Serialize { input: h2 });
-        let (new_root2, report2) = try_optimize(&mut dag2, root2, &OptOptions::default()).unwrap();
-        assert!(report2.fired("shard-union-singleton") >= 1);
-        assert!(!dag2
-            .reachable(new_root2)
-            .iter()
-            .any(|id| matches!(dag2.op(*id), Op::ShardUnion { .. })));
     }
 
     /// `rule-perturb:weaken-criteria` drops a *real* criterion — the

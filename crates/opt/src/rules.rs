@@ -29,11 +29,6 @@ pub const RULE_NAMES: &[&str] = &[
     "merge-steps",
     "distinct-disjoint-union",
     "union-align-schema",
-    "shard-push-project",
-    "shard-push-fun",
-    "shard-push-step",
-    "shard-push-cross",
-    "shard-union-singleton",
     "join-elim-key-domain",
     "join-self-key",
     "cost-join-reorder",
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn from_names_rejects_unknown() {
-        let ok = RuleSet::from_names(["merge-steps", "shard-push-fun"]).unwrap();
+        let ok = RuleSet::from_names(["merge-steps", "project-prune"]).unwrap();
         assert_eq!(ok.len(), 2);
         let err = RuleSet::from_names(["merge-steps", "bogus"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");

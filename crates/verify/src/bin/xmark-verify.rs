@@ -8,9 +8,9 @@
 //! 1 on any divergence, printing the failing cells. CI runs this over a
 //! fixed seed matrix. With `--lattice`, additionally runs the XMark corpora of the
 //! configuration lattice (see [`exrquy_verify::lattice`]): the queries
-//! over the whole document and the shard matrix over the split corpus,
-//! under the reference point and every row of the covering table — cost
-//! pass, vectorization, worker threads, shard count, served and chaos
+//! over the whole document and the `fn:collection()` matrix over the
+//! split corpus, under the reference point and every row of the covering
+//! table — cost pass, vectorization, worker threads, served and chaos
 //! transport, nested constructors as written or unnested — each
 //! serializing byte-identically.
 

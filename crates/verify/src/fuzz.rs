@@ -40,13 +40,11 @@ use std::fmt;
 /// The URL every generated query reads its document from.
 pub const FUZZ_DOC_URL: &str = "f.xml";
 
-/// A fuzz corpus: the documents a generated query may read, plus the
-/// shard count its catalog is partitioned into.
+/// A fuzz corpus: the documents a generated query may read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Corpus {
     /// `(url, xml)` in load (= collection) order.
     pub docs: Vec<(String, String)>,
-    pub shards: usize,
 }
 
 impl Corpus {
@@ -55,26 +53,19 @@ impl Corpus {
         self.docs.iter().map(|(u, _)| u.clone()).collect()
     }
 
-    /// The single-document corpus: `xml` under [`FUZZ_DOC_URL`], 1 shard.
+    /// The single-document corpus: `xml` under [`FUZZ_DOC_URL`].
     pub fn single(xml: impl Into<String>) -> Corpus {
         Corpus {
             docs: vec![(FUZZ_DOC_URL.to_string(), xml.into())],
-            shards: 1,
         }
     }
 }
 
-/// Load a corpus into `session` (all documents, then the shard layout).
-/// Shared by the oracle and the attribution replayer so every probe sees
-/// the same catalog the fuzzer generated.
+/// Load a corpus into `session` in one swap. Shared by the oracle and
+/// the attribution replayer so every probe sees the same catalog the
+/// fuzzer generated.
 pub(crate) fn load_corpus(session: &mut Session, corpus: &Corpus) -> Result<(), Error> {
-    for (url, xml) in &corpus.docs {
-        session.load_document(url, xml)?;
-    }
-    if corpus.shards > 1 {
-        session.set_shards(corpus.shards);
-    }
-    Ok(())
+    session.load_corpus(corpus.docs.iter().map(|(u, x)| (u.as_str(), x.as_str())))
 }
 
 /// Element-name pool for generated documents and node tests.
@@ -263,10 +254,10 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         for &profile in &cfg.profiles {
             report.cells += 1;
             let mut rng = cell_rng(cfg.seed, i, profile);
-            // Every third iteration fuzzes a multi-document corpus under
-            // a random shard layout (the shard-parallel differential
-            // arm); the gate is positional, not an RNG draw, so the
-            // other two thirds reproduce historical seeds exactly.
+            // Every third iteration fuzzes a multi-document corpus (the
+            // `fn:collection()` arm); the gate is positional, not an RNG
+            // draw, so the other two thirds reproduce historical seeds
+            // exactly.
             let (corpus, expr) = if i % 3 == 2 {
                 let corpus = gen_corpus(&mut rng);
                 let expr = gen_query_corpus(&mut rng, profile, &corpus.urls());
@@ -402,9 +393,7 @@ fn gen_doc_from(rng: &mut SmallRng, base: i64) -> (String, usize) {
 }
 
 /// Generate a multi-document corpus: 2–4 documents with disjoint id
-/// ranges under a random shard layout (1 up to one shard per document —
-/// including layouts whose trailing shards are empty, which the
-/// shard-parallel scan must tolerate).
+/// ranges.
 pub fn gen_corpus(rng: &mut SmallRng) -> Corpus {
     let n = rng.gen_range(2..=4usize);
     let mut base = 0i64;
@@ -414,8 +403,11 @@ pub fn gen_corpus(rng: &mut SmallRng) -> Corpus {
         base += nodes as i64;
         docs.push((format!("f{k}.xml"), xml));
     }
-    let shards = rng.gen_range(1..=n + 1);
-    Corpus { docs, shards }
+    // Catalogs used to be split into a drawn number of parts here. The
+    // draw stays so every recorded seed still generates the queries it
+    // was recorded with.
+    rng.gen_range(1..=n + 1);
+    Corpus { docs }
 }
 
 // ---------------------------------------------------------------------
@@ -504,7 +496,7 @@ impl Gen<'_> {
     }
 
     /// A path root: one document, or (multi-document corpora only)
-    /// `fn:collection()` — the sharded whole-corpus scan.
+    /// `fn:collection()` — the whole-corpus scan.
     fn source(&mut self) -> Expr {
         if self.urls.len() > 1 && self.rng.gen_bool(0.3) {
             return Expr::Call {

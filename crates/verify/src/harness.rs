@@ -223,10 +223,6 @@ fn check_case(case: &FaultCase) -> FaultOutcome {
             e.code()
         }
         Ok(()) => {
-            // Two documents, two shards: collection() plans keep their
-            // shard union, so `budget-trip:∪̂` cells have an operator to
-            // land on.
-            session.set_shards(2);
             let frags_before = session.catalog().frag_count();
             let opts = base_opts.clone().with_failpoints(fp);
             match session.query_with(&case.query, &opts) {
@@ -375,10 +371,7 @@ pub fn coverage_corpus() -> Vec<(&'static str, &'static str)> {
             r#"for $a in doc("d.xml")//x for $b in doc("e.xml")//x where fn:count($a/child::*) = fn:count($b/child::*) return $b"#,
         ),
         ("intersect", r#"doc("d.xml")//x intersect doc("d.xml")//x"#),
-        // The whole-catalog scan: compiles to per-shard fanouts under a
-        // shard union (the union survives optimization only in plans
-        // with more than one shard — or unoptimized ones, which is what
-        // the baseline census pass is for).
+        // The whole-catalog scan: one `collection` leaf.
         ("collection", r#"fn:collection()//x"#),
         ("range", r#"1 to 3"#),
         (
@@ -408,9 +401,6 @@ pub fn failpoint_coverage() -> CoverageReport {
             {
                 continue;
             }
-            // Same 2-shard layout the matrix runner uses, so the census
-            // sees the shard union a multi-shard collection() plan keeps.
-            session.set_shards(2);
             let Ok(plan) = session.prepare(query, &opts) else {
                 continue;
             };

@@ -5,14 +5,14 @@
 //! the plan, never the answer beyond the admissible permutations — and
 //! every layer built on top makes the same promise for its own axis: the
 //! cost pass, vectorization (which also pits the name-stream step kernel
-//! against the staircase join), worker threads, shard fan-out, the served
-//! transport — and the compiler's flattening of nested constructors into
+//! against the staircase join), worker threads, the served transport —
+//! and the compiler's flattening of nested constructors into
 //! twigs, which has no option to flip and is checked metamorphically
 //! ([`Constructors`]). This module states that promise once. A [`Config`]
 //! names one point of the configuration space; each *cell* (corpus,
 //! query, compiler profile) is executed once under the [`REFERENCE`]
-//! point (uncosted, scalar, serial, 1 shard, direct, constructors as
-//! written) and once under every row of the [`TABLE`], and each row must
+//! point (uncosted, scalar, serial, direct, constructors as written) and
+//! once under every row of the [`TABLE`], and each row must
 //! render the same items in the same order — or fail with the same error
 //! code ([`compare`]). Comparison is exact sequence equality, *not* the
 //! bag equivalence the unordered mode would grant: the ordering profile
@@ -22,17 +22,18 @@
 //! **Covering table.** [`TABLE`] is an explicit list, not a generator:
 //! sixteen rows that contain every expressible pair of axis values (a
 //! unit test enumerates the pairs, so an axis value added without a
-//! covering row fails it). Sixteen is the floor for these domains: the
-//! wire protocol cannot spell per-request cost or the scalar arm
-//! ([`expressible`]), so the six (transport, threads) pairs of the two
-//! served transports need six cost-on rows, the other three cost values
-//! need three thread counts each, and cost-on × direct needs one more.
-//! A two-valued axis any point can spell (`constructors`) alternates
-//! down those rows and needs none of its own.
+//! covering row fails it). The floor comes from cost × transport ×
+//! threads: the wire protocol cannot spell per-request cost or the scalar
+//! arm ([`expressible`]), so the six (transport, threads) pairs of the
+//! two served transports need six cost-on rows, the (cost, threads) pairs
+//! of the other three cost values can only be spelled direct and need
+//! nine more, and cost-on × direct needs one — sixteen. The two-valued
+//! axes any direct point can spell (`vectorized`, `constructors`) ride
+//! along those rows and need none of their own.
 //!
 //! **Corpora.** XMark as one document (Q1–Q20 × {order-indifferent,
 //! baseline}); XMark split by subtree, read through `fn:collection()`
-//! ([`XMARK_SHARD_QUERIES`] × the same two profiles); fuzz
+//! ([`XMARK_COLLECTION_QUERIES`] × the same two profiles); fuzz
 //! single-document cells; and fuzz multi-document cells carrying the
 //! grammar query plus the authored [`join_queries`]; and one authored
 //! corpus for the `chain_join` that sits past the cost pass's exact-DP
@@ -40,9 +41,9 @@
 //! red cell reproduces under `fuzz-verify --seed`.
 //!
 //! **Served rows** load the cell's corpus into an in-process `xqd` (one
-//! daemon per served (transport, threads); a single document hot-reloads
-//! the default catalog, a multi-document corpus loads into a named catalog;
-//! `shards` rides the `load` op), query with the wire spelling of the
+//! daemon per served (transport, threads), staged once per corpus; a
+//! single document hot-reloads the default catalog, a multi-document
+//! corpus loads into a named catalog), query with the wire spelling of the
 //! cell's profile, and compare the one serialized string against a direct
 //! reference run under the identical compiler mode. A shed answer
 //! (`EXRQ0006/7/8`) is counted, not compared. Both served transports
@@ -60,11 +61,10 @@ use crate::attribute::{attribute, fired_rules, Attribution};
 use crate::fuzz::{cell_rng, gen_corpus, gen_doc, gen_query, gen_query_corpus};
 use crate::fuzz::{Corpus, FuzzProfile, NAMES};
 use crate::shrink::{shrink, weight};
-use exrquy::algebra::Op;
 use exrquy::diag::Failpoints;
 use exrquy::frontend::{parse_module, pretty, pretty_module, ElemContent, Expr};
 use exrquy::opt::RuleSet;
-use exrquy::{Prepared, QueryOptions, QueryOutput, ResultItem, Session};
+use exrquy::{QueryOptions, QueryOutput, ResultItem, Session};
 use exrquy_xmark::{generate, query, XmarkConfig};
 use exrquy_xqc::{Client, ClientError, Config as XqcConfig, QueryOpts};
 use exrquy_xqd::{spawn, ServerConfig, ServerHandle};
@@ -127,7 +127,6 @@ pub struct Config {
     pub cost: Cost,
     pub vectorized: bool,
     pub threads: usize,
-    pub shards: usize,
     pub transport: Transport,
     pub constructors: Constructors,
     /// Extra failpoints armed on the run (planted faults); empty in
@@ -139,7 +138,6 @@ const fn row(
     cost: Cost,
     vectorized: bool,
     threads: usize,
-    shards: usize,
     transport: Transport,
     constructors: Constructors,
 ) -> Config {
@@ -147,7 +145,6 @@ const fn row(
         cost,
         vectorized,
         threads,
-        shards,
         transport,
         constructors,
         failpoints: "",
@@ -155,14 +152,7 @@ const fn row(
 }
 
 /// The point every row is compared against.
-pub const REFERENCE: Config = row(
-    Cost::Off,
-    false,
-    1,
-    1,
-    Transport::Direct,
-    Constructors::Nested,
-);
+pub const REFERENCE: Config = row(Cost::Off, false, 1, Transport::Direct, Constructors::Nested);
 
 /// The covering table (see the module docs for why sixteen). The
 /// constructor spelling alternates down the rows, which puts both of its
@@ -172,22 +162,22 @@ pub const TABLE: [Config; 16] = {
     use Cost::{Off, On};
     use Transport::{Direct, Served, ServedChaos};
     [
-        row(Off, false, 1, 2, Direct, Nested),
-        row(Off, true, 2, 8, Direct, Unnested),
-        row(Off, false, 4, 1, Direct, Nested),
-        row(INFLATE, true, 1, 1, Direct, Unnested),
-        row(INFLATE, false, 2, 2, Direct, Nested),
-        row(INFLATE, true, 4, 8, Direct, Unnested),
-        row(DEFLATE, false, 1, 8, Direct, Nested),
-        row(DEFLATE, true, 2, 1, Direct, Unnested),
-        row(DEFLATE, true, 4, 2, Direct, Nested),
-        row(On, false, 4, 8, Direct, Unnested),
-        row(On, true, 1, 2, Served, Nested),
-        row(On, true, 2, 8, Served, Unnested),
-        row(On, true, 4, 1, Served, Nested),
-        row(On, true, 1, 8, ServedChaos, Unnested),
-        row(On, true, 2, 1, ServedChaos, Nested),
-        row(On, true, 4, 2, ServedChaos, Unnested),
+        row(Off, true, 1, Direct, Nested),
+        row(Off, true, 2, Direct, Unnested),
+        row(Off, false, 4, Direct, Nested),
+        row(INFLATE, true, 1, Direct, Unnested),
+        row(INFLATE, false, 2, Direct, Nested),
+        row(INFLATE, true, 4, Direct, Unnested),
+        row(DEFLATE, false, 1, Direct, Nested),
+        row(DEFLATE, true, 2, Direct, Unnested),
+        row(DEFLATE, true, 4, Direct, Nested),
+        row(On, false, 4, Direct, Unnested),
+        row(On, true, 1, Served, Nested),
+        row(On, true, 2, Served, Unnested),
+        row(On, true, 4, Served, Nested),
+        row(On, true, 1, ServedChaos, Unnested),
+        row(On, true, 2, ServedChaos, Nested),
+        row(On, true, 4, ServedChaos, Unnested),
     ]
 };
 
@@ -196,11 +186,10 @@ pub const TABLE: [Config; 16] = {
 /// with it; the pair-coverage test enumerates value pairs with it. A new
 /// axis is one field, one line here and its covering rows.
 pub type Axis = (&'static str, fn(&mut Config, &Config));
-pub const AXES: [Axis; 7] = [
+pub const AXES: [Axis; 6] = [
     ("cost", |c, from| c.cost = from.cost),
     ("vectorized", |c, from| c.vectorized = from.vectorized),
     ("threads", |c, from| c.threads = from.threads),
-    ("shards", |c, from| c.shards = from.shards),
     ("transport", |c, from| c.transport = from.transport),
     ("constructors", |c, from| c.constructors = from.constructors),
     ("failpoints", |c, from| c.failpoints = from.failpoints),
@@ -364,9 +353,7 @@ pub struct Report {
     /// the order-indifference proof compared byte for byte),
     /// `fused_chains` (in the cells' shipped plans), `perturbed_cells`
     /// ((cell, row) runs under a `stats-perturb` arm), `join_queries`
-    /// (authored join cells), `sharded_plans` (cells whose shipped plan,
-    /// at the widest layout above one shard, keeps a `∪̂` over at least
-    /// two `Fanout`s), `served_cells`
+    /// (authored join cells), `served_cells`
     /// ((cell, row) pairs compared over the wire), `unnested_cells`
     /// ((cell, row) pairs whose query had nested constructors to
     /// unnest), `parallel_regions` (direct (cell, row) runs with
@@ -464,14 +451,14 @@ pub fn split_xmark(xml: &str) -> Vec<(String, String)> {
     docs
 }
 
-/// The XMark shard matrix: the benchmark's access patterns — attribute
-/// lookups, descendant counting, value joins, aggregates, constructors,
-/// sorting — rewritten against `fn:collection()` so every query scans
-/// the whole split corpus through the shard fanout.
-pub const XMARK_SHARD_QUERIES: &[&str] = &[
+/// The XMark collection matrix: the benchmark's access patterns —
+/// attribute lookups, descendant counting, value joins, aggregates,
+/// constructors, sorting — rewritten against `fn:collection()` so every
+/// query scans the whole split corpus.
+pub const XMARK_COLLECTION_QUERIES: &[&str] = &[
     // Exact-match lookup by attribute value (Q1-shaped).
     r#"for $b in fn:collection()//person[@id = "person0"] return $b/name/text()"#,
-    // Descendant counting through the fanout (Q6-shaped).
+    // Descendant counting across the corpus (Q6-shaped).
     r#"for $s in fn:collection()/site return fn:count($s//item)"#,
     // Multiple descendant counts summed across the corpus (Q7-shaped).
     r#"fn:count(fn:collection()//description) + fn:count(fn:collection()//annotation)
@@ -494,14 +481,14 @@ pub const XMARK_SHARD_QUERIES: &[&str] = &[
     // Ordered whole-corpus scan: item names in collection order — the
     // rawest form of the byte-identity promise.
     r#"for $i in fn:collection()//item return $i/name/text()"#,
-    // Sorting across shard boundaries (Q20-flavoured ordering).
+    // Sorting across document boundaries (Q20-flavoured ordering).
     r#"for $p in fn:collection()//person
        order by $p/name/text() descending
        return $p/name/text()"#,
-    // Positional access within a shard-crossing stream.
+    // Positional access within a document-crossing stream.
     r#"for $a in fn:collection()//open_auction
        return <first>{ $a/bidder[1]/increase/text() }</first>"#,
-    // Quantifier over the fanout.
+    // Quantifier over the whole corpus.
     r#"fn:count(fn:collection()//open_auction[some $b in bidder
                 satisfies $b/increase/text() >= 20])"#,
 ];
@@ -532,7 +519,7 @@ pub fn join_queries(urls: &[String], i: usize) -> Vec<String> {
         ),
         // Whole-corpus self equi-join (every node matches itself) plus an
         // inequality leg — an Eq bundle and a Ne bundle in one cluster,
-        // scanned through the shard fanout.
+        // scanned through `fn:collection()`.
         format!(
             r#"for $x in fn:collection()//{}, $y in fn:collection()//{}, $z in fn:collection()//{}
                where $x/@id = $y/@id and $y/@id != $z/@id
@@ -578,7 +565,7 @@ fn chain_join(relations: usize) -> String {
 // ---------------------------------------------------------------------
 
 /// What to run: the XMark corpora at `scale` (whole-document Q`n` and
-/// shard-matrix query `n` for every 1-based `n` in `queries`),
+/// collection-matrix query `n` for every 1-based `n` in `queries`),
 /// `fuzz_iters` iterations of both fuzz streams under both profiles, all
 /// from `seed`, each cell under every row of `rows`.
 #[derive(Debug, Clone)]
@@ -617,41 +604,24 @@ struct Cell {
     fuzz: bool,
 }
 
-/// One corpus and the sessions opened over it, one per shard layout.
+/// One corpus and the session it is loaded into.
 struct Env<'c> {
     /// Names the corpus (the served rows' catalog name).
     key: &'c str,
     docs: &'c [(String, String)],
-    sessions: BTreeMap<usize, Session>,
+    session: Session,
 }
 
-impl Env<'_> {
-    /// The corpus, one document or many, parsed and partitioned into
-    /// `shards` in one catalog swap — the one load path there is.
-    fn session(&mut self, shards: usize) -> &Session {
-        self.sessions.entry(shards).or_insert_with(|| {
-            let mut s = Session::new();
-            let docs = self.docs.iter().map(|(u, x)| (u.as_str(), x.as_str()));
-            s.load_corpus_sharded(docs, shards)
-                .expect("lattice corpus documents are well-formed");
-            s
-        })
+impl<'c> Env<'c> {
+    /// The corpus, one document or many, parsed in one catalog swap — the
+    /// one load path there is.
+    fn load(key: &'c str, docs: &'c [(String, String)]) -> Self {
+        let mut session = Session::new();
+        session
+            .load_corpus(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())))
+            .expect("lattice corpus documents are well-formed");
+        Env { key, docs, session }
     }
-}
-
-/// Does `plan` keep a `∪̂` over at least two `Fanout`s — a shard union
-/// the optimizer did not collapse?
-fn fans_out(plan: &Prepared) -> bool {
-    let dag = &plan.dag;
-    let fanouts = |id| {
-        dag.reachable(id)
-            .into_iter()
-            .filter(|&d| matches!(dag.op(d), Op::Fanout { .. }))
-            .count()
-    };
-    dag.reachable(plan.root)
-        .into_iter()
-        .any(|id| matches!(dag.op(id), Op::ShardUnion { .. }) && fanouts(id) >= 2)
 }
 
 /// A reference run in the two renderings rows are compared in: item by
@@ -674,13 +644,13 @@ fn direct(session: &Session, query: &str, opts: &QueryOptions) -> Result<QueryOu
 
 /// Run `query` at the reference point under the compiler mode `row`
 /// runs a `profile` cell in: the profile itself, or its wire spelling.
-fn reference(env: &mut Env, row: &Config, profile: Profile, query: &str) -> Reference {
+fn reference(env: &Env, row: &Config, profile: Profile, query: &str) -> Reference {
     let profile = match row.transport {
         Transport::Direct => profile,
         _ => profile.wire(),
     };
     let opts = REFERENCE.options(&profile.options());
-    let out = direct(env.session(REFERENCE.shards), query, &opts);
+    let out = direct(&env.session, query, &opts);
     Reference {
         items: out
             .as_ref()
@@ -733,8 +703,8 @@ pub fn run_lattice(cfg: &Lattice) -> Report {
                     fuzz: false,
                 };
                 whole.push(cell(format!("xmark Q{n} [{name}]"), query(n)));
-                if let Some(q) = XMARK_SHARD_QUERIES.get(n - 1) {
-                    matrix.push(cell(format!("xmark-shard S{n} [{name}]"), q));
+                if let Some(q) = XMARK_COLLECTION_QUERIES.get(n - 1) {
+                    matrix.push(cell(format!("xmark-collection C{n} [{name}]"), q));
                 }
             }
         }
@@ -760,8 +730,7 @@ pub fn run_lattice(cfg: &Lattice) -> Report {
             let key = format!("fuzz {i} [{fp}]");
             run.corpus(&key, &doc.docs, &[cell(key.clone(), q)]);
 
-            // Multi-document: the grammar query plus the authored joins
-            // (the corpus's own shard draw is superseded by the axis).
+            // Multi-document: the grammar query plus the authored joins.
             let mut rng = cell_rng(cfg.seed, i, fp);
             let corpus = gen_corpus(&mut rng);
             let urls = corpus.urls();
@@ -805,17 +774,12 @@ impl Runner<'_> {
     /// Run every cell of one corpus under the reference and every row.
     fn corpus(&mut self, key: &str, docs: &[(String, String)], cells: &[Cell]) {
         let cfg = self.cfg;
-        let mut env = Env {
-            key,
-            docs,
-            sessions: BTreeMap::new(),
-        };
-        let widest = cfg.rows.iter().map(|r| r.shards).max().unwrap_or(1);
+        let env = Env::load(key, docs);
         for cell in cells {
             self.report.cells += 1;
             // The plan as shipped: did the enumerator act, did chains fuse?
             let shipped = cell.profile.options();
-            if let Ok(plan) = env.session(REFERENCE.shards).prepare(&cell.query, &shipped) {
+            if let Ok(plan) = env.session.prepare(&cell.query, &shipped) {
                 let any = |n: usize| u64::from(n > 0);
                 self.report
                     .bump("reordered_plans", any(plan.cost_report.reordered));
@@ -823,12 +787,6 @@ impl Runner<'_> {
                     .bump("elided_plans", any(plan.cost_report.elided));
                 self.report
                     .bump("fused_chains", plan.phys.fused_chains as u64);
-            }
-            // …and does it still fan out over the widest layout?
-            if widest > 1 {
-                let fans = env.session(widest).prepare(&cell.query, &shipped);
-                let fans = fans.is_ok_and(|plan| fans_out(&plan));
-                self.report.bump("sharded_plans", u64::from(fans));
             }
             let nests = unnest_constructors(&cell.query).is_some();
             // One memoised reference per compiler mode the rows need.
@@ -841,11 +799,11 @@ impl Runner<'_> {
                 let served = row.transport != Transport::Direct;
                 let wired = served && cell.profile.wire() != cell.profile;
                 let want = refs[usize::from(wired)]
-                    .get_or_insert_with(|| reference(&mut env, row, cell.profile, &cell.query))
+                    .get_or_insert_with(|| reference(&env, row, cell.profile, &cell.query))
                     .expected_by(row);
                 let none = RuleSet::empty();
                 let Some((got, parallel)) =
-                    self.execute(&mut env, row, cell.profile, &cell.query, none)
+                    self.execute(&env, row, cell.profile, &cell.query, none)
                 else {
                     self.report.bump("shed_cells", 1);
                     continue;
@@ -857,7 +815,7 @@ impl Runner<'_> {
                 let unnested = nests && row.constructors == Constructors::Unnested;
                 self.report.bump("unnested_cells", u64::from(unnested));
                 if let Outcome::Diverged(message) = compare(want, &got) {
-                    self.diverged(&mut env, cell, row, message);
+                    self.diverged(&env, cell, row, message);
                 }
             }
             if refs.iter().flatten().any(|r| r.items.is_err()) {
@@ -872,7 +830,7 @@ impl Runner<'_> {
     /// the request.
     fn execute(
         &mut self,
-        env: &mut Env,
+        env: &Env,
         row: &Config,
         profile: Profile,
         query: &str,
@@ -886,7 +844,7 @@ impl Runner<'_> {
         if row.transport == Transport::Direct {
             let mut opts = row.options(&profile.options());
             opts.opt.disabled_rules = opts.opt.disabled_rules.union(disabled);
-            let out = direct(env.session(row.shards), query, &opts);
+            let out = direct(&env.session, query, &opts);
             // Only a `threads > 1` run reaches the scheduler.
             let parallel = out.as_ref().is_ok_and(|o| o.profile.sched.regions > 0);
             return Some((out.map(|o| rendered(&o.items)), parallel));
@@ -900,15 +858,15 @@ impl Runner<'_> {
         // stages a named one, so an earlier corpus's documents cannot
         // leak into `fn:collection()`.
         let catalog = (env.docs.len() > 1).then_some(env.key);
-        if (daemon.loaded.0.as_str(), daemon.loaded.1) != (env.key, row.shards) {
+        if daemon.loaded != env.key {
             for (url, xml) in env.docs {
-                let staged = daemon.client.load_into(url, xml, catalog, Some(row.shards));
+                let staged = daemon.client.load_into(url, xml, catalog);
                 if let Err(e) = staged {
                     // The direct arm loaded this exact document.
                     return Some((Err(format!("load of {url} failed: {e}")), false));
                 }
             }
-            daemon.loaded = (env.key.to_string(), row.shards);
+            daemon.loaded = env.key.to_string();
         }
         let opts = QueryOpts {
             baseline: profile.wire() == Profile::Baseline,
@@ -936,7 +894,7 @@ impl Runner<'_> {
     /// minimiser varies the query, attribution the rules.)
     fn red(
         &mut self,
-        env: &mut Env,
+        env: &Env,
         row: &Config,
         profile: Profile,
         query: &str,
@@ -952,7 +910,7 @@ impl Runner<'_> {
     /// Record a red (cell, row): name the axis, minimise, attribute. A
     /// covering row differs from the reference in several axes at once,
     /// so without this step a red cell does not say where to look.
-    fn diverged(&mut self, env: &mut Env, cell: &Cell, row: &Config, message: String) {
+    fn diverged(&mut self, env: &Env, cell: &Cell, row: &Config, message: String) {
         let (profile, none) = (cell.profile, RuleSet::empty());
         let axis = AXES
             .iter()
@@ -978,7 +936,7 @@ impl Runner<'_> {
         let attribution = matches!(axis, Some("cost" | "failpoints")).then(|| {
             let opts = row.options(&profile.options());
             let fired = env
-                .session(row.shards)
+                .session
                 .prepare(text, &opts)
                 .map(|plan| fired_rules(&plan))
                 .unwrap_or_default();
@@ -1003,8 +961,8 @@ impl Runner<'_> {
 struct Daemon {
     server: ServerHandle,
     client: Client,
-    /// The (corpus key, shard count) staged last.
-    loaded: (String, usize),
+    /// The key of the corpus staged last.
+    loaded: String,
 }
 
 impl Daemon {
@@ -1032,7 +990,7 @@ impl Daemon {
         Daemon {
             server,
             client,
-            loaded: (String::new(), 0),
+            loaded: String::new(),
         }
     }
 }
@@ -1180,9 +1138,9 @@ mod tests {
         let mut session = Session::new();
         let split = split_xmark(&xml);
         session
-            .load_corpus_sharded(split.iter().map(|(u, x)| (u.as_str(), x.as_str())), 1)
+            .load_corpus(split.iter().map(|(u, x)| (u.as_str(), x.as_str())))
             .unwrap();
-        for q in XMARK_SHARD_QUERIES {
+        for q in XMARK_COLLECTION_QUERIES {
             session
                 .query_with(q, &QueryOptions::order_indifferent())
                 .unwrap_or_else(|e| panic!("matrix query failed: {q}: {}", e.render_line()));
@@ -1206,7 +1164,7 @@ mod tests {
         // and keep their canonical order. (The key-only map joins every
         // FLWOR used to carry are gone before the cost pass looks.)
         let mut s = Session::new();
-        s.load_corpus_sharded(CHAIN_CORPUS, 1).unwrap();
+        s.load_corpus(CHAIN_CORPUS).unwrap();
         let reordered = |relations| {
             let opts = QueryOptions::order_indifferent();
             let plan = s.prepare(&chain_join(relations), &opts).unwrap();

@@ -17,11 +17,11 @@
 //!   that remains usable afterwards.
 //! * [`lattice`] — the configuration lattice: one byte-identity
 //!   differential for every execution axis. A `Config { cost,
-//!   vectorized, threads, shards, transport, constructors, failpoints }`
+//!   vectorized, threads, transport, constructors, failpoints }`
 //!   names a point; every cell (XMark whole and split by subtree, fuzz
 //!   single- and multi-document streams with authored joins, under its
 //!   compiler profile) runs at the reference point (uncosted, scalar,
-//!   serial, 1 shard, direct, constructors as written) and under every
+//!   serial, direct, constructors as written) and under every
 //!   row of a sixteen-row pairwise covering table, and each row must
 //!   render the same items in the same order or fail with the same error
 //!   code.

@@ -1,7 +1,7 @@
 //! Acceptance of the configuration lattice at full breadth.
 //!
-//! One run replaces the vectorized, parallel, sharded, costed and serve
-//! differentials: XMark Q1–Q20 and the 10-query shard matrix under both
+//! One run replaces the vectorized, parallel, costed and serve
+//! differentials: XMark Q1–Q20 and the 10-query collection matrix under both
 //! compiler profiles, 100×2 single-document and 100×2 multi-document
 //! fuzz cells, and 401 authored join queries, each cell under the
 //! reference point and all sixteen rows of the covering table. The
@@ -22,7 +22,7 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     });
     assert!(report.passed(), "{report}");
     println!("{report}");
-    // 20×2 XMark + 10×2 shard matrix + 100×2 single-document fuzz
+    // 20×2 XMark + 10×2 collection matrix + 100×2 single-document fuzz
     // + 100×2 × (grammar + 2 joins) multi-document fuzz + the chain join.
     assert_eq!(report.cells, 40 + 20 + 200 + 600 + 1);
     assert_eq!(report.inexpressible, 0);
@@ -39,7 +39,6 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     floor("elided_plans", 1);
     floor("perturbed_cells", 1);
     floor("fused_chains", 1);
-    floor("sharded_plans", 1);
     floor("served_cells", 1);
     // Q10, Q20 and the fuzz grammar's nested constructors, on the eight
     // unnested rows.

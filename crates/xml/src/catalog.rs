@@ -70,21 +70,14 @@ pub trait NodeRead {
     }
 }
 
-/// The immutable document layer: parsed documents, a frozen name pool,
-/// the `fn:doc()` URL map, and the shard layout — a partition of the
-/// fragment range into contiguous, ascending shards. Cheap to clone
-/// (fragments and pool are behind `Arc`s) and shareable across threads.
-#[derive(Debug, Clone)]
+/// The immutable document layer: parsed documents, a frozen name pool
+/// and the `fn:doc()` URL map. Cheap to clone (fragments and pool are
+/// behind `Arc`s) and shareable across threads.
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     frags: Vec<Arc<Document>>,
     pool: Arc<NamePool>,
     docs: HashMap<String, NodeId>,
-    /// Shard boundaries: shard `i` covers fragments
-    /// `shards[i]..shards[i+1]`; always `shards[0] == 0` and
-    /// `*shards.last() == frag_count()`. Contiguity + ascending order is
-    /// what makes a shard-major concatenation of per-shard results equal
-    /// to global document/collection order.
-    shards: Vec<u32>,
     /// Statistics snapshot for cost-based planning, computed once on
     /// first use (see [`stats`](Self::stats)). Lives on the catalog so it
     /// is invalidated by exactly the same executor swap that invalidates
@@ -92,20 +85,8 @@ pub struct Catalog {
     stats: OnceLock<Arc<CatalogStats>>,
 }
 
-impl Default for Catalog {
-    fn default() -> Self {
-        Catalog {
-            frags: Vec::new(),
-            pool: Arc::default(),
-            docs: HashMap::new(),
-            shards: vec![0, 0],
-            stats: OnceLock::new(),
-        }
-    }
-}
-
 impl Catalog {
-    /// An empty catalog (no documents, no names, one empty shard).
+    /// An empty catalog (no documents, no names).
     pub fn new() -> Self {
         Self::default()
     }
@@ -123,7 +104,6 @@ impl Catalog {
             frags: self.frags.clone(),
             pool: (*self.pool).clone(),
             docs: self.docs.clone(),
-            shards: self.shard_count(),
         }
     }
 
@@ -140,34 +120,6 @@ impl Catalog {
     /// Total node count over all base documents.
     pub fn total_nodes(&self) -> usize {
         self.frags.iter().map(|d| d.len()).sum()
-    }
-
-    /// Number of shards in the layout (≥ 1; empty shards are legal when
-    /// there are more shards than documents).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len() - 1
-    }
-
-    /// Shard boundaries (see the field doc on `shards`).
-    pub fn shard_bounds(&self) -> &[u32] {
-        &self.shards
-    }
-
-    /// Fragment range `[lo, hi)` of shard `i`.
-    pub fn shard_range(&self, i: usize) -> (u32, u32) {
-        (self.shards[i], self.shards[i + 1])
-    }
-
-    /// Deterministic hash of the shard layout (boundaries + fragment
-    /// count). Part of the plan-cache key: compiled plans embed per-shard
-    /// fragment ranges, so two layouts over the same corpus must never
-    /// share a cache entry.
-    pub fn layout_signature(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.frags.len().hash(&mut h);
-        self.shards.hash(&mut h);
-        h.finish()
     }
 
     /// URL registered for fragment `frag`, if it is a document root.
@@ -218,25 +170,11 @@ impl NodeRead for Catalog {
 /// Mutable staging area for building a [`Catalog`]. Documents are parsed
 /// into the builder; nothing becomes visible to readers until
 /// [`build`](Self::build) produces the immutable catalog.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CatalogBuilder {
     frags: Vec<Arc<Document>>,
     pool: NamePool,
     docs: HashMap<String, NodeId>,
-    /// Desired shard count; [`build`](Self::build) turns it into
-    /// contiguous near-equal fragment ranges.
-    shards: usize,
-}
-
-impl Default for CatalogBuilder {
-    fn default() -> Self {
-        CatalogBuilder {
-            frags: Vec::new(),
-            pool: NamePool::default(),
-            docs: HashMap::new(),
-            shards: 1,
-        }
-    }
 }
 
 impl CatalogBuilder {
@@ -269,64 +207,15 @@ impl CatalogBuilder {
         node
     }
 
-    /// Set the shard count the built catalog partitions its fragments
-    /// into (clamped to ≥ 1). More shards than documents is legal — the
-    /// surplus shards are empty.
-    pub fn set_shards(&mut self, n: usize) -> &mut Self {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// Freeze into an immutable, shareable catalog. Shard boundaries are
-    /// computed here: `k` contiguous ranges balanced by *node count*, so
-    /// one fat document does not land a whole corpus's work on shard 0
-    /// the way a fragment-count split would.
+    /// Freeze into an immutable, shareable catalog.
     pub fn build(self) -> Catalog {
-        let weights: Vec<u64> = self.frags.iter().map(|d| (d.len() as u64).max(1)).collect();
-        let shards = balanced_bounds(&weights, self.shards);
         Catalog {
             frags: self.frags,
             pool: Arc::new(self.pool),
             docs: self.docs,
-            shards,
             stats: OnceLock::new(),
         }
     }
-}
-
-/// Shard boundaries balancing cumulative node weight: boundary `i` lands
-/// on the fragment index whose cumulative weight is nearest `i·W/k`,
-/// ties toward the lower index — which reproduces the historical
-/// `⌊i·n/k⌋` fragment-count split on uniform corpora (all the fixed test
-/// layouts), while skewed corpora get genuinely balanced shards.
-fn balanced_bounds(weights: &[u64], k: usize) -> Vec<u32> {
-    let n = weights.len();
-    let total: u128 = weights.iter().map(|&w| w as u128).sum();
-    let mut cum: Vec<u128> = Vec::with_capacity(n + 1);
-    cum.push(0);
-    for &w in weights {
-        cum.push(cum.last().unwrap() + w as u128);
-    }
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0u32);
-    let mut prev = 0usize;
-    for i in 1..k {
-        // Compare k·cum[j] against i·W to stay in integer arithmetic.
-        let target = i as u128 * total;
-        let mut best = prev;
-        let mut best_d = u128::MAX;
-        for (j, &c) in cum.iter().enumerate().skip(prev) {
-            let d = (c * k as u128).abs_diff(target);
-            if d < best_d {
-                best_d = d;
-                best = j;
-            }
-        }
-        prev = best;
-        bounds.push(best as u32);
-    }
-    bounds.push(n as u32);
-    bounds
 }
 
 /// The per-execution overlay: owns every fragment and name one query
@@ -544,37 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_layout_partitions_fragments() {
-        let mut b = Catalog::builder();
-        for i in 0..5 {
-            b.load_str(&format!("d{i}.xml"), "<d/>").unwrap();
-        }
-        b.set_shards(2);
-        let cat = b.build();
-        assert_eq!(cat.shard_count(), 2);
-        assert_eq!(cat.shard_bounds(), &[0, 2, 5]);
-        assert_eq!(cat.shard_range(0), (0, 2));
-        assert_eq!(cat.shard_range(1), (2, 5));
-    }
-
-    #[test]
-    fn shard_bounds_balance_by_node_weight() {
-        // One fat document followed by five tiny ones: the historical
-        // fragment-count split would be [0, 3, 6], leaving ~96% of the
-        // nodes in shard 0. Node-weight balancing isolates the fat
-        // document instead.
-        let big = format!("<r>{}</r>", "<x/>".repeat(100));
-        let mut b = Catalog::builder();
-        b.load_str("big.xml", &big).unwrap();
-        for i in 0..5 {
-            b.load_str(&format!("s{i}.xml"), "<d/>").unwrap();
-        }
-        b.set_shards(2);
-        let cat = b.build();
-        assert_eq!(cat.shard_bounds(), &[0, 1, 6]);
-    }
-
-    #[test]
     fn stats_freeze_per_catalog_snapshot() {
         let mut b = Catalog::builder();
         b.load_str("a.xml", r#"<r><x k="3"/><x k="8"/></r>"#)
@@ -592,42 +450,6 @@ mod tests {
         let s2 = cat2.stats();
         assert!(!Arc::ptr_eq(&s1, &s2));
         assert_eq!(s2.total_nodes, cat2.total_nodes() as u64);
-    }
-
-    #[test]
-    fn oversharded_layouts_have_empty_shards() {
-        let mut b = Catalog::builder();
-        for i in 0..3 {
-            b.load_str(&format!("d{i}.xml"), "<d/>").unwrap();
-        }
-        b.set_shards(8);
-        let cat = b.build();
-        assert_eq!(cat.shard_count(), 8);
-        let total: u32 = (0..8)
-            .map(|i| {
-                let (lo, hi) = cat.shard_range(i);
-                assert!(lo <= hi);
-                hi - lo
-            })
-            .sum();
-        assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn layout_signature_distinguishes_shard_counts() {
-        let mut b = Catalog::builder();
-        for i in 0..6 {
-            b.load_str(&format!("d{i}.xml"), "<d/>").unwrap();
-        }
-        b.set_shards(2);
-        let two = b.build();
-        let mut b8 = two.to_builder();
-        b8.set_shards(8);
-        let eight = b8.build();
-        assert_ne!(two.layout_signature(), eight.layout_signature());
-        // Round-tripping through a builder preserves the layout.
-        let same = two.to_builder().build();
-        assert_eq!(two.layout_signature(), same.layout_signature());
     }
 
     #[test]

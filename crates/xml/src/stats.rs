@@ -9,7 +9,7 @@
 //!
 //! Statistics are frozen per catalog snapshot: [`crate::Catalog::stats`]
 //! computes them once behind a `OnceLock` and every later call returns the
-//! same `Arc`. Because a document load or re-sharding builds a *new*
+//! same `Arc`. Because a document load or reload builds a *new*
 //! catalog (and swaps the executor, invalidating the plan cache), stats
 //! invalidation rides the exact same lifecycle as cached plans — there is
 //! no separate invalidation protocol to get wrong.

@@ -230,18 +230,16 @@ impl Client {
 
     /// Stage a document and swap it into the server catalog.
     pub fn load(&mut self, url: &str, xml: &str) -> Result<(), ClientError> {
-        self.load_into(url, xml, None, None)
+        self.load_into(url, xml, None)
     }
 
     /// Stage a document into a *named* catalog (created by the server on
-    /// first load; `None` targets the default), optionally
-    /// re-partitioning it into `shards` shards afterwards.
+    /// first load; `None` targets the default).
     pub fn load_into(
         &mut self,
         url: &str,
         xml: &str,
         catalog: Option<&str>,
-        shards: Option<usize>,
     ) -> Result<(), ClientError> {
         let mut fields = vec![
             ("op", Value::Str("load".into())),
@@ -250,9 +248,6 @@ impl Client {
         ];
         if let Some(c) = catalog {
             fields.push(("catalog", Value::Str(c.into())));
-        }
-        if let Some(n) = shards {
-            fields.push(("shards", Value::Int(n as i64)));
         }
         self.request(fields).map(|_| ())
     }

@@ -6,7 +6,7 @@
 //! {"id": 1, "op": "query", "query": "1 + 1", "deadline_ms": 500}
 //! {"id": 2, "op": "query", "query": "...", "ordering": "baseline"}
 //! {"id": 3, "op": "load", "url": "new.xml", "xml": "<a/>"}
-//! {"id": 4, "op": "load", "url": "d1.xml", "xml": "<a/>", "catalog": "corpus", "shards": 8}
+//! {"id": 4, "op": "load", "url": "d1.xml", "xml": "<a/>", "catalog": "corpus"}
 //! {"id": 5, "op": "query", "query": "fn:collection()//x", "catalog": "corpus"}
 //! {"id": 6, "op": "stats"}
 //! {"id": 7, "op": "ping"}
@@ -17,12 +17,10 @@
 //!
 //! The optional `catalog` field routes a query or load at a *named*
 //! catalog instead of the default one; named catalogs are created by
-//! the first load that mentions them, stage documents lazily (the tree
-//! parse is deferred to the first query that can touch it), and a
-//! query naming an unknown catalog gets `FODC0002`. The optional
-//! `shards` field on `load` re-partitions the target catalog into that
-//! many shards after the load commits — shard-parallel `fn:collection()`
-//! plans are compiled against that layout.
+//! the first load that mentions them, parse each document at its load
+//! like the default catalog, and a query naming an unknown catalog gets
+//! `FODC0002`. Keys a request does not use are ignored, so a `load` from
+//! an older client that still carries `"shards"` parses unchanged.
 //!
 //! Responses echo `id` and carry either `"ok": true` plus op-specific
 //! fields (`result` for queries) or `"ok": false` with `code` /
@@ -69,9 +67,6 @@ pub enum Op {
         /// Named catalog to load into; created on first load. `None`
         /// targets the default catalog.
         catalog: Option<String>,
-        /// Re-partition the target catalog into this many shards after
-        /// the load commits (the `load --shard` op).
-        shards: Option<usize>,
     },
     Stats,
     Ping,
@@ -181,18 +176,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 .ok_or_else(|| ProtoError::new(id.clone(), "load op requires 'xml'"))?
                 .to_string();
             let catalog = parse_catalog(map, &id)?;
-            let shards = match map.get("shards") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_i64().filter(|n| *n >= 1).ok_or_else(|| {
-                    ProtoError::new(id.clone(), "shards must be a positive integer")
-                })? as usize),
-            };
-            Op::Load {
-                url,
-                xml,
-                catalog,
-                shards,
-            }
+            Op::Load { url, xml, catalog }
         }
         "stats" => Op::Stats,
         "ping" => Op::Ping,
@@ -250,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_catalog_routing_and_sharded_loads() {
+    fn parses_catalog_routing_and_named_loads() {
         let r =
             parse_request(r#"{"id":1,"op":"query","query":"fn:collection()","catalog":"corpus"}"#)
                 .unwrap();
@@ -258,32 +242,20 @@ mod tests {
             Op::Query { catalog, .. } => assert_eq!(catalog.as_deref(), Some("corpus")),
             other => panic!("wrong op: {other:?}"),
         }
-        let r = parse_request(
-            r#"{"id":2,"op":"load","url":"d.xml","xml":"<a/>","catalog":"corpus","shards":8}"#,
-        )
-        .unwrap();
+        let r =
+            parse_request(r#"{"id":2,"op":"load","url":"d.xml","xml":"<a/>","catalog":"corpus"}"#)
+                .unwrap();
         match r.op {
-            Op::Load {
-                url,
-                catalog,
-                shards,
-                ..
-            } => {
+            Op::Load { url, catalog, .. } => {
                 assert_eq!(url, "d.xml");
                 assert_eq!(catalog.as_deref(), Some("corpus"));
-                assert_eq!(shards, Some(8));
             }
             other => panic!("wrong op: {other:?}"),
         }
         // Absent fields keep the single-catalog wire format working.
         let r = parse_request(r#"{"id":3,"op":"load","url":"d.xml","xml":"<a/>"}"#).unwrap();
         match r.op {
-            Op::Load {
-                catalog, shards, ..
-            } => {
-                assert_eq!(catalog, None);
-                assert_eq!(shards, None);
-            }
+            Op::Load { catalog, .. } => assert_eq!(catalog, None),
             other => panic!("wrong op: {other:?}"),
         }
         for (line, needle) in [
@@ -295,17 +267,28 @@ mod tests {
                 r#"{"id":1,"op":"query","query":"1","catalog":7}"#,
                 "catalog must be",
             ),
-            (
-                r#"{"id":1,"op":"load","url":"d","xml":"<a/>","shards":0}"#,
-                "shards must be",
-            ),
-            (
-                r#"{"id":1,"op":"load","url":"d","xml":"<a/>","shards":"two"}"#,
-                "shards must be",
-            ),
         ] {
             let e = parse_request(line).unwrap_err();
             assert!(e.message.contains(needle), "{line}: {}", e.message);
+        }
+    }
+
+    #[test]
+    fn a_load_from_an_older_client_still_parses() {
+        // The `shards` key is no longer part of the protocol; like any
+        // unknown key it is ignored, whatever its value.
+        for extra in ["8", "0", r#""two""#] {
+            let line = format!(
+                r#"{{"id":4,"op":"load","url":"d.xml","xml":"<a/>","catalog":"corpus","shards":{extra}}}"#
+            );
+            let r = parse_request(&line).unwrap();
+            match r.op {
+                Op::Load { url, xml, catalog } => {
+                    assert_eq!((url.as_str(), xml.as_str()), ("d.xml", "<a/>"));
+                    assert_eq!(catalog.as_deref(), Some("corpus"));
+                }
+                other => panic!("wrong op: {other:?}"),
+            }
         }
     }
 

@@ -1035,12 +1035,7 @@ fn run_job(shared: &Shared, job: &Job) {
             catalog,
             ..
         } => run_query(shared, job, query, *baseline, catalog.as_deref()),
-        Op::Load {
-            url,
-            xml,
-            catalog,
-            shards,
-        } => run_load(shared, job, url, xml, catalog.as_deref(), *shards),
+        Op::Load { url, xml, catalog } => run_load(shared, job, url, xml, catalog.as_deref()),
         // Ping/Stats/probes/Shutdown never reach the queue.
         _ => err_response(
             &job.id,
@@ -1150,19 +1145,12 @@ fn query_error_response(shared: &Shared, id: &Value, e: &Error) -> String {
 /// pre-swap snapshot; new queries see the new catalog immediately.
 /// Readiness flips off for the duration — a probe-driven balancer stops
 /// routing to an instance that is mid-reload.
-fn run_load(
-    shared: &Shared,
-    job: &Job,
-    url: &str,
-    xml: &str,
-    catalog: Option<&str>,
-    shards: Option<usize>,
-) -> String {
+fn run_load(shared: &Shared, job: &Job, url: &str, xml: &str, catalog: Option<&str>) -> String {
     let _loading = LoadGuard::enter(&shared.loads_in_flight);
     match catalog {
         None => {
             let mut session = lock_recover(&shared.loader);
-            load_into(shared, job, &mut session, &shared.exec, url, xml, shards)
+            load_into(shared, job, &mut session, &shared.exec, url, xml)
         }
         Some(name) => {
             // Get-or-create the named catalog, then stage under *its*
@@ -1184,7 +1172,7 @@ fn run_load(
                     .clone()
             };
             let mut session = lock_recover(&entry.loader);
-            load_into(shared, job, &mut session, &entry.exec, url, xml, shards)
+            load_into(shared, job, &mut session, &entry.exec, url, xml)
         }
     }
 }
@@ -1207,8 +1195,7 @@ impl Drop for LoadGuard<'_> {
     }
 }
 
-/// Parse `url` into `session`, apply a requested shard count, and
-/// publish the fresh executor snapshot. A malformed document is
+/// Parse `url` into `session` and publish the fresh executor snapshot. A malformed document is
 /// rejected here, at the `load` op, and the catalog keeps serving what
 /// it held before.
 fn load_into(
@@ -1218,13 +1205,9 @@ fn load_into(
     exec: &RwLock<Executor>,
     url: &str,
     xml: &str,
-    shards: Option<usize>,
 ) -> String {
     match session.load_document(url, xml) {
         Ok(()) => {
-            if let Some(n) = shards {
-                session.set_shards(n);
-            }
             let fresh = session.executor().clone();
             *exec.write().unwrap_or_else(PoisonError::into_inner) = fresh;
             shared.counters.loads.fetch_add(1, Ordering::Relaxed);
@@ -1234,10 +1217,7 @@ fn load_into(
             shared.counters.completed.fetch_add(1, Ordering::Relaxed);
             ok_response(
                 &job.id,
-                vec![
-                    ("nodes", Value::Int(session.store_nodes() as i64)),
-                    ("shards", Value::Int(session.shard_count() as i64)),
-                ],
+                vec![("nodes", Value::Int(session.store_nodes() as i64))],
             )
         }
         Err(e) => query_error_response(shared, &job.id, &e),

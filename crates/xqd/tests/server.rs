@@ -391,28 +391,36 @@ fn abrupt_disconnect_does_not_wedge_the_server() {
 }
 
 #[test]
-fn named_catalogs_route_queries_and_shard_their_corpus() {
+fn a_load_reply_reports_only_the_node_count() {
+    let handle = small_server(default_cfg());
+    let mut c = Client::connect(&handle);
+    // An older client may still send `shards`; the load succeeds and the
+    // reply reports only the node count.
+    let r = c.roundtrip(r#"{"id":1,"op":"load","url":"n.xml","xml":"<n/>","shards":8}"#);
+    assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{r:?}");
+    assert!(r.get("nodes").and_then(Value::as_i64).is_some(), "{r:?}");
+    assert_eq!(r.get("shards"), None, "{r:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn named_catalogs_route_queries_over_their_corpus() {
     let handle = small_server(default_cfg());
     let mut c = Client::connect(&handle);
 
-    // Build a 3-document corpus in catalog "corpus", re-partitioned to
-    // 2 shards on the last load. Named loads parse at load time, so the
-    // last one reports every node: 3 documents × (doc, r, x, text).
-    for (i, shards) in [(0, ""), (1, ""), (2, r#","shards":2"#)] {
+    // Build a 3-document corpus in catalog "corpus". Named loads parse at
+    // load time, so the last one reports every node: 3 documents ×
+    // (doc, r, x, text).
+    for i in 0..3 {
         let r = c.roundtrip(&format!(
-            r#"{{"id":{i},"op":"load","url":"d{i}.xml","xml":"<r><x>{i}</x></r>","catalog":"corpus"{shards}}}"#
+            r#"{{"id":{i},"op":"load","url":"d{i}.xml","xml":"<r><x>{i}</x></r>","catalog":"corpus"}}"#
         ));
         assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{r:?}");
-        if shards.is_empty() {
-            assert_eq!(r.get("shards").and_then(Value::as_i64), Some(1));
-        } else {
-            assert_eq!(r.get("shards").and_then(Value::as_i64), Some(2));
-            assert_eq!(r.get("nodes").and_then(Value::as_i64), Some(12));
-        }
+        assert_eq!(r.get("nodes").and_then(Value::as_i64), Some(4 * (i + 1)));
     }
 
     // A routed collection() scan sees all three documents in load
-    // order, byte-identical to what a local sharded session produces.
+    // order, byte-identical to what a local session produces.
     let r = c.roundtrip(r#"{"id":3,"op":"query","query":"fn:collection()//x","catalog":"corpus"}"#);
     assert_eq!(
         r.get("result").and_then(Value::as_str),

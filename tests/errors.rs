@@ -207,11 +207,11 @@ fn a_duplicate_attribute_fails_an_xqd_load() {
 }
 
 #[test]
-fn a_malformed_corpus_document_fails_the_whole_sharded_load() {
+fn a_malformed_corpus_document_fails_the_whole_corpus_load() {
     let mut s = Session::new();
-    s.load_corpus_sharded([("p0.xml", "<p/>"), ("p1.xml", "<p><q/></p>")], 2)
+    s.load_corpus([("p0.xml", "<p/>"), ("p1.xml", "<p><q/></p>")])
         .unwrap();
-    let before = (s.store_nodes(), s.shard_count());
+    let before = (s.store_nodes(), s.catalog().frag_count());
     // The fourth document is malformed.
     let xml = |i| match i {
         3 => "<broken".to_string(),
@@ -219,12 +219,12 @@ fn a_malformed_corpus_document_fails_the_whole_sharded_load() {
     };
     let corpus: Vec<(String, String)> = (0..5).map(|i| (format!("d{i}.xml"), xml(i))).collect();
     let err = s
-        .load_corpus_sharded(corpus.iter().map(|(u, x)| (u.as_str(), x.as_str())), 4)
+        .load_corpus(corpus.iter().map(|(u, x)| (u.as_str(), x.as_str())))
         .unwrap_err();
     assert_eq!(err.code(), ErrorCode::FODC0006);
     assert!(err.to_string().contains("`d3.xml`"), "{err}");
     // All or nothing: the previous catalog is still the one in place.
-    assert_eq!((s.store_nodes(), s.shard_count()), before);
+    assert_eq!((s.store_nodes(), s.catalog().frag_count()), before);
     assert_eq!(s.query("fn:count(fn:collection())").unwrap().to_xml(), "2");
     assert!(s.query(r#"doc("d0.xml")"#).is_err());
 }

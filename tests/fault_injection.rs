@@ -69,12 +69,12 @@ fn doc_parse_failpoint_counts_each_corpus_document_as_one_load() {
     let docs = || corpus.iter().map(|(u, x)| (u.as_str(), x.as_str()));
     let mut s = Session::new();
     s.set_failpoints(Failpoints::parse("doc-parse:4").expect("spec"));
-    let err = s.load_corpus_sharded(docs(), 2).unwrap_err();
+    let err = s.load_corpus(docs()).unwrap_err();
     assert_eq!(err.code(), ErrorCode::FODC0006);
     assert!(err.to_string().contains("d3.xml"), "{err}");
     assert_eq!((s.catalog().frag_count(), s.store_nodes()), (0, 0));
     // The failpoint fired once; the retry loads the whole corpus.
-    s.load_corpus_sharded(docs(), 2).expect("reload");
+    s.load_corpus(docs()).expect("reload");
     let out = s.query("fn:collection()//x").expect("query");
     assert_eq!(out.to_xml(), "<x>0</x><x>1</x><x>2</x><x>3</x><x>4</x>");
 }

@@ -248,26 +248,30 @@ fn cached_plans_still_execute_correctly() {
 }
 
 #[test]
-fn repartitioning_never_reuses_stale_shard_plans() {
-    // Same query text across three layouts of one session: if the shard
-    // layout leaked out of the plan-cache key, the second and third runs
-    // would reuse a fanout compiled for the wrong ranges.
+fn a_corpus_reload_never_reuses_a_stale_collection_plan() {
+    // Same query text before and after a second corpus load: if a plan
+    // cached against the first catalog survived the swap, the second run
+    // would still see only the first two documents.
     const COLLECT: &str = "fn:collection()//x";
-    const EXPECT: &str = "<x>0</x><x>1</x><x>2</x><x>3</x><x>4</x>";
     let docs: Vec<(String, String)> = (0..5)
         .map(|i| (format!("d{i}.xml"), format!("<r><x>{i}</x></r>")))
         .collect();
+    let pairs = |r: std::ops::Range<usize>| {
+        docs[r]
+            .iter()
+            .map(|(u, x)| (u.as_str(), x.as_str()))
+            .collect::<Vec<_>>()
+    };
     let mut s = Session::new();
-    s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), 2)
-        .unwrap();
+    s.load_corpus(pairs(0..2)).unwrap();
     let opts = QueryOptions::order_indifferent();
-    assert_eq!(s.query_with(COLLECT, &opts).unwrap().to_xml(), EXPECT);
-    for shards in [8, 1] {
-        s.set_shards(shards);
-        assert_eq!(
-            s.query_with(COLLECT, &opts).unwrap().to_xml(),
-            EXPECT,
-            "layout {shards} must serialize identically"
-        );
-    }
+    assert_eq!(
+        s.query_with(COLLECT, &opts).unwrap().to_xml(),
+        "<x>0</x><x>1</x>"
+    );
+    s.load_corpus(pairs(2..5)).unwrap();
+    assert_eq!(
+        s.query_with(COLLECT, &opts).unwrap().to_xml(),
+        "<x>0</x><x>1</x><x>2</x><x>3</x><x>4</x>"
+    );
 }

@@ -2,10 +2,9 @@
 //! and under which compiler profile.
 //!
 //! Every plan is prepared, never executed: XMark Q1–Q20 over one small
-//! document and the shard matrix over that document split by subtree, at
-//! one shard and at eight, each under the three compiler profiles — order
-//! indifferent, the full optimizer in `ordered` mode, and the §6
-//! baseline. The rules that fire on none of them must be exactly
+//! document and the `fn:collection()` matrix over that document split by
+//! subtree, each under the three compiler profiles — order indifferent,
+//! the full optimizer in `ordered` mode, and the §6 baseline. The rules that fire on none of them must be exactly
 //! [`NEVER_FIRES`]: a rule that goes silent, or a listed one that starts
 //! firing, turns this red. Each profile is checked against its preset
 //! too: the baseline fires none of the rules `OptOptions::disabled()`
@@ -15,23 +14,17 @@ use exrquy::frontend::OrderingMode;
 use exrquy::opt::{OptOptions, RULE_NAMES};
 use exrquy::{QueryOptions, Session};
 use exrquy_verify::attribute::fired_rules;
-use exrquy_verify::lattice::{split_xmark, XMARK_SHARD_QUERIES};
+use exrquy_verify::lattice::{split_xmark, XMARK_COLLECTION_QUERIES};
 use exrquy_xmark::{generate, query, XmarkConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The rules no plan of the corpus fires, each with why. Both fire on
+/// The rules no plan of the corpus fires, each with why. Each fires on
 /// the fuzz stream (`fuzz-verify` seeds 1 and 7, 300 iterations each),
-/// which is why they stay.
-const NEVER_FIRES: &[(&str, &str)] = &[
-    (
-        "distinct-disjoint-union",
-        "no query unions steps with disjoint name tests; fuzz does",
-    ),
-    (
-        "shard-push-fun",
-        "no `fun` reads a ∪̂ directly here; fuzz's multi-document corpora do",
-    ),
-];
+/// which is why it stays.
+const NEVER_FIRES: &[(&str, &str)] = &[(
+    "distinct-disjoint-union",
+    "no query unions steps with disjoint name tests; fuzz does",
+)];
 
 /// The paper's three rewrite passes, each as the rules that make it up.
 const PAPER_PASSES: &[(&str, &[&str])] = &[
@@ -72,18 +65,14 @@ fn census() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
     let mut whole = Session::new();
     whole.load_document("auction.xml", &xml).unwrap();
     let docs = split_xmark(&xml);
-    let split = [1, 8].map(|shards| {
-        let mut s = Session::new();
-        s.load_corpus_sharded(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())), shards)
-            .unwrap();
-        s
-    });
+    let mut split = Session::new();
+    split
+        .load_corpus(docs.iter().map(|(u, x)| (u.as_str(), x.as_str())))
+        .unwrap();
 
-    let corpus = (1..=20).map(|n| (&whole, query(n))).chain(
-        split
-            .iter()
-            .flat_map(|s| XMARK_SHARD_QUERIES.iter().map(move |q| (s, *q))),
-    );
+    let corpus = (1..=20)
+        .map(|n| (&whole, query(n)))
+        .chain(XMARK_COLLECTION_QUERIES.iter().map(|q| (&split, *q)));
     let mut fired: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (session, q) in corpus {
         for (name, opts) in profiles() {
