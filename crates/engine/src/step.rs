@@ -1,26 +1,33 @@
-//! The step operator: `⬡` over (iter, node) context pairs, one kernel
-//! call per (iter, fragment) group.
+//! The step operator: `⬡` over (iter, node) context pairs, evaluated
+//! per (iter, fragment) group.
 //!
 //! The context is read as two slices — the `iter` integers and the node
 //! ids, borrowed straight out of an `Int` and a `Node` column when they
 //! arrive dense — and is usually already sorted and duplicate-free (a
 //! step's input is a step's output), which one pass confirms without
-//! copying either. Each group's pre ranks go through one reused buffer
-//! into an append-style kernel of [`exrquy_xml::axis`], and its hits are
-//! appended straight to the two output columns; there is no allocation
-//! per group, which is what a loop-lifted step — thousands of one-node
-//! groups — is made of. The groups run in order on the calling thread,
-//! so the output is the (iter, doc-order) sequence by construction.
+//! copying either. Each group's hits are appended straight to the two
+//! output columns; there is no allocation per group, which is what a
+//! loop-lifted step — thousands of one-node groups — is made of. The
+//! groups run in order on the calling thread, so the output is the
+//! (iter, doc-order) sequence by construction.
 //!
-//! Which kernel is decided by the arm alone: the vectorized arm runs
-//! [`axis::step_name_stream_into`], which decides per call whether a name
-//! stream applies and, for `child::name`, from which side to probe it
-//! (from the context size and the stream slice length, see there) and
-//! scans staircase-style otherwise. The scalar reference arm runs the
-//! plain staircase join [`axis::step_into`] and boxes its output, so the
-//! differential suites check the stream paths, both probe directions and
-//! the node-column layout against it. [`axis::naive`] is the reference
-//! both are tested against, here and in `tests/prop_axes.rs`.
+//! How a group is evaluated is decided by the arm and the group alone.
+//! The scalar reference arm feeds every group's pre ranks through one
+//! reused buffer into the plain staircase join [`axis::step_into`] and
+//! boxes its output. The vectorized arm walks a group of **one** context
+//! node on `child` or `attribute` in place — that node's children or
+//! attributes, filtered by the node test, with no kernel call — except
+//! a `child::name` group whose node's subtree is at least as large as
+//! the name's element stream (`doc(…)/site`): there the stream is the
+//! shorter read, and the group goes to [`axis::step_name_stream_into`]
+//! like every group of two or more nodes and every other axis. That
+//! kernel decides per call whether a name stream applies and, for
+//! `child::name`, from which side to probe it (from the context size and
+//! the stream slice length, see there) and scans staircase-style
+//! otherwise. So the differential suites check the in-place walk, the
+//! stream paths, both probe directions and the node-column layout
+//! against the scalar arm. [`axis::naive`] is the reference both are
+//! tested against, here and in `tests/prop_axes.rs`.
 
 use crate::column::Column;
 use crate::eval::{int_col, EvalError};
@@ -28,7 +35,7 @@ use crate::item::Item;
 use crate::table::{ColView, Table};
 use exrquy_algebra::Col;
 use exrquy_diag::ErrorCode;
-use exrquy_xml::{axis, Axis, FragArena, NodeId, NodeRead, NodeTest};
+use exrquy_xml::{axis, Axis, Document, FragArena, NodeId, NodeKind, NodeRead, NodeTest};
 use std::borrow::Cow;
 
 /// The node ids of a view, borrowed when it is a dense `Node` column.
@@ -80,6 +87,22 @@ fn context_groups(iters: &[i64], nodes: &[NodeId]) -> Option<Vec<std::ops::Range
     Some(groups)
 }
 
+/// The children (`child`) or attributes (`attribute`) of the one context
+/// node `v` that pass `test`, appended to `out` in document order: what
+/// [`axis::step_into`] does for a one-node context, without a kernel call.
+fn walk_in_place(doc: &Document, v: u32, ax: Axis, test: NodeTest, out: &mut Vec<u32>) {
+    let attr = ax.principal_is_attribute();
+    match ax {
+        Axis::Child if doc.kind(v).can_have_children() => {
+            out.extend(doc.children(v).filter(|&p| test.matches(doc, p, attr)))
+        }
+        Axis::Attribute if doc.kind(v) == NodeKind::Element => {
+            out.extend(doc.attributes(v).filter(|&p| test.matches(doc, p, attr)))
+        }
+        _ => {}
+    }
+}
+
 pub(crate) fn eval_step(
     arena: &FragArena,
     t: &Table,
@@ -111,12 +134,38 @@ pub(crate) fn eval_step(
     let mut out_iter: Vec<i64> = Vec::new();
     let mut out_node: Vec<NodeId> = Vec::new();
     let (mut ctx, mut hits): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    // (fragment, length) of the `child::name` test's element stream,
+    // resolved once per fragment rather than once per group.
+    let mut stream: Option<(u32, usize)> = None;
     for g in groups {
         let (it, frag) = (iters[g.start], nodes[g.start].frag);
-        ctx.clear();
-        ctx.extend(nodes[g].iter().map(|n| n.pre));
+        let doc = arena.frag(frag);
         hits.clear();
-        kernel(arena.frag(frag), &ctx, ax, test, &mut hits);
+        let v = nodes[g.start].pre;
+        let walk = vec
+            && g.len() == 1
+            && match (ax, test) {
+                (Axis::Child, NodeTest::Name(n)) => {
+                    let len = match stream {
+                        Some((f, len)) if f == frag => len,
+                        _ => {
+                            let len = doc.name_streams().elements(n).len();
+                            stream = Some((frag, len));
+                            len
+                        }
+                    };
+                    (doc.size(v) as usize) < len
+                }
+                (Axis::Child | Axis::Attribute, _) => true,
+                _ => false,
+            };
+        if walk {
+            walk_in_place(doc, v, ax, test, &mut hits);
+        } else {
+            ctx.clear();
+            ctx.extend(nodes[g].iter().map(|n| n.pre));
+            kernel(doc, &ctx, ax, test, &mut hits);
+        }
         out_iter.extend(std::iter::repeat_n(it, hits.len()));
         out_node.extend(hits.iter().map(|&pre| NodeId::new(frag, pre)));
     }
@@ -130,7 +179,8 @@ pub(crate) fn eval_step(
 mod tests {
     //! `eval_step` against [`axis::naive`] run per (iter, fragment)
     //! group: both arms, over unsorted and duplicated multi-iteration
-    //! contexts spanning two fragments, in every input representation.
+    //! contexts spanning two fragments and over one-node-per-iteration
+    //! contexts, in every input representation.
 
     use super::*;
     use exrquy_xml::rng::SmallRng;
@@ -145,8 +195,11 @@ mod tests {
             one += &format!(r#"<g k="{i}"><x/>t<g><x id="{i}"/></g></g>"#);
         }
         b.load_str("one.xml", &(one + "</r>")).unwrap();
-        b.load_str("two.xml", r#"<r><x k="1"/><g><x/><x/></g>u</r>"#)
-            .unwrap();
+        // `w` is wide: many `y` children and one rare `z`, so its subtree
+        // outweighs both names' element streams.
+        let ys = "<y/>".repeat(40);
+        let two = format!(r#"<r><x k="1"/><g><x/><x/></g>u<w>{ys}<z/>{ys}</w></r>"#);
+        b.load_str("two.xml", &two).unwrap();
         FragArena::new(Arc::new(b.build()))
     }
 
@@ -208,6 +261,31 @@ mod tests {
                 })
                 .collect(),
         );
+        // One node per iteration — the loop-lifted shape the vectorized
+        // arm walks in place: every node of both fragments (nested nodes,
+        // attributes, text and document nodes), in order and shuffled,
+        // and a random draw.
+        let every: Vec<NodeId> = (0..2)
+            .flat_map(|f| (0..sizes[f as usize]).map(move |p| NodeId::new(f, p)))
+            .collect();
+        let one_per_iter = |nodes: &[NodeId]| -> Vec<(i64, NodeId)> {
+            nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (i as i64, n))
+                .collect()
+        };
+        let mut shuffled = one_per_iter(&every);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let drawn: Vec<NodeId> = (0..40)
+            .map(|_| {
+                let frag = rng.gen_range(0u32..2);
+                NodeId::new(frag, rng.gen_range(0..sizes[frag as usize]))
+            })
+            .collect();
+        contexts.extend([one_per_iter(&every), shuffled, one_per_iter(&drawn)]);
         let pool = arena.catalog().pool();
         let tests = [
             NodeTest::AnyKind,
@@ -217,7 +295,26 @@ mod tests {
             NodeTest::Name(pool.lookup("g").unwrap()),
             NodeTest::Name(pool.lookup("k").unwrap()),
             NodeTest::Name(pool.lookup("id").unwrap()),
+            NodeTest::Name(pool.lookup("y").unwrap()),
+            NodeTest::Name(pool.lookup("z").unwrap()),
         ];
+        // Both sides of the vectorized arm's walk-or-stream choice for a
+        // one-node `child::name` group are among the contexts above.
+        let (mut walked, mut streamed) = (0, 0);
+        for &n in &every {
+            let doc = arena.frag(n.frag);
+            for name in ["x", "y", "z"] {
+                let stream = doc.name_streams().elements(pool.lookup(name).unwrap());
+                match (doc.size(n.pre) as usize) < stream.len() {
+                    true => walked += 1,
+                    false => streamed += usize::from(!stream.is_empty()),
+                }
+            }
+        }
+        assert!(
+            walked > 0 && streamed > 0,
+            "walked {walked}, streamed {streamed}"
+        );
         for rows in &contexts {
             let iters = Column::Int(rows.iter().map(|r| r.0).collect());
             let nodes: Vec<NodeId> = rows.iter().map(|r| r.1).collect();

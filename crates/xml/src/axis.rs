@@ -17,10 +17,10 @@
 //! decided, from what the call itself holds: the axis and node test say
 //! whether a stream applies at all; for `child::name` the context size and
 //! the length of the stream slice the context spans say which side probes
-//! the other (`probe_from_stream`) — a loop-lifted step is one context
-//! node against a long stream, an unmerged
-//! `descendant-or-self::node()/child::x` pair is every node of the
-//! document against a short one, and each wants the opposite direction.
+//! the other (`probe_from_stream`) — a few context nodes against a long
+//! stream, or an unmerged `descendant-or-self::node()/child::x` pair
+//! with every node of the document against a short one, and each wants
+//! the opposite direction.
 //! There is no option to set: the rule compares two counts of
 //! comparisons and has no constant in it. `attribute::name` reads each
 //! context node's attribute run in place ([`step_into`]), whatever the
@@ -28,8 +28,9 @@
 //!
 //! The kernels are append-style ([`step_into`], [`step_name_stream_into`];
 //! [`step`] and [`step_name_stream`] wrap them): the engine calls one per
-//! (iteration, fragment) group, thousands of times per step, into a
-//! buffer it reuses.
+//! (iteration, fragment) group into a buffer it reuses; its vectorized
+//! arm walks a one-node `child`/`attribute` group in place instead,
+//! unless the node's subtree outweighs the name's element stream.
 //!
 //! All implementations work on a single [`Document`]; the engine layer
 //! partitions multi-fragment contexts by fragment.
