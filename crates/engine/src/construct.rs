@@ -152,7 +152,7 @@ pub(crate) fn eval_element(
     let n = content.nrows();
     // Row numbers in (iter, ord, pos) order, ties in row order.
     let keys = [&iters, &ords, &poss].map(|c| Key::of(c, false));
-    let perm = sorted_perm(n, &keys, vec);
+    let perm = sorted_perm(n, &keys, vec).unwrap_or_else(|| (0..n as u32).collect());
 
     // One new fragment holds every tree this invocation constructs, as
     // sibling roots in iter order. Its size is known up front: the

@@ -5,16 +5,23 @@
 //! order, each with its right matches ascending — through one
 //! [`PairSink`], whichever kernel finds them:
 //!
-//! * integer keys sorted on both sides (`#`-numbered and `iter` columns)
-//!   merge linearly, with no index — and a node column joined to a node
-//!   column is a pair of integer columns ([`key_view`]) to this kernel
-//!   and the next;
+//! * integer keys whose build (right) side is dense and never repeats —
+//!   the map joins loop-lifting puts over a numbered relation — gather:
+//!   one slot a key, one read a probe row, at most one pair a probe row;
+//! * other integer keys sorted on both sides (`#`-numbered and `iter`
+//!   columns) merge linearly, with no index — and a node column joined to
+//!   a node column is a pair of integer columns ([`key_view`]) to these
+//!   kernels and the next;
 //! * other integer keys probe an [`IntJoinIndex`]: a dense domain — the
 //!   unsorted rank column `%` produces — is addressed directly by
 //!   `key − lo`, a sparse one hashes key → group;
 //! * item keys (the value joins) hash borrowed keys into the same
 //!   [`Csr`] layout;
 //! * the `vec == false` reference arm keeps the per-row map of `Vec`s.
+//!
+//! The batch output shares each input's columns behind a selection
+//! vector, and a side the join keeps whole and in order passes through
+//! as it is: a gather whose every probe row matches writes no left rows.
 
 use crate::column::Column;
 use crate::dense::{dense_range, Csr};
@@ -135,6 +142,9 @@ fn for_each_key<'a>(c: &'a ColView, mut f: impl FnMut(usize, RefKey<'a>)) {
 struct PairSink<'m> {
     lidx: Vec<u32>,
     ridx: Vec<u32>,
+    /// Set by [`gather`](Self::gather) when every left row found its one
+    /// pair: `lidx` is then unwritten, the left rows being all of them.
+    left_all: bool,
     cap: usize,
     meter: &'m BudgetMeter,
 }
@@ -144,6 +154,7 @@ impl<'m> PairSink<'m> {
         PairSink {
             lidx: Vec::new(),
             ridx: Vec::new(),
+            left_all: false,
             cap: meter.op_row_cap(),
             meter,
         }
@@ -151,12 +162,25 @@ impl<'m> PairSink<'m> {
 
     #[inline]
     fn push(&mut self, i: u32, j: u32) -> Result<(), EvalError> {
-        if self.lidx.len() >= self.cap {
-            return Err(row_cap_exceeded(self.cap));
-        }
+        self.admit()?;
         self.lidx.push(i);
         self.ridx.push(j);
-        if self.lidx.len().is_multiple_of(POLL_STRIDE) {
+        self.poll()
+    }
+
+    /// The row cap, checked before each pair.
+    #[inline]
+    fn admit(&self) -> Result<(), EvalError> {
+        if self.ridx.len() >= self.cap {
+            return Err(row_cap_exceeded(self.cap));
+        }
+        Ok(())
+    }
+
+    /// The meter, polled after every [`POLL_STRIDE`]th pair.
+    #[inline]
+    fn poll(&self) -> Result<(), EvalError> {
+        if self.ridx.len().is_multiple_of(POLL_STRIDE) {
             self.meter.poll()?;
         }
         Ok(())
@@ -170,6 +194,52 @@ impl<'m> PairSink<'m> {
         }
         Ok(())
     }
+
+    /// Left rows `0..n` each paired with right row `find(i)`, if any: at
+    /// most one pair a left row, so the output is reserved once. The row
+    /// cap and the poll fall at the same pairs as [`push`](Self::push)'s.
+    /// `lidx` is written only from the first unmatched left row on; when
+    /// every left row matches it stays empty and the left input passes
+    /// through.
+    fn gather(&mut self, n: usize, find: impl Fn(usize) -> Option<u32>) -> Result<(), EvalError> {
+        self.ridx.reserve(n.min(self.cap));
+        let mut all = true;
+        for i in 0..n {
+            let Some(j) = find(i) else {
+                if all {
+                    all = false;
+                    self.lidx.reserve(self.ridx.capacity());
+                    self.lidx.extend(0..i as u32);
+                }
+                continue;
+            };
+            self.admit()?;
+            if !all {
+                self.lidx.push(i as u32);
+            }
+            self.ridx.push(j);
+            self.poll()?;
+        }
+        self.left_all = all;
+        Ok(())
+    }
+
+    /// The rows the pairs keep of each side.
+    fn into_rows(self) -> (Rows, Rows) {
+        let left = if self.left_all {
+            Rows::All
+        } else {
+            Rows::Picked(self.lidx)
+        };
+        (left, Rows::Picked(self.ridx))
+    }
+}
+
+/// The rows a join keeps of one input, in output order.
+enum Rows {
+    /// Every row, in order: the input passes through as it is.
+    All,
+    Picked(Vec<u32>),
 }
 
 /// Join index over keys hashed to group ids (numbered as first met),
@@ -205,45 +275,81 @@ impl<K: std::hash::Hash + Eq, S: std::hash::BuildHasher + Default> HashedIndex<K
 
 /// Join index over the build side's integer keys. Loop-lifted plans join
 /// on `%`/`#`/`iter`/`pos` columns, whose values are dense by
-/// construction: those are addressed directly by `key − lo`. A sparse
-/// domain hashes into the same layout (with the standard library's
-/// keyed hasher: sparse integers are values out of the documents).
+/// construction: those are addressed directly by `key − lo`. Dense keys
+/// that never repeat — the map joins of rules LOC/BIND, over a key of a
+/// numbered relation — need no groups: a slot a key holds its one build
+/// row, and the probe is a gather. A sparse domain hashes into the CSR
+/// layout (with the standard library's keyed hasher: sparse integers are
+/// values out of the documents).
 enum IntJoinIndex {
-    Direct { lo: i64, span: u64, csr: Csr },
+    /// Slot `key − lo` holds the key's build row + 1, or 0 for none.
+    Unique {
+        lo: i64,
+        slots: Vec<u32>,
+    },
+    Direct {
+        lo: i64,
+        span: u64,
+        csr: Csr,
+    },
     Hashed(HashedIndex<i64, std::hash::RandomState>),
 }
 
 impl IntJoinIndex {
-    fn build(keys: &[i64]) -> IntJoinIndex {
-        match dense_range(keys) {
-            Some((lo, span)) => IntJoinIndex::Direct {
-                lo,
-                span,
-                csr: Csr::build(span as usize + 1, 0..keys.len() as u32, |j| {
-                    keys[j as usize].wrapping_sub(lo) as usize
-                }),
-            },
-            None => IntJoinIndex::Hashed(HashedIndex::build(keys.len(), |push| {
-                keys.iter().for_each(|&k| push(k))
-            })),
+    /// The index over the build side's `keys` — or `None` when both sides
+    /// are `sorted` and the keys are not both dense and unique: the linear
+    /// merge takes those, with no index at all.
+    fn build(keys: &[i64], sorted: bool) -> Option<IntJoinIndex> {
+        let Some((lo, span)) = dense_range(keys) else {
+            return (!sorted).then(|| {
+                IntJoinIndex::Hashed(HashedIndex::build(keys.len(), |push| {
+                    keys.iter().for_each(|&k| push(k))
+                }))
+            });
+        };
+        // Uniqueness shows while the slots fill: the first repeated key
+        // falls back to the groups.
+        let mut slots = vec![0u32; span as usize + 1];
+        let unique = keys.iter().zip(1..).all(|(&k, row)| {
+            let slot = &mut slots[k.wrapping_sub(lo) as usize];
+            std::mem::replace(slot, row) == 0
+        });
+        if unique {
+            return Some(IntJoinIndex::Unique { lo, slots });
         }
+        (!sorted).then(|| IntJoinIndex::Direct {
+            lo,
+            span,
+            csr: Csr::build(span as usize + 1, 0..keys.len() as u32, |j| {
+                keys[j as usize].wrapping_sub(lo) as usize
+            }),
+        })
     }
 
-    /// Build rows whose key equals `key`, ascending; keys outside the
-    /// build side's range simply miss.
-    #[inline]
-    fn matches(&self, key: i64) -> &[u32] {
+    /// Every probe key's build rows, ascending, into `out`, probe rows in
+    /// order; keys outside the build side's range simply miss.
+    fn probe(&self, lv: &[i64], out: &mut PairSink) -> Result<(), EvalError> {
         match self {
+            // `key < lo` wraps to an offset far above any slot.
+            IntJoinIndex::Unique { lo, slots } => out.gather(lv.len(), |i| {
+                let slot = slots.get(lv[i].wrapping_sub(*lo) as usize)?;
+                slot.checked_sub(1)
+            }),
             IntJoinIndex::Direct { lo, span, csr } => {
-                // `key < lo` wraps to a value far above any span.
-                let off = key.wrapping_sub(*lo) as u64;
-                if off <= *span {
-                    csr.group(off as usize)
-                } else {
-                    &[]
+                for (i, &k) in lv.iter().enumerate() {
+                    let off = k.wrapping_sub(*lo) as u64;
+                    if off <= *span {
+                        out.push_matches(i, csr.group(off as usize))?;
+                    }
                 }
+                Ok(())
             }
-            IntJoinIndex::Hashed(index) => index.matches(&key),
+            IntJoinIndex::Hashed(index) => {
+                for (i, k) in lv.iter().enumerate() {
+                    out.push_matches(i, index.matches(k))?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -344,32 +450,40 @@ pub(crate) fn eval_cross(l: &Table, r: &Table, cap: usize, vec: bool) -> Result<
             ridx.push(j as u32);
         }
     }
-    Ok(join_output(l, r, lidx, ridx, vec))
+    Ok(join_output(
+        l,
+        r,
+        Rows::Picked(lidx),
+        Rows::Picked(ridx),
+        vec,
+    ))
 }
 
-/// Assemble a join's output from matched (left, right) row pairs. The
+/// Assemble a join's output from the rows it keeps of each side. The
 /// vectorized shape shares both inputs' columns behind two selection
-/// vectors — a join emits zero copied cells; the scalar shape gathers.
-fn join_output(l: &Table, r: &Table, lidx: Vec<u32>, ridx: Vec<u32>, vec: bool) -> Table {
-    let nrows = lidx.len();
+/// vectors — a join emits zero copied cells — and a side whose rows are
+/// all of its rows in order passes through as it is; the scalar shape
+/// gathers.
+fn join_output(l: &Table, r: &Table, lrows: Rows, rrows: Rows, vec: bool) -> Table {
     if vec {
         // `select_rows` composes any prior selection once per distinct
         // vector (not once per column), so a chain of joins stays one
         // indirection deep per side.
-        let lt = l.select_rows(lidx);
-        let rt = r.select_rows(ridx);
-        let mut cols: Vec<(Col, ColView)> =
-            Vec::with_capacity(l.columns().len() + r.columns().len());
-        for (name, c) in lt.columns() {
-            cols.push((*name, c.clone()));
-        }
-        for (name, c) in rt.columns() {
-            cols.push((*name, c.clone()));
-        }
-        return Table::from_views(cols, nrows);
+        let keep = |t: &Table, rows: Rows| match rows {
+            Rows::Picked(idx) if !is_identity(&idx, t.nrows()) => t.select_rows(idx),
+            _ => t.clone(),
+        };
+        let (lt, rt) = (keep(l, lrows), keep(r, rrows));
+        let cols: Vec<(Col, ColView)> = lt.columns().iter().chain(rt.columns()).cloned().collect();
+        return Table::from_views(cols, lt.nrows());
     }
-    let lidx: Vec<usize> = lidx.iter().map(|&i| i as usize).collect();
-    let ridx: Vec<usize> = ridx.iter().map(|&i| i as usize).collect();
+    let indices = |t: &Table, rows: Rows| -> Vec<usize> {
+        match rows {
+            Rows::All => (0..t.nrows()).collect(),
+            Rows::Picked(idx) => idx.iter().map(|&i| i as usize).collect(),
+        }
+    };
+    let (lidx, ridx) = (indices(l, lrows), indices(r, rrows));
     let mut cols: Vec<(Col, Column)> = Vec::new();
     for (name, c) in l.columns() {
         cols.push((*name, c.gather(&lidx)));
@@ -378,6 +492,11 @@ fn join_output(l: &Table, r: &Table, lidx: Vec<u32>, ridx: Vec<u32>, vec: bool) 
         cols.push((*name, c.gather(&ridx)));
     }
     Table::new(cols)
+}
+
+/// `idx` is `0..n`.
+fn is_identity(idx: &[u32], n: usize) -> bool {
+    idx.len() == n && idx.iter().zip(0..).all(|(&i, p)| i == p)
 }
 
 pub(crate) fn eval_equijoin(
@@ -397,22 +516,18 @@ pub(crate) fn eval_equijoin(
     match int_keys(&lc, &rc) {
         // `#`-numbered and `iter` columns arrive sorted on both sides: a
         // linear merge needs no index at all (and the two sortedness
-        // scans are cheap next to building one).
-        Some([lv, rv]) if vec && lv.is_sorted() && rv.is_sorted() => {
-            merge_join_pairs(&lv, &rv, &mut out)?
-        }
-        // `%` output is a dense but unsorted rank column.
-        Some([lv, rv]) if vec => {
-            let index = IntJoinIndex::build(&rv);
-            for (i, &k) in lv.iter().enumerate() {
-                out.push_matches(i, index.matches(k))?;
-            }
-        }
+        // scans are cheap next to building one) — unless the build keys
+        // are dense and unique, where the gather beats it.
+        Some([lv, rv]) if vec => match IntJoinIndex::build(&rv, lv.is_sorted() && rv.is_sorted()) {
+            Some(index) => index.probe(&lv, &mut out)?,
+            None => merge_join_pairs(&lv, &rv, &mut out)?,
+        },
         Some([lv, rv]) => reference_join(lv.iter().copied(), rv.iter().copied(), &mut out)?,
         _ if vec => hash_join_pairs(&lc, &rc, &mut out)?,
         _ => reference_join(group_keys(&lc), group_keys(&rc), &mut out)?,
     }
-    Ok(join_output(l, r, out.lidx, out.ridx, vec))
+    let (lrows, rrows) = out.into_rows();
+    Ok(join_output(l, r, lrows, rrows, vec))
 }
 
 pub(crate) fn eval_thetajoin(
@@ -518,7 +633,13 @@ pub(crate) fn eval_thetajoin(
         lidx = flidx;
         ridx = fridx;
     }
-    Ok(join_output(l, r, lidx, ridx, vec))
+    Ok(join_output(
+        l,
+        r,
+        Rows::Picked(lidx),
+        Rows::Picked(ridx),
+        vec,
+    ))
 }
 
 pub(crate) fn eval_difference(l: &Table, r: &Table, on: &[(Col, Col)], vec: bool) -> Table {
@@ -563,6 +684,7 @@ mod tests {
     use super::*;
     use exrquy_diag::{CancellationToken, ExecutionBudget};
     use exrquy_xml::rng::SmallRng;
+    use std::sync::Arc;
 
     fn meter(max_rows: Option<usize>, cancelled: bool) -> BudgetMeter {
         let budget = ExecutionBudget {
@@ -578,19 +700,43 @@ mod tests {
 
     type Pairs = Result<(Vec<i64>, Vec<i64>), (ErrorCode, String)>;
 
+    /// Every placement of the two inputs: dense, or behind a selection
+    /// vector, on either side.
+    const BEHIND: [[bool; 2]; 4] = [[false, false], [true, false], [false, true], [true, true]];
+
+    /// The join's inputs: a key and a row-id column a side. A side
+    /// `behind` a selection vector keeps its rows reversed among decoy
+    /// rows (key 0, id −1) in the physical columns.
+    fn sides(lk: &[i64], rk: &[i64], behind: [bool; 2]) -> [Table; 2] {
+        let side = |keys: &[i64], key: Col, id: Col, behind: bool| {
+            let n = keys.len();
+            if !behind {
+                let ids = Column::Int((0..n as i64).collect());
+                return Table::new(vec![(key, Column::Int(keys.to_vec())), (id, ids)]);
+            }
+            let phys = |r: usize| 2 * (n - 1 - r) + 1;
+            let (mut kp, mut ip) = (vec![0; 2 * n], vec![-1; 2 * n]);
+            for (r, &k) in keys.iter().enumerate() {
+                kp[phys(r)] = k;
+                ip[phys(r)] = r as i64;
+            }
+            Table::new(vec![(key, Column::Int(kp)), (id, Column::Int(ip))])
+                .select_rows((0..n).map(|r| phys(r) as u32).collect())
+        };
+        [
+            side(lk, Col::ITER, Col::POS, behind[0]),
+            side(rk, Col::ITER1, Col::POS1, behind[1]),
+        ]
+    }
+
     /// The join's pair stream, read back through a row-id column on
     /// each side.
     fn pairs(lk: &[i64], rk: &[i64], vec: bool, meter: &BudgetMeter) -> Pairs {
-        let ids = |n: usize| Column::Int((0..n as i64).collect());
-        let l = Table::new(vec![
-            (Col::ITER, Column::Int(lk.to_vec())),
-            (Col::POS, ids(lk.len())),
-        ]);
-        let r = Table::new(vec![
-            (Col::ITER1, Column::Int(rk.to_vec())),
-            (Col::POS1, ids(rk.len())),
-        ]);
-        match eval_equijoin(&l, &r, Col::ITER, Col::ITER1, meter, vec) {
+        pairs_of(&sides(lk, rk, [false; 2]), vec, meter)
+    }
+
+    fn pairs_of([l, r]: &[Table; 2], vec: bool, meter: &BudgetMeter) -> Pairs {
+        match eval_equijoin(l, r, Col::ITER, Col::ITER1, meter, vec) {
             Ok(t) => Ok((
                 t.col(Col::POS).to_int_vec().unwrap(),
                 t.col(Col::POS1).to_int_vec().unwrap(),
@@ -599,11 +745,37 @@ mod tests {
         }
     }
 
+    /// Both arms agree with every side dense or behind a selection
+    /// vector; the pair count.
     fn assert_arms_agree(lk: &[i64], rk: &[i64]) -> usize {
         let m = meter(None, false);
         let batch = pairs(lk, rk, true, &m);
-        assert_eq!(batch, pairs(lk, rk, false, &m), "l={lk:?} r={rk:?}");
+        for behind in BEHIND {
+            let inputs = sides(lk, rk, behind);
+            let reference = pairs_of(&inputs, false, &m);
+            assert_eq!(
+                pairs_of(&inputs, true, &m),
+                reference,
+                "l={lk:?} r={rk:?} {behind:?}"
+            );
+            assert_eq!(batch, reference);
+        }
         batch.unwrap().0.len()
+    }
+
+    /// Which sides the batch join passes through as they came — the
+    /// output's views are the input's own — with the inputs `behind`.
+    fn passes_through(lk: &[i64], rk: &[i64], behind: [bool; 2]) -> [bool; 2] {
+        let [l, r] = sides(lk, rk, behind);
+        let t = eval_equijoin(&l, &r, Col::ITER, Col::ITER1, &meter(None, false), true).unwrap();
+        let same = |a: ColView, b: ColView| {
+            Arc::ptr_eq(a.data(), b.data())
+                && a.sel().map(<[u32]>::as_ptr) == b.sel().map(<[u32]>::as_ptr)
+        };
+        [
+            same(t.col(Col::POS), l.col(Col::POS)),
+            same(t.col(Col::POS1), r.col(Col::POS1)),
+        ]
     }
 
     fn shuffled(rng: &mut SmallRng, mut v: Vec<i64>) -> Vec<i64> {
@@ -613,8 +785,23 @@ mod tests {
         v
     }
 
-    fn is_direct(keys: &[i64]) -> bool {
-        matches!(IntJoinIndex::build(keys), IntJoinIndex::Direct { .. })
+    /// The integer arms of the batch equi-join.
+    #[derive(Debug, PartialEq)]
+    enum Arm {
+        Gather,
+        Direct,
+        Hashed,
+        Merge,
+    }
+
+    /// The arm the batch join of these keys takes.
+    fn arm(lk: &[i64], rk: &[i64]) -> Arm {
+        match IntJoinIndex::build(rk, lk.is_sorted() && rk.is_sorted()) {
+            Some(IntJoinIndex::Unique { .. }) => Arm::Gather,
+            Some(IntJoinIndex::Direct { .. }) => Arm::Direct,
+            Some(IntJoinIndex::Hashed(_)) => Arm::Hashed,
+            None => Arm::Merge,
+        }
     }
 
     #[test]
@@ -622,7 +809,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let l = shuffled(&mut rng, (1..=1000).collect());
         let r = shuffled(&mut rng, (1..=1000).collect());
-        assert!(is_direct(&r));
+        assert_eq!(arm(&l, &r), Arm::Gather);
         assert_eq!(assert_arms_agree(&l, &r), 1000);
     }
 
@@ -635,7 +822,7 @@ mod tests {
                 (0..n).map(|_| lo + 2 * rng.gen_range(0i64..100)).collect()
             };
             let (l, r) = (keys(&mut rng, 300), keys(&mut rng, 300));
-            assert!(is_direct(&r));
+            assert_eq!(arm(&l, &r), Arm::Direct);
             assert!(assert_arms_agree(&l, &r) > 300);
         }
     }
@@ -658,32 +845,116 @@ mod tests {
                 .collect()
         };
         let (l, r) = (keys(&mut rng), keys(&mut rng));
-        assert!(!is_direct(&r));
+        assert_eq!(arm(&l, &r), Arm::Hashed);
         assert!(assert_arms_agree(&l, &r) > 400);
     }
 
     #[test]
     fn extreme_keys_neither_overflow_nor_allocate_their_span() {
         let r = [i64::MAX, 0, i64::MIN, 0, i64::MAX];
-        assert!(!is_direct(&r));
-        assert_eq!(
-            assert_arms_agree(&[i64::MIN, 1, i64::MAX, 0, -1], &r),
-            1 + 2 + 2
-        );
+        let l = [i64::MIN, 1, i64::MAX, 0, -1];
+        assert_eq!(arm(&l, &r), Arm::Hashed);
+        assert_eq!(assert_arms_agree(&l, &r), 1 + 2 + 2);
         // A dense run at either end of the domain is still dense.
         let top: Vec<i64> = (0..100).map(|i| i64::MAX - (i * 7) % 100).collect();
         let bottom: Vec<i64> = (0..100).map(|i| i64::MIN + (i * 7) % 100).collect();
-        assert!(is_direct(&top) && is_direct(&bottom));
+        assert_eq!(arm(&bottom, &top), Arm::Gather);
+        assert_eq!(arm(&top, &bottom), Arm::Gather);
         assert_eq!(assert_arms_agree(&bottom, &top), 0);
+        assert_eq!(assert_arms_agree(&top, &bottom), 0);
         assert_eq!(assert_arms_agree(&top, &top), 100);
     }
 
     #[test]
     fn probe_keys_outside_the_build_range_miss() {
         let r = [12, 10, 11, 10];
-        assert!(is_direct(&r));
         let l = [9, 13, 10, i64::MIN, i64::MAX, 12, -10, 10 + (1 << 40)];
+        assert_eq!(arm(&l, &r), Arm::Direct);
         assert_eq!(assert_arms_agree(&l, &r), 3);
+    }
+
+    #[test]
+    fn every_probe_row_matching_passes_the_probe_side_through() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let r = shuffled(&mut rng, (0..1000).collect());
+        // Repeated probe keys, every one of them on the build side.
+        let l: Vec<i64> = (0..3000).map(|_| rng.gen_range(0i64..1000)).collect();
+        assert_eq!(arm(&l, &r), Arm::Gather);
+        let total = assert_arms_agree(&l, &r);
+        assert_eq!(total, 3000);
+        for behind in BEHIND {
+            assert_eq!(passes_through(&l, &r, behind), [true, false], "{behind:?}");
+        }
+        for cap in [0, 1, total / 2, total - 1, total, total + 1] {
+            let m = meter(Some(cap), false);
+            assert_eq!(
+                pairs(&l, &r, true, &m),
+                pairs(&l, &r, false, &m),
+                "cap {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn probe_keys_that_miss_or_fall_outside_the_range_select_both_sides() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        // Even keys only: the odd ones miss inside [lo, hi].
+        let r = shuffled(&mut rng, (0..500).map(|k| 2 * k).collect());
+        let mut l: Vec<i64> = (0..1500).map(|_| rng.gen_range(-20i64..1020)).collect();
+        l.extend([i64::MIN, i64::MAX, 998, 1000, -1, 0]);
+        for l in [&l[..], &l[1..], &[i64::MAX, 4, 4][..], &[4, 4, 3][..]] {
+            assert_eq!(arm(l, &r), Arm::Gather);
+            let total = assert_arms_agree(l, &r);
+            assert!(total > 0 && total < l.len());
+            for behind in BEHIND {
+                assert_eq!(passes_through(l, &r, behind), [false, false]);
+            }
+            for cap in [0, 1, total / 2, total - 1, total, total + 1] {
+                let m = meter(Some(cap), false);
+                assert_eq!(pairs(l, &r, true, &m), pairs(l, &r, false, &m), "cap {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_rows_in_build_order_pass_the_build_side_through() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        // Sorted unique dense keys on both sides take the gather, not the
+        // merge; so does a probe side that repeats an unsorted build side.
+        let sorted: Vec<i64> = (10..1010).collect();
+        let unsorted = shuffled(&mut rng, sorted.clone());
+        for keys in [&sorted, &unsorted] {
+            assert_eq!(arm(keys, keys), Arm::Gather);
+            assert_eq!(assert_arms_agree(keys, keys), 1000);
+            for behind in BEHIND {
+                assert_eq!(passes_through(keys, keys, behind), [true, true]);
+            }
+        }
+        // The build rows in order, but not all of them: a selection.
+        assert_eq!(
+            passes_through(&sorted[..999], &sorted, [false; 2]),
+            [true, false]
+        );
+        assert_eq!(
+            passes_through(&unsorted, &sorted, [false; 2]),
+            [true, false]
+        );
+    }
+
+    #[test]
+    fn a_build_key_repeated_at_the_last_row_falls_back() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        let mut r = shuffled(&mut rng, (0..500).collect());
+        r.push(r[17]);
+        let mut l = shuffled(&mut rng, (-10..510).collect());
+        assert_eq!(arm(&l, &r[..500]), Arm::Gather);
+        assert_eq!(arm(&l, &r), Arm::Direct);
+        assert_eq!(assert_arms_agree(&l, &r), 501);
+        // Sorted on both sides, the fallback is the merge.
+        l.sort_unstable();
+        r.sort_unstable();
+        assert_eq!(arm(&l, &r), Arm::Merge);
+        assert_eq!(assert_arms_agree(&l, &r), 501);
     }
 
     #[test]
@@ -752,12 +1023,22 @@ mod tests {
             ])
         };
         let ids = |t: &Table, c: Col| t.col(c).to_int_vec().unwrap();
-        // Unsorted (direct-address index) and sorted (merge) key runs.
-        for sorted in [false, true] {
+        // Repeated keys over three fragments, unsorted (hashed) and
+        // sorted (merge), and unique build keys dense in one fragment,
+        // some probe rows missing them (gather).
+        let unique = shuffled(&mut rng, (0..200).collect());
+        for want_arm in [Arm::Hashed, Arm::Merge, Arm::Gather] {
             let (mut ln, mut rn) = (nodes(&mut rng, 300), nodes(&mut rng, 200));
-            if sorted {
-                ln.sort_unstable();
-                rn.sort_unstable();
+            match want_arm {
+                Arm::Merge => {
+                    ln.sort_unstable();
+                    rn.sort_unstable();
+                }
+                Arm::Gather => {
+                    rn = unique.iter().map(|&p| NodeId::new(1, p as u32)).collect();
+                    ln.iter_mut().for_each(|n| n.pre *= 4);
+                }
+                _ => {}
             }
             let table = |vec: bool| {
                 (
@@ -766,8 +1047,14 @@ mod tests {
                 )
             };
             let ((lb, rb), (lp, rp)) = (table(false), table(true));
+            let key_of = |t: &Table, c: Col| key_view(&t.col(c)).unwrap().1.into_owned();
+            let (lk, rk) = (key_of(&lp, Col::ITEM), key_of(&rp, Col::ITEM1));
+            assert_eq!(arm(&lk, &rk), want_arm);
             let want = eval_equijoin(&lb, &rb, Col::ITEM, Col::ITEM1, &m, false).unwrap();
-            assert!(want.nrows() > 300);
+            match want_arm {
+                Arm::Gather => assert!(want.nrows() > 0 && want.nrows() < 300),
+                _ => assert!(want.nrows() > 300),
+            }
             for (l, r) in [(&lp, &rp), (&lp, &rb), (&lb, &rp)] {
                 let got = eval_equijoin(l, r, Col::ITEM, Col::ITEM1, &m, true).unwrap();
                 assert_eq!(ids(&got, Col::POS), ids(&want, Col::POS));

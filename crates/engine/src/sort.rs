@@ -94,7 +94,8 @@ const COUNTING_MIN_ROWS: usize = 64;
 
 /// The stable permutation of `0..n` that orders rows by `keys`, most
 /// significant first — the one sorter behind `%` and the rank-restoring
-/// sort. Rows with equal key tuples keep their input order.
+/// sort. Rows with equal key tuples keep their input order. `None` when
+/// that permutation is the identity, found without allocating it.
 ///
 /// The vectorized arm probes for sortedness first: rows usually arrive
 /// in key order already (the iter→seq reorder over staircase output,
@@ -105,42 +106,66 @@ const COUNTING_MIN_ROWS: usize = 64;
 /// key first: O(keys · n), no comparisons. `Item` keys and sparse
 /// integers take the comparison sort, as does the whole reference arm
 /// (whose node columns are boxed, hence `Item` keys).
-pub(crate) fn sorted_perm(n: usize, keys: &[Key], vec: bool) -> Vec<u32> {
-    let cmp = |a: usize, b: usize| {
-        keys.iter()
-            .map(|k| k.cmp_rows(a, b))
-            .find(|&o| o != Ordering::Equal)
-            .unwrap_or(Ordering::Equal)
-    };
+pub(crate) fn sorted_perm(n: usize, keys: &[Key], vec: bool) -> Option<Vec<u32>> {
     if vec {
-        // The probe runs on every `%`; over all-integer keys (the rule)
-        // it compares the slices directly, not through `Key` per value.
-        let presorted = match keys.iter().map(Key::ints).collect::<Option<Vec<_>>>() {
-            Some(ints) => (1..n).all(|r| {
-                ints.iter()
-                    .map(|&(v, desc)| (v[r - 1].cmp(&v[r]), desc))
-                    .find(|&(o, _)| o != Ordering::Equal)
-                    .is_none_or(|(o, desc)| (o == Ordering::Less) != desc)
-            }),
-            None => (1..n).all(|r| cmp(r - 1, r) != Ordering::Greater),
+        let presorted = match int_keys(keys) {
+            Some(ints) => ints_in_order(n, &ints, |_| ()),
+            None => (1..n).all(|r| cmp_rows(keys, r - 1, r) != Ordering::Greater),
         };
         if presorted {
-            return (0..n as u32).collect();
-        }
-        if n >= COUNTING_MIN_ROWS {
-            if let Some(dense) = keys.iter().map(Key::dense).collect::<Option<Vec<_>>>() {
-                let mut perm: Vec<u32> = (0..n as u32).collect();
-                // A single-valued key orders nothing.
-                for k in dense.iter().rev().filter(|k| k.span > 0) {
-                    let pass = Csr::build(k.span + 1, perm.iter().copied(), |row| k.bucket(row));
-                    perm = pass.into_rows();
-                }
-                return perm;
-            }
+            return None;
         }
     }
+    Some(sort_perm(n, keys, vec))
+}
+
+/// Rows compared on every key, most significant first.
+fn cmp_rows(keys: &[Key], a: usize, b: usize) -> Ordering {
+    keys.iter()
+        .map(|k| k.cmp_rows(a, b))
+        .find(|&o| o != Ordering::Equal)
+        .unwrap_or(Ordering::Equal)
+}
+
+/// The raw slices of an all-integer key tuple (the rule).
+fn int_keys<'k>(keys: &'k [Key]) -> Option<Vec<(&'k [i64], bool)>> {
+    keys.iter().map(Key::ints).collect()
+}
+
+/// Whether rows `0..n` are in `ints` order already, compared on the
+/// slices directly, not through `Key` per value. `step(d)` sees each
+/// row as the probe passes it, `d` being the most significant key on
+/// which it differs from the row before: `0` for the first row,
+/// `ints.len()` for a repeat.
+fn ints_in_order(n: usize, ints: &[(&[i64], bool)], mut step: impl FnMut(usize)) -> bool {
+    if n > 0 {
+        step(0);
+    }
+    (1..n).all(|r| {
+        let d = ints
+            .iter()
+            .position(|(v, _)| v[r - 1] != v[r])
+            .unwrap_or(ints.len());
+        step(d);
+        ints.get(d)
+            .is_none_or(|&(v, desc)| (v[r - 1] < v[r]) != desc)
+    })
+}
+
+/// [`sorted_perm`] past its probe.
+fn sort_perm(n: usize, keys: &[Key], vec: bool) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_by(|&a, &b| cmp(a as usize, b as usize));
+    if vec && n >= COUNTING_MIN_ROWS {
+        if let Some(dense) = keys.iter().map(Key::dense).collect::<Option<Vec<_>>>() {
+            // A single-valued key orders nothing.
+            for k in dense.iter().rev().filter(|k| k.span > 0) {
+                let pass = Csr::build(k.span + 1, perm.iter().copied(), |row| k.bucket(row));
+                perm = pass.into_rows();
+            }
+            return perm;
+        }
+    }
+    perm.sort_by(|&a, &b| cmp_rows(keys, a as usize, b as usize));
     perm
 }
 
@@ -193,14 +218,38 @@ pub(crate) fn eval_rownum(
         .chain(order.iter().map(|k| (t.col(k.col), k.desc)))
         .collect();
     let keys: Vec<Key> = views.iter().map(|(v, desc)| Key::of(v, *desc)).collect();
-    let idx = sorted_perm(n, &keys, vec);
-    // Dense 1,2,3,… numbering per partition, written back to row order.
+    // Keys `0..groups` make the partition: a row differing from the one
+    // before on any of them starts a new one.
+    let groups = usize::from(part.is_some());
+    let ints = int_keys(&keys).filter(|_| vec);
+    // Vectorized: presorted integer keys are numbered inside the probe,
+    // in one pass over the rows.
+    if let Some(ints) = &ints {
+        let mut nums = Vec::with_capacity(n);
+        let mut rank = 0i64;
+        let presorted = ints_in_order(n, ints, |d| {
+            rank = if d < groups { 1 } else { rank + 1 };
+            nums.push(rank);
+        });
+        if presorted {
+            return t.with_column(new, Column::Int(nums));
+        }
+    }
+    let idx = match ints {
+        Some(_) => sort_perm(n, &keys, vec),
+        None => sorted_perm(n, &keys, vec).unwrap_or_else(|| (0..n as u32).collect()),
+    };
+    // Dense 1,2,3,… numbering per partition, written back to row order;
+    // the vectorized arm reads an integer partition key as its slice.
+    let part_ints = ints.as_ref().filter(|_| groups > 0).map(|ints| ints[0].0);
     let mut nums = vec![0i64; n];
     let mut rank = 0i64;
     for (k, &row) in idx.iter().enumerate() {
-        let same_group = k > 0
-            && (part.is_none()
-                || keys[0].cmp_rows(row as usize, idx[k - 1] as usize) == Ordering::Equal);
+        let prev = k.checked_sub(1).map(|p| idx[p] as usize);
+        let same_group = prev.is_some_and(|prev| match part_ints {
+            Some(v) => v[row as usize] == v[prev],
+            None => part.is_none() || keys[0].cmp_rows(row as usize, prev) == Ordering::Equal,
+        });
         rank = if same_group { rank + 1 } else { 1 };
         nums[row as usize] = rank;
     }
@@ -219,12 +268,14 @@ pub(crate) fn eval_sort(t: &Table, keys: &[Col], vec: bool) -> Result<Table, Eva
         .iter()
         .map(|&k| Ok(Key::Int(Cow::Owned(t.col(k).to_int_vec()?), false)))
         .collect::<Result<_, EvalError>>()?;
-    let idx = sorted_perm(t.nrows(), &keys, vec);
-    Ok(if vec {
-        t.select_rows(idx)
-    } else {
-        let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
-        t.gather(&idx)
+    Ok(match sorted_perm(t.nrows(), &keys, vec) {
+        // Presorted: the table passes through.
+        None => t.clone(),
+        Some(idx) if vec => t.select_rows(idx),
+        Some(idx) => {
+            let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+            t.gather(&idx)
+        }
     })
 }
 
@@ -293,6 +344,7 @@ mod tests {
     use crate::item::Item;
     use exrquy_algebra::SortKey;
     use exrquy_xml::rng::SmallRng;
+    use std::sync::Arc;
 
     const KEYS: [Col; 3] = [Col::ITER, Col::POS, Col::ITEM];
 
@@ -374,6 +426,50 @@ mod tests {
         let order = [order[0], order[1], SortKey::asc(Col::ITEM)];
         let nums = assert_arms_agree(&t, &order, None);
         assert_eq!(nums, (1..=n as i64).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn presorted_keys_number_in_the_probe() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let order = [
+            SortKey::asc(Col::ITER),
+            desc(Col::POS),
+            SortKey::asc(Col::ITEM),
+        ];
+        for n in [1, 2, 65, 3000] {
+            // Rows in (iter, pos desc, item) order, duplicates included.
+            let mut rows: Vec<[i64; 3]> = (0..n)
+                .map(|_| [5, 9, 4].map(|domain| rng.gen_range(0i64..domain)))
+                .collect();
+            rows.sort_by_key(|&[i, p, t]| (i, -p, t));
+            let cols: Vec<Vec<i64>> = (0..3)
+                .map(|k| rows.iter().map(|r| r[k]).collect())
+                .collect();
+            // Out of order at the last row only: the probe gives up there
+            // and the rows are sorted.
+            let mut late = cols.clone();
+            late[0][n - 1] = -1;
+            for (cols, presorted) in [(&cols, true), (&late, n == 1)] {
+                let t = table(cols);
+                let views: Vec<ColView> = order.iter().map(|k| t.col(k.col)).collect();
+                let keys: Vec<Key> = views
+                    .iter()
+                    .zip(&order)
+                    .map(|(v, k)| Key::of(v, k.desc))
+                    .collect();
+                assert_eq!(sorted_perm(n, &keys, true).is_none(), presorted);
+                assert_arms_agree(&t, &order, None);
+                assert_arms_agree(&t, &order[1..], Some(Col::ITER));
+            }
+            // The rank-restoring sort passes presorted rows through.
+            let t = table(&cols);
+            let s = eval_sort(&t, &[Col::ITER], true).unwrap();
+            assert!(Arc::ptr_eq(
+                s.col(Col::ITER).data(),
+                t.col(Col::ITER).data()
+            ));
+            assert!(s.col(Col::ITER).sel().is_none());
+        }
     }
 
     #[test]
