@@ -290,15 +290,6 @@ impl Dag {
                 }
             }
             Op::Distinct { input } => Ok(self.schema(*input).to_vec()),
-            Op::Sort { input, keys } => {
-                if keys.is_empty() {
-                    return Err(SchemaError("sort: no key columns".into()));
-                }
-                for k in keys {
-                    self.require(*input, *k, "sort")?;
-                }
-                Ok(self.schema(*input).to_vec())
-            }
             Op::Step { input, .. } => {
                 self.require(*input, Col::ITER, "⬡")?;
                 self.require(*input, Col::ITEM, "⬡")?;

@@ -177,7 +177,6 @@ pub fn op_label(op: &Op) -> String {
         Op::TextNode { .. } => "text".into(),
         Op::Range { lo, hi, new, .. } => format!("{new}:range({lo},{hi})"),
         Op::Serialize { .. } => "serialize".into(),
-        Op::Sort { keys, .. } => format!("sort ⟨{}⟩", cols(keys)),
         Op::Collection => "collection".into(),
     }
 }

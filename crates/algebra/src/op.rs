@@ -351,13 +351,6 @@ pub enum Op {
     /// `pos` = the document's 1-based rank in the collection (its
     /// fragment index + 1) and `item` = its root node.
     Collection,
-    /// Stable ascending lexicographic sort by `keys` (integer rank
-    /// columns). Schema-preserving. Emitted only by the cost-based join
-    /// enumerator: after reordering a join cluster, sorting by the
-    /// per-leaf `#` rank columns restores the canonical tree's emission
-    /// order exactly, which is what keeps reordered plans byte-identical
-    /// to the rule-only reference plan.
-    Sort { input: OpId, keys: Vec<Col> },
 }
 
 impl Op {
@@ -376,7 +369,6 @@ impl Op {
             | Op::Step { input, .. }
             | Op::TextNode { content: input }
             | Op::Range { input, .. }
-            | Op::Sort { input, .. }
             | Op::Serialize { input } => vec![*input],
             Op::Cross { l, r }
             | Op::EquiJoin { l, r, .. }
@@ -413,7 +405,6 @@ impl Op {
             | Op::Step { input, .. }
             | Op::TextNode { content: input }
             | Op::Range { input, .. }
-            | Op::Sort { input, .. }
             | Op::Serialize { input } => *input = ch[0],
             Op::Cross { l, r }
             | Op::EquiJoin { l, r, .. }
@@ -460,7 +451,6 @@ impl Op {
         "text",
         "range",
         "serialize",
-        "sort",
         "collection",
     ];
 
@@ -488,7 +478,6 @@ impl Op {
             Op::TextNode { .. } => "text",
             Op::Range { .. } => "range",
             Op::Serialize { .. } => "serialize",
-            Op::Sort { .. } => "sort",
             Op::Collection => "collection",
         }
     }

@@ -25,15 +25,20 @@ use exrquy_xmark::{query, query_name};
 use std::time::Duration;
 
 fn main() {
-    let cli = Cli::new();
-    let scales: Vec<f64> = cli
-        .get("scales", String::from("0.001,0.01,0.1"))
+    let cli = Cli::new(
+        "figure12 [--scales 0.001,0.01,0.1] [--runs 2] [--cutoff-ms 30000] [--queries 1..20]",
+    );
+    let scales = cli.get("scales", String::from("0.001,0.01,0.1"));
+    let scales: Vec<f64> = scales
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
+        .map(|s| s.trim().parse())
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|_| cli.fail(&format!("--scales: cannot parse `{scales}`")));
     let runs = cli.get("runs", 2_usize);
     let cutoff = Duration::from_millis(cli.get("cutoff-ms", 30_000_u64));
-    let queries: Vec<usize> = parse_queries(&cli.get("queries", String::from("1..20")));
+    let spec = cli.get("queries", String::from("1..20"));
+    let queries = parse_queries(&spec)
+        .unwrap_or_else(|| cli.fail(&format!("--queries: cannot parse `{spec}`")));
 
     println!("== Figure 12: speedup of order indifference on XMark ==");
     println!("speedup = t_baseline / t_enabled - 1 (100 % ⇒ twice as fast)\n");
@@ -123,14 +128,16 @@ fn main() {
     );
 }
 
-fn parse_queries(spec: &str) -> Vec<usize> {
-    if let Some((a, b)) = spec.split_once("..") {
-        let a: usize = a.parse().unwrap_or(1);
-        let b: usize = b.parse().unwrap_or(20);
-        (a..=b).collect()
-    } else {
-        spec.split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect()
-    }
+/// `a..b` (inclusive) or a comma list of XMark query numbers, each in
+/// 1..=20.
+fn parse_queries(spec: &str) -> Option<Vec<usize>> {
+    let queries: Vec<usize> = match spec.split_once("..") {
+        Some((a, b)) => (a.trim().parse().ok()?..=b.trim().parse().ok()?).collect(),
+        None => spec
+            .split(',')
+            .map(|s| s.trim().parse().ok())
+            .collect::<Option<_>>()?,
+    };
+    let known = 1..=exrquy_xmark::ALL_QUERIES.len();
+    (!queries.is_empty() && queries.iter().all(|n| known.contains(n))).then_some(queries)
 }

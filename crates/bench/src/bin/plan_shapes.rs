@@ -20,7 +20,7 @@ use exrquy_opt::OptOptions;
 use exrquy_xmark::{query, query_name};
 
 fn main() {
-    let cli = Cli::new();
+    let cli = Cli::new("plan_shapes [--dot <dir>]");
     let dot_dir: String = cli.get("dot", String::new());
 
     let mut session = Session::new();

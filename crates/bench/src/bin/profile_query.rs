@@ -19,12 +19,15 @@ use exrquy::engine::Profile;
 use exrquy::QueryOptions;
 use exrquy_bench::report::percentile;
 use exrquy_bench::{fmt_bytes, xmark_session, Cli};
-use exrquy_xmark::query;
+use exrquy_xmark::{query, ALL_QUERIES};
 use std::collections::BTreeMap;
 
 fn main() {
-    let cli = Cli::new();
+    let cli = Cli::new("profile_query [--query 10] [--scale 0.02] [--baseline] [--runs 5]");
     let n = cli.get("query", 10_usize);
+    if !(1..=ALL_QUERIES.len()).contains(&n) {
+        cli.fail(&format!("--query: no XMark query {n}"));
+    }
     let scale = cli.get("scale", 0.02_f64);
     let runs = cli.get("runs", 5_usize);
     let opts = if cli.has("baseline") {

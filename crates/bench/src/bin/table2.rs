@@ -27,7 +27,7 @@ use exrquy_xmark::query;
 use std::time::Duration;
 
 fn main() {
-    let cli = Cli::new();
+    let cli = Cli::new("table2 [--scale 0.02] [--runs 3]");
     let scale = cli.get("scale", 0.02_f64);
     let runs = cli.get("runs", 3_usize);
 

@@ -18,6 +18,7 @@ pub mod report;
 
 use exrquy::{QueryOptions, Session};
 use exrquy_xmark::{generate, XmarkConfig};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Build a session with an XMark document at `scale` loaded as
@@ -90,41 +91,80 @@ pub fn fmt_bytes(b: usize) -> String {
     }
 }
 
-/// Parse `--key value`-style CLI options with defaults.
+/// A paper bin's command line. The bin's usage line declares its flags:
+/// `[--name value]` is an option taking a value, `[--name]` a switch.
+/// An undeclared flag, a stray argument, or a missing or unparsable
+/// value prints the usage and exits 64 (`EX_USAGE`, as `xq` does).
 pub struct Cli {
-    args: Vec<String>,
+    usage: &'static str,
+    /// Each flag given, with its value when it is an option.
+    given: HashMap<String, Option<String>>,
 }
 
 impl Cli {
-    /// Capture the process arguments.
-    pub fn new() -> Self {
-        Cli {
-            args: std::env::args().skip(1).collect(),
+    /// Check the process arguments against `usage`.
+    pub fn new(usage: &'static str) -> Self {
+        Self::parse(usage, std::env::args().skip(1)).unwrap_or_else(|e| usage_error(usage, &e))
+    }
+
+    /// Check `args` (without the program name) against `usage`.
+    pub fn parse(
+        usage: &'static str,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
+        let declared: HashMap<&str, bool> = usage
+            .split('[')
+            .skip(1)
+            .filter_map(|group| {
+                let mut words = group.split(']').next()?.split_whitespace();
+                let name = words.next()?.strip_prefix("--")?;
+                Some((name, words.next().is_some()))
+            })
+            .collect();
+        let mut given = HashMap::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let name = arg.strip_prefix("--").unwrap_or_default();
+            let value = match declared.get(name) {
+                Some(true) => Some(args.next().ok_or(format!("{arg} expects a value"))?),
+                Some(false) => None,
+                None => return Err(format!("unknown argument `{arg}`")),
+            };
+            given.insert(name.to_string(), value);
+        }
+        Ok(Cli { usage, given })
+    }
+
+    /// Value of `--name <v>`, parsed, or `default` when absent.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.try_get(name, default)
+            .unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// [`Cli::get`] without the exit.
+    pub fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.given.get(name) {
+            Some(Some(v)) => v
+                .parse()
+                .map_err(|_| format!("--{name}: cannot parse `{v}`")),
+            _ => Ok(default),
         }
     }
 
-    /// Value of `--name <v>`, parsed, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let flag = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Presence of a boolean `--name` switch.
+    pub fn has(&self, name: &str) -> bool {
+        self.given.contains_key(name)
     }
 
-    /// Presence of a boolean `--name` flag.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.args.iter().any(|a| a == &flag)
+    /// Report `message` with the usage and exit 64.
+    pub fn fail(&self, message: &str) -> ! {
+        usage_error(self.usage, message)
     }
 }
 
-impl Default for Cli {
-    fn default() -> Self {
-        Self::new()
-    }
+fn usage_error(usage: &str, message: &str) -> ! {
+    eprintln!("{message}\nusage: {usage}");
+    std::process::exit(64)
 }
 
 #[cfg(test)]
@@ -147,5 +187,24 @@ mod tests {
         assert_eq!(fmt_bytes(500), "500 B");
         assert_eq!(fmt_bytes(2_500), "2.5 KB");
         assert_eq!(fmt_bytes(12_000_000), "12.0 MB");
+    }
+
+    #[test]
+    fn only_declared_flags_with_parsable_values_pass() {
+        let cli = |args: &[&str]| {
+            let usage = "bin [--scale 0.02] [--runs 3] [--baseline]";
+            Cli::parse(usage, args.iter().map(|a| a.to_string()))
+        };
+        let c = cli(&["--runs", "7", "--baseline"]).unwrap();
+        assert_eq!(c.get("runs", 3_usize), 7);
+        assert_eq!(c.get("scale", 0.02_f64), 0.02);
+        assert!(c.has("baseline") && !cli(&[]).unwrap().has("baseline"));
+        assert!(cli(&["--runs", "two"])
+            .unwrap()
+            .try_get("runs", 3_usize)
+            .is_err());
+        for args in [&["--help"][..], &["--scales", "0.1"], &["0.1"], &["--runs"]] {
+            assert!(cli(args).is_err(), "{args:?}");
+        }
     }
 }

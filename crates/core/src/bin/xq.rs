@@ -20,9 +20,8 @@
 //!                        fusion, scheduler (with --threads > 1), cost
 //!                        and plan-cache counters
 //!   --no-cost            disable statistics-driven cost-based planning
-//!                        (join reordering, build-side orientation,
-//!                        compensation elision); the rule-only planner
-//!                        runs instead
+//!                        (join reordering where the join's order is
+//!                        unobserved); the rule-only planner runs instead
 //!   --scalar             run the reference arm: the unfused plan with the
 //!                        row-at-a-time kernel bodies (no selection
 //!                        vectors, no fused chains); results are

@@ -217,8 +217,8 @@ pub struct Prepared {
     pub opt_report: OptReport,
     /// Cost-based planning report: per-operator cardinality estimates
     /// (joined with the execution profile's actual row counts by
-    /// `xq --explain`), join clusters examined/reordered, compensation
-    /// sorts elided, and the cost rewrite trace.
+    /// `xq --explain`), join clusters examined/reordered, and the cost
+    /// rewrite trace.
     pub cost_report: CostReport,
     /// The plan's frozen name-pool snapshot (catalog names plus names the
     /// compiler interned for this query), shared with every execution's
@@ -348,8 +348,8 @@ impl Prepared {
         }
         let _ = writeln!(
             s,
-            "cost: {} join cluster(s), {} reordered ({} compensation sort(s) elided)",
-            self.cost_report.clusters, self.cost_report.reordered, self.cost_report.elided
+            "cost: {} join cluster(s), {} reordered",
+            self.cost_report.clusters, self.cost_report.reordered
         );
         for fired in &self.cost_report.trace {
             let _ = writeln!(s, "  {} at op {}", fired.rule, fired.before);

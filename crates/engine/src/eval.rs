@@ -24,7 +24,7 @@ use crate::funs::{self, DynError};
 use crate::item::Item;
 use crate::join::{eval_cross, eval_difference, eval_equijoin, eval_thetajoin};
 use crate::profile::Profile;
-use crate::sort::{eval_distinct, eval_rownum, eval_sort};
+use crate::sort::{eval_distinct, eval_rownum};
 use crate::step::eval_step;
 use crate::table::{ColView, Table};
 use exrquy_algebra::{AValue, Col, Dag, FunKind, Op, OpId, PhysOp, PhysPlan};
@@ -466,10 +466,6 @@ pub(crate) fn eval_pure(
             eval_range(&t, *lo, *hi, *new, meter, vec)
         }
         Op::Serialize { .. } => Ok((*input(0)).clone()),
-        Op::Sort { keys, .. } => {
-            let t = input(0);
-            eval_sort(&t, keys, vec)
-        }
         Op::Collection => {
             let catalog = arena.catalog();
             let n = catalog.frag_count() as u32;

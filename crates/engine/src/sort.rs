@@ -1,11 +1,10 @@
-//! Order-bearing kernels: `%` (rownum), the rank-restoring sort, and
-//! distinct. One sorter, [`sorted_perm`], serves all of them on the
-//! calling thread: a sortedness probe, LSD counting passes over dense
+//! Order-bearing kernels: `%` (rownum) and distinct. One sorter,
+//! [`sorted_perm`], serves them on the calling thread: a sortedness probe, LSD counting passes over dense
 //! integer keys, and one stable comparison sort for everything else.
 
 use crate::column::Column;
 use crate::dense::{dense_range, Csr};
-use crate::eval::{int_view, key_view, EvalError};
+use crate::eval::{int_view, key_view};
 use crate::item::GroupKey;
 use crate::join::FastHasher;
 use crate::table::{ColView, Table};
@@ -93,8 +92,7 @@ impl DenseKey<'_> {
 const COUNTING_MIN_ROWS: usize = 64;
 
 /// The stable permutation of `0..n` that orders rows by `keys`, most
-/// significant first — the one sorter behind `%` and the rank-restoring
-/// sort. Rows with equal key tuples keep their input order. `None` when
+/// significant first — the one sorter behind `%`. Rows with equal key tuples keep their input order. `None` when
 /// that permutation is the identity, found without allocating it.
 ///
 /// The vectorized arm probes for sortedness first: rows usually arrive
@@ -256,29 +254,6 @@ pub(crate) fn eval_rownum(
     t.with_column(new, Column::Int(nums))
 }
 
-/// Stable ascending lexicographic sort by integer key columns — the
-/// order-restoring compensation the cost-based join enumerator grafts
-/// over a reordered join cluster. The rank columns are assigned before
-/// any reordering, so sorting by them reproduces the canonical row
-/// order byte-for-byte regardless of the join order actually executed;
-/// stability keeps duplicate ranks in input order, which the regraft
-/// invariant relies on.
-pub(crate) fn eval_sort(t: &Table, keys: &[Col], vec: bool) -> Result<Table, EvalError> {
-    let keys: Vec<Key> = keys
-        .iter()
-        .map(|&k| Ok(Key::Int(Cow::Owned(t.col(k).to_int_vec()?), false)))
-        .collect::<Result<_, EvalError>>()?;
-    Ok(match sorted_perm(t.nrows(), &keys, vec) {
-        // Presorted: the table passes through.
-        None => t.clone(),
-        Some(idx) if vec => t.select_rows(idx),
-        Some(idx) => {
-            let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
-            t.gather(&idx)
-        }
-    })
-}
-
 pub(crate) fn eval_distinct(t: &Table, vec: bool) -> Table {
     let mut idx: Vec<u32> = Vec::new();
     // Vectorized: a single integer or node column (distinct over
@@ -344,7 +319,6 @@ mod tests {
     use crate::item::Item;
     use exrquy_algebra::SortKey;
     use exrquy_xml::rng::SmallRng;
-    use std::sync::Arc;
 
     const KEYS: [Col; 3] = [Col::ITER, Col::POS, Col::ITEM];
 
@@ -461,14 +435,6 @@ mod tests {
                 assert_arms_agree(&t, &order, None);
                 assert_arms_agree(&t, &order[1..], Some(Col::ITER));
             }
-            // The rank-restoring sort passes presorted rows through.
-            let t = table(&cols);
-            let s = eval_sort(&t, &[Col::ITER], true).unwrap();
-            assert!(Arc::ptr_eq(
-                s.col(Col::ITER).data(),
-                t.col(Col::ITER).data()
-            ));
-            assert!(s.col(Col::ITER).sel().is_none());
         }
     }
 
@@ -516,33 +482,6 @@ mod tests {
         // Sparse partition keys keep the hashed counters.
         cols[0] = (0..300).map(|_| rng.gen_range(0i64..9) << 40).collect();
         assert_arms_agree(&table(&cols), &[], Some(Col::ITER));
-    }
-
-    #[test]
-    fn rank_restoring_sort_is_stable_on_both_arms() {
-        let mut rng = SmallRng::seed_from_u64(15);
-        for n in [0, 1, 40, 3000] {
-            let t = table(&random_cols(&mut rng, n));
-            let rows = |vec: bool| -> Vec<Vec<i64>> {
-                let s = eval_sort(&t, &[Col::ITER, Col::POS], vec).unwrap();
-                KEYS.iter()
-                    .map(|&c| s.col(c).to_int_vec().unwrap())
-                    .collect()
-            };
-            let sorted = rows(true);
-            assert_eq!(sorted, rows(false));
-            // Stable: equal (iter, pos) pairs keep their input order,
-            // which a sort on all three columns plus the row id shows.
-            let mut expect: Vec<(i64, i64, usize)> = (0..n)
-                .map(|r| (t.int(Col::ITER, r), t.int(Col::POS, r), r))
-                .collect();
-            expect.sort();
-            let items: Vec<i64> = expect
-                .iter()
-                .map(|&(_, _, r)| t.int(Col::ITEM, r))
-                .collect();
-            assert_eq!(sorted[2], items);
-        }
     }
 
     /// `%` and δ over a dense node column against the boxed form the

@@ -1,50 +1,33 @@
 //! Statistics-driven cost-based planning: cardinality estimation and join
-//! graph isolation with byte-identical re-grafting.
+//! graph isolation where no one observes the join order.
 //!
 //! This pass runs *after* the rule rewriter ([`crate::try_optimize_with`])
 //! and never changes what a plan returns — only how it is shaped:
 //!
 //! 1. **Cardinality estimation** ([`estimate_cardinalities`]) walks the
-//!    plan bottom-up deriving an estimated row count per operator, consulting
-//!    the catalog's [`CatalogStats`] (element/attribute histograms, fanout,
-//!    node and fragment counts) when available and falling back to fixed per-kind
-//!    multipliers otherwise. Estimates feed the enumerator below and the
-//!    `--explain` estimated-vs-actual table.
+//!    plan bottom-up deriving an estimated row count per operator from the
+//!    catalog's [`CatalogStats`] (element/attribute histograms, fanout,
+//!    node and fragment counts). Estimates feed the enumerator below and
+//!    the `--explain` estimated-vs-actual table.
 //!
 //! 2. **Join graph isolation + reordering** (`cost-join-reorder`): a
 //!    maximal cluster of equi-/theta-joins and cross products (with the
 //!    interleaved projections the FLWOR compiler emits) is detached from
-//!    the order-maintenance spine, its join order re-enumerated against the
-//!    cardinality model (exact DP over bitmasks up to 8 relations; larger
-//!    clusters keep their canonical order), and the winning tree grafted back behind an
-//!    order-restoring compensation: every leaf is numbered with a fresh `#`
-//!    rank column, the rebuilt cluster is sorted lexicographically by those
-//!    ranks in the *original* left-to-right leaf order, and a final
-//!    projection restores the cluster root's exact schema. Because every
-//!    join kernel emits each matching pair exactly once and the rank tuple
-//!    is unique per output row, the re-sorted cluster reproduces the
-//!    canonical tree's rows, order, and columns *byte-identically* — the
-//!    enumerator can only make plans faster, never different. While the
-//!    rebuilt tree's *shape* is fixed by the enumerator, each join's
-//!    *orientation* is chosen separately ([`build_join`]): the hash kernel
-//!    always builds its table from the right input, so the side with the
-//!    smaller estimated cardinality is swapped onto the right — a pure
-//!    emission-order permutation the compensation sort absorbs.
-//!
-//!    **Rank-compensation elision** ([`rank_elidable`]): when the
-//!    downstream cone from the cluster root provably cannot observe the
-//!    cluster's row order — the paper's order-indifference condition,
-//!    decided by a conservative column-taint and order-influence abstract
-//!    interpretation — the rank columns and the compensation sort are
-//!    skipped entirely, which is where the large wins come from (an
-//!    unordered aggregate over a reordered star join pays no restore
-//!    cost at all). Any construct the analysis cannot prove indifferent
-//!    keeps the full compensation, so byte-identity holds by
-//!    construction either way. The one column fact the walk needs — a
-//!    grouping column is constant, so the aggregate has one group — is
-//!    [`ColProp::Const`] from [`props::properties`], the rewriter's own
-//!    analysis, computed once per plan and only when some reorder wins.
-//!    It proves a constant through `∪̇` when both parts agree.
+//!    the order-maintenance spine and its join order re-enumerated against
+//!    the cardinality model (exact DP over bitmasks up to 8 relations;
+//!    larger clusters keep their canonical order). A cheaper order is
+//!    grafted back only where [`order_unobserved`] proves that the
+//!    downstream cone cannot observe the cluster's row order — the
+//!    paper's order-indifference condition, decided by a conservative
+//!    column-taint and order-influence abstract interpretation. The
+//!    rebuilt tree emits the canonical tree's rows in another order and a
+//!    final projection restores the cluster root's schema, so the result
+//!    stays byte-identical; every other cluster keeps its canonical tree.
+//!    The one column fact the walk needs — a grouping column is constant,
+//!    so the aggregate has one group — is [`ColProp::Const`] from
+//!    [`props::properties`], the rewriter's own analysis, computed once
+//!    per plan and only when some reorder wins. It proves a constant
+//!    through `∪̇` when both parts agree.
 //!
 //! The rewrite honors [`OptOptions::disabled_rules`] and records
 //! [`RuleApplication`]s so the differential attribution pass of
@@ -52,8 +35,7 @@
 //! exactly as for the rule rewriter. The
 //! `stats-perturb:<factor>` failpoint deterministically corrupts estimates
 //! (even operator ids are multiplied by the factor, odd ones divided),
-//! which may change which plan wins but — by the byte-identity argument —
-//! never what it returns.
+//! which may change which plan wins but never what it returns.
 
 use crate::props::{self, ColProp, PropMap};
 use crate::rewrite::{OptError, OptOptions, RuleApplication};
@@ -66,23 +48,13 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct CostContext {
     /// Frozen statistics of the catalog snapshot the plan will run
-    /// against; `None` (no catalog, or stats not collected) falls back to
-    /// fixed per-operator multipliers.
+    /// against; `None` reads as an empty catalog's
+    /// (`CatalogStats::default()`).
     pub stats: Option<Arc<CatalogStats>>,
     /// `stats-perturb:<factor>` failpoint: deterministically corrupt every
     /// estimate (even `OpId` → ×factor, odd → ÷factor). Plan choice may
     /// change; serialized results must not.
     pub perturb: Option<f64>,
-}
-
-impl CostContext {
-    /// Context with catalog statistics and no perturbation.
-    pub fn with_stats(stats: Arc<CatalogStats>) -> Self {
-        CostContext {
-            stats: Some(stats),
-            perturb: None,
-        }
-    }
 }
 
 /// Outcome of one [`cost_optimize`] run.
@@ -94,8 +66,10 @@ pub struct CostReport {
     pub clusters: usize,
     /// Join clusters actually rebuilt in a cheaper order.
     pub reordered: usize,
-    /// Reordered clusters whose rank-sort compensation was provably
-    /// unnecessary and therefore elided (order indifference downstream).
+    /// Always equal to `reordered`: a cluster is rebuilt only where its
+    /// row order is unobserved, so no rebuild pays an order-restoring
+    /// compensation. Kept because the benchmark ledger reports it as
+    /// `opt.ranks_elided`.
     pub elided: usize,
     /// Every cost rewrite, in firing order (same shape as the rule
     /// rewriter's trace).
@@ -128,6 +102,8 @@ pub fn cost_optimize(
 /// Estimated output rows for every operator reachable from `root`.
 pub fn estimate_cardinalities(dag: &Dag, root: OpId, ctx: &CostContext) -> HashMap<OpId, f64> {
     let keys = props::keys(dag, root);
+    let empty = CatalogStats::default();
+    let stats = ctx.stats.as_deref().unwrap_or(&empty);
     let mut est: HashMap<OpId, f64> = HashMap::new();
     for id in dag.topo_order(root) {
         let of = |c: OpId, est: &HashMap<OpId, f64>| est.get(&c).copied().unwrap_or(1.0);
@@ -135,16 +111,15 @@ pub fn estimate_cardinalities(dag: &Dag, root: OpId, ctx: &CostContext) -> HashM
         let mut e = match op {
             Op::Lit { rows, .. } => rows.len() as f64,
             Op::Doc { .. } => 1.0,
-            Op::Collection => ctx.stats.as_deref().map_or(1.0, |s| s.frags as f64),
+            Op::Collection => stats.frags as f64,
             Op::Select { input, .. } => of(*input, &est) * 0.33,
             Op::Project { input, .. }
             | Op::RowNum { input, .. }
             | Op::RowId { input, .. }
             | Op::Attach { input, .. }
             | Op::Fun { input, .. }
-            | Op::Sort { input, .. }
             | Op::Serialize { input } => of(*input, &est),
-            Op::Step { input, axis, test } => step_estimate(of(*input, &est), *axis, test, ctx),
+            Op::Step { input, axis, test } => step_estimate(of(*input, &est), *axis, test, stats),
             Op::Distinct { input } => of(*input, &est) * 0.9,
             Op::Aggr { input, part, .. } => {
                 if part.is_some() {
@@ -202,40 +177,28 @@ fn eq_selectivity(lcard: f64, rcard: f64, lkey: bool, rkey: bool) -> f64 {
     1.0 / ndv_l.max(ndv_r).max(1.0)
 }
 
-/// Per-context-node yield of one location step, from catalog statistics
-/// when available, fixed per-axis multipliers otherwise.
-fn step_estimate(input: f64, axis: Axis, test: &NodeTest, ctx: &CostContext) -> f64 {
-    if let Some(s) = ctx.stats.as_deref() {
-        let frags = s.frags.max(1) as f64;
-        let elements = s.elements.max(1) as f64;
-        let per = match axis {
-            Axis::Descendant | Axis::DescendantOrSelf => match test {
-                NodeTest::Name(n) => s.elem_count(*n) as f64 / frags,
-                _ => s.total_nodes as f64 / frags,
-            },
-            Axis::Child => match test {
-                NodeTest::Name(n) => s.avg_fanout * (s.elem_count(*n) as f64 / elements),
-                _ => s.avg_fanout,
-            },
-            Axis::Attribute => match test {
-                NodeTest::Name(n) => (s.attr_count(*n) as f64 / elements).min(1.0),
-                _ => 0.8,
-            },
-            Axis::SelfAxis => 0.9,
-            Axis::Parent => 1.0,
-            _ => 4.0,
-        };
-        return input * per.max(1e-3);
-    }
+/// Per-context-node yield of one location step, from catalog statistics.
+fn step_estimate(input: f64, axis: Axis, test: &NodeTest, s: &CatalogStats) -> f64 {
+    let frags = s.frags.max(1) as f64;
+    let elements = s.elements.max(1) as f64;
     let per = match axis {
-        Axis::Descendant | Axis::DescendantOrSelf => 8.0,
-        Axis::Child => 2.0,
-        Axis::Attribute => 0.5,
+        Axis::Descendant | Axis::DescendantOrSelf => match test {
+            NodeTest::Name(n) => s.elem_count(*n) as f64 / frags,
+            _ => s.total_nodes as f64 / frags,
+        },
+        Axis::Child => match test {
+            NodeTest::Name(n) => s.avg_fanout * (s.elem_count(*n) as f64 / elements),
+            _ => s.avg_fanout,
+        },
+        Axis::Attribute => match test {
+            NodeTest::Name(n) => (s.attr_count(*n) as f64 / elements).min(1.0),
+            _ => 0.8,
+        },
         Axis::SelfAxis => 0.9,
         Axis::Parent => 1.0,
         _ => 4.0,
     };
-    input * per
+    input * per.max(1e-3)
 }
 
 // ---------------------------------------------------------------------
@@ -246,7 +209,8 @@ fn step_estimate(input: f64, axis: Axis, test: &NodeTest, ctx: &CostContext) -> 
 /// canonical order.
 const DP_LEAVES: usize = 8;
 /// A rebuilt order must beat the canonical cost by this factor — the
-/// compensation sort is not free, so near-ties keep the canonical tree.
+/// estimates are rough and a rebuild adds renaming projections, so
+/// near-ties keep the canonical tree.
 const REBUILD_GAIN: f64 = 0.99;
 
 /// How one original join combined its two subtrees. Each rebuilt join
@@ -595,7 +559,7 @@ fn enumerate_dp(n: usize, bundles: &[Bundle], model: &CardModel) -> Option<(f64,
 /// a tree reproduces the canonical shape exactly when its leaves read
 /// `0..n` left to right *and* its internal sets match the canonical
 /// supports (same post-order). Guard against rebuilding an identical tree
-/// just to pay for the compensation sort.
+/// just to pay for its renaming projections.
 fn tree_shape(tree: &Tree, leaves: &mut Vec<usize>, internals: &mut Vec<u64>) -> u64 {
     match tree {
         Tree::Leaf(i) => {
@@ -626,7 +590,7 @@ fn reorder_joins(
     // Pass A (detection, parents first): find maximal cluster roots, pick
     // a cheaper order where one exists.
     let mut processed: HashSet<OpId> = HashSet::new();
-    let mut decisions: HashMap<OpId, (Cluster, Tree, bool, CardModel)> = HashMap::new();
+    let mut decisions: HashMap<OpId, (Cluster, Tree)> = HashMap::new();
     for &id in topo.iter().rev() {
         if processed.contains(&id) || !is_cluster_join(dag.op(id)) {
             continue;
@@ -672,22 +636,22 @@ fn reorder_joins(
         let identity = order.iter().copied().eq(0..n) && internals == cluster.supports;
         if cost < canonical * REBUILD_GAIN && !identity {
             let props = props.get_or_insert_with(|| props::properties(dag, root));
-            let elide = rank_elidable(dag, root, id, &topo, &keys, props);
-            decisions.insert(id, (cluster, tree, elide, model));
+            if order_unobserved(dag, root, id, &topo, &keys, props) {
+                decisions.insert(id, (cluster, tree));
+            }
         }
     }
     if decisions.is_empty() {
         return Ok(root);
     }
 
-    // Pass B (rebuild, children first): graft each winning order back in
-    // behind its order-restoring compensation.
+    // Pass B (rebuild, children first): graft each winning order back in.
     let mut memo: HashMap<OpId, OpId> = HashMap::new();
     for &id in &topo {
-        if let Some((cluster, tree, elide, model)) = decisions.get(&id) {
-            let new = graft(dag, cluster, tree, &memo, *elide, model)?;
+        if let Some((cluster, tree)) = decisions.get(&id) {
+            let new = graft(dag, cluster, tree, &memo)?;
             report.reordered += 1;
-            report.elided += usize::from(*elide);
+            report.elided += 1;
             report.trace.push(RuleApplication {
                 round: 0,
                 rule: "cost-join-reorder",
@@ -731,160 +695,114 @@ fn opt_err(rule: &'static str, op: OpId, dag: &Dag, message: String) -> OptError
     }
 }
 
-/// Materialize the chosen order: rank + rename every leaf, build the join
-/// tree, sort by the ranks in original leaf order, restore the root
-/// schema. With `elide` (downstream provably cannot observe the cluster's
-/// row order, see [`rank_elidable`]) the rank columns and the sort are
-/// skipped entirely — the rebuilt tree's own emission order stands.
+/// Materialize the chosen order: rename every leaf's columns, build the
+/// join tree, restore the root schema. The rebuilt tree's own emission
+/// order stands — [`order_unobserved`] proved no one sees it.
 fn graft(
     dag: &mut Dag,
     cluster: &Cluster,
     tree: &Tree,
     memo: &HashMap<OpId, OpId>,
-    elide: bool,
-    model: &CardModel,
 ) -> Result<OpId, OptError> {
     let rule = "cost-join-reorder";
-    let n = cluster.leaves.len();
-    // Fresh names: one rank column per leaf occurrence plus one rename per
-    // leaf column, so rebuilt join schemas are disjoint by construction.
-    let ranks: Vec<Col> = (0..n).map(|_| dag.fresh_col()).collect();
+    // One fresh name per leaf column, so rebuilt join schemas are
+    // disjoint by construction.
     let mut fresh: HashMap<(usize, Col), Col> = HashMap::new();
-    let mut bases: Vec<OpId> = Vec::with_capacity(n);
+    let mut bases: Vec<OpId> = Vec::with_capacity(cluster.leaves.len());
     for (i, &leaf) in cluster.leaves.iter().enumerate() {
         let input = memo.get(&leaf).copied().unwrap_or(leaf);
         let schema: Vec<Col> = dag.schema(input).to_vec();
-        let base = if elide {
-            input
-        } else {
-            dag.try_add(Op::RowId {
-                input,
-                new: ranks[i],
-            })
-            .map_err(|e| opt_err(rule, leaf, dag, e.0))?
-        };
-        let mut cols: Vec<(Col, Col)> = Vec::with_capacity(schema.len() + 1);
+        let mut cols: Vec<(Col, Col)> = Vec::with_capacity(schema.len());
         for &c in &schema {
             let f = dag.fresh_col();
             fresh.insert((i, c), f);
             cols.push((f, c));
         }
-        if !elide {
-            cols.push((ranks[i], ranks[i]));
-        }
         let renamed = dag
-            .try_add(Op::Project { input: base, cols })
+            .try_add(Op::Project { input, cols })
             .map_err(|e| opt_err(rule, leaf, dag, e.0))?;
         bases.push(renamed);
     }
-    let (joined, _) = build_join(dag, cluster, tree, &bases, &fresh, model)?;
-    let restored = if elide {
-        joined
-    } else {
-        dag.try_add(Op::Sort {
-            input: joined,
-            keys: ranks,
-        })
-        .map_err(|e| opt_err(rule, cluster.root, dag, e.0))?
-    };
+    let joined = build_join(dag, cluster, tree, &bases, &fresh)?;
     let cols: Vec<(Col, Col)> = cluster
         .out
         .iter()
         .map(|&(c, li, lc)| (c, fresh[&(li, lc)]))
         .collect();
     dag.try_add(Op::Project {
-        input: restored,
+        input: joined,
         cols,
     })
     .map_err(|e| opt_err(rule, cluster.root, dag, e.0))
 }
 
-/// Build the rebuilt join tree bottom-up, returning the op and its leaf
-/// mask. Every join is oriented so the side with the *smaller* estimated
-/// cardinality lands on the right: the hash-join kernels build their
-/// table from the right input and probe with the left, so the estimate
-/// decides the build side. Orientation only permutes emission order,
-/// which the compensation sort (or its proven elision) already absorbs.
+/// Build the rebuilt join tree bottom-up, each join in the orientation
+/// the enumerator chose.
 fn build_join(
     dag: &mut Dag,
     cluster: &Cluster,
     tree: &Tree,
     bases: &[OpId],
     fresh: &HashMap<(usize, Col), Col>,
-    model: &CardModel,
-) -> Result<(OpId, u64), OptError> {
-    let rule = "cost-join-reorder";
-    match tree {
-        Tree::Leaf(i) => Ok((bases[*i], leaf_bit(*i))),
-        Tree::Join { l, r, bundle } => {
-            let (mut lid, lmask) = build_join(dag, cluster, l, bases, fresh, model)?;
-            let (mut rid, rmask) = build_join(dag, cluster, r, bases, fresh, model)?;
-            let mut flip = false;
-            if model.card(lmask) < model.card(rmask) {
-                std::mem::swap(&mut lid, &mut rid);
-                flip = true;
+) -> Result<OpId, OptError> {
+    let (l, r, bundle) = match tree {
+        Tree::Leaf(i) => return Ok(bases[*i]),
+        Tree::Join { l, r, bundle } => (l, r, bundle),
+    };
+    let l = build_join(dag, cluster, l, bases, fresh)?;
+    let r = build_join(dag, cluster, r, bases, fresh)?;
+    let op = match bundle {
+        None => Op::Cross { l, r },
+        Some((bi, mirrored)) => match &cluster.bundles[*bi].mech {
+            Mechanism::Equi { l: a, r: b } => {
+                let (a, b) = if *mirrored { (b, a) } else { (a, b) };
+                Op::EquiJoin {
+                    l,
+                    r,
+                    lcol: fresh[a],
+                    rcol: fresh[b],
+                }
             }
-            let op = match bundle {
-                None => Op::Cross { l: lid, r: rid },
-                Some((bi, mirrored)) => match &cluster.bundles[*bi].mech {
-                    Mechanism::Equi { l: a, r: b } => {
-                        let (a, b) = if *mirrored != flip { (b, a) } else { (a, b) };
-                        Op::EquiJoin {
-                            l: lid,
-                            r: rid,
-                            lcol: fresh[a],
-                            rcol: fresh[b],
+            Mechanism::Theta { preds } => {
+                let pred = preds
+                    .iter()
+                    .map(|(a, k, b)| {
+                        if *mirrored {
+                            (fresh[b], k.mirror(), fresh[a])
+                        } else {
+                            (fresh[a], *k, fresh[b])
                         }
-                    }
-                    Mechanism::Theta { preds } => {
-                        let pred = preds
-                            .iter()
-                            .map(|(a, k, b)| {
-                                if *mirrored != flip {
-                                    (fresh[b], k.mirror(), fresh[a])
-                                } else {
-                                    (fresh[a], *k, fresh[b])
-                                }
-                            })
-                            .collect();
-                        Op::ThetaJoin {
-                            l: lid,
-                            r: rid,
-                            pred,
-                        }
-                    }
-                },
-            };
-            let id = dag
-                .try_add(op)
-                .map_err(|e| opt_err(rule, cluster.root, dag, e.0))?;
-            Ok((id, lmask | rmask))
-        }
-    }
+                    })
+                    .collect();
+                Op::ThetaJoin { l, r, pred }
+            }
+        },
+    };
+    dag.try_add(op)
+        .map_err(|e| opt_err("cost-join-reorder", cluster.root, dag, e.0))
 }
 
 // ---------------------------------------------------------------------
-// Rank-compensation elision
+// The rebuild gate: is the cluster's row order observed?
 // ---------------------------------------------------------------------
 
 /// Taint marker for a column whose values were merged from *different*
 /// `#` sources by a union; any use of such a column bails.
 const CONFLICT: u32 = u32::MAX;
 
-/// Decide whether the rank-sort compensation for the cluster rooted at
-/// `start` can be elided: walk the downstream cone from `start` to `root`
-/// proving that no operator can translate the cluster's *row order* into
-/// observable output. Row-order influence propagates through per-row
-/// operators; `#` inside the cone turns order into *opaque* ids, tracked
-/// per column and accepted only where bijection-invariant (equality
-/// against ids of the same source, grouping keys); `%`, f64-accumulating
-/// aggregates, node constructors, and an influenced serialization root
-/// all bail. Influence dies at an aggregate with at most one group (no
-/// partition column, or a provably constant one) or a sort whose keys
-/// include a proven unique key. Anything this walk cannot vouch for keeps
-/// the compensation — elision can only be a strict subset of the safe
-/// cases.
-fn rank_elidable(
+/// May the cluster rooted at `start` be rebuilt in another order? Walk
+/// the downstream cone from `start` to `root` proving that no operator
+/// can translate the cluster's *row order* into observable output.
+/// Row-order influence propagates through per-row operators; `#` inside
+/// the cone turns order into *opaque* ids, tracked per column and
+/// accepted only where bijection-invariant (equality against ids of the
+/// same source, grouping keys); `%`, f64-accumulating aggregates, node
+/// constructors, and an influenced serialization root all bail.
+/// Influence dies at an aggregate with at most one group (no partition
+/// column, or a provably constant one). Anything this walk cannot vouch
+/// for keeps its canonical tree — a rebuild happens only in a strict
+/// subset of the safe cases.
+fn order_unobserved(
     dag: &Dag,
     root: OpId,
     start: OpId,
@@ -1080,16 +998,6 @@ fn rank_elidable(
                 out_taint = taints.get(l).cloned().unwrap_or_default();
                 out_influence = influenced.contains(l);
             }
-            Op::Sort { input, keys: ks } => {
-                if ks.iter().any(|k| t(&taints, *input, *k).is_some()) {
-                    return false;
-                }
-                out_taint = taints.get(input).cloned().unwrap_or_default();
-                // A unique sort key re-canonicalizes the row order.
-                if ks.iter().any(|k| key_of(keys, *input, *k)) {
-                    out_influence = false;
-                }
-            }
             Op::Range { input, lo, hi, new } => {
                 if t(&taints, *input, *lo).is_some() || t(&taints, *input, *hi).is_some() {
                     return false;
@@ -1158,6 +1066,18 @@ mod tests {
         })
     }
 
+    /// An ungrouped count over `input`: a consumer that cannot observe
+    /// its input's row order.
+    fn count(dag: &mut Dag, input: OpId) -> OpId {
+        dag.add(Op::Aggr {
+            input,
+            kind: AggrKind::Count,
+            new: Col(50),
+            arg: None,
+            part: None,
+        })
+    }
+
     #[test]
     fn estimates_cover_every_operator_and_respect_perturbation() {
         let mut dag = Dag::new();
@@ -1185,22 +1105,34 @@ mod tests {
     #[test]
     fn join_reorder_fires_and_preserves_schema() {
         let mut dag = Dag::new();
-        let (.., root) = chain_plan(&mut dag);
-        let schema_before: Vec<Col> = dag.schema(root).to_vec();
+        let (.., joins) = chain_plan(&mut dag);
+        let root = count(&mut dag, joins);
+        let schema_before: Vec<Col> = dag.schema(joins).to_vec();
         let opts = OptOptions::default();
         let (new_root, report) =
             cost_optimize(&mut dag, root, &opts, &CostContext::default()).unwrap();
         assert_eq!(report.clusters, 1);
         assert_eq!(report.reordered, 1, "cheap order should win: {report:?}");
-        assert_ne!(new_root, root);
-        assert_eq!(dag.schema(new_root), schema_before.as_slice());
+        assert_eq!(report.elided, report.reordered);
         dag.validate_plan(new_root).unwrap();
-        // The graft is Project(Sort(...)) over the reordered joins.
-        assert!(matches!(dag.op(new_root), Op::Project { .. }));
-        let Op::Project { input, .. } = dag.op(new_root) else {
-            unreachable!()
+        // The count now reads a π over the reordered joins, with the
+        // cluster root's schema and no rank columns.
+        let Op::Aggr { input: graft, .. } = dag.op(new_root) else {
+            panic!("the count stays the root")
         };
-        assert!(matches!(dag.op(*input), Op::Sort { .. }));
+        assert_ne!(*graft, joins);
+        assert_eq!(dag.schema(*graft), schema_before.as_slice());
+        let Op::Project { input, .. } = dag.op(*graft) else {
+            panic!("the graft is a projection")
+        };
+        assert!(matches!(
+            dag.op(*input),
+            Op::EquiJoin { .. } | Op::ThetaJoin { .. }
+        ));
+        assert!(!dag
+            .reachable(new_root)
+            .iter()
+            .any(|id| matches!(dag.op(*id), Op::RowId { .. })));
         assert_eq!(report.trace.len(), 1);
         assert_eq!(report.trace[0].rule, "cost-join-reorder");
     }
@@ -1247,10 +1179,10 @@ mod tests {
 
     #[test]
     fn clusters_past_the_dp_bound_keep_their_canonical_order() {
-        // A left-deep equi-join chain, big relations first and a
-        // two-row relation last: with DP_LEAVES leaves the enumerator
-        // joins through the tiny side first; one leaf more and the
-        // cluster is examined but left exactly as written.
+        // A left-deep equi-join chain under a count, big relations first
+        // and a two-row relation last: with DP_LEAVES leaves the
+        // enumerator joins through the tiny side first; one leaf more and
+        // the cluster is examined but left exactly as written.
         for (leaves, reordered) in [(DP_LEAVES, 1), (DP_LEAVES + 1, 0)] {
             let mut dag = Dag::new();
             let big: Vec<i64> = (0..30).collect();
@@ -1265,6 +1197,7 @@ mod tests {
                     rcol: Col(40 + k as u32),
                 });
             }
+            let root = count(&mut dag, root);
             let (new_root, report) = cost_optimize(
                 &mut dag,
                 root,
@@ -1320,41 +1253,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_compensation_elided_under_order_indifferent_aggregate() {
-        // An ungrouped count over the cluster cannot observe row order:
-        // the reorder must fire *without* rank columns or a restore sort.
-        let mut dag = Dag::new();
-        let (.., joins) = chain_plan(&mut dag);
-        let root = dag.add(Op::Aggr {
-            input: joins,
-            kind: AggrKind::Count,
-            new: Col(50),
-            arg: None,
-            part: None,
-        });
-        let (new_root, report) = cost_optimize(
-            &mut dag,
-            root,
-            &OptOptions::default(),
-            &CostContext::default(),
-        )
-        .unwrap();
-        assert_eq!(report.reordered, 1);
-        assert_eq!(report.elided, 1, "count is order-indifferent: {report:?}");
-        dag.validate_plan(new_root).unwrap();
-        let reachable = dag.reachable(new_root);
-        assert!(
-            !reachable
-                .iter()
-                .any(|id| matches!(dag.op(*id), Op::Sort { .. } | Op::RowId { .. })),
-            "elision must drop both the restore sort and the rank columns"
-        );
-    }
-
-    #[test]
-    fn rank_compensation_kept_under_order_sensitive_aggregate() {
-        // Sum accumulates f64 in row order — the analysis must refuse to
-        // elide and keep the byte-identical compensation sort.
+    fn order_sensitive_aggregate_keeps_the_canonical_tree() {
+        // Sum accumulates f64 in row order: the cheaper order is not
+        // grafted, and the plan stays exactly as written.
         let mut dag = Dag::new();
         let (.., joins) = chain_plan(&mut dag);
         let root = dag.add(Op::Aggr {
@@ -1371,16 +1272,8 @@ mod tests {
             &CostContext::default(),
         )
         .unwrap();
-        assert_eq!(report.reordered, 1);
-        assert_eq!(report.elided, 0, "sum observes row order: {report:?}");
-        dag.validate_plan(new_root).unwrap();
-        let reachable = dag.reachable(new_root);
-        assert!(
-            reachable
-                .iter()
-                .any(|id| matches!(dag.op(*id), Op::Sort { .. })),
-            "order-sensitive consumer must keep the restore sort"
-        );
+        assert_eq!(report.reordered, 0, "sum observes row order: {report:?}");
+        assert_eq!(new_root, root);
     }
 
     /// `Count‖iter` over the reorderable chain whose first leaf is two
@@ -1410,7 +1303,7 @@ mod tests {
     }
 
     #[test]
-    fn a_constant_group_proven_through_a_union_elides_the_compensation() {
+    fn a_constant_group_proven_through_a_union_lets_the_rebuild_fire() {
         // Both parts attach `iter = 1`: the count has one group, so it
         // cannot observe the cluster's row order.
         let (mut dag, root) = count_per_iter_over_union((1, 1));
@@ -1426,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn union_parts_with_different_constants_keep_the_compensation() {
+    fn union_parts_with_different_constants_keep_the_canonical_tree() {
         // `iter` is 1 on one side and 2 on the other: two groups, whose
         // counts come out in the order their rows arrive.
         let (mut dag, root) = count_per_iter_over_union((1, 2));
@@ -1437,11 +1330,8 @@ mod tests {
             &CostContext::default(),
         )
         .unwrap();
-        assert_eq!((report.reordered, report.elided), (1, 0), "{report:?}");
-        assert!(dag
-            .reachable(new_root)
-            .iter()
-            .any(|id| matches!(dag.op(*id), Op::Sort { .. })));
+        assert_eq!(report.reordered, 0, "{report:?}");
+        assert_eq!(new_root, root);
     }
 
     #[test]
@@ -1455,15 +1345,11 @@ mod tests {
             ..CatalogStats::default()
         };
         stats.elem_counts.insert(NameId(7), 50);
-        let ctx = CostContext::with_stats(Arc::new(stats));
-        let with = step_estimate(4.0, Axis::Descendant, &NodeTest::Name(NameId(7)), &ctx);
-        assert_eq!(with, 4.0 * 25.0); // 50 elements over 2 fragments
-        let without = step_estimate(
-            4.0,
-            Axis::Descendant,
-            &NodeTest::Name(NameId(7)),
-            &CostContext::default(),
-        );
-        assert_eq!(without, 32.0); // fixed ×8 fallback
+        let step =
+            |s: &CatalogStats| step_estimate(4.0, Axis::Descendant, &NodeTest::Name(NameId(7)), s);
+        // 50 elements over 2 fragments; an empty catalog (what no
+        // statistics read as) has none, so the yield's floor.
+        assert_eq!(step(&stats), 4.0 * 25.0);
+        assert_eq!(step(&CatalogStats::default()), 4.0 * 1e-3);
     }
 }

@@ -64,14 +64,12 @@ pub fn keys(dag: &Dag, root: OpId) -> KeyMap {
                 k
             }
             // Row-preserving unary operators keep keys; selections and
-            // distinct only *remove* rows, which preserves uniqueness;
-            // a sort merely permutes rows.
+            // distinct only *remove* rows, which preserves uniqueness.
             Op::Select { input, .. }
             | Op::Attach { input, .. }
             | Op::Fun { input, .. }
             | Op::Distinct { input }
-            | Op::Serialize { input }
-            | Op::Sort { input, .. } => of(*input, &keys),
+            | Op::Serialize { input } => of(*input, &keys),
             Op::Project { input, cols } => {
                 let inp = of(*input, &keys);
                 cols.iter()
@@ -196,7 +194,7 @@ pub fn domains(dag: &Dag, root: OpId) -> DomMap {
                 };
                 cols.iter().filter_map(renamed).collect()
             }
-            Op::Sort { input, .. } | Op::Distinct { input } => of(input).to_vec(),
+            Op::Distinct { input } => of(input).to_vec(),
             Op::Aggr {
                 input,
                 part: Some(p),
@@ -313,7 +311,7 @@ pub fn properties(dag: &Dag, root: OpId) -> PropMap {
                     }
                 }
             }
-            Op::Distinct { input } | Op::Sort { input, .. } => {
+            Op::Distinct { input } => {
                 mine = child_props(*input, &props);
             }
             Op::Step { input, .. } => {

@@ -179,11 +179,6 @@ pub fn required_columns(
             Op::Serialize { input } => {
                 push(*input, [Col::POS, Col::ITEM].into_iter().collect());
             }
-            Op::Sort { input, keys } => {
-                let mut n = my_req.clone();
-                n.extend(keys.iter().copied());
-                push(*input, n);
-            }
         }
     }
     req

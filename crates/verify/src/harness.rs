@@ -363,13 +363,6 @@ pub fn coverage_corpus() -> Vec<(&'static str, &'static str)> {
             "theta-join",
             r#"for $a in doc("d.xml")//x for $b in doc("e.xml")//x where fn:count($a/child::*) < fn:count($b/child::*) return $a"#,
         ),
-        // An equality theta-join whose costed order beats the canonical
-        // one: the cost pass rebuilds the join and grafts its rank-sort
-        // compensation, so this plan is where `sort` lives.
-        (
-            "cost-reorder",
-            r#"for $a in doc("d.xml")//x for $b in doc("e.xml")//x where fn:count($a/child::*) = fn:count($b/child::*) return $b"#,
-        ),
         ("intersect", r#"doc("d.xml")//x intersect doc("d.xml")//x"#),
         // The whole-catalog scan: one `collection` leaf.
         ("collection", r#"fn:collection()//x"#),

@@ -348,9 +348,9 @@ pub struct Report {
     /// (cell, row) pairs skipped because the row is not [`expressible`].
     pub inexpressible: usize,
     /// Evidence the run was not vacuous: `reordered_plans` (cells whose
-    /// shipped plan had a join cluster rebuilt), `elided_plans` (cells
-    /// whose shipped plan rebuilt one without its compensation sort —
-    /// the order-indifference proof compared byte for byte),
+    /// shipped plan had a join cluster rebuilt — only where the
+    /// order-indifference proof holds, so each compares that proof byte
+    /// for byte),
     /// `fused_chains` (in the cells' shipped plans), `perturbed_cells`
     /// ((cell, row) runs under a `stats-perturb` arm), `join_queries`
     /// (authored join cells), `served_cells`
@@ -496,39 +496,49 @@ pub const XMARK_COLLECTION_QUERIES: &[&str] = &[
 /// Authored multi-document join queries over `urls`: three-relation
 /// bundles with equality/inequality predicates — exactly the dissolvable
 /// shapes the enumerator reorders (band joins stay opaque by design, so
-/// the grammar stream covers those). Element names rotate with `i` so
-/// the stream hits populated and empty relations alike.
+/// the grammar stream covers those). Each shape comes twice: returning
+/// constructed elements, whose order is observed, so the cost pass keeps
+/// the canonical tree; and under an order-indifferent consumer, where a
+/// cheaper order may be grafted — a top-level `fn:count`, a
+/// per-iteration `fn:count`, `fn:max` over ids or `some … satisfies`,
+/// rotating with `i`. Element names rotate with `i` too, so the stream
+/// hits populated and empty relations alike.
 pub fn join_queries(urls: &[String], i: usize) -> Vec<String> {
-    let n = |k: usize| NAMES[(i + k) % NAMES.len()];
-    let u = |k: usize| &urls[k % urls.len()];
-    vec![
+    let [n0, n1, n2] = [0, 1, 2].map(|k| NAMES[(i + k) % NAMES.len()]);
+    let [u0, u1, u2] = [0, 1, 2].map(|k| &urls[k % urls.len()]);
+    // (outer binding, inner bindings, predicate, constructed return)
+    let shapes = [
         // Three documents, two inequality bundles: every pair of rows
-        // with distinct ids matches, so the result is large, the
-        // intermediate orders differ per join order, and the rank
-        // compensation has real work to do.
-        format!(
-            r#"for $x in doc("{}")//{}, $y in doc("{}")//{}, $z in doc("{}")//{}
-               where $x/@id != $y/@id and $y/@id != $z/@id
-               return <j>{{string($x/@id)}}.{{string($y/@id)}}.{{string($z/@id)}}</j>"#,
-            u(0),
-            n(0),
-            u(1),
-            n(1),
-            u(2),
-            n(2)
+        // with distinct ids matches, so the result is large and the
+        // intermediate orders differ per join order.
+        (
+            format!(r#"$x in doc("{u0}")//{n0}"#),
+            format!(r#"$y in doc("{u1}")//{n1}, $z in doc("{u2}")//{n2}"#),
+            "$x/@id != $y/@id and $y/@id != $z/@id",
+            "<j>{string($x/@id)}.{string($y/@id)}.{string($z/@id)}</j>",
         ),
         // Whole-corpus self equi-join (every node matches itself) plus an
         // inequality leg — an Eq bundle and a Ne bundle in one cluster,
         // scanned through `fn:collection()`.
-        format!(
-            r#"for $x in fn:collection()//{}, $y in fn:collection()//{}, $z in fn:collection()//{}
-               where $x/@id = $y/@id and $y/@id != $z/@id
-               return <j>{{string($x/@id)}}:{{string($z/@id)}}</j>"#,
-            n(0),
-            n(0),
-            n(1)
+        (
+            format!("$x in fn:collection()//{n0}"),
+            format!("$y in fn:collection()//{n0}, $z in fn:collection()//{n1}"),
+            "$x/@id = $y/@id and $y/@id != $z/@id",
+            "<j>{string($x/@id)}:{string($z/@id)}</j>",
         ),
-    ]
+    ];
+    let mut queries = Vec::with_capacity(2 * shapes.len());
+    for (outer, inner, pred, construct) in shapes {
+        let fors = format!("{outer}, {inner}");
+        queries.push(format!("for {fors} where {pred} return {construct}"));
+        queries.push(match i % 4 {
+            0 => format!("fn:count(for {fors} where {pred} return $z)"),
+            1 => format!("for {outer} return fn:count(for {inner} where {pred} return $z)"),
+            2 => format!("fn:max(for {fors} where {pred} return $x/@id)"),
+            _ => format!("some {fors} satisfies {pred}"),
+        });
+    }
+    queries
 }
 
 /// The two authored documents [`chain_join`] runs over: small enough
@@ -539,13 +549,14 @@ const CHAIN_CORPUS: [(&str, &str); 2] = [
     ("c1.xml", r#"<r id="4"><a id="5"/></r>"#),
 ];
 
-/// A `relations`-way join in one `for` clause: the first and last
-/// relation (every `a` of the corpus) tied by an equality, the document
-/// roots between them riding along as cross products. Loop lifting ties
-/// the bindings and their map relations into one cluster of
-/// `2 · (relations − 1)` leaves, so nine relations sit past the cost
-/// pass's exact-DP bound (8 leaves) and keep their canonical order, while
-/// five are re-enumerated.
+/// The count of a `relations`-way join in one `for` clause: the first
+/// and last relation (every `a` of the corpus) tied by an equality, the
+/// document roots between them riding along as cross products. The
+/// count cannot observe the join's order, so the cost pass may rebuild
+/// it. Loop lifting ties the bindings and their map relations into one
+/// cluster of `2 · (relations − 1)` leaves, so nine relations sit past
+/// the cost pass's exact-DP bound (8 leaves) and keep their canonical
+/// order, while five are re-enumerated.
 fn chain_join(relations: usize) -> String {
     let bindings: Vec<String> = (1..=relations)
         .map(|k| match k {
@@ -554,8 +565,7 @@ fn chain_join(relations: usize) -> String {
         })
         .collect();
     format!(
-        "for {} where $x1/@id = $x{relations}/@id \
-         return <c>{{string($x1/@id)}}.{{string($x2/@id)}}</c>",
+        "fn:count(for {} where $x1/@id = $x{relations}/@id return $x2)",
         bindings.join(", ")
     )
 }
@@ -783,8 +793,6 @@ impl Runner<'_> {
                 let any = |n: usize| u64::from(n > 0);
                 self.report
                     .bump("reordered_plans", any(plan.cost_report.reordered));
-                self.report
-                    .bump("elided_plans", any(plan.cost_report.elided));
                 self.report
                     .bump("fused_chains", plan.phys.fused_chains as u64);
             }
@@ -1148,11 +1156,22 @@ mod tests {
     }
 
     #[test]
-    fn join_stream_shapes_are_well_formed() {
-        let urls = vec!["f0.xml".to_string(), "f1.xml".to_string()];
+    fn join_stream_shapes_compile_and_rebuild_only_where_unobserved() {
+        // Constructed returns are observed, so the cost pass keeps their
+        // canonical tree; the top-level count and the max over ids cannot
+        // observe it, and their cheaper order is grafted.
+        let corpus = gen_corpus(&mut cell_rng(0, 0, FuzzProfile::Unordered));
+        let mut s = Session::new();
+        s.load_corpus(corpus.docs.iter().map(|(u, x)| (u.as_str(), x.as_str())))
+            .unwrap();
+        let opts = FuzzProfile::Unordered.options();
         for i in 0..4 {
-            for q in join_queries(&urls, i) {
-                parse_module(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            for (j, q) in join_queries(&corpus.urls(), i).iter().enumerate() {
+                let plan = s.prepare(q, &opts).unwrap_or_else(|e| panic!("{q}: {e}"));
+                let constructed = j % 2 == 0;
+                if constructed || i % 2 == 0 {
+                    assert_eq!(plan.cost_report.reordered > 0, !constructed, "{q}");
+                }
             }
         }
     }
@@ -1160,9 +1179,10 @@ mod tests {
     #[test]
     fn chain_join_sits_past_the_dp_bound() {
         // Five relations lift into one cluster of 8 leaves, which the
-        // exact DP re-enumerates; nine lift into 16, past `DP_LEAVES`,
-        // and keep their canonical order. (The key-only map joins every
-        // FLWOR used to carry are gone before the cost pass looks.)
+        // exact DP re-enumerates and the count lets the pass rebuild;
+        // nine lift into 16, past `DP_LEAVES`, and keep their canonical
+        // order. (The key-only map joins every FLWOR used to carry are
+        // gone before the cost pass looks.)
         let mut s = Session::new();
         s.load_corpus(CHAIN_CORPUS).unwrap();
         let reordered = |relations| {

@@ -3,7 +3,7 @@
 //! One run replaces the vectorized, parallel, costed and serve
 //! differentials: XMark Q1–Q20 and the 10-query collection matrix under both
 //! compiler profiles, 100×2 single-document and 100×2 multi-document
-//! fuzz cells, and 401 authored join queries, each cell under the
+//! fuzz cells, and 801 authored join queries, each cell under the
 //! reference point and all sixteen rows of the covering table. The
 //! floors below are what keeps a green run from being a vacuous one.
 //! Two more tests prove the lattice can go red and that a seed fixes the
@@ -23,8 +23,8 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     assert!(report.passed(), "{report}");
     println!("{report}");
     // 20×2 XMark + 10×2 collection matrix + 100×2 single-document fuzz
-    // + 100×2 × (grammar + 2 joins) multi-document fuzz + the chain join.
-    assert_eq!(report.cells, 40 + 20 + 200 + 600 + 1);
+    // + 100×2 × (grammar + 4 joins) multi-document fuzz + the chain join.
+    assert_eq!(report.cells, 40 + 20 + 200 + 1000 + 1);
     assert_eq!(report.inexpressible, 0);
     // Exercised by real results, not error-vs-error cells.
     assert!(report.error_cells * 2 < report.cells, "{report}");
@@ -36,7 +36,6 @@ fn full_lattice_is_byte_identical_and_meets_every_floor() {
     };
     floor("join_queries", 200);
     floor("reordered_plans", 1);
-    floor("elided_plans", 1);
     floor("perturbed_cells", 1);
     floor("fused_chains", 1);
     floor("served_cells", 1);

@@ -6,7 +6,7 @@
 //! carries duplicates of it; the plan is executed before and after the
 //! rewrite and compared position by position.
 
-use exrquy_algebra::{AValue, Col, Dag, Op, OpId};
+use exrquy_algebra::{AValue, Col, Dag, FunKind, Op, OpId};
 use exrquy_engine::{Engine, EngineOptions, Item};
 use exrquy_opt::{try_optimize, OptOptions};
 use exrquy_xml::{Catalog, FragArena};
@@ -53,11 +53,15 @@ fn vanished_joins_keep_physical_row_order() {
         numbered,
         &[(Col::ITER, Col::BIND), (Col::ITEM, Col::ITEM)],
     );
+    // The probe side of an equality ⋈θ against the items in ascending
+    // order sets that order.
     let thrice = lit(&mut dag, Col::ITEM2, &[1, 2, 3]);
     let crossed = dag.add(Op::Cross { l: view, r: thrice });
-    let shuffled = dag.add(Op::Sort {
-        input: crossed,
-        keys: vec![Col::ITEM],
+    let ascending = lit(&mut dag, Col(40), &[10, 20, 30, 40, 50]);
+    let shuffled = dag.add(Op::ThetaJoin {
+        l: ascending,
+        r: crossed,
+        pred: vec![(Col(40), FunKind::Eq, Col::ITEM)],
     });
     // Map join back to the loop key (`join-elim-key-domain`) …
     let joined = dag.add(Op::EquiJoin {
