@@ -957,24 +957,30 @@ mod tests {
         let r = lit(
             &mut dag,
             vec![Col::ITEM2],
-            vec![vec![5], vec![15], vec![20], vec![30]],
+            vec![vec![20], vec![5], vec![30], vec![15]],
         );
         let j = dag.add(Op::ThetaJoin {
             l,
             r,
             pred: vec![(Col::ITEM1, FunKind::Gt, Col::ITEM2)],
         });
+        let pairs = |t: &Table| -> Vec<(i64, i64)> {
+            (0..t.nrows())
+                .map(|i| (t.int(Col::ITEM1, i), t.int(Col::ITEM2, i)))
+                .collect()
+        };
+        // 10 > {5}; 25 > {20,5,15}: left rows in order, each with its
+        // right matches in row order, not in value order.
         let t = run(&dag, j);
-        // 10 > {5}; 25 > {5,15,20} → 4 pairs
-        assert_eq!(t.nrows(), 4);
+        assert_eq!(pairs(&t), [(10, 5), (25, 20), (25, 5), (25, 15)]);
         let le = dag.add(Op::ThetaJoin {
             l,
             r,
             pred: vec![(Col::ITEM1, FunKind::Le, Col::ITEM2)],
         });
+        // 10 <= {20,30,15}; 25 <= {30}
         let t = run(&dag, le);
-        // 10 <= {15,20,30}; 25 <= {30} → 4 pairs
-        assert_eq!(t.nrows(), 4);
+        assert_eq!(pairs(&t), [(10, 20), (10, 30), (10, 15), (25, 30)]);
     }
 
     #[test]

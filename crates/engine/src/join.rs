@@ -1,9 +1,9 @@
 //! Join-family kernels: cross, equi-join, theta-join and difference,
 //! plus the hashing machinery they (and the grouping kernels) share.
 //!
-//! An equi-join emits its matches as one pair stream — left rows in
-//! order, each with its right matches ascending — through one
-//! [`PairSink`], whichever kernel finds them:
+//! A join emits its matches as one pair stream — left rows in order,
+//! each with its right matches ascending — whichever kernel finds them.
+//! The equi-join kernels push through one [`PairSink`]:
 //!
 //! * integer keys whose build (right) side is dense and never repeats —
 //!   the map joins loop-lifting puts over a numbered relation — gather:
@@ -18,6 +18,10 @@
 //! * item keys (the value joins) hash borrowed keys into the same
 //!   [`Csr`] layout;
 //! * the `vec == false` reference arm keeps the per-row map of `Vec`s.
+//!
+//! The band join (`⋈θ` over `<`, `≤`, `>`, `≥`) knows every left row's
+//! match count before it writes a pair, and fills the stream slot by
+//! slot ([`band_join_pairs`]); `≠` is a nested loop, already in order.
 //!
 //! The batch output shares each input's columns behind a selection
 //! vector, and a side the join keeps whole and in order passes through
@@ -298,10 +302,11 @@ enum IntJoinIndex {
 impl IntJoinIndex {
     /// The index over the build side's `keys` — or `None` when both sides
     /// are `sorted` and the keys are not both dense and unique: the linear
-    /// merge takes those, with no index at all.
-    fn build(keys: &[i64], sorted: bool) -> Option<IntJoinIndex> {
+    /// merge takes those, with no index at all. `sorted` is asked only
+    /// when the gather is out, so a unique build key scans no side twice.
+    fn build(keys: &[i64], sorted: impl FnOnce() -> bool) -> Option<IntJoinIndex> {
         let Some((lo, span)) = dense_range(keys) else {
-            return (!sorted).then(|| {
+            return (!sorted()).then(|| {
                 IntJoinIndex::Hashed(HashedIndex::build(keys.len(), |push| {
                     keys.iter().for_each(|&k| push(k))
                 }))
@@ -317,7 +322,7 @@ impl IntJoinIndex {
         if unique {
             return Some(IntJoinIndex::Unique { lo, slots });
         }
-        (!sorted).then(|| IntJoinIndex::Direct {
+        (!sorted()).then(|| IntJoinIndex::Direct {
             lo,
             span,
             csr: Csr::build(span as usize + 1, 0..keys.len() as u32, |j| {
@@ -518,16 +523,117 @@ pub(crate) fn eval_equijoin(
         // linear merge needs no index at all (and the two sortedness
         // scans are cheap next to building one) — unless the build keys
         // are dense and unique, where the gather beats it.
-        Some([lv, rv]) if vec => match IntJoinIndex::build(&rv, lv.is_sorted() && rv.is_sorted()) {
-            Some(index) => index.probe(&lv, &mut out)?,
-            None => merge_join_pairs(&lv, &rv, &mut out)?,
-        },
+        Some([lv, rv]) if vec => {
+            match IntJoinIndex::build(&rv, || lv.is_sorted() && rv.is_sorted()) {
+                Some(index) => index.probe(&lv, &mut out)?,
+                None => merge_join_pairs(&lv, &rv, &mut out)?,
+            }
+        }
         Some([lv, rv]) => reference_join(lv.iter().copied(), rv.iter().copied(), &mut out)?,
         _ if vec => hash_join_pairs(&lc, &rc, &mut out)?,
         _ => reference_join(group_keys(&lc), group_keys(&rc), &mut out)?,
     }
     let (lrows, rrows) = out.into_rows();
     Ok(join_output(l, r, lrows, rrows, vec))
+}
+
+/// Band join `l k r` (`k` one of `<`, `≤`, `>`, `≥`) in the pair-stream
+/// order — left rows in order, each with its right matches ascending —
+/// so a `%` over its pairs finds them numbered already. Non-numeric and
+/// NaN values never match.
+///
+/// With the right rows sorted by value (ascending for `>`/`≥`,
+/// descending for `<`/`≤`), a left row's matches are a prefix of that
+/// order, its length one binary search away. Every left row's slot is
+/// therefore known before a pair is written, and the row cap refuses an
+/// oversized total before anything is allocated. The left rows are then
+/// visited by prefix length: the right rows admitted so far, kept sorted
+/// by row id, grow by merging in each newly admitted run and are copied
+/// into the slot of every left row they make up. The writes are
+/// sequential; the cost is O(pairs + (n + m) log m).
+fn band_join_pairs(
+    lc: &ColView,
+    rc: &ColView,
+    kind: FunKind,
+    out: &mut PairSink,
+) -> Result<(), EvalError> {
+    let number = |c: &ColView, r: usize| c.get(r).as_number_promoting().filter(|v| !v.is_nan());
+    let mut right: Vec<(f64, u32)> = (0..rc.len())
+        .filter_map(|j| Some((number(rc, j)?, j as u32)))
+        .collect();
+    let descending = matches!(kind, FunKind::Lt | FunKind::Le);
+    // NaNs were filtered above, so partial_cmp cannot return None.
+    right.sort_unstable_by(|a, b| {
+        let o = a.0.partial_cmp(&b.0).unwrap();
+        if descending {
+            o.reverse()
+        } else {
+            o
+        }
+    });
+    // Whether right value `v` matches left value `x`: true on a prefix
+    // of `right`.
+    let admits = |v: f64, x: f64| match kind {
+        FunKind::Gt => v < x,
+        FunKind::Ge => v <= x,
+        FunKind::Lt => v > x,
+        FunKind::Le => v >= x,
+        _ => unreachable!("band join over {kind:?}"),
+    };
+    let counts: Vec<usize> = (0..lc.len())
+        .map(|i| number(lc, i).map_or(0, |x| right.partition_point(|&(v, _)| admits(v, x))))
+        .collect();
+    let total: usize = counts.iter().sum();
+    if total > out.cap {
+        return Err(row_cap_exceeded(out.cap));
+    }
+    let starts: Vec<usize> = counts
+        .iter()
+        .scan(0, |next, &c| Some(std::mem::replace(next, *next + c)))
+        .collect();
+    let mut ridx = vec![0u32; total];
+    let (mut admitted, mut run): (Vec<u32>, Vec<u32>) = Default::default();
+    let mut written = 0usize;
+    let by_count = Csr::build(right.len() + 1, 0..counts.len() as u32, |i| {
+        counts[i as usize]
+    });
+    for i in by_count.into_rows() {
+        let (start, c) = (starts[i as usize], counts[i as usize]);
+        if c > admitted.len() {
+            run.clear();
+            run.extend(right[admitted.len()..c].iter().map(|&(_, j)| j));
+            run.sort_unstable();
+            merge_into(&mut admitted, &run);
+        }
+        ridx[start..start + c].copy_from_slice(&admitted);
+        if (written + c) / POLL_STRIDE > written / POLL_STRIDE {
+            out.meter.poll()?;
+        }
+        written += c;
+    }
+    out.lidx = Vec::with_capacity(total);
+    for (i, &c) in counts.iter().enumerate() {
+        out.lidx.extend(std::iter::repeat_n(i as u32, c));
+    }
+    out.ridx = ridx;
+    Ok(())
+}
+
+/// Merge the ascending `run` into the ascending `set`, from the back,
+/// in place: the two share no value.
+fn merge_into(set: &mut Vec<u32>, run: &[u32]) {
+    let (mut a, mut b) = (set.len(), run.len());
+    set.resize(a + b, 0);
+    while b > 0 {
+        let w = a + b - 1;
+        if a > 0 && set[a - 1] > run[b - 1] {
+            set[w] = set[a - 1];
+            a -= 1;
+        } else {
+            set[w] = run[b - 1];
+            b -= 1;
+        }
+    }
 }
 
 pub(crate) fn eval_thetajoin(
@@ -548,40 +654,7 @@ pub(crate) fn eval_thetajoin(
         FunKind::Eq if vec => hash_join_pairs(&lc, &rc, &mut out)?,
         FunKind::Eq => reference_join(group_keys(&lc), group_keys(&rc), &mut out)?,
         FunKind::Lt | FunKind::Le | FunKind::Gt | FunKind::Ge => {
-            // Band join: sort the right side numerically, emit a range per
-            // left row. Non-numeric values never match.
-            let mut rvals: Vec<(f64, u32)> = (0..r.nrows())
-                .filter_map(|j| rc.get(j).as_number_promoting().map(|v| (v, j as u32)))
-                .filter(|(v, _)| !v.is_nan())
-                .collect();
-            // NaNs were filtered above, so partial_cmp cannot return None.
-            rvals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let keys: Vec<f64> = rvals.iter().map(|&(v, _)| v).collect();
-            for i in 0..l.nrows() {
-                let Some(x) = lc.get(i).as_number_promoting() else {
-                    continue;
-                };
-                if x.is_nan() {
-                    continue;
-                }
-                let range = match k0 {
-                    // l < r  → right values strictly greater than x
-                    FunKind::Lt => keys.partition_point(|&v| v <= x)..keys.len(),
-                    FunKind::Le => keys.partition_point(|&v| v < x)..keys.len(),
-                    // l > r  → right values strictly less than x
-                    FunKind::Gt => 0..keys.partition_point(|&v| v < x),
-                    FunKind::Ge => 0..keys.partition_point(|&v| v <= x),
-                    _ => unreachable!(),
-                };
-                // A left row's whole range is refused before any of it
-                // is emitted.
-                if out.lidx.len() + range.len() > out.cap {
-                    return Err(row_cap_exceeded(out.cap));
-                }
-                for k in range {
-                    out.push(i as u32, rvals[k].1)?;
-                }
-            }
+            band_join_pairs(&lc, &rc, k0, &mut out)?
         }
         FunKind::Ne => {
             // Rare; nested loop.
@@ -796,7 +869,7 @@ mod tests {
 
     /// The arm the batch join of these keys takes.
     fn arm(lk: &[i64], rk: &[i64]) -> Arm {
-        match IntJoinIndex::build(rk, lk.is_sorted() && rk.is_sorted()) {
+        match IntJoinIndex::build(rk, || lk.is_sorted() && rk.is_sorted()) {
             Some(IntJoinIndex::Unique { .. }) => Arm::Gather,
             Some(IntJoinIndex::Direct { .. }) => Arm::Direct,
             Some(IntJoinIndex::Hashed(_)) => Arm::Hashed,
@@ -1002,6 +1075,169 @@ mod tests {
             assert_eq!(batch.as_ref().map_err(|e| e.0), Err(code));
             assert_eq!(batch, pairs(&l, &r, false, m));
         }
+    }
+
+    const BANDS: [FunKind; 4] = [FunKind::Lt, FunKind::Le, FunKind::Gt, FunKind::Ge];
+
+    /// The band join's inputs: an item key and an integer second key a
+    /// side, the row ids in `POS` / `POS1`.
+    fn band_sides(l: &[(Item, i64)], r: &[(Item, i64)]) -> [Table; 2] {
+        let side = |rows: &[(Item, i64)], key: Col, second: Col, id: Col| {
+            Table::new(vec![
+                (
+                    key,
+                    Column::Item(rows.iter().map(|(k, _)| k.clone()).collect()),
+                ),
+                (second, Column::Int(rows.iter().map(|&(_, s)| s).collect())),
+                (id, Column::Int((0..rows.len() as i64).collect())),
+            ])
+        };
+        [
+            side(l, Col::ITEM1, Col::ITER, Col::POS),
+            side(r, Col::ITEM2, Col::ITER1, Col::POS1),
+        ]
+    }
+
+    /// `⋈θ` over `ITEM1 kind ITEM2`, and `ITER ≤ ITER1` when `residual`.
+    fn band_pairs(
+        sides: &[Table; 2],
+        kind: FunKind,
+        residual: bool,
+        vec: bool,
+        m: &BudgetMeter,
+    ) -> Pairs {
+        let mut pred = vec![(Col::ITEM1, kind, Col::ITEM2)];
+        if residual {
+            pred.push((Col::ITER, FunKind::Le, Col::ITER1));
+        }
+        match eval_thetajoin(&sides[0], &sides[1], &pred, m, vec) {
+            Ok(t) => Ok((
+                t.col(Col::POS).to_int_vec().unwrap(),
+                t.col(Col::POS1).to_int_vec().unwrap(),
+            )),
+            Err(e) => Err((e.code, e.message)),
+        }
+    }
+
+    /// The nested loop: left rows in order, each with its right matches
+    /// ascending; a non-numeric or NaN value matches nothing.
+    fn band_model(
+        l: &[(Item, i64)],
+        r: &[(Item, i64)],
+        kind: FunKind,
+        residual: bool,
+    ) -> (Vec<i64>, Vec<i64>) {
+        let num = |it: &Item| it.as_number_promoting().filter(|v| !v.is_nan());
+        let mut want = (Vec::new(), Vec::new());
+        for (i, (a, sa)) in l.iter().enumerate() {
+            for (j, (b, sb)) in r.iter().enumerate() {
+                let Some((x, v)) = num(a).zip(num(b)) else {
+                    continue;
+                };
+                let band = match kind {
+                    FunKind::Lt => x < v,
+                    FunKind::Le => x <= v,
+                    FunKind::Gt => x > v,
+                    _ => x >= v,
+                };
+                if band && (!residual || sa <= sb) {
+                    want.0.push(i as i64);
+                    want.1.push(j as i64);
+                }
+            }
+        }
+        want
+    }
+
+    /// Small integers with repeats on both sides, doubles, NaN, and
+    /// strings that do and do not parse as numbers.
+    fn band_rows(rng: &mut SmallRng, n: usize) -> Vec<(Item, i64)> {
+        (0..n)
+            .map(|_| {
+                let key = match rng.gen_range(0u32..10) {
+                    0 => Item::Dbl(f64::NAN),
+                    1 => Item::str("abc"),
+                    2 => Item::str(&rng.gen_range(-5i64..15).to_string()),
+                    3 => Item::Dbl(rng.gen_range(-50i64..150) as f64 / 10.0),
+                    _ => Item::Int(rng.gen_range(-5i64..15)),
+                };
+                (key, rng.gen_range(0i64..4))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn band_pairs_come_in_nested_loop_order() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let m = meter(None, false);
+        for (nl, nr) in [(0, 0), (0, 7), (7, 0), (1, 1), (30, 40), (200, 150)] {
+            let (l, r) = (band_rows(&mut rng, nl), band_rows(&mut rng, nr));
+            let sides = band_sides(&l, &r);
+            for kind in BANDS {
+                for residual in [false, true] {
+                    let want = band_model(&l, &r, kind, residual);
+                    for vec in [true, false] {
+                        let got = band_pairs(&sides, kind, residual, vec, &m);
+                        assert_eq!(
+                            got,
+                            Ok(want.clone()),
+                            "{kind:?} {nl}x{nr} residual {residual}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_row_cap_refuses_the_total_before_any_pair() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let (l, r) = (band_rows(&mut rng, 60), band_rows(&mut rng, 60));
+        let sides = band_sides(&l, &r);
+        for kind in BANDS {
+            // The row cap counts the candidate pairs the residual filters.
+            let total = band_model(&l, &r, kind, false).0.len();
+            assert!(total > 0);
+            for cap in [0, total - 1, total, total + 1] {
+                let m = meter(Some(cap), false);
+                for residual in [false, true] {
+                    for vec in [true, false] {
+                        let got = band_pairs(&sides, kind, residual, vec, &m);
+                        match got {
+                            Ok(_) => assert!(cap >= total, "{kind:?} cap {cap}"),
+                            Err((code, _)) => assert!(code == ErrorCode::EXRQ0001 && cap < total),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_cancellation_trips_mid_emission() {
+        let cancelled = meter(None, true);
+        // Left values 1..=k each match the right values 0..k below them:
+        // the stream is k(k + 1)/2 pairs long, in k slots.
+        let band = |k: i64, m: &BudgetMeter| {
+            let l: Vec<(Item, i64)> = (1..=k).map(|v| (Item::Int(v), 0)).collect();
+            let r: Vec<(Item, i64)> = (0..k).map(|v| (Item::Int(v), 0)).collect();
+            band_pairs(&band_sides(&l, &r), FunKind::Gt, false, true, m)
+                .map(|p| p.0.len())
+                .map_err(|e| e.0)
+        };
+        // 8128 pairs, one slot short of the first poll at 8192: the
+        // token is never looked at.
+        assert_eq!(POLL_STRIDE, 8192);
+        assert_eq!(band(127, &cancelled), Ok(8128));
+        // 8256 pairs cross it inside the last slot.
+        assert_eq!(band(128, &cancelled), Err(ErrorCode::EXRQ0002));
+        assert_eq!(band(400, &cancelled), Err(ErrorCode::EXRQ0002));
+        // A row cap below the total refuses first.
+        assert_eq!(
+            band(128, &meter(Some(8255), true)),
+            Err(ErrorCode::EXRQ0001)
+        );
+        assert_eq!(band(128, &meter(Some(8256), false)), Ok(8256));
     }
 
     /// ⋈ and `\` over dense node columns against the boxed form: the

@@ -1,6 +1,11 @@
 //! Order-bearing kernels: `%` (rownum) and distinct. One sorter,
 //! [`sorted_perm`], serves them on the calling thread: a sortedness probe, LSD counting passes over dense
 //! integer keys, and one stable comparison sort for everything else.
+//! Integer keys that arrive in order — every join emits its pairs left
+//! row by left row, each with its right matches ascending — skip the
+//! sorter: `%` numbers them in the same straight pass that checks the
+//! order ([`number_presorted`]), and only a row out of order sends them
+//! to the counting passes.
 
 use crate::column::Column;
 use crate::dense::{dense_range, Csr};
@@ -107,7 +112,7 @@ const COUNTING_MIN_ROWS: usize = 64;
 pub(crate) fn sorted_perm(n: usize, keys: &[Key], vec: bool) -> Option<Vec<u32>> {
     if vec {
         let presorted = match int_keys(keys) {
-            Some(ints) => ints_in_order(n, &ints, |_| ()),
+            Some(ints) => ints_in_order(n, &ints),
             None => (1..n).all(|r| cmp_rows(keys, r - 1, r) != Ordering::Greater),
         };
         if presorted {
@@ -131,23 +136,41 @@ fn int_keys<'k>(keys: &'k [Key]) -> Option<Vec<(&'k [i64], bool)>> {
 }
 
 /// Whether rows `0..n` are in `ints` order already, compared on the
-/// slices directly, not through `Key` per value. `step(d)` sees each
-/// row as the probe passes it, `d` being the most significant key on
-/// which it differs from the row before: `0` for the first row,
-/// `ints.len()` for a repeat.
-fn ints_in_order(n: usize, ints: &[(&[i64], bool)], mut step: impl FnMut(usize)) -> bool {
-    if n > 0 {
-        step(0);
-    }
+/// slices directly, not through `Key` per value.
+fn ints_in_order(n: usize, ints: &[(&[i64], bool)]) -> bool {
     (1..n).all(|r| {
-        let d = ints
-            .iter()
-            .position(|(v, _)| v[r - 1] != v[r])
-            .unwrap_or(ints.len());
-        step(d);
-        ints.get(d)
+        ints.iter()
+            .find(|(v, _)| v[r - 1] != v[r])
             .is_none_or(|&(v, desc)| (v[r - 1] < v[r]) != desc)
     })
+}
+
+/// `%`'s numbers for rows `0..n` already in key order — 1, 2, … within
+/// each run of equal `part` values, in one straight pass — or `None` at
+/// the first row out of order (the partition ascending, then `order`).
+fn number_presorted(n: usize, part: Option<&[i64]>, order: &[(&[i64], bool)]) -> Option<Vec<i64>> {
+    let mut nums = Vec::with_capacity(n);
+    let mut rank = 0i64;
+    for r in 0..n {
+        rank = match (r.checked_sub(1), part) {
+            (None, _) => 1,
+            (Some(p), Some(v)) if v[p] != v[r] => {
+                if v[p] > v[r] {
+                    return None;
+                }
+                1
+            }
+            (Some(p), _) => {
+                let step = order.iter().find(|(v, _)| v[p] != v[r]);
+                if step.is_some_and(|&(v, desc)| (v[p] < v[r]) == desc) {
+                    return None;
+                }
+                rank + 1
+            }
+        };
+        nums.push(rank);
+    }
+    Some(nums)
 }
 
 /// [`sorted_perm`] past its probe.
@@ -220,16 +243,11 @@ pub(crate) fn eval_rownum(
     // before on any of them starts a new one.
     let groups = usize::from(part.is_some());
     let ints = int_keys(&keys).filter(|_| vec);
-    // Vectorized: presorted integer keys are numbered inside the probe,
-    // in one pass over the rows.
+    // Vectorized: presorted integer keys are numbered while they are
+    // probed, in one pass over the rows.
     if let Some(ints) = &ints {
-        let mut nums = Vec::with_capacity(n);
-        let mut rank = 0i64;
-        let presorted = ints_in_order(n, ints, |d| {
-            rank = if d < groups { 1 } else { rank + 1 };
-            nums.push(rank);
-        });
-        if presorted {
+        let (part_ints, order_ints) = ints.split_at(groups);
+        if let Some(nums) = number_presorted(n, part_ints.first().map(|k| k.0), order_ints) {
             return t.with_column(new, Column::Int(nums));
         }
     }
@@ -436,6 +454,47 @@ mod tests {
                 assert_arms_agree(&t, &order[1..], Some(Col::ITER));
             }
         }
+    }
+
+    #[test]
+    fn presorted_numbering_resets_per_partition_and_gives_up_out_of_order() {
+        let part: &[i64] = &[1, 1, 1, 2, 2, 5];
+        // Descending within each partition, with a repeat; the key rises
+        // at the first partition change and drops at the second.
+        let key: &[i64] = &[9, 7, 7, 8, 3, 0];
+        let nums = number_presorted(6, Some(part), &[(key, true)]);
+        assert_eq!(nums, Some(vec![1, 2, 3, 1, 2, 1]));
+        // Without the partition the rise is out of order; ascending, the
+        // first drop is.
+        assert_eq!(number_presorted(6, None, &[(key, true)]), None);
+        assert_eq!(number_presorted(6, Some(part), &[(key, false)]), None);
+        // A later key breaks ties only; a partition going down gives up.
+        let second: &[i64] = &[0, 4, 5, 0, 0, 0];
+        let nums = number_presorted(6, Some(part), &[(key, true), (second, false)]);
+        assert_eq!(nums, Some(vec![1, 2, 3, 1, 2, 1]));
+        assert_eq!(
+            number_presorted(6, Some(&[1, 1, 1, 2, 2, 1]), &[(key, true)]),
+            None
+        );
+        assert_eq!(number_presorted(0, None, &[]), Some(vec![]));
+        // Repeats only: 1, 2, … in row order.
+        let same: &[i64] = &[3; 5];
+        assert_eq!(
+            number_presorted(5, None, &[(same, false)]),
+            Some(vec![1, 2, 3, 4, 5])
+        );
+        // Out of order at the last row only: the counting sort numbers
+        // the rows, as the reference arm's comparison sort does.
+        let n = 200;
+        let mut part: Vec<i64> = (0..n).map(|r| r / 30).collect();
+        let key: Vec<i64> = (0..n).map(|r| 100 - r % 30).collect();
+        part[n as usize - 1] = 0;
+        let t = table(&[part, key, vec![0; n as usize]]);
+        let order = [desc(Col::POS)];
+        assert!(counts(&t, &order));
+        let nums = assert_arms_agree(&t, &order, Some(Col::ITER));
+        // Its key 81 ties with row 19's in partition 0, and follows it.
+        assert_eq!((nums[19], nums[n as usize - 1], nums[20]), (20, 21, 22));
     }
 
     #[test]

@@ -21,8 +21,17 @@ fn lit(dag: &mut Dag, cols: Vec<Col>, rows: &[Vec<i64>]) -> OpId {
 }
 
 fn run(dag: &Dag, root: OpId) -> Table {
+    run_with(dag, root, false)
+}
+
+/// `root` on the vectorized arm, or on the reference arm when `scalar`.
+fn run_with(dag: &Dag, root: OpId, scalar: bool) -> Table {
     let mut arena = FragArena::new(Arc::new(Catalog::new()));
-    let mut e = Engine::new(dag, &mut arena, EngineOptions::default());
+    let opts = EngineOptions {
+        scalar,
+        ..EngineOptions::default()
+    };
+    let mut e = Engine::new(dag, &mut arena, opts);
     (*e.eval(root).unwrap()).clone()
 }
 
@@ -122,7 +131,9 @@ fn rowid_unique_and_free_rownum_dense() {
     }
 }
 
-/// Theta-join (band) ≡ the nested-loop definition.
+/// Theta-join ≡ the nested-loop definition, pair for pair and in its
+/// order — left rows in order, each with its right matches ascending —
+/// on both arms.
 #[test]
 fn thetajoin_matches_nested_loop() {
     let kinds = [
@@ -134,28 +145,24 @@ fn thetajoin_matches_nested_loop() {
         FunKind::Ne,
     ];
     let mut rng = SmallRng::seed_from_u64(0x03);
-    for _case in 0..96 {
+    for case in 0..96 {
         let l = vec_i64(&mut rng, -20, 20, 25);
         let r = vec_i64(&mut rng, -20, 20, 25);
-        let kind = kinds[rng.gen_range(0usize..kinds.len())];
+        let kind = kinds[case % kinds.len()];
         let mut dag = Dag::new();
-        let lv: Vec<Vec<i64>> = l.iter().map(|&v| vec![v]).collect();
-        let rv: Vec<Vec<i64>> = r.iter().map(|&v| vec![v]).collect();
-        let lt = lit(&mut dag, vec![Col::ITEM1], &lv);
-        let rt = lit(&mut dag, vec![Col::ITEM2], &rv);
+        let rows = |v: &[i64]| -> Vec<Vec<i64>> {
+            v.iter().zip(0..).map(|(&x, row)| vec![x, row]).collect()
+        };
+        let lt = lit(&mut dag, vec![Col::ITEM1, Col::POS], &rows(&l));
+        let rt = lit(&mut dag, vec![Col::ITEM2, Col::POS1], &rows(&r));
         let tj = dag.add(Op::ThetaJoin {
             l: lt,
             r: rt,
             pred: vec![(Col::ITEM1, kind, Col::ITEM2)],
         });
-        let t = run(&dag, tj);
-        let mut got: Vec<(i64, i64)> = (0..t.nrows())
-            .map(|i| (t.int(Col::ITEM1, i), t.int(Col::ITEM2, i)))
-            .collect();
-        got.sort_unstable();
         let mut expect: Vec<(i64, i64)> = Vec::new();
-        for &a in &l {
-            for &b in &r {
+        for (i, &a) in l.iter().enumerate() {
+            for (j, &b) in r.iter().enumerate() {
                 let keep = match kind {
                     FunKind::Lt => a < b,
                     FunKind::Le => a <= b,
@@ -166,12 +173,17 @@ fn thetajoin_matches_nested_loop() {
                     _ => unreachable!(),
                 };
                 if keep {
-                    expect.push((a, b));
+                    expect.push((i as i64, j as i64));
                 }
             }
         }
-        expect.sort_unstable();
-        assert_eq!(got, expect);
+        for scalar in [false, true] {
+            let t = run_with(&dag, tj, scalar);
+            let got: Vec<(i64, i64)> = (0..t.nrows())
+                .map(|i| (t.int(Col::POS, i), t.int(Col::POS1, i)))
+                .collect();
+            assert_eq!(got, expect, "{kind:?} scalar {scalar}");
+        }
     }
 }
 

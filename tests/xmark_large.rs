@@ -29,14 +29,14 @@ fn all_queries_agree_at_scale_0_05() {
     }
 }
 
-/// Q11/Q12 under the order-aware baseline are where the dense-key join
-/// arms and the counting-sort `%` do the work: `%` numbers the value
-/// join's pairs and two bookkeeping joins re-attach columns over that
-/// rank, each a gather over a unique key. Q6, Q7, Q14 and Q19 number
-/// presorted rows, which `%` does inside its sortedness probe. At this
-/// scale those operators exceed 10⁴ rows, far past the kernels'
-/// small-input regimes; the batch arm must serialize byte-identically
-/// to the row-at-a-time reference bodies.
+/// Q11/Q12 under the order-aware baseline are where the band join and
+/// the dense-key join arms do the work: the band join writes the value
+/// join's pairs in the order `%` asks for, `%` numbers them in one pass,
+/// and two bookkeeping joins re-attach columns over that rank, each a
+/// gather over a unique key. Q6, Q7, Q14 and Q19 number presorted rows
+/// the same way. At this scale those operators exceed 10⁴ rows, far
+/// past the kernels' small-input regimes; the batch arm must serialize
+/// byte-identically to the row-at-a-time reference bodies.
 #[test]
 fn dense_key_kernels_match_the_reference_arm_on_q6_q7_q11_q12_q14_q19() {
     let xml = generate(&XmarkConfig::at_scale(0.05));
