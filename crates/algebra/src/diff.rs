@@ -27,7 +27,7 @@ pub struct PlanDiff {
     pub right: PlanStats,
     /// Human-readable divergence records (path → what differs), minimized:
     /// one entry per branch where the plans first depart, capped at
-    /// [`MAX_DIVERGENCES`].
+    /// `MAX_DIVERGENCES` (8).
     pub divergences: Vec<String>,
 }
 

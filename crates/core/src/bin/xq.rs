@@ -17,8 +17,7 @@
 //!                        print the physical program as one table: per
 //!                        slot, the operator (or fused chain), estimated
 //!                        vs. actual cardinality and wall time, then the
-//!                        fusion, scheduler (with --threads > 1), cost
-//!                        and plan-cache counters
+//!                        fusion, cost and plan-cache counters
 //!   --no-cost            disable statistics-driven cost-based planning
 //!                        (join reordering where the join's order is
 //!                        unobserved); the rule-only planner runs instead
@@ -28,10 +27,6 @@
 //!                        byte-identical to the vectorized default
 //!   --time               print compile/execute wall-clock to stderr
 //!   --profile            print the per-phase execution profile to stderr
-//!   --threads <n>        scheduler workers: independent operators of the
-//!                        plan run concurrently (default 1 = serial; each
-//!                        operator stays single-threaded; results are
-//!                        byte-identical at any thread count)
 //!   --plan-cache <n>     plan-cache capacity in prepared plans (default 128)
 //!   --timeout <secs>     wall-clock budget for execution (fractional ok)
 //!   --deadline-ms <ms>   hard deadline covering load + compile + execute;
@@ -69,7 +64,7 @@ const EXIT_IO: i32 = 4;
 fn usage() -> ! {
     eprintln!(
         "usage: xq [--doc url=path]… [--baseline|--unordered] [--explain] \
-         [--no-cost] [--scalar] [--time] [--profile] [--threads <n>] [--plan-cache <n>] \
+         [--no-cost] [--scalar] [--time] [--profile] [--plan-cache <n>] \
          [--timeout <secs>] [--deadline-ms <ms>] [--max-rows <n>] \
          [--max-nodes <n>] [--max-depth <n>] [--verify] [--inject <spec>] \
          [--quiet] (<query> | --query-file <path>)"
@@ -105,7 +100,6 @@ fn main() {
     let mut inject: Option<String> = None;
     let mut scalar = false;
     let mut no_cost = false;
-    let mut threads: Option<usize> = None;
     let mut plan_cache: Option<usize> = None;
     let mut time = false;
     let mut profile = false;
@@ -141,7 +135,6 @@ fn main() {
             }
             "--scalar" => scalar = true,
             "--no-cost" => no_cost = true,
-            "--threads" => threads = Some(parse_num("--threads", args.next())),
             "--plan-cache" => {
                 plan_cache = Some(parse_num("--plan-cache", args.next()));
             }
@@ -188,9 +181,6 @@ fn main() {
     // Applied after --baseline/--unordered so they survive either preset.
     if no_cost {
         opts.opt = opts.opt.without_rule("cost-join-reorder");
-    }
-    if let Some(n) = threads {
-        opts = opts.with_threads(n);
     }
     // CLI flag wins over the environment fallback.
     let inject = inject.or_else(|| std::env::var("EXRQ_INJECT").ok());

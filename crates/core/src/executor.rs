@@ -150,7 +150,6 @@ fn fingerprint(query: &str, opts: &QueryOptions) -> u64 {
     opts.ordering.hash(&mut h);
     opts.opt.hash(&mut h);
     opts.budget.hash(&mut h);
-    opts.threads.hash(&mut h);
     opts.vectorized.hash(&mut h);
     h.finish()
 }
@@ -310,7 +309,6 @@ impl Executor {
             budget: opts.budget.clone(),
             cancel: opts.cancel.clone(),
             failpoints: opts.failpoints.clone(),
-            threads: opts.threads,
             ordering: effective_ordering,
         })
     }
@@ -343,7 +341,6 @@ impl Executor {
                 .failpoints
                 .clone()
                 .unwrap_or_else(|| plan.failpoints.clone()),
-            threads: plan.threads,
             scalar: !plan.vectorized,
             deadline: run.deadline,
             gauge: run.gauge.clone(),

@@ -96,11 +96,6 @@ pub struct QueryOptions {
     pub cancel: Option<CancellationToken>,
     /// Armed failpoints (deterministic fault injection); empty by default.
     pub failpoints: Failpoints,
-    /// Scheduler workers for one execution: above one, independent
-    /// operators of the plan run concurrently (`0` and `1` = serial);
-    /// each operator's kernel is single-threaded either way. Serial and
-    /// parallel runs produce byte-identical serializations.
-    pub threads: usize,
     /// Run the vectorized arm: the plan is lowered at prepare time with
     /// select→fun→project chains fused into single-pass kernels and
     /// executed over selection vectors. When `false`, the scalar
@@ -112,6 +107,9 @@ pub struct QueryOptions {
 }
 
 impl Default for QueryOptions {
+    /// [`QueryOptions::order_indifferent`]: ordering mode `unordered`,
+    /// whatever the query's prolog declares. Callers that want the
+    /// prolog honored ask for [`QueryOptions::honor_prolog`].
     fn default() -> Self {
         QueryOptions::order_indifferent()
     }
@@ -128,7 +126,6 @@ impl QueryOptions {
             budget: ExecutionBudget::default(),
             cancel: None,
             failpoints: Failpoints::none(),
-            threads: 1,
             vectorized: true,
         }
     }
@@ -143,13 +140,14 @@ impl QueryOptions {
             budget: ExecutionBudget::default(),
             cancel: None,
             failpoints: Failpoints::none(),
-            threads: 1,
             vectorized: true,
         }
     }
 
     /// Honor the query's own prolog (`declare ordering`), exploitation and
-    /// optimization on — the spec-faithful default for library users.
+    /// optimization on — the spec-faithful configuration, and what `xq`
+    /// runs without a preset flag. It is not [`QueryOptions::default`],
+    /// which is [`order_indifferent`](Self::order_indifferent).
     pub fn honor_prolog() -> Self {
         QueryOptions {
             exploit: true,
@@ -158,7 +156,6 @@ impl QueryOptions {
             budget: ExecutionBudget::default(),
             cancel: None,
             failpoints: Failpoints::none(),
-            threads: 1,
             vectorized: true,
         }
     }
@@ -181,10 +178,12 @@ impl QueryOptions {
         self
     }
 
-    /// Set the scheduler worker count: how many independent operators of
-    /// one plan may run at once (`0` and `1` both mean serial execution).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// A no-op. Every execution is serial: one plan runs on one thread,
+    /// and concurrency comes from running several queries at once. It
+    /// stays only because the `perfbench` ledger calls it (its
+    /// `engine.par2_ratio` arm); it goes with that metric in the next
+    /// change to the ledger (ROADMAP item 5).
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -230,8 +229,6 @@ pub struct Prepared {
     pub(crate) cancel: Option<CancellationToken>,
     /// Armed failpoints carried from the options.
     pub(crate) failpoints: Failpoints,
-    /// Scheduler worker count carried from the options.
-    pub(crate) threads: usize,
     /// The effective ordering mode this plan was compiled under (after
     /// any option override of the prolog's `declare ordering`) — it
     /// decides which result equivalence the differential oracle applies.
@@ -335,16 +332,6 @@ impl Prepared {
                 "fusion: {} phys slot(s), {} fused chain(s) absorbing {} op(s)",
                 p.vec.phys_slots, p.vec.fused_chains, p.vec.fused_ops
             );
-            // Only a run with `threads > 1` goes through the scheduler.
-            let sched = &p.sched;
-            if *sched != Default::default() {
-                let _ = writeln!(
-                    s,
-                    "scheduler: {} region(s), {} parallel op(s), {} inline op(s), \
-                     {} steal(s), queue peak {}",
-                    sched.regions, sched.par_ops, sched.inline_ops, sched.steals, sched.queue_peak
-                );
-            }
         }
         let _ = writeln!(
             s,

@@ -310,17 +310,13 @@ impl BudgetViolation {
     }
 }
 
-/// The shared, atomic run-time state of one query execution's
-/// [`ExecutionBudget`]: row counters, operator counters, `fn:doc` access
-/// counters, a wall-clock deadline and the cancellation token, all
-/// behind atomics so every worker thread of an intra-query parallel
-/// execution charges the *same* meter. Budget decrements and failpoint
-/// polls are the engine's yield points — they happen at operator
-/// boundaries on every thread, so cancellation and budget trips
-/// propagate across the whole worker pool within one operator.
-///
-/// Serial executions use the same meter (uncontended atomics are cheap),
-/// which keeps the accounting semantics of the two modes identical.
+/// The run-time state of one query execution's [`ExecutionBudget`]: row
+/// counters, operator counters, `fn:doc` access counters, a wall-clock
+/// deadline and the cancellation token. The counters sit behind
+/// (uncontended, cheap) atomics so that kernels polling inside one
+/// operator can charge the meter through a shared reference. Budget
+/// decrements and failpoint polls are the engine's yield points: they
+/// happen at operator boundaries and inside row-explosive kernels.
 #[derive(Debug)]
 pub struct BudgetMeter {
     budget: ExecutionBudget,
@@ -444,15 +440,14 @@ impl BudgetMeter {
         Ok(())
     }
 
-    /// Rows materialized so far across all operators (and threads).
+    /// Rows materialized so far across all operators.
     pub fn rows_total(&self) -> usize {
         self.rows_total.load(Ordering::Relaxed)
     }
 
     /// Operators fully evaluated so far — the counter behind the
-    /// `cancel-after` failpoint. Deterministic under serial execution;
-    /// under parallel execution completions race, so an injected cancel
-    /// still fires but not necessarily at the same operator.
+    /// `cancel-after` failpoint. Deterministic: re-running a plan trips
+    /// an injected cancel at the same operator.
     pub fn ops_seen(&self) -> usize {
         self.ops_seen.load(Ordering::Relaxed)
     }

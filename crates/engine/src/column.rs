@@ -1,5 +1,4 @@
-//! Columns: typed value vectors, `Arc`-shared between tables (and, under
-//! intra-query parallel execution, between worker threads).
+//! Columns: typed value vectors, `Arc`-shared between tables.
 //!
 //! Four physical representations cover the plans' needs: dense `i64`
 //! columns (`iter`, `pos`, `bind`, row ids — the hot sort/join keys),
@@ -10,7 +9,7 @@
 //! [`Item`] columns (24 bytes a row) for everything else.
 //!
 //! A node column is to the order-bearing kernels the integer column it
-//! is: [`node_key`] packs an id into an `i64` that sorts as the id does,
+//! is: `node_key` packs an id into an `i64` that sorts as the id does,
 //! so `%`, `δ`, `\` and `⋈` run their integer paths over it. Everything
 //! else reads it through [`Column::get`] as [`Item::Node`]. The scalar
 //! reference arm never produces the representation (it keeps nodes boxed

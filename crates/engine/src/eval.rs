@@ -1,21 +1,19 @@
 //! The plan driver.
 //!
 //! The engine runs exactly one thing: a flattened [`PhysPlan`].
-//! [`Engine::eval_plan`] fills one result slot per plan slot — here, in
-//! slot (= topological) order, or through the work-stealing scheduler in
-//! [`crate::par`] when [`EngineOptions::threads`] is above one. Either
-//! way every slot goes through [`run_slot`], the single copy of the
-//! per-slot bookkeeping (yield-point poll, failpoints, timing, profile,
-//! budget charge). A shared subplan is one slot, so it runs once per
-//! execution (§3's sharing); the slot vector is the only memo.
+//! [`Engine::eval_plan`] is one serial loop over its slots in slot (=
+//! topological) order: each iteration runs one slot and pushes its
+//! table onto a plain `Vec` that the loop owns, so every operand is
+//! already there when its consumer runs. `Engine::run_slot` is the
+//! single copy of the per-slot bookkeeping (yield-point poll,
+//! failpoints, timing, profile, budget charge). A shared subplan is one
+//! slot, so it runs once per execution (§3's sharing); the slot vector
+//! is the only memo.
 //!
-//! [`eval_pure`] dispatches a non-constructing operator to its kernel.
-//! The kernels live beside this module by family ([`crate::step`],
-//! [`crate::join`], [`crate::sort`], [`crate::aggr`],
-//! [`crate::construct`]) and are single-threaded: the scheduler is the
-//! only source of intra-query parallelism, so `threads` is read here and
-//! in [`crate::par`] only. Serial and parallel runs produce bit-identical
-//! tables.
+//! `eval_pure` dispatches a non-constructing operator to its kernel.
+//! The kernels live beside this module by family (`step`, `join`,
+//! `sort`, `aggr`, `construct`) and are single-threaded, like the
+//! driver: one query runs on one thread.
 
 use crate::aggr::eval_aggr;
 use crate::column::{Column, ColumnError};
@@ -33,7 +31,7 @@ use exrquy_diag::{
     MemoryTracker,
 };
 use exrquy_xml::{FragArena, NodeId};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runtime evaluation error, tagged with a W3C-style dynamic error code
@@ -101,21 +99,14 @@ pub struct EngineOptions {
     /// Armed failpoints (fault injection). Empty by default; the engine
     /// keeps its own deterministic counters (operators evaluated, `fn:doc`
     /// accesses), so re-running the same plan trips the same failpoint at
-    /// the same place (under serial execution; parallel completions race,
-    /// so a parallel run trips the same failpoint but not necessarily at
-    /// the same operator). An armed run executes the unfused lowering, so
+    /// the same place. An armed run executes the unfused lowering, so
     /// every trip sits at an operator boundary.
     pub failpoints: Failpoints,
-    /// Scheduler workers: above one, independent operators of one plan
-    /// run concurrently through [`crate::par`]; `0` and `1` both mean
-    /// serial. Every kernel itself is single-threaded. Serial and
-    /// parallel runs of the same plan produce bit-identical tables.
-    pub threads: usize,
     /// Run the reference arm: the unfused lowering (one operator per
     /// slot) with the row-at-a-time kernel bodies — materializing
-    /// gathers, no selection vectors, no fused chains. Same driver, same
-    /// scheduler; the vectorization differential runs every query with
-    /// this toggled both ways and asserts byte-identical serializations.
+    /// gathers, no selection vectors, no fused chains. Same driver; the
+    /// vectorization differential runs every query with this toggled
+    /// both ways and asserts byte-identical serializations.
     pub scalar: bool,
     /// Absolute request deadline (serving layer). Unlike `budget.max_wall`
     /// — which is relative to execution start — this instant also covers
@@ -128,9 +119,6 @@ pub struct EngineOptions {
     /// the engine drops — including by unwinding from a panic.
     pub gauge: Option<exrquy_diag::MemoryGauge>,
 }
-
-/// One result slot of an execution, filled exactly once.
-pub(crate) type Slot = OnceLock<Arc<Table>>;
 
 /// One query execution context.
 ///
@@ -146,16 +134,14 @@ pub struct Engine<'d, 's> {
     /// Per-kind timing of this execution.
     pub profile: Profile,
     pub(crate) opts: EngineOptions,
-    /// Atomic budget/cancellation meter shared with every worker thread
-    /// of a parallel execution; its decrements and polls are the yield
-    /// points.
+    /// Budget/cancellation meter; its decrements and polls are the
+    /// yield points.
     pub(crate) meter: BudgetMeter,
-    pub(crate) nodes: NodeLedger,
+    nodes: NodeLedger,
 }
 
-/// Constructed-node accounting of one execution, kept by the thread that
-/// owns the arena.
-pub(crate) struct NodeLedger {
+/// Constructed-node accounting of one execution.
+struct NodeLedger {
     /// Overlay nodes present at engine creation; the constructed-node
     /// ceiling applies to the delta.
     base: usize,
@@ -232,137 +218,66 @@ impl<'d, 's> Engine<'d, 's> {
         self.profile.vec.phys_slots += plan.len() as u64;
         self.profile.vec.fused_chains += plan.fused_chains as u64;
         self.profile.vec.fused_ops += plan.fused_ops as u64;
-        let slots: Vec<Slot> = (0..plan.len()).map(|_| OnceLock::new()).collect();
-        if self.opts.threads > 1 {
-            crate::par::run(self, plan, &slots)?;
-        } else {
-            for i in 0..plan.len() {
-                self.run_slot(plan, i, &slots)?;
-            }
+        let mut slots: Vec<Arc<Table>> = Vec::with_capacity(plan.len());
+        for i in 0..plan.len() {
+            let table = self.run_slot(plan, i, &slots)?;
+            slots.push(Arc::new(table));
         }
-        Ok(slots[plan.root as usize]
-            .get()
-            .expect("root slot evaluated")
-            .clone())
+        Ok(slots.swap_remove(plan.root as usize))
     }
 
-    /// Run slot `i` on the thread that owns the arena (any slot, writers
-    /// included).
-    pub(crate) fn run_slot(
+    /// Run slot `i` of `plan` over the tables of the slots before it:
+    /// the one copy of the per-slot bookkeeping.
+    fn run_slot(
         &mut self,
         plan: &PhysPlan,
         i: usize,
-        slots: &[Slot],
-    ) -> Result<(), EvalError> {
-        let cx = SlotCx {
-            dag: self.dag,
-            opts: &self.opts,
-            meter: &self.meter,
+        slots: &[Arc<Table>],
+    ) -> Result<Table, EvalError> {
+        let phys = &plan.ops[i];
+        let out = phys.out_id();
+        let slot = |s: u32| &slots[s as usize];
+        self.meter.poll()?;
+        poll_failpoints(&self.opts.failpoints, self.dag, out, self.meter.ops_seen())?;
+        let vec = !self.opts.scalar;
+        let started = Instant::now();
+        let arena = &mut *self.arena;
+        let table = match phys {
+            PhysOp::Fused { input, steps, .. } => {
+                crate::vec::exec_fused(slot(*input), steps, arena, &self.meter)?
+            }
+            PhysOp::Op { id, args } => match self.dag.op(*id) {
+                Op::Element { twig, .. } => {
+                    let before = self.nodes.constructed(arena);
+                    let (iters, content) = (slot(args[0]), slot(args[1]));
+                    eval_element(arena, iters, content, twig, vec, &self.meter, before)?
+                }
+                Op::Attr { .. } => eval_attr(arena, slot(args[0]), slot(args[1]), vec)?,
+                Op::TextNode { .. } => eval_textnode(arena, slot(args[0]), vec)?,
+                op => eval_pure(
+                    op,
+                    &|k| Arc::clone(slot(args[k])),
+                    arena,
+                    &self.opts,
+                    &self.meter,
+                )?,
+            },
         };
-        let arena = ArenaAccess::Owner(self.arena, &mut self.nodes);
-        run_slot(&cx, arena, plan, i, slots, &mut self.profile)
+        self.profile.record(self.dag, out, started.elapsed());
+        self.profile.record_rows(out, table.nrows());
+        self.meter.charge_rows(table.nrows())?;
+        self.nodes.charge(arena, &self.meter)?;
+        self.meter.record_op();
+        Ok(table)
     }
-}
-
-/// What every thread running slots of one execution shares.
-pub(crate) struct SlotCx<'a> {
-    pub(crate) dag: &'a Dag,
-    pub(crate) opts: &'a EngineOptions,
-    pub(crate) meter: &'a BudgetMeter,
-}
-
-/// The arena as the calling thread holds it.
-pub(crate) enum ArenaAccess<'a> {
-    /// A region worker: read-only, so it runs pure slots only.
-    Shared(&'a FragArena),
-    /// The thread that owns the engine: it alone runs the
-    /// node-constructing writers — in slot order, the single-writer rule
-    /// that keeps fragment ids and interned names deterministic — and
-    /// accounts for the nodes they construct.
-    Owner(&'a mut FragArena, &'a mut NodeLedger),
-}
-
-impl ArenaAccess<'_> {
-    fn read(&self) -> &FragArena {
-        match self {
-            ArenaAccess::Shared(a) => a,
-            ArenaAccess::Owner(a, _) => a,
-        }
-    }
-}
-
-/// Does `phys` construct nodes? Such writers need the arena mutably, so
-/// only its owner runs them (the `Owner` arms of [`run_slot`]).
-pub(crate) fn is_writer(dag: &Dag, phys: &PhysOp) -> bool {
-    matches!(
-        phys,
-        PhysOp::Op { id, .. } if matches!(
-            dag.op(*id),
-            Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. }
-        )
-    )
-}
-
-/// Run slot `i` of `plan` and publish its table: the one copy of the
-/// per-slot bookkeeping, used by the serial loop, the scheduler's region
-/// workers and its writer phase. Operand slots must already be filled.
-pub(crate) fn run_slot(
-    cx: &SlotCx<'_>,
-    mut arena: ArenaAccess<'_>,
-    plan: &PhysPlan,
-    i: usize,
-    slots: &[Slot],
-    prof: &mut Profile,
-) -> Result<(), EvalError> {
-    let phys = &plan.ops[i];
-    let out = phys.out_id();
-    let slot = |s: u32| {
-        slots[s as usize]
-            .get()
-            .expect("operand slot precedes its consumer")
-            .clone()
-    };
-    cx.meter.poll()?;
-    poll_failpoints(&cx.opts.failpoints, cx.dag, out, cx.meter.ops_seen())?;
-    let vec = !cx.opts.scalar;
-    let started = Instant::now();
-    let table = match phys {
-        PhysOp::Fused { input, steps, .. } => {
-            crate::vec::exec_fused(&slot(*input), steps, arena.read(), cx.meter)?
-        }
-        PhysOp::Op { id, args } => match (cx.dag.op(*id), &mut arena) {
-            (Op::Element { twig, .. }, ArenaAccess::Owner(a, nodes)) => {
-                let (iters, content, before) = (slot(args[0]), slot(args[1]), nodes.constructed(a));
-                eval_element(a, &iters, &content, twig, vec, cx.meter, before)?
-            }
-            (Op::Attr { .. }, ArenaAccess::Owner(a, _)) => {
-                eval_attr(a, &slot(args[0]), &slot(args[1]), vec)?
-            }
-            (Op::TextNode { .. }, ArenaAccess::Owner(a, _)) => {
-                eval_textnode(a, &slot(args[0]), vec)?
-            }
-            // Pure operators only read the arena (a writer that reaches
-            // a region worker is a scheduler bug `eval_pure` reports).
-            (op, _) => eval_pure(op, &|k| slot(args[k]), arena.read(), cx.opts, cx.meter)?,
-        },
-    };
-    prof.record(cx.dag, out, started.elapsed());
-    prof.record_rows(out, table.nrows());
-    cx.meter.charge_rows(table.nrows())?;
-    if let ArenaAccess::Owner(a, nodes) = &mut arena {
-        nodes.charge(a, cx.meter)?;
-    }
-    let _ = slots[i].set(Arc::new(table));
-    cx.meter.record_op();
-    Ok(())
 }
 
 // ------------------------------------------------------- pure operators
 
 /// Evaluate a non-constructing operator: `input` resolves the
 /// operator's already evaluated children *by child ordinal* (position in
-/// [`Op::children`] order, which [`run_slot`] maps to operand slots) and
-/// the arena is only read. Writer operators
+/// [`Op::children`] order, which `Engine::run_slot` maps to operand
+/// slots) and the arena is only read. Writer operators
 /// (`Element`/`Attr`/`TextNode`) never reach this function.
 pub(crate) fn eval_pure(
     op: &Op,
@@ -491,7 +406,7 @@ pub(crate) fn eval_pure(
             ]))
         }
         Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. } => {
-            unreachable!("writer operators are evaluated on the owning thread")
+            unreachable!("writer operators are evaluated by `Engine::run_slot`")
         }
     }
 }

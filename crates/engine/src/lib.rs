@@ -1,8 +1,8 @@
 //! Columnar in-memory execution engine — the stand-in for the paper's
 //! MonetDB back-end. It is handed one plan form, the flattened
 //! [`exrquy_algebra::PhysPlan`], and runs it with one driver
-//! ([`Engine::eval_plan`]): serially in slot order, or on the
-//! work-stealing scheduler when more than one thread is configured.
+//! ([`Engine::eval_plan`]): one serial loop over the slots, in slot
+//! order, on the calling thread.
 //!
 //! Design goals mirror what makes the paper's cost model tick:
 //!
@@ -36,7 +36,6 @@ pub mod funs;
 pub mod item;
 mod join;
 mod kernels;
-mod par;
 pub mod profile;
 mod sort;
 mod step;
@@ -47,5 +46,5 @@ pub use bits::BitVec;
 pub use column::{Column, ColumnBuilder, ColumnError};
 pub use eval::{Engine, EngineOptions, EvalError};
 pub use item::Item;
-pub use profile::{Profile, SchedStats, VecStats};
+pub use profile::{Profile, VecStats};
 pub use table::{ColView, SelVec, Table};

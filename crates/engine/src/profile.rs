@@ -10,36 +10,6 @@ use exrquy_algebra::{Dag, Op, OpId};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Work-stealing scheduler counters of one execution. All zero under
-/// serial execution; under parallel execution they make queue pressure
-/// and steal traffic visible, so scheduler regressions show up as
-/// counts rather than only in wall-clock noise.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Parallel regions that spun up a worker pool.
-    pub regions: u64,
-    /// Operators evaluated inside worker pools.
-    pub par_ops: u64,
-    /// Operators evaluated inline on single-ready linear stretches.
-    pub inline_ops: u64,
-    /// Tasks taken from another worker's deque.
-    pub steals: u64,
-    /// High-water mark of simultaneously outstanding ready tasks.
-    pub queue_peak: u64,
-}
-
-impl SchedStats {
-    /// Fold another execution's counters into this one (sums; the queue
-    /// high-water mark takes the max).
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.regions += other.regions;
-        self.par_ops += other.par_ops;
-        self.inline_ops += other.inline_ops;
-        self.steals += other.steals;
-        self.queue_peak = self.queue_peak.max(other.queue_peak);
-    }
-}
-
 /// Plan-shape counters of one execution: how many slots ran and how
 /// much of the plan went through fused single-pass chains (none on the
 /// scalar arm or with failpoints armed), reported by `--explain`.
@@ -53,15 +23,6 @@ pub struct VecStats {
     pub fused_ops: u64,
 }
 
-impl VecStats {
-    /// Fold another execution's counters into this one.
-    pub fn merge(&mut self, other: &VecStats) {
-        self.phys_slots += other.phys_slots;
-        self.fused_chains += other.fused_chains;
-        self.fused_ops += other.fused_ops;
-    }
-}
-
 /// Aggregated wall-clock per operator kind and per operator instance.
 #[derive(Debug, Default, Clone)]
 pub struct Profile {
@@ -73,8 +34,6 @@ pub struct Profile {
     /// entry.
     per_op_rows: BTreeMap<u32, u64>,
     total: Duration,
-    /// Scheduler counters (parallel executions only; zero when serial).
-    pub sched: SchedStats,
     /// Plan-shape counters (slots run, fused chains, absorbed ops).
     pub vec: VecStats,
 }
@@ -114,24 +73,6 @@ impl Profile {
     /// All observed output row counts, keyed by raw operator id.
     pub fn rows(&self) -> &BTreeMap<u32, u64> {
         &self.per_op_rows
-    }
-
-    /// Fold another profile into this one (parallel workers each record
-    /// into a private profile; the scheduler merges them when the region
-    /// joins).
-    pub fn merge(&mut self, other: &Profile) {
-        for (kind, d) in &other.per_kind {
-            *self.per_kind.entry(kind).or_insert(Duration::ZERO) += *d;
-        }
-        for (op, d) in &other.per_op {
-            *self.per_op.entry(*op).or_insert(Duration::ZERO) += *d;
-        }
-        for (op, n) in &other.per_op_rows {
-            self.per_op_rows.insert(*op, *n);
-        }
-        self.total += other.total;
-        self.sched.merge(&other.sched);
-        self.vec.merge(&other.vec);
     }
 
     /// Total recorded time.

@@ -23,8 +23,8 @@ pub type SelVec = Vec<u32>;
 /// every column of a filtered table.
 pub type SelRef = Arc<SelVec>;
 
-// Intra-query parallelism ships tables between worker threads; keep the
-// whole value layer `Send + Sync` by construction.
+// An execution may run on any thread of a caller's pool; keep the whole
+// value layer `Send + Sync` by construction.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Item>();

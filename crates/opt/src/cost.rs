@@ -16,7 +16,7 @@
 //!    the order-maintenance spine and its join order re-enumerated against
 //!    the cardinality model (exact DP over bitmasks up to 8 relations;
 //!    larger clusters keep their canonical order). A cheaper order is
-//!    grafted back only where [`order_unobserved`] proves that the
+//!    grafted back only where `order_unobserved` proves that the
 //!    downstream cone cannot observe the cluster's row order — the
 //!    paper's order-indifference condition, decided by a conservative
 //!    column-taint and order-influence abstract interpretation. The

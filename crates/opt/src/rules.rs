@@ -2,9 +2,9 @@
 //! rule names used to disable individual rewrites.
 //!
 //! Every rewrite the optimizer performs is identified by a `&'static str`
-//! rule name (the same name recorded in [`OptReport::trace`]
-//! (crate::OptReport::trace)). A [`RuleSet`] selects a subset of those
-//! names as a bitmask, which keeps [`OptOptions`](crate::OptOptions)
+//! rule name (the same name recorded in
+//! [`OptReport::trace`](crate::OptReport::trace)). A [`RuleSet`] selects
+//! a subset of those names as a bitmask, which keeps [`OptOptions`](crate::OptOptions)
 //! `Copy` + `Hash` — the plan cache fingerprints options wholesale, so
 //! two configurations that disable different rules must hash differently.
 //!

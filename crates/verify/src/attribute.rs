@@ -2,7 +2,7 @@
 //!
 //! When the oracle rejects a query, the interesting question is *which*
 //! optimizer rewrite is responsible. Every rewrite carries a name (see
-//! [`exrquy::opt::RULE_NAMES`]) and [`OptOptions`] can disable rules
+//! [`exrquy::opt::RULE_NAMES`]) and [`OptOptions`](exrquy::opt::OptOptions) can disable rules
 //! individually, so attribution is a search over the rules the optimized
 //! arm's trace actually fired:
 //!

@@ -18,8 +18,8 @@
 //! `--iters` single-document cells and as many multi-document cells with
 //! their authored joins, under both profiles — run under the reference
 //! point and every row of the covering table (cost pass, vectorization,
-//! worker threads, served and chaos transport, nested
-//! constructors as written or unnested), and every row must serialize
+//! served and chaos transport, nested constructors as written or
+//! unnested), and every row must serialize
 //! byte-identically.
 
 use exrquy_verify::fuzz::{run_fuzz, FuzzConfig, FuzzProfile};

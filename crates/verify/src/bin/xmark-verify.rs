@@ -10,8 +10,8 @@
 //! configuration lattice (see [`exrquy_verify::lattice`]): the queries
 //! over the whole document and the `fn:collection()` matrix over the
 //! split corpus, under the reference point and every row of the covering
-//! table — cost pass, vectorization, worker threads, served and chaos
-//! transport, nested constructors as written or unnested — each
+//! table — cost pass, vectorization, served and chaos transport, nested
+//! constructors as written or unnested — each
 //! serializing byte-identically.
 
 use exrquy_verify::{run_lattice, run_xmark_suite, Lattice, SuiteConfig};

@@ -25,7 +25,7 @@
 //! as a divergence.
 //!
 //! On an `EXRQ0004` divergence the driver minimizes the query with
-//! [`crate::shrink`] and names the culprit rewrite with
+//! [`crate::shrink()`] and names the culprit rewrite with
 //! [`crate::attribute`]; both land in the [`Divergence`] record.
 
 use crate::attribute::{attribute_divergence, Attribution};

@@ -5,13 +5,13 @@
 //! the plan, never the answer beyond the admissible permutations — and
 //! every layer built on top makes the same promise for its own axis: the
 //! cost pass, vectorization (which also pits the name-stream step kernel
-//! against the staircase join), worker threads, the served transport —
-//! and the compiler's flattening of nested constructors into
+//! against the staircase join), the served transport — and the
+//! compiler's flattening of nested constructors into
 //! twigs, which has no option to flip and is checked metamorphically
 //! ([`Constructors`]). This module states that promise once. A [`Config`]
 //! names one point of the configuration space; each *cell* (corpus,
 //! query, compiler profile) is executed once under the [`REFERENCE`]
-//! point (uncosted, scalar, serial, direct, constructors as written) and
+//! point (uncosted, scalar, direct, constructors as written) and
 //! once under every row of the [`TABLE`], and each row must
 //! render the same items in the same order — or fail with the same error
 //! code ([`compare`]). Comparison is exact sequence equality, *not* the
@@ -20,16 +20,16 @@
 //! set; every other axis must be invisible.
 //!
 //! **Covering table.** [`TABLE`] is an explicit list, not a generator:
-//! sixteen rows that contain every expressible pair of axis values (a
+//! eleven rows that contain every expressible pair of axis values (a
 //! unit test enumerates the pairs, so an axis value added without a
-//! covering row fails it). The floor comes from cost × transport ×
-//! threads: the wire protocol cannot spell per-request cost or the scalar
-//! arm ([`expressible`]), so the six (transport, threads) pairs of the
-//! two served transports need six cost-on rows, the (cost, threads) pairs
-//! of the other three cost values can only be spelled direct and need
-//! nine more, and cost-on × direct needs one — sixteen. The two-valued
-//! axes any direct point can spell (`vectorized`, `constructors`) ride
-//! along those rows and need none of their own.
+//! covering row fails it). The wire protocol cannot spell per-request
+//! cost or the scalar arm ([`expressible`]), so the four (transport,
+//! constructors) pairs of the two served transports need four cost-on
+//! vectorized rows; the (cost, vectorized) pairs of the other three cost
+//! values can only be spelled direct and need six more; and cost-on ×
+//! scalar needs one direct row — eleven. One plan always runs on one
+//! thread, so there is no thread axis; the daemon's worker pool, which
+//! every served row goes through, is concurrency between requests.
 //!
 //! **Corpora.** XMark as one document (Q1–Q20 × {order-indifferent,
 //! baseline}); XMark split by subtree, read through `fn:collection()`
@@ -41,7 +41,7 @@
 //! red cell reproduces under `fuzz-verify --seed`.
 //!
 //! **Served rows** load the cell's corpus into an in-process `xqd` (one
-//! daemon per served (transport, threads), staged once per corpus; a
+//! daemon per served transport, staged once per corpus; a
 //! single document hot-reloads the default catalog, a multi-document
 //! corpus loads into a named catalog), query with the wire spelling of the
 //! cell's profile, and compare the one serialized string against a direct
@@ -50,7 +50,7 @@
 //! speak through the `xqc` client: without retries on a plain daemon,
 //! with them on a chaos daemon that arms every `net-*` failpoint.
 //!
-//! **A red cell** is minimised ([`crate::shrink`], fuzz-stream cells) and
+//! **A red cell** is minimised ([`crate::shrink()`], fuzz-stream cells) and
 //! its culprit axis named by resetting the diverging row's fields to
 //! their reference value one at a time; when the culprit is a
 //! compile-side axis (`cost`, `failpoints`) the fired rewrite and cost
@@ -126,7 +126,6 @@ const CHAOS_NET_SPEC: &str = "net-torn-write:5,net-trickle:9,net-disconnect:17,n
 pub struct Config {
     pub cost: Cost,
     pub vectorized: bool,
-    pub threads: usize,
     pub transport: Transport,
     pub constructors: Constructors,
     /// Extra failpoints armed on the run (planted faults); empty in
@@ -137,14 +136,12 @@ pub struct Config {
 const fn row(
     cost: Cost,
     vectorized: bool,
-    threads: usize,
     transport: Transport,
     constructors: Constructors,
 ) -> Config {
     Config {
         cost,
         vectorized,
-        threads,
         transport,
         constructors,
         failpoints: "",
@@ -152,32 +149,28 @@ const fn row(
 }
 
 /// The point every row is compared against.
-pub const REFERENCE: Config = row(Cost::Off, false, 1, Transport::Direct, Constructors::Nested);
+pub const REFERENCE: Config = row(Cost::Off, false, Transport::Direct, Constructors::Nested);
 
-/// The covering table (see the module docs for why sixteen). The
-/// constructor spelling alternates down the rows, which puts both of its
-/// values beside every value of every other axis.
-pub const TABLE: [Config; 16] = {
+/// The covering table (see the module docs for why eleven). Each cost
+/// value's two direct rows pair opposite `vectorized` and `constructors`
+/// values, and the pairing flips between cost values, which puts every
+/// (vectorized, constructors) pair in some row.
+pub const TABLE: [Config; 11] = {
     use Constructors::{Nested, Unnested};
     use Cost::{Off, On};
     use Transport::{Direct, Served, ServedChaos};
     [
-        row(Off, true, 1, Direct, Nested),
-        row(Off, true, 2, Direct, Unnested),
-        row(Off, false, 4, Direct, Nested),
-        row(INFLATE, true, 1, Direct, Unnested),
-        row(INFLATE, false, 2, Direct, Nested),
-        row(INFLATE, true, 4, Direct, Unnested),
-        row(DEFLATE, false, 1, Direct, Nested),
-        row(DEFLATE, true, 2, Direct, Unnested),
-        row(DEFLATE, true, 4, Direct, Nested),
-        row(On, false, 4, Direct, Unnested),
-        row(On, true, 1, Served, Nested),
-        row(On, true, 2, Served, Unnested),
-        row(On, true, 4, Served, Nested),
-        row(On, true, 1, ServedChaos, Unnested),
-        row(On, true, 2, ServedChaos, Nested),
-        row(On, true, 4, ServedChaos, Unnested),
+        row(Off, false, Direct, Unnested),
+        row(Off, true, Direct, Nested),
+        row(INFLATE, false, Direct, Nested),
+        row(INFLATE, true, Direct, Unnested),
+        row(DEFLATE, true, Direct, Nested),
+        row(DEFLATE, false, Direct, Unnested),
+        row(On, false, Direct, Unnested),
+        row(On, true, Served, Nested),
+        row(On, true, Served, Unnested),
+        row(On, true, ServedChaos, Nested),
+        row(On, true, ServedChaos, Unnested),
     ]
 };
 
@@ -186,19 +179,17 @@ pub const TABLE: [Config; 16] = {
 /// with it; the pair-coverage test enumerates value pairs with it. A new
 /// axis is one field, one line here and its covering rows.
 pub type Axis = (&'static str, fn(&mut Config, &Config));
-pub const AXES: [Axis; 6] = [
+pub const AXES: [Axis; 5] = [
     ("cost", |c, from| c.cost = from.cost),
     ("vectorized", |c, from| c.vectorized = from.vectorized),
-    ("threads", |c, from| c.threads = from.threads),
     ("transport", |c, from| c.transport = from.transport),
     ("constructors", |c, from| c.constructors = from.constructors),
     ("failpoints", |c, from| c.failpoints = from.failpoints),
 ];
 
 /// Can this point be run at all? The wire protocol spells the ordering
-/// mode and the catalog per request and threads/`net-*` faults per
-/// daemon — not the cost pass, the scalar arm or a compile-side
-/// failpoint.
+/// mode and the catalog per request and `net-*` faults per daemon —
+/// not the cost pass, the scalar arm or a compile-side failpoint.
 pub fn expressible(c: &Config) -> bool {
     c.transport == Transport::Direct
         || (c.cost == Cost::On && c.vectorized && c.failpoints.is_empty())
@@ -207,10 +198,7 @@ pub fn expressible(c: &Config) -> bool {
 impl Config {
     /// `base` (a profile's options) moved to this point.
     fn options(&self, base: &QueryOptions) -> QueryOptions {
-        let mut o = base
-            .clone()
-            .with_vectorized(self.vectorized)
-            .with_threads(self.threads);
+        let mut o = base.clone().with_vectorized(self.vectorized);
         let mut spec = self.failpoints.to_string();
         match self.cost {
             Cost::Off => o.opt = o.opt.without_rule("cost-join-reorder"),
@@ -356,10 +344,8 @@ pub struct Report {
     /// (authored join cells), `served_cells`
     /// ((cell, row) pairs compared over the wire), `unnested_cells`
     /// ((cell, row) pairs whose query had nested constructors to
-    /// unnest), `parallel_regions` (direct (cell, row) runs with
-    /// `threads > 1` in which the scheduler ran independent operators
-    /// concurrently at least once), `chaos_retries` (retries the chaos
-    /// clients spent) and `shed_cells` (requests a daemon shed).
+    /// unnest), `chaos_retries` (retries the chaos clients spent) and
+    /// `shed_cells` (requests a daemon shed).
     pub witnesses: BTreeMap<&'static str, u64>,
     pub divergences: Vec<Divergence>,
 }
@@ -682,8 +668,9 @@ impl Reference {
 struct Runner<'a> {
     cfg: &'a Lattice,
     report: Report,
-    /// One daemon per served (chaos?, threads), spawned on first use.
-    daemons: BTreeMap<(bool, usize), Daemon>,
+    /// One daemon per served transport (keyed by chaos), spawned on
+    /// first use.
+    daemons: BTreeMap<bool, Daemon>,
 }
 
 /// Run the lattice.
@@ -769,7 +756,7 @@ pub fn run_lattice(cfg: &Lattice) -> Report {
     }
 
     // Every run ends with drained daemons.
-    for ((chaos, _), d) in std::mem::take(&mut run.daemons) {
+    for (chaos, d) in std::mem::take(&mut run.daemons) {
         if chaos {
             run.report.bump("chaos_retries", d.client.stats().retries);
         }
@@ -810,14 +797,11 @@ impl Runner<'_> {
                     .get_or_insert_with(|| reference(&env, row, cell.profile, &cell.query))
                     .expected_by(row);
                 let none = RuleSet::empty();
-                let Some((got, parallel)) =
-                    self.execute(&env, row, cell.profile, &cell.query, none)
-                else {
+                let Some(got) = self.execute(&env, row, cell.profile, &cell.query, none) else {
                     self.report.bump("shed_cells", 1);
                     continue;
                 };
                 self.report.bump("served_cells", u64::from(served));
-                self.report.bump("parallel_regions", u64::from(parallel));
                 let perturbed = matches!(row.cost, Cost::Perturb(_));
                 self.report.bump("perturbed_cells", u64::from(perturbed));
                 let unnested = nests && row.constructors == Constructors::Unnested;
@@ -833,8 +817,7 @@ impl Runner<'_> {
     }
 
     /// One run of `query` at the point `row` (with `disabled` rules off —
-    /// attribution's probe, direct rows only), and whether it was a
-    /// direct run that used a parallel region. `None` when a daemon shed
+    /// attribution's probe, direct rows only). `None` when a daemon shed
     /// the request.
     fn execute(
         &mut self,
@@ -843,7 +826,7 @@ impl Runner<'_> {
         profile: Profile,
         query: &str,
         disabled: RuleSet,
-    ) -> Option<(Run, bool)> {
+    ) -> Option<Run> {
         let unnested = match row.constructors {
             Constructors::Nested => None,
             Constructors::Unnested => unnest_constructors(query),
@@ -852,16 +835,13 @@ impl Runner<'_> {
         if row.transport == Transport::Direct {
             let mut opts = row.options(&profile.options());
             opts.opt.disabled_rules = opts.opt.disabled_rules.union(disabled);
-            let out = direct(&env.session, query, &opts);
-            // Only a `threads > 1` run reaches the scheduler.
-            let parallel = out.as_ref().is_ok_and(|o| o.profile.sched.regions > 0);
-            return Some((out.map(|o| rendered(&o.items)), parallel));
+            return Some(direct(&env.session, query, &opts).map(|o| rendered(&o.items)));
         }
         let (chaos, seed) = (row.transport == Transport::ServedChaos, self.cfg.seed);
         let daemon = self
             .daemons
-            .entry((chaos, row.threads))
-            .or_insert_with(|| Daemon::spawn(chaos, row.threads, seed));
+            .entry(chaos)
+            .or_insert_with(|| Daemon::spawn(chaos, seed));
         // A single document hot-reloads the default catalog; a corpus
         // stages a named one, so an earlier corpus's documents cannot
         // leak into `fn:collection()`.
@@ -871,7 +851,7 @@ impl Runner<'_> {
                 let staged = daemon.client.load_into(url, xml, catalog);
                 if let Err(e) = staged {
                     // The direct arm loaded this exact document.
-                    return Some((Err(format!("load of {url} failed: {e}")), false));
+                    return Some(Err(format!("load of {url} failed: {e}")));
                 }
             }
             daemon.loaded = env.key.to_string();
@@ -895,7 +875,7 @@ impl Runner<'_> {
             // deterministic — is a harness or client bug.
             Err(e) => panic!("lattice served row: unrecovered failure: {e}"),
         };
-        Some((run, false))
+        Some(run)
     }
 
     /// Is `row` red on `query`? (A fresh reference per call: the
@@ -910,9 +890,7 @@ impl Runner<'_> {
     ) -> bool {
         let want = reference(env, row, profile, query);
         self.execute(env, row, profile, query, disabled)
-            .is_some_and(|(got, _)| {
-                matches!(compare(want.expected_by(row), &got), Outcome::Diverged(_))
-            })
+            .is_some_and(|got| matches!(compare(want.expected_by(row), &got), Outcome::Diverged(_)))
     }
 
     /// Record a red (cell, row): name the axis, minimise, attribute. A
@@ -974,13 +952,12 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(chaos: bool, threads: usize, seed: u64) -> Daemon {
+    fn spawn(chaos: bool, seed: u64) -> Daemon {
         let spec = if chaos { CHAOS_NET_SPEC } else { "" };
         let server = spawn(
             ServerConfig {
                 workers: 2,
                 queue_capacity: 16,
-                threads,
                 failpoints: Failpoints::parse(spec).expect("chaos spec parses"),
                 ..ServerConfig::default()
             },
@@ -1075,7 +1052,7 @@ mod tests {
     fn table_covers_every_pair_of_axis_values_and_no_row_is_spare() {
         assert!(TABLE.iter().all(expressible) && !TABLE.contains(&REFERENCE));
         assert_eq!(uncovered_pair(&TABLE), None);
-        // Sixteen is the floor, so every row carries a pair of its own.
+        // Eleven is the floor, so every row carries a pair of its own.
         for skip in 0..TABLE.len() {
             let mut rest = TABLE.to_vec();
             let dropped = rest.remove(skip);

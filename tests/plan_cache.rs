@@ -167,26 +167,21 @@ fn armed_failpoints_bypass_the_cache() {
     assert_eq!((stats.hits, stats.misses, stats.uncacheable), (0, 0, 2));
 }
 
+/// `with_threads` is a no-op kept for the benchmark ledger: a plan
+/// prepared with it is the plan prepared without it, so the ledger's
+/// `engine.par2_ratio` arm times the very same plan as its serial arm.
 #[test]
-fn thread_count_misses() {
+fn a_thread_count_hits_the_plan_prepared_without_it() {
     let s = session();
-    let a = s
+    let serial = s
         .prepare(QUERY, &QueryOptions::order_indifferent())
         .unwrap();
-    let b = s
+    let threaded = s
         .prepare(QUERY, &QueryOptions::order_indifferent().with_threads(4))
         .unwrap();
-    assert!(
-        !Arc::ptr_eq(&a, &b),
-        "thread count is part of the plan fingerprint"
-    );
-    assert!(Arc::ptr_eq(
-        &b,
-        &s.prepare(QUERY, &QueryOptions::order_indifferent().with_threads(4))
-            .unwrap()
-    ));
+    assert!(Arc::ptr_eq(&serial, &threaded));
     let stats = s.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 2));
+    assert_eq!((stats.hits, stats.misses), (1, 1));
 }
 
 #[test]
